@@ -1,6 +1,8 @@
 #include "fadewich/defend/consistency.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <string>
 
 #include "fadewich/common/error.hpp"
 
@@ -8,16 +10,24 @@ namespace fadewich::defend {
 
 ConsistencyChecker::ConsistencyChecker(std::size_t device_count,
                                        ConsistencyConfig config)
-    : config_(config) {
+    : config_(config),
+      window_(std::max<std::size_t>(config.window_ticks, 1)) {
   if (device_count < 2) {
     throw Error("consistency checker: device_count must be >= 2");
   }
+  if (window_ > kMaxWindowTicks) {
+    throw Error("consistency checker: window_ticks must be <= " +
+                std::to_string(kMaxWindowTicks));
+  }
+  const auto limit = [n = static_cast<double>(window_)](double cap) {
+    return (cap * n) * (cap * n);
+  };
+  soft_limit_ = limit(config_.max_window_std_db);
+  hard_limit_ = limit(config_.hard_window_std_db);
   const std::size_t streams = device_count * (device_count - 1);
   bounds_.assign(streams, std::numeric_limits<double>::infinity());
-  links_.reserve(streams);
-  for (std::size_t s = 0; s < streams; ++s) {
-    links_.emplace_back(config_.window_ticks);
-  }
+  links_.assign(streams, LinkState{});
+  ring_.assign(streams * window_, 0);
 }
 
 ConsistencyChecker::ConsistencyChecker(std::size_t device_count,
@@ -59,8 +69,8 @@ void ConsistencyChecker::raise(LinkState& link, std::uint32_t weight,
   }
 }
 
-SampleVerdict ConsistencyChecker::check(std::size_t stream, double rssi_dbm,
-                                        Tick now) {
+SampleVerdict ConsistencyChecker::check(std::size_t stream,
+                                        std::int8_t rssi_dbm, Tick now) {
   FADEWICH_EXPECTS(stream < links_.size());
   LinkState& link = links_[stream];
   const bool quarantined = link.quarantine_until > now;
@@ -98,15 +108,32 @@ SampleVerdict ConsistencyChecker::check(std::size_t stream, double rssi_dbm,
 
   // 2. Variance caps over the rolling window.  The sample goes into the
   // statistics either way — the window is the detector's memory — but
-  // over-cap samples are never forwarded.
-  link.window.push(rssi_dbm);
+  // over-cap samples are never forwarded.  With n samples, std > cap is
+  // n*Sx2 - Sx^2 > (cap*n)^2; the left side is an exact integer, so the
+  // comparison is exact and a tie is not "over".
+  std::int8_t& slot = ring_[stream * window_ + link.head];
+  const std::int64_t x = rssi_dbm;
+  if (link.count == window_) {
+    const std::int64_t evicted = slot;
+    link.sum -= evicted;
+    link.sum_sq -= evicted * evicted;
+  } else {
+    ++link.count;
+  }
+  slot = rssi_dbm;
+  link.sum += x;
+  link.sum_sq += x * x;
+  if (++link.head == window_) link.head = 0;
+
   if (stuck) return violate(config_.stuck_weight, SampleVerdict::kStuck);
-  if (link.window.full()) {
-    const double std = link.window.stddev();
-    if (std > config_.hard_window_std_db) {
+  if (link.count == window_) {
+    const double spread = static_cast<double>(
+        static_cast<std::int64_t>(window_) * link.sum_sq -
+        link.sum * link.sum);
+    if (spread > hard_limit_) {
       return violate(config_.bound_weight, SampleVerdict::kExcessVariance);
     }
-    if (std > config_.max_window_std_db) {
+    if (spread > soft_limit_) {
       return violate(config_.variance_weight,
                      SampleVerdict::kExcessVariance);
     }

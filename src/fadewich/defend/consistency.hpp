@@ -14,6 +14,10 @@
 //   2. Variance cap — movement raises a window's standard deviation by a
 //      couple of dB; jam-mimic noise powerful enough to force MD
 //      triggers raises it far beyond anything a walking human produces.
+//      Samples arrive as int8 wire dBm, so each link keeps an exact
+//      integer sum and sum of squares over its window and tests
+//      n*Sx2 - Sx^2 > (cap*n)^2: no sqrt, no drift, and a window whose
+//      std equals a cap exactly is never "over".
 //   3. Stuck-value runs — jam-mask (replaying a frozen level to hide
 //      movement) yields repeat runs orders of magnitude longer than a
 //      quantised-but-live radio ever emits.
@@ -32,7 +36,6 @@
 #include "fadewich/common/time.hpp"
 #include "fadewich/rf/geometry.hpp"
 #include "fadewich/rf/pathloss.hpp"
-#include "fadewich/stats/rolling_window.hpp"
 
 namespace fadewich::defend {
 
@@ -51,7 +54,7 @@ struct ConsistencyConfig {
   /// heavy suspicion, immediate drop.  No indoor channel reaches it
   /// without deliberate interference.
   double hard_window_std_db = 16.0;
-  std::size_t window_ticks = 25;  // 5 s at 5 Hz
+  std::size_t window_ticks = 25;  // 5 s at 5 Hz (at most kMaxWindowTicks)
   /// Identical consecutive values before the link is called frozen.
   /// Live quantised radios repeat, but runs this long (60 s at 5 Hz)
   /// only come from a masked/replayed stream.
@@ -81,6 +84,10 @@ enum class SampleVerdict : std::uint8_t {
 
 class ConsistencyChecker {
  public:
+  /// Longest window whose n*Sx2 - Sx^2 over int8 samples stays exact in
+  /// a double (n^2 * 128^2 < 2^53).
+  static constexpr std::size_t kMaxWindowTicks = 1u << 19;
+
   /// Geometry-free checker: the static bound degenerates to the floor
   /// check only; variance and stuck-run checks stay active.
   ConsistencyChecker(std::size_t device_count, ConsistencyConfig config);
@@ -92,9 +99,9 @@ class ConsistencyChecker {
                      const rf::PathLossConfig& path_loss,
                      double tx_power_dbm);
 
-  /// Judge one sample on stream `s` at tick `now`.  Updates suspicion
-  /// and may start a quarantine as a side effect.
-  SampleVerdict check(std::size_t stream, double rssi_dbm, Tick now);
+  /// Judge one int8 wire-dBm sample on stream `s` at tick `now`.
+  /// Updates suspicion and may start a quarantine as a side effect.
+  SampleVerdict check(std::size_t stream, std::int8_t rssi_dbm, Tick now);
 
   bool quarantined(std::size_t stream, Tick now) const;
   std::size_t quarantined_count(Tick now) const;
@@ -103,6 +110,7 @@ class ConsistencyChecker {
   std::uint64_t quarantines() const { return quarantines_; }
 
   std::size_t stream_count() const { return links_.size(); }
+  std::size_t window_ticks() const { return window_; }
   const ConsistencyConfig& config() const { return config_; }
 
   /// The static upper bound for a stream (+inf when geometry-free).
@@ -111,23 +119,28 @@ class ConsistencyChecker {
   }
 
  private:
+  // Everything one sample touches besides its ring slice.
   struct LinkState {
-    stats::RollingWindow window;
-    double last = 0.0;
-    bool has_last = false;
+    std::int64_t sum = 0;         // exact Sx over the window
+    std::int64_t sum_sq = 0;      // exact Sx2 over the window
+    Tick quarantine_until = -1;   // exclusive; -1 = never quarantined
+    std::uint32_t count = 0;      // samples in the window (<= window_)
+    std::uint32_t head = 0;       // ring slot the next sample writes
     std::uint32_t run = 1;        // current identical-value run length
     std::uint32_t suspicion = 0;
-    Tick quarantine_until = -1;   // exclusive; -1 = never quarantined
-
-    explicit LinkState(std::size_t window_ticks)
-        : window(window_ticks == 0 ? 1 : window_ticks) {}
+    std::int8_t last = 0;
+    bool has_last = false;
   };
 
   void raise(LinkState& link, std::uint32_t weight, Tick now);
 
   ConsistencyConfig config_;
+  std::size_t window_;            // window length in samples (>= 1)
+  double soft_limit_ = 0.0;       // (max_window_std_db * n)^2
+  double hard_limit_ = 0.0;       // (hard_window_std_db * n)^2
   std::vector<double> bounds_;    // per-stream static upper bound (dBm)
   std::vector<LinkState> links_;
+  std::vector<std::int8_t> ring_; // streams x window_ wire samples
   std::uint64_t quarantines_ = 0;
 };
 

@@ -1,10 +1,9 @@
 #include "fadewich/defend/defender.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "fadewich/common/crc32.hpp"
+#include "fadewich/common/env.hpp"
 #include "fadewich/common/error.hpp"
 #include "fadewich/obs/obs.hpp"
 
@@ -37,18 +36,15 @@ struct DefendMetrics {
 
 DefendConfig DefendConfig::from_env() {
   DefendConfig config;
-  if (const char* v = std::getenv("FADEWICH_DEFEND")) {
-    config.enabled = std::string(v) != "0";
+  if (const auto enabled = common::env_flag("FADEWICH_DEFEND")) {
+    config.enabled = *enabled;
   }
-  if (const char* v = std::getenv("FADEWICH_DEFEND_KEYSEED")) {
-    config.key_seed = std::strtoull(v, nullptr, 10);
+  if (const auto seed = common::env_u64("FADEWICH_DEFEND_KEYSEED")) {
+    config.key_seed = *seed;
   }
-  if (const char* v = std::getenv("FADEWICH_DEFEND_RATE")) {
-    const double rate = std::strtod(v, nullptr);
-    if (rate > 0.0) {
-      config.rate_per_tick = rate;
-      config.rate_burst = rate * 16.0;
-    }
+  if (const auto rate = common::env_positive_real("FADEWICH_DEFEND_RATE")) {
+    config.rate_per_tick = *rate;
+    config.rate_burst = *rate * 16.0;
   }
   return config;
 }
@@ -79,24 +75,13 @@ obs::HealthBlock health_block(const DefendCounters& c) {
   return block;
 }
 
-namespace {
-
-constexpr Tick kNoRamp = -1;
-
-}  // namespace
-
 void Defender::init_state() {
   stations_.resize(device_count_);
   for (std::size_t d = 0; d < device_count_; ++d) {
     stations_[d].key = net::derive_station_key(
         config_.key_seed, static_cast<std::uint16_t>(d));
   }
-  const std::size_t streams = device_count_ * (device_count_ - 1);
-  last_seen_.assign(streams, 0);
-  last_out_.assign(streams, 0.0);
-  has_out_.assign(streams, 0);
-  ramp_start_.assign(streams, kNoRamp);
-  ramp_hold_.assign(streams, 0.0);
+  streams_.assign(device_count_ * (device_count_ - 1), StreamState{});
 }
 
 Defender::Defender(std::size_t device_count, DefendConfig config)
@@ -132,7 +117,13 @@ bool Defender::take_token(StationState& st, Tick now) {
   return true;
 }
 
-std::uint32_t Defender::content_digest(const net::DecodedFrame& frame) {
+std::uint64_t Defender::content_digest(
+    const net::DecodedFrame& frame) const {
+  // Under require_auth the tag has just verified under the station key,
+  // so it already is a keyed digest of every covered byte.  Unsigned
+  // traffic has no trustworthy tag (a tagged and a tag-stripped copy of
+  // one frame must compare equal), so it pays for a CRC over the content.
+  if (config_.require_auth) return frame.tag;
   Crc32 crc;
   crc.update(&frame.header.tick, sizeof(frame.header.tick));
   crc.update(&frame.header.tx, sizeof(frame.header.tx));
@@ -144,45 +135,38 @@ std::uint32_t Defender::content_digest(const net::DecodedFrame& frame) {
 }
 
 void Defender::remember(StationState& st, std::uint64_t seq,
-                        std::uint32_t digest) {
-  if (st.recent_seq.size() < kRecentRing) {
-    st.recent_seq.push_back(seq);
-    st.recent_digest.push_back(digest);
-    return;
-  }
+                        std::uint64_t digest) {
   st.recent_seq[st.recent_head] = seq;
   st.recent_digest[st.recent_head] = digest;
   st.recent_head = (st.recent_head + 1) % kRecentRing;
+  if (st.recent_count < kRecentRing) ++st.recent_count;
 }
 
-std::optional<std::uint32_t> Defender::recall(const StationState& st,
-                                              std::uint64_t seq) const {
-  for (std::size_t i = 0; i < st.recent_seq.size(); ++i) {
+std::optional<std::uint64_t> Defender::recall(const StationState& st,
+                                              std::uint64_t seq) {
+  for (std::size_t i = 0; i < st.recent_count; ++i) {
     if (st.recent_seq[i] == seq) return st.recent_digest[i];
   }
   return std::nullopt;
 }
 
-double Defender::smooth(std::size_t stream, double value, Tick now) {
+double Defender::smooth(StreamState& s, double value, Tick now) {
   double forward = value;
-  if (config_.ramp_ticks > 0 && has_out_[stream] != 0) {
-    if (now - last_seen_[stream] > config_.rejoin_gap_ticks) {
-      ramp_start_[stream] = now;
-      ramp_hold_[stream] = last_out_[stream];
+  if (config_.ramp_ticks > 0 && s.has_out) {
+    if (now - s.last_seen > config_.rejoin_gap_ticks) {
+      s.ramp_start = now;
+      s.ramp_hold = s.last_out;
     }
-    if (ramp_start_[stream] != kNoRamp &&
-        now - ramp_start_[stream] < config_.ramp_ticks) {
-      const double alpha =
-          static_cast<double>(now - ramp_start_[stream] + 1) /
-          static_cast<double>(config_.ramp_ticks);
-      forward = ramp_hold_[stream] +
-                alpha * (value - ramp_hold_[stream]);
+    if (s.ramp_start != -1 && now - s.ramp_start < config_.ramp_ticks) {
+      const double alpha = static_cast<double>(now - s.ramp_start + 1) /
+                           static_cast<double>(config_.ramp_ticks);
+      forward = s.ramp_hold + alpha * (value - s.ramp_hold);
       ++counters_.ramped_samples;
     }
   }
-  last_seen_[stream] = now;
-  last_out_[stream] = forward;
-  has_out_[stream] = 1;
+  s.last_seen = now;
+  s.last_out = forward;
+  s.has_out = true;
   return forward;
 }
 
@@ -241,21 +225,26 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
   // identical content is a replay; with different content it is a spoof
   // under a (necessarily compromised) valid key — quarantine the
   // identity, since its key can no longer be trusted.
-  const std::uint32_t digest = content_digest(frame);
-  if (st.window.seen(frame.header.seq)) {
-    const std::optional<std::uint32_t> prior = recall(st, frame.header.seq);
-    if (prior.has_value() && *prior != digest) {
-      reject(counters_.spoof_conflicts);
-      st.quarantine_until = now + config_.consistency.quarantine_ticks;
-      DefendMetrics::get().quarantines.inc();
-      return FrameVerdict::kSpoofConflict;
+  const std::uint64_t digest = content_digest(frame);
+  switch (st.window.accept(frame.header.seq)) {
+    case net::SeqWindow::Result::kDuplicate: {
+      const std::optional<std::uint64_t> prior =
+          recall(st, frame.header.seq);
+      if (prior.has_value() && *prior != digest) {
+        reject(counters_.spoof_conflicts);
+        st.quarantine_until = now + config_.consistency.quarantine_ticks;
+        DefendMetrics::get().quarantines.inc();
+        return FrameVerdict::kSpoofConflict;
+      }
+      reject(counters_.replayed);
+      return FrameVerdict::kReplayed;
     }
-    reject(counters_.replayed);
-    return FrameVerdict::kReplayed;
-  }
-  if (st.window.accept(frame.header.seq) == net::SeqWindow::Result::kStale) {
-    reject(counters_.stale);
-    return FrameVerdict::kStale;
+    case net::SeqWindow::Result::kStale:
+      reject(counters_.stale);
+      return FrameVerdict::kStale;
+    case net::SeqWindow::Result::kFresh:
+    case net::SeqWindow::Result::kReordered:
+      break;
   }
   remember(st, frame.header.seq, digest);
 
@@ -276,11 +265,11 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
     const std::size_t stream =
         static_cast<std::size_t>(tx) * (device_count_ - 1) +
         (r.rx < tx ? r.rx : r.rx - 1);
-    switch (consistency_.check(stream, value, now)) {
+    switch (consistency_.check(stream, r.rssi_dbm, now)) {
       case SampleVerdict::kOk:
         ++counters_.reports_accepted;
         out.push_back(net::Measurement{tx, r.rx, frame.header.tick,
-                                       smooth(stream, value, now)});
+                                       smooth(streams_[stream], value, now)});
         break;
       case SampleVerdict::kExcessVariance:
         ++counters_.variance_flags;

@@ -13,6 +13,9 @@
 //                  recomputed without the key) — are rejected; a repeat
 //                  seq whose *content* differs from the recorded digest
 //                  is a spoof conflict and quarantines the station id.
+//                  With auth on, the just-verified SipHash tag is that
+//                  digest (keyed, over every covered byte); only
+//                  unsigned legacy traffic pays for a CRC digest.
 //   consistency -> physical checks on the values (defend::
 //                  ConsistencyChecker): an insider holding the key can
 //                  sign anything, but cannot make impossible RSSI
@@ -24,6 +27,7 @@
 // keep running on what remains.  The defender never throws on input.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -65,9 +69,10 @@ struct DefendConfig {
   Tick ramp_ticks = 100;       // 20 s at 5 Hz
 
   /// Environment overrides:
-  ///   FADEWICH_DEFEND=0|1        enabled
-  ///   FADEWICH_DEFEND_KEYSEED=n  key_seed (decimal)
-  ///   FADEWICH_DEFEND_RATE=x     rate_per_tick (burst scales 16x)
+  ///   FADEWICH_DEFEND=0|1        enabled (common::env_flag grammar)
+  ///   FADEWICH_DEFEND_KEYSEED=n  key_seed (decimal u64, 0 allowed)
+  ///   FADEWICH_DEFEND_RATE=x     rate_per_tick > 0 (burst scales 16x)
+  /// A set but malformed value throws fadewich::Error.
   static DefendConfig from_env();
 };
 
@@ -145,42 +150,50 @@ class Defender {
   void publish_metrics(Tick now) const;
 
  private:
+  static constexpr std::size_t kRecentRing = 64;  // matches SeqWindow span
+
   struct StationState {
     net::WireKey key;
     net::SeqWindow window;
     double tokens = 0.0;
     Tick last_refill = 0;
     bool bucket_started = false;
+    Tick quarantine_until = -1;
     // Content digests of recently accepted seqs, for replay-vs-spoof
     // discrimination on duplicate sequence numbers.
-    std::vector<std::uint64_t> recent_seq;
-    std::vector<std::uint32_t> recent_digest;
-    std::size_t recent_head = 0;
-    Tick quarantine_until = -1;
+    std::uint32_t recent_head = 0;
+    std::uint32_t recent_count = 0;
+    std::array<std::uint64_t, kRecentRing> recent_seq{};
+    std::array<std::uint64_t, kRecentRing> recent_digest{};
   };
 
-  static constexpr std::size_t kRecentRing = 64;  // matches SeqWindow span
+  // Per-stream rejoin-smoothing state (see DefendConfig::ramp_ticks).
+  struct StreamState {
+    Tick last_seen = 0;       // tick of the last forwarded sample
+    Tick ramp_start = -1;     // -1 = no ramp in progress
+    double last_out = 0.0;    // value last forwarded downstream
+    double ramp_hold = 0.0;   // level held while the stream was dark
+    bool has_out = false;
+  };
 
   void init_state();
   bool take_token(StationState& st, Tick now);
   /// Rejoin smoothing for an accepted sample (see DefendConfig).
-  double smooth(std::size_t stream, double value, Tick now);
-  static std::uint32_t content_digest(const net::DecodedFrame& frame);
-  void remember(StationState& st, std::uint64_t seq, std::uint32_t digest);
+  double smooth(StreamState& stream, double value, Tick now);
+  /// Replay/spoof content digest: the verified tag under require_auth,
+  /// a CRC over the covered content otherwise.
+  std::uint64_t content_digest(const net::DecodedFrame& frame) const;
+  static void remember(StationState& st, std::uint64_t seq,
+                       std::uint64_t digest);
   /// Digest recorded for `seq`, if still in the ring.
-  std::optional<std::uint32_t> recall(const StationState& st,
-                                      std::uint64_t seq) const;
+  static std::optional<std::uint64_t> recall(const StationState& st,
+                                             std::uint64_t seq);
 
   std::size_t device_count_;
   DefendConfig config_;
   ConsistencyChecker consistency_;
   std::vector<StationState> stations_;
-  // Per-stream rejoin-smoothing state (see DefendConfig::ramp_ticks).
-  std::vector<Tick> last_seen_;    // tick of the last forwarded sample
-  std::vector<double> last_out_;   // value last forwarded downstream
-  std::vector<std::uint8_t> has_out_;
-  std::vector<Tick> ramp_start_;   // -1 = no ramp in progress
-  std::vector<double> ramp_hold_;  // level held while the stream was dark
+  std::vector<StreamState> streams_;
   DefendCounters counters_;
 };
 

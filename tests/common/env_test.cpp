@@ -3,6 +3,7 @@
 // — a fleet run multiplies the cost of a silently-wrong knob.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "fadewich/common/env.hpp"
@@ -123,6 +124,27 @@ TEST_F(EnvTest, PositiveRealRejectsMalformedValues) {
         "0x1p3", "1e400", "1e13", "..", "1.2.3"}) {
     set(bad);
     EXPECT_THROW(env_positive_real("FADEWICH_TEST_KNOB"), Error) << bad;
+  }
+}
+
+TEST_F(EnvTest, U64ParsesTheFullUnsignedRangeIncludingZero) {
+  unsetenv("FADEWICH_TEST_KNOB");
+  EXPECT_FALSE(env_u64("FADEWICH_TEST_KNOB").has_value());
+  set("0");
+  EXPECT_EQ(env_u64("FADEWICH_TEST_KNOB"), 0u);
+  set("12345");
+  EXPECT_EQ(env_u64("FADEWICH_TEST_KNOB"), 12345u);
+  set("18446744073709551615");
+  EXPECT_EQ(env_u64("FADEWICH_TEST_KNOB"), ~std::uint64_t{0});
+}
+
+TEST_F(EnvTest, U64RejectsMalformedValues) {
+  // FADEWICH_DEFEND_KEYSEED reads through this: a seed that silently
+  // parsed as 0 would make every honest frame fail authentication.
+  for (const char* bad : {"abc", "12x", "-1", "+1", " 7", "7 ", "0x10",
+                          "1e3", "18446744073709551616"}) {
+    set(bad);
+    EXPECT_THROW(env_u64("FADEWICH_TEST_KNOB"), Error) << bad;
   }
 }
 

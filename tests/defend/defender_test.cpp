@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "fadewich/common/error.hpp"
 #include "fadewich/net/wire.hpp"
 
 namespace fadewich::defend {
@@ -228,12 +229,86 @@ TEST(DefenderTest, FromEnvReadsTheKnobs) {
   EXPECT_EQ(config.key_seed, 12345u);
   EXPECT_DOUBLE_EQ(config.rate_per_tick, 2.5);
   EXPECT_DOUBLE_EQ(config.rate_burst, 40.0);
+
+  // Key seed 0 and the u64 maximum are valid seeds.
+  ::setenv("FADEWICH_DEFEND", "on", 1);
+  ::setenv("FADEWICH_DEFEND_KEYSEED", "0", 1);
+  EXPECT_TRUE(DefendConfig::from_env().enabled);
+  EXPECT_EQ(DefendConfig::from_env().key_seed, 0u);
+  ::setenv("FADEWICH_DEFEND_KEYSEED", "18446744073709551615", 1);
+  EXPECT_EQ(DefendConfig::from_env().key_seed, ~std::uint64_t{0});
+
+  // Malformed values throw instead of silently falling back.
+  const auto rejects = [](const char* name, const char* value) {
+    ::setenv(name, value, 1);
+    EXPECT_THROW(DefendConfig::from_env(), Error) << name << "=" << value;
+    ::unsetenv(name);
+  };
   ::unsetenv("FADEWICH_DEFEND");
   ::unsetenv("FADEWICH_DEFEND_KEYSEED");
   ::unsetenv("FADEWICH_DEFEND_RATE");
+  rejects("FADEWICH_DEFEND", "yes");
+  rejects("FADEWICH_DEFEND", "2");
+  rejects("FADEWICH_DEFEND_KEYSEED", "abc");
+  rejects("FADEWICH_DEFEND_KEYSEED", "12x");
+  rejects("FADEWICH_DEFEND_KEYSEED", "-1");
+  rejects("FADEWICH_DEFEND_KEYSEED", " 7");
+  rejects("FADEWICH_DEFEND_KEYSEED", "0x10");
+  rejects("FADEWICH_DEFEND_KEYSEED", "18446744073709551616");
+  rejects("FADEWICH_DEFEND_RATE", "-1");
+  rejects("FADEWICH_DEFEND_RATE", "0");
+  rejects("FADEWICH_DEFEND_RATE", "fast");
+  rejects("FADEWICH_DEFEND_RATE", "inf");
+
   const DefendConfig defaults = DefendConfig::from_env();
   EXPECT_TRUE(defaults.enabled);
   EXPECT_EQ(defaults.key_seed, DefendConfig{}.key_seed);
+  EXPECT_DOUBLE_EQ(defaults.rate_per_tick, DefendConfig{}.rate_per_tick);
+}
+
+TEST(DefenderTest, SignedReplayDigestIsTheVerifiedTag) {
+  const DefendConfig config;  // require_auth on
+  Defender defender(kDevices, config);
+  std::vector<net::Measurement> out;
+  const net::DecodedFrame frame = signed_frame(config, 0, 9, 4, -50);
+  EXPECT_EQ(defender.filter_frame(frame, 4, out), FrameVerdict::kAccept);
+  // Verbatim replay: same seq, same tag.
+  EXPECT_EQ(defender.filter_frame(frame, 5, out), FrameVerdict::kReplayed);
+  // Re-signed under the station key with different content at the same
+  // seq: a different verified tag, so a spoof conflict.
+  EXPECT_EQ(
+      defender.filter_frame(signed_frame(config, 0, 9, 4, -61), 5, out),
+      FrameVerdict::kSpoofConflict);
+  EXPECT_EQ(defender.counters().replayed, 1u);
+  EXPECT_EQ(defender.counters().spoof_conflicts, 1u);
+}
+
+TEST(DefenderTest, UnsignedReplayDigestIgnoresTheUnverifiedTag) {
+  DefendConfig config;
+  config.require_auth = false;
+  Defender defender(kDevices, config);
+  std::vector<net::Measurement> out;
+  // The same content tagged, then tag-stripped, at one seq: a replay.
+  // The tag is unverified here, so it must not make the copies differ.
+  const net::DecodedFrame tagged = signed_frame(config, 1, 3, 2, -55);
+  net::DecodedFrame stripped = tagged;
+  stripped.authenticated = false;
+  stripped.tag = 0;
+  EXPECT_EQ(defender.filter_frame(tagged, 2, out), FrameVerdict::kAccept);
+  EXPECT_EQ(defender.filter_frame(stripped, 3, out), FrameVerdict::kReplayed);
+  // A garbage tag on the same content is still the same content.
+  net::DecodedFrame garbage = tagged;
+  garbage.tag ^= 0xFFFF;
+  EXPECT_EQ(defender.filter_frame(garbage, 3, out), FrameVerdict::kReplayed);
+  EXPECT_EQ(defender.counters().spoof_conflicts, 0u);
+  // Different untagged content at that seq is a spoof conflict.
+  net::DecodedFrame changed = signed_frame(config, 1, 3, 2, -70);
+  changed.authenticated = false;
+  changed.tag = 0;
+  EXPECT_EQ(defender.filter_frame(changed, 3, out),
+            FrameVerdict::kSpoofConflict);
+  EXPECT_EQ(defender.counters().replayed, 2u);
+  EXPECT_EQ(defender.counters().spoof_conflicts, 1u);
 }
 
 }  // namespace

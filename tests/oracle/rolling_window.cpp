@@ -1,4 +1,4 @@
-#include "fadewich/stats/rolling_window.hpp"
+#include "oracle/rolling_window.hpp"
 
 #include <cmath>
 

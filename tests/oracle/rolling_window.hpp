@@ -1,13 +1,14 @@
-// Fixed-capacity sliding window over a scalar stream with O(1) mean and
-// standard deviation queries.
+// Test oracle: a fixed-capacity sliding window over a scalar stream with
+// O(1) mean and standard deviation queries.
 //
-// MD keeps one of these per RSSI stream (window size d in the paper) and
-// queries the standard deviation at every tick, so the update path must be
-// constant-time.  The statistics are maintained as incremental Welford
-// mean/M2 updates — strictly O(1) per push, including the full-window
-// replace step — which stays numerically stable on offset-heavy signals
-// (RSSI sits near -60 dBm) where naive sum-of-squares catastrophically
-// cancels.  As a belt-and-braces guard against very long streams the
+// The library's windows (stats::WindowBank for MD, the exact integer
+// window inside defend::ConsistencyChecker) are checked against this
+// one-stream reference.
+//
+// The statistics are maintained as incremental Welford mean/M2 updates —
+// strictly O(1) per push, including the full-window replace step — which
+// stays numerically stable on offset-heavy real-valued signals (RSSI
+// sits near -60 dBm) where a floating sum of squares cancels.  As a belt-and-braces guard against very long streams the
 // accumulators are still re-derived from the buffer every
 // `kRefreshInterval` pushes; the amortised cost stays O(1).
 #pragma once

@@ -13,7 +13,7 @@
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/rng.hpp"
-#include "fadewich/stats/rolling_window.hpp"
+#include "oracle/rolling_window.hpp"
 
 namespace fadewich::stats {
 namespace {
