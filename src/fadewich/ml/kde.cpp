@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/simd_kernels.hpp"
@@ -17,15 +18,99 @@ constexpr double kInvSqrt2 = 0.7071067811865476;
 // search and let the inner loop vectorise.
 constexpr std::size_t kQueryBlock = 8;
 
-// Shared bisection core: invert the pruned CDF inside [lo, hi].
+// Newton scans allowed before locate_root gives up (typical: ~5).
+constexpr int kNewtonMaxScans = 20;
+
+// The pruned CDF at x, computed exactly as kde_cdf_sorted computes it,
+// and the pruned density, in one pass over the ±reach window.
+struct CdfAndPdf {
+  double cdf;
+  double pdf;
+};
+
+CdfAndPdf kde_cdf_pdf_sorted(std::span<const double> sorted,
+                             double bandwidth, double x) {
+  const double reach = kKdeKernelReach * bandwidth;
+  const auto lo_it =
+      std::lower_bound(sorted.begin(), sorted.end(), x - reach);
+  const auto hi_it =
+      std::upper_bound(sorted.begin(), sorted.end(), x + reach);
+  double acc = static_cast<double>(lo_it - sorted.begin());
+  double dens = 0.0;
+  for (auto it = lo_it; it != hi_it; ++it) {
+    const double u = (x - *it) / bandwidth;
+    acc += 0.5 * (1.0 + std::erf(u * kInvSqrt2));
+    dens += std::exp(-0.5 * u * u);
+  }
+  const double n = static_cast<double>(sorted.size());
+  return {acc / n, dens * kInvSqrt2Pi / (bandwidth * n)};
+}
+
+// The root c of the computed pruned CDF minus p, and the half-width
+// delta around it inside which a bisection midpoint must still be
+// decided by the exact CDF (see kde_percentile_sorted).  delta is +inf
+// when no root could be certified.
+struct Root {
+  double c;
+  double delta;
+};
+
+Root locate_root(std::span<const double> sorted, double bandwidth, double p,
+                 double lo, double hi) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Start from the empirical quantile, never from a previous answer, so
+  // the cost of a call depends only on its inputs.
+  const std::size_t n = sorted.size();
+  double x = sorted[std::min(n - 1, static_cast<std::size_t>(
+                                        p * static_cast<double>(n)))];
+  double a = lo;  // CDF(a) < p is assumed, as the bisection assumes
+  double b = hi;  // CDF(b) >= p likewise
+  if (!(x > a && x < b)) x = 0.5 * (a + b);
+  for (int scan = 0; scan < kNewtonMaxScans; ++scan) {
+    const CdfAndPdf e = kde_cdf_pdf_sorted(sorted, bandwidth, x);
+    if (e.cdf < p) {
+      a = x;
+    } else {
+      b = x;
+    }
+    if (std::isfinite(e.pdf) && e.pdf > 0.0) {
+      const double step = (e.cdf - p) / e.pdf;
+      // Rounding budget of the computed CDF: each erf term and
+      // running-sum add is off by at most ~1e-16, so 1e-12 covers up to
+      // ~1000 samples with a 10x margin; larger sample sets scale it.
+      const double budget =
+          std::max(1e-12, 1e-15 * static_cast<double>(n));
+      const double delta =
+          std::max(1e-12 * (1.0 + std::abs(x)), budget / e.pdf);
+      if (std::abs(step) <= delta / 32.0) {
+        // The margin argument needs the density near-constant across
+        // ±delta; a root in a numerically flat region gets none.
+        return {x, delta <= 0.01 * bandwidth ? delta : kInf};
+      }
+      x -= step;
+    }
+    // Keep the iterate strictly inside the sign bracket.
+    if (!(x > a && x < b)) x = 0.5 * (a + b);
+  }
+  return {x, kInf};
+}
+
+// Shared bisection core: invert the pruned CDF inside [lo, hi].  The
+// bracket, midpoints and stopping rule are the plain bisection's; only
+// midpoints within delta of the located root pay for an exact CDF.
 double bisect_percentile(std::span<const double> sorted, double bandwidth,
                          double p, double lo, double hi, int max_iterations,
                          double rel_tol) {
+  const Root root = locate_root(sorted, bandwidth, p, lo, hi);
   for (int i = 0;
        i < max_iterations && hi - lo > rel_tol * (1.0 + std::abs(hi));
        ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (kde_cdf_sorted(sorted, bandwidth, mid) < p) {
+    // Written so a NaN root or an infinite delta falls to the exact CDF.
+    const bool mid_below = std::abs(mid - root.c) > root.delta
+                               ? mid < root.c
+                               : kde_cdf_sorted(sorted, bandwidth, mid) < p;
+    if (mid_below) {
       lo = mid;
     } else {
       hi = mid;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/rng.hpp"
+#include "oracle/kde_percentile.hpp"
 
 namespace fadewich::core {
 namespace {
@@ -301,6 +304,46 @@ TEST(NormalProfileTest, RestoredFrozenProfileStaysFrozen) {
   EXPECT_DOUBLE_EQ(frozen.threshold(), original.threshold());
   EXPECT_EQ(frozen.queue_snapshot(), queue_before);
   EXPECT_EQ(frozen.updates_accepted(), 0u);
+}
+
+TEST(NormalProfileTest, EveryFoldMatchesThePlainBisectionBitForBit) {
+  // The threshold after each fold, kept or rolled back, must equal the
+  // plain-bisection oracle's percentile of the retained samples.
+  for (const double drift : {0.0, 0.02}) {
+    NormalProfileConfig config;
+    config.capacity = 200;
+    config.batch_size = 50;
+    config.max_drift_fraction = drift;
+    NormalProfile profile{config};
+    profile.initialize(normal_samples(200, 50.0, 5.0, 59));
+    Rng rng(61);
+    std::uint64_t folds = 0;
+    for (int batch = 0; batch < 1000 && folds < 200; ++batch) {
+      // Every fourth batch sits low: it passes the anomalous-fraction
+      // test but drags the threshold, which the guard rolls back.
+      const double mean = batch % 4 == 3 ? 35.0 : 50.0;
+      for (std::size_t i = 0; i < config.batch_size; ++i) {
+        profile.offer(rng.normal(mean, 5.0));
+      }
+      const std::uint64_t now =
+          profile.updates_accepted() + profile.drift_rollbacks();
+      if (now == folds) continue;  // anomalous batch, discarded
+      folds = now;
+      std::vector<double> sorted = profile.samples_snapshot();
+      std::sort(sorted.begin(), sorted.end());
+      const double want = oracle::kde_percentile_sorted(
+          sorted, profile.bandwidth(), 1.0 - config.alpha / 100.0, 80, 1e-9);
+      const double got = profile.threshold();
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "fold " << folds << " drift " << drift << ": " << got
+          << " vs " << want;
+    }
+    EXPECT_EQ(folds, 200u);
+    if (drift > 0.0) {
+      EXPECT_GT(profile.drift_rollbacks(), 0u);
+    }
+    EXPECT_GT(profile.updates_accepted(), 0u);
+  }
 }
 
 }  // namespace

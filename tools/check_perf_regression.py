@@ -8,7 +8,8 @@ scalar twin regressed by more than the tolerance (default 25%).
 The gate is ratio-based on purpose: absolute ns/op numbers are
 machine-speed artifacts, but "how much faster is the batched kernel than
 the scalar one on the same machine, same run" transfers across runners.
-`system_step` has no scalar twin and is recorded for trajectory only.
+`system_step` and `profile_refit` have no scalar twin and are recorded
+for trajectory only.
 
 Speedup ratios do NOT transfer across SIMD ISAs or native/portable
 builds: an AVX2 baseline would spuriously fail on an SSE2 or
