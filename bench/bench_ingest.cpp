@@ -1,20 +1,22 @@
 // Line-rate ingestion trajectory: replay a recorded week through the
 // binary wire front door and prove the transport is lossless: the
 // released rows (values and validity masks) must be bit-identical to
-// the in-process MessageBus path over the same recording.
+// the in-process path over the same recording.
 //
 //   ./bench_ingest [output.json]
 //
 // Legs, all recorded in BENCH_ingest.json:
-//   in_process          the MessageBus reference path (ratio baseline)
-//   wire_single_thread  the PR-era hot route — decode -> ring ->
-//                       generic station ingest on one thread, with
+//   in_process          the in-process reference path: each tick's
+//                       reports appended to a reused vector and
+//                       ingested as one batch (ratio baseline)
+//   wire_single_thread  decode -> ring -> station ingest/take_row on
+//                       one thread, with
 //                       queue-depth percentiles via an obs histogram.
 //                       This leg is the "single lane" the plane sweep
 //                       is gated against.
 //   plane_sweep         the sharded ingest plane: N decoder lanes fan
 //                       decoded reports through per-shard rings into
-//                       one ordered CentralStation per shard, swept
+//                       one CentralStation per shard (RowSink path), swept
 //                       over lanes x shard counts.  Every cell must be
 //                       bit-identical to the in-process reference.
 //   corrupt             the same frames with injected bit flips and a
@@ -141,12 +143,12 @@ struct ReferenceResult {
 };
 
 /// The in-process reference path over the first `ticks` ticks of the
-/// recording: publish every measurement on the bus, ingest per tick,
-/// digest the released rows.
+/// recording: append every measurement to a reused batch, ingest per
+/// tick, digest the released rows.
 ReferenceResult run_in_process(const sim::Recording& recording,
                                Tick ticks) {
   net::CentralStation station(kDevices);
-  net::MessageBus bus;
+  std::vector<Measurement> batch;
   RowDigest whole;
   ReferenceResult result;
   const auto start = std::chrono::steady_clock::now();
@@ -154,12 +156,14 @@ ReferenceResult run_in_process(const sim::Recording& recording,
     for (net::DeviceId tx = 0; tx < kDevices; ++tx) {
       for (net::DeviceId rx = 0; rx < kDevices; ++rx) {
         if (tx == rx) continue;
-        bus.publish({tx, rx, t,
-                     recording.rssi(recording.stream_index(tx, rx), t)});
+        batch.push_back({tx, rx, t,
+                         recording.rssi(recording.stream_index(tx, rx), t)});
         ++result.reports;
       }
     }
-    for (const Tick ready : station.ingest(bus)) {
+    const std::vector<Tick> released = station.ingest(batch);
+    batch.clear();
+    for (const Tick ready : released) {
       const auto row = station.take_row(ready);
       digest_row(whole, *row);
       ++result.rows;
@@ -236,8 +240,8 @@ struct WireRun {
 };
 
 /// The single-lane baseline: decode a span of capture frames, push
-/// through the SPSC ring, drain in batches into the generic station
-/// ingest, digest released rows.  This is the pre-plane hot route the
+/// through the SPSC ring, drain in batches into the station's
+/// ingest/take_row form, digest released rows.  This is the pre-plane hot route the
 /// sweep's speedup is measured against.  `depth` (a null handle unless
 /// the caller registered one) samples ring occupancy before each drain.
 WireRun run_wire(std::span<const std::uint8_t> frames,
@@ -304,8 +308,8 @@ struct PlaneRun {
 };
 
 /// One plane sweep cell: replay the campus capture through an
-/// IngestPlane with `lanes` decoder lanes into `shards` ordered
-/// stations, digesting each shard's row stream.  Bit-identity gate:
+/// IngestPlane with `lanes` decoder lanes into `shards` stations,
+/// digesting each shard's row stream.  Bit-identity gate:
 /// every shard's digest equals the in-process reference digest over the
 /// same tick range (all offices replay identical values).
 PlaneRun run_plane(std::span<const std::uint8_t> bytes, std::size_t lanes,
@@ -331,19 +335,12 @@ PlaneRun run_plane(std::span<const std::uint8_t> bytes, std::size_t lanes,
   const auto start = std::chrono::steady_clock::now();
   run.reports = plane.replay(
       bytes, [&](std::size_t shard, std::span<const Measurement> batch) {
-        stations[shard].ingest_ordered(
+        stations[shard].ingest(
             batch, [&digests, &rows, shard](const net::StationRow& row) {
               digest_row(digests[shard], row);
               ++rows[shard];
             });
       });
-  for (std::size_t s = 0; s < shards; ++s) {
-    stations[s].finish_ordered([&digests, &rows, s](
-                                   const net::StationRow& row) {
-      digest_row(digests[s], row);
-      ++rows[s];
-    });
-  }
   run.seconds = seconds_since(start);
 
   run.bit_identical = true;
@@ -578,7 +575,7 @@ int run(int argc, char** argv) {
   // ingest_ratios against bench/BENCH_ingest.baseline.json.  Each plane
   // cell gets its own lane-count-stamped row against the single-lane
   // baseline rate, so a regression in either decode fan-out or the
-  // ordered station path moves a gated number.
+  // station's RowSink path moves a gated number.
   const double single_rate =
       single.seconds > 0.0
           ? static_cast<double>(reports) / single.seconds

@@ -8,6 +8,7 @@
 #include "fadewich/common/crc32.hpp"
 #include "fadewich/common/error.hpp"
 #include "fadewich/core/radio_environment.hpp"
+#include "fadewich/eval/fault_sweep.hpp"
 #include "fadewich/obs/obs.hpp"
 #include "fadewich/rf/pathloss.hpp"
 
@@ -19,7 +20,6 @@ AttackReplayResult replay_under_attack(
     const AttackScenario& scenario) {
   const std::size_t m = original.sensor_count();
   const Tick ticks = original.tick_count();
-  FADEWICH_EXPECTS(scenario.deadline_ticks > 0);
 
   net::StationConfig station_config;
   station_config.deadline_ticks = scenario.deadline_ticks;
@@ -51,41 +51,13 @@ AttackReplayResult replay_under_attack(
     injector->set_station_keys(keys);
   }
 
-  // Station stream order -> recording stream order.
-  std::vector<std::size_t> rec_stream(station.stream_count());
-  for (std::size_t s = 0; s < station.stream_count(); ++s) {
-    const auto [tx, rx] = station.stream_pair(s);
-    rec_stream[s] = original.stream_index(tx, rx);
-  }
-
-  AttackReplayResult out{
-      sim::Recording(original.rate().hz(), m, original.day_length(),
-                     original.day_count()),
-      {}, {}, {}, {}, 0, 0};
-  out.recording.events() = original.events();
-  out.recording.seated_intervals() = original.seated_intervals();
-
+  StationRecorder recorder(station, original);
   Crc32 digest;
-  std::vector<double> row(station.stream_count(), 0.0);
-  std::vector<double> last_row(station.stream_count(), 0.0);
-  Tick expected = 0;
-  std::uint64_t gaps = 0;
-  const auto emit = [&](Tick released) {
-    const auto taken = station.take_row(released);
-    if (!taken.has_value()) return;
-    while (expected < released) {  // eviction gap: forward-fill
-      out.recording.append_samples(last_row);
-      ++gaps;
-      ++expected;
-    }
-    for (std::size_t s = 0; s < rec_stream.size(); ++s) {
-      row[rec_stream[s]] = taken->values[s];
-    }
-    digest.update(row.data(), row.size() * sizeof(double));
-    out.recording.append_samples(row);
-    last_row = row;
-    ++expected;
-  };
+  const net::CentralStation::RowSink record =
+      [&recorder, &digest](const net::StationRow& row) {
+        const std::vector<double>& samples = recorder.append(row);
+        digest.update(samples.data(), samples.size() * sizeof(double));
+      };
 
   net::FrameDecoder decoder;
   std::vector<std::uint8_t> frame_scratch;
@@ -104,7 +76,7 @@ AttackReplayResult replay_under_attack(
         net::to_measurements(*frame, batch);
       }
     }
-    for (const Tick released : station.ingest(batch, t)) emit(released);
+    station.ingest(batch, record, t);
     batch.clear();
   };
 
@@ -120,7 +92,7 @@ AttackReplayResult replay_under_attack(
       for (net::DeviceId rx = 0; rx < devices; ++rx) {
         if (rx == tx) continue;
         const std::size_t s = station.stream_index(tx, rx);
-        double value = original.rssi(rec_stream[s], t);
+        double value = original.rssi(original.stream_index(tx, rx), t);
         if (injector) value = injector->jam(t, s, value);
         reports.push_back({rx, net::wire_encode_dbm(value)});
       }
@@ -140,24 +112,17 @@ AttackReplayResult replay_under_attack(
   const Tick horizon =
       ticks + scenario.deadline_ticks +
       (injector ? scenario.attack.replay_delay_ticks : 0) + 1;
-  for (Tick t = ticks; t < horizon && expected < ticks; ++t) {
+  for (Tick t = ticks; t < horizon && recorder.ticks() < ticks; ++t) {
     if (injector) injector->advance(t, wire);
     pump(t);
   }
-  while (expected < ticks) {  // fully evicted tail, if any
-    out.recording.append_samples(last_row);
-    ++gaps;
-    ++expected;
-  }
   decoder.finish();
-  FADEWICH_ENSURES(out.recording.tick_count() == ticks);
 
   if (defender) defender->publish_metrics(ticks);
-  out.health = station.health();
-  out.wire = decoder.counters();
+  AttackReplayResult out{recorder.finish(ticks), station.health(),
+                         decoder.counters(), {}, {}, recorder.gaps(), 0};
   if (injector) out.attack = injector->counters();
   if (defender) out.defend = defender->counters();
-  out.gap_rows = gaps;
   out.row_digest =
       (static_cast<std::uint64_t>(digest.value()) << 32) |
       static_cast<std::uint64_t>(ticks);

@@ -7,59 +7,70 @@
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/eval/paper_setup.hpp"
-#include "fadewich/net/message_bus.hpp"
 
 namespace fadewich::eval {
+
+StationRecorder::StationRecorder(const net::CentralStation& station,
+                                 const sim::Recording& original)
+    : out_(original.rate().hz(), original.sensor_count(),
+           original.day_length(), original.day_count()),
+      rec_stream_(station.stream_count()),
+      row_(station.stream_count(), 0.0) {
+  out_.events() = original.events();
+  out_.seated_intervals() = original.seated_intervals();
+  // Station stream order -> recording stream order (both are the dense
+  // tx-major layout today; the map keeps the replay correct if either
+  // side ever changes).
+  for (std::size_t s = 0; s < rec_stream_.size(); ++s) {
+    const auto [tx, rx] = station.stream_pair(s);
+    rec_stream_[s] = original.stream_index(tx, rx);
+  }
+}
+
+const std::vector<double>& StationRecorder::append(
+    const net::StationRow& row) {
+  fill_to(row.tick);  // eviction gap
+  for (std::size_t s = 0; s < rec_stream_.size(); ++s) {
+    row_[rec_stream_[s]] = row.values[s];
+  }
+  out_.append_samples(row_);
+  ++next_;
+  return row_;
+}
+
+void StationRecorder::fill_to(Tick ticks) {
+  for (; next_ < ticks; ++next_) {
+    out_.append_samples(row_);
+    ++gaps_;
+  }
+}
+
+sim::Recording StationRecorder::finish(Tick ticks) {
+  fill_to(ticks);  // fully evicted tail, if any
+  FADEWICH_ENSURES(out_.tick_count() == ticks);
+  return std::move(out_);
+}
 
 ReplayResult replay_through_station(const sim::Recording& original,
                                     const net::FaultConfig& faults,
                                     net::StationConfig station_config,
                                     std::uint64_t seed) {
-  FADEWICH_EXPECTS(!faults.enabled() || station_config.deadline_ticks > 0);
   const std::size_t m = original.sensor_count();
   const Tick ticks = original.tick_count();
 
   net::CentralStation station(m, station_config);
   std::optional<net::FaultInjector> injector;
   if (faults.enabled()) injector.emplace(m, faults, seed);
-  net::MessageBus bus;
+  StationRecorder recorder(station, original);
+  const net::CentralStation::RowSink record =
+      [&recorder](const net::StationRow& row) { recorder.append(row); };
 
-  // Station stream order -> recording stream order (both are the dense
-  // tx-major layout today; the map keeps the replay correct if either
-  // side ever changes).
-  std::vector<std::size_t> rec_stream(station.stream_count());
-  for (std::size_t s = 0; s < station.stream_count(); ++s) {
-    const auto [tx, rx] = station.stream_pair(s);
-    rec_stream[s] = original.stream_index(tx, rx);
-  }
-
-  ReplayResult out{
-      sim::Recording(original.rate().hz(), m, original.day_length(),
-                     original.day_count()),
-      {}, {}, 0};
-  out.recording.events() = original.events();
-  out.recording.seated_intervals() = original.seated_intervals();
-
-  std::vector<double> row(station.stream_count(), 0.0);
-  std::vector<double> last_row(station.stream_count(), 0.0);
-  Tick expected = 0;
-  std::uint64_t gaps = 0;
-  const auto emit = [&](Tick released) {
-    const auto taken = station.take_row(released);
-    if (!taken.has_value()) return;
-    while (expected < released) {  // eviction gap: forward-fill
-      out.recording.append_samples(last_row);
-      ++gaps;
-      ++expected;
-    }
-    for (std::size_t s = 0; s < rec_stream.size(); ++s) {
-      row[rec_stream[s]] = taken->values[s];
-    }
-    out.recording.append_samples(row);
-    last_row = row;
-    ++expected;
+  std::vector<net::Measurement> batch;
+  const auto ingest = [&](Tick t) {
+    if (injector) injector->advance(t, batch);
+    station.ingest(batch, record, t);
+    batch.clear();
   };
-
   const auto devices = static_cast<net::DeviceId>(m);
   for (Tick t = 0; t < ticks; ++t) {
     for (net::DeviceId tx = 0; tx < devices; ++tx) {
@@ -69,33 +80,25 @@ ReplayResult replay_through_station(const sim::Recording& original,
             tx, rx, t,
             original.rssi(original.stream_index(tx, rx), t)};
         if (injector) {
-          injector->offer(report, bus);
+          injector->offer(report, batch);
         } else {
-          bus.publish(report);
+          batch.push_back(report);
         }
       }
     }
-    if (injector) injector->advance(t, bus);
-    for (const Tick released : station.ingest(bus, t)) emit(released);
+    ingest(t);
   }
 
   // Drain delayed traffic and force the deadline on trailing ticks.
   const Tick horizon = ticks + station_config.deadline_ticks +
                        (injector ? faults.max_delay_ticks : 0) + 1;
-  for (Tick t = ticks; t < horizon && expected < ticks; ++t) {
-    if (injector) injector->advance(t, bus);
-    for (const Tick released : station.ingest(bus, t)) emit(released);
+  for (Tick t = ticks; t < horizon && recorder.ticks() < ticks; ++t) {
+    ingest(t);
   }
-  while (expected < ticks) {  // fully evicted tail, if any
-    out.recording.append_samples(last_row);
-    ++gaps;
-    ++expected;
-  }
-  FADEWICH_ENSURES(out.recording.tick_count() == ticks);
 
-  out.health = station.health();
+  ReplayResult out{recorder.finish(ticks), station.health(), {},
+                   recorder.gaps()};
   if (injector) out.fault_counters = injector->counters();
-  out.gap_rows = gaps;
   return out;
 }
 

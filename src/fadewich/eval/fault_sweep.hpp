@@ -43,6 +43,37 @@ ReplayResult replay_through_station(const sim::Recording& original,
                                     net::StationConfig station_config,
                                     std::uint64_t seed);
 
+/// Rebuilds a recording from a station's released rows, for the fault
+/// and attack replays: each row is written in the recording's stream
+/// order, and ticks the station evicted are forward-filled from the
+/// previous row (zeros before any) and counted as gaps.
+class StationRecorder {
+ public:
+  /// Starts an empty recording with `original`'s shape and ground truth
+  /// (events, seated intervals).
+  StationRecorder(const net::CentralStation& station,
+                  const sim::Recording& original);
+
+  /// Append `row` after forward-filling any ticks before it; returns
+  /// the samples appended for the row.
+  const std::vector<double>& append(const net::StationRow& row);
+
+  /// Forward-fill up to `ticks` ticks and hand the recording over.
+  sim::Recording finish(Tick ticks);
+
+  Tick ticks() const { return next_; }
+  std::uint64_t gaps() const { return gaps_; }
+
+ private:
+  void fill_to(Tick ticks);
+
+  sim::Recording out_;
+  std::vector<std::size_t> rec_stream_;  // station stream -> recording
+  std::vector<double> row_;              // the last row appended
+  Tick next_ = 0;
+  std::uint64_t gaps_ = 0;
+};
+
 /// One point of the sweep grid.
 struct FaultScenario {
   double loss_rate = 0.0;           // uniform per-report drop probability

@@ -13,11 +13,6 @@ IngestBridge::IngestBridge(BridgeConfig config) : config_(config) {
   if (config_.devices < 2) {
     throw Error("ingest bridge: devices must be >= 2");
   }
-  if (config_.station.deadline_ticks != 0) {
-    // Deadline release imputes rows from wall-clock-ish 'now' hints the
-    // replay path does not carry; the bridge's gap fill covers losses.
-    throw Error("ingest bridge: station must be strict (deadline 0)");
-  }
   offices_.resize(config_.offices);
   for (Office& office : offices_) {
     office.station = std::make_unique<net::CentralStation>(
@@ -75,15 +70,8 @@ net::IngestPlane::Sink IngestBridge::sink() {
 void IngestBridge::ingest(std::size_t office,
                           std::span<const net::Measurement> batch) {
   Office& o = at(office);
-  o.station->ingest_ordered(
+  o.station->ingest(
       batch, [this, &o](const net::StationRow& row) { append_row(o, row); });
-}
-
-void IngestBridge::finish() {
-  for (Office& o : offices_) {
-    o.station->finish_ordered(
-        [this, &o](const net::StationRow& row) { append_row(o, row); });
-  }
 }
 
 Tick IngestBridge::rows_ready_through(std::size_t office) const {

@@ -2,8 +2,8 @@
 //
 // The ingest plane (net::IngestPlane) delivers each office's share of a
 // capture as a tick-ordered measurement stream; this bridge runs one
-// strict CentralStation per office over that stream (the allocation-free
-// ingest_ordered path), buffers the completed rows, and exposes them as
+// CentralStation per office over that stream (its allocation-free
+// RowSink path), buffers the released rows, and exposes them as
 // an OfficeShard RowSource — so a shard steps over wire-decoded RSSI
 // instead of its synthetic driver, while the occupancy script keeps
 // supplying input events and ground-truth accounting.
@@ -39,8 +39,10 @@ struct BridgeConfig {
   /// Radios per office; streams per office = devices * (devices - 1),
   /// and bridge stream s is station stream s (stream_index order).
   std::size_t devices = 3;
-  /// Per-office assembly config.  Strict (deadline 0) keeps the
-  /// ordered fast path hot; max_pending only matters on corrupt input.
+  /// Per-office assembly config.  Without a `now`, the station clock is
+  /// the stream's newest tick: an incomplete row is imputed once the
+  /// stream is deadline_ticks past it.  max_pending only matters on
+  /// corrupt input.
   net::StationConfig station;
 };
 
@@ -60,8 +62,10 @@ class IngestBridge {
   /// Feed one office's next ordered batch (what sink() forwards to).
   void ingest(std::size_t office, std::span<const net::Measurement> batch);
 
-  /// Declare end-of-stream: flushes each office's final assembly row.
-  void finish();
+  /// Declare end-of-stream.  Nothing is left to flush: a complete row
+  /// leaves at the end of the ingest call that completed it, and an
+  /// incomplete final row stays held, like any row inside its deadline.
+  void finish() {}
 
   /// Ticks [0, result) have buffered rows for this office — the highest
   /// boundary its shard may run_until.

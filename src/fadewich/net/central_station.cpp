@@ -82,8 +82,8 @@ CentralStation::CentralStation(std::size_t device_count,
   if (device_count < 2) {
     throw Error("central station: device_count must be >= 2");
   }
-  if (config.deadline_ticks < 0) {
-    throw Error("central station: deadline_ticks must be >= 0");
+  if (config.deadline_ticks < 1) {
+    throw Error("central station: deadline_ticks must be >= 1");
   }
   if (config.max_pending < 1) {
     throw Error("central station: max_pending must be >= 1");
@@ -110,310 +110,224 @@ std::pair<DeviceId, DeviceId> CentralStation::stream_pair(
   return {tx, rx};
 }
 
-void CentralStation::release(Tick tick, PendingRow&& row, bool complete) {
-  StationRow out;
-  out.tick = tick;
-  out.values = std::move(row.values);
-  out.valid = std::move(row.present);
-  if (complete) {
-    out.missing = 0;
+std::size_t CentralStation::find(Tick tick) const {
+  const auto end = slots_.begin() + static_cast<std::ptrdiff_t>(held_);
+  const auto it = std::lower_bound(
+      slots_.begin(), end, tick,
+      [](const Slot& slot, Tick t) { return slot.row.tick < t; });
+  if (it != end && it->row.tick == tick) {
+    return static_cast<std::size_t>(it - slots_.begin());
+  }
+  return held_;
+}
+
+CentralStation::Slot& CentralStation::open_slot(Tick tick) {
+  if (held_ == slots_.size()) slots_.emplace_back();
+  Slot& spare = slots_[held_];
+  spare.row.tick = tick;
+  // Values need no reset: release overwrites every cell not reported.
+  spare.row.values.resize(stream_count());
+  spare.row.valid.assign(stream_count(), 0);
+  spare.filled = 0;
+  spare.released = false;
+  // Rotate the spare into tick order (a no-op for in-order traffic).
+  const auto end = slots_.begin() + static_cast<std::ptrdiff_t>(held_);
+  const auto at = std::upper_bound(
+      slots_.begin(), end, tick,
+      [](Tick t, const Slot& slot) { return t < slot.row.tick; });
+  std::rotate(at, end, end + 1);
+  ++held_;
+  return *at;
+}
+
+void CentralStation::retire(std::size_t first, std::size_t count) {
+  // Retired slots keep their buffers and become spares.
+  const auto begin = slots_.begin() + static_cast<std::ptrdiff_t>(first);
+  std::rotate(begin, begin + static_cast<std::ptrdiff_t>(count),
+              slots_.begin() + static_cast<std::ptrdiff_t>(held_));
+  held_ -= count;
+}
+
+void CentralStation::release(Slot& slot) {
+  StationRow& row = slot.row;
+  slot.released = true;
+  row.missing = stream_count() - slot.filled;
+  if (row.missing == 0) {
+    std::copy(row.values.begin(), row.values.end(), last_value_.begin());
   } else {
     ++health_.incomplete_releases;
     StationMetrics::get().incomplete.inc();
-    out.missing = stream_count() - row.filled;
-    for (std::size_t s = 0; s < out.values.size(); ++s) {
-      if (!out.valid[s]) {
-        out.values[s] = last_value_[s];  // last-known-value imputation
+    StationMetrics::get().imputed.add(row.missing);
+    for (std::size_t s = 0; s < row.values.size(); ++s) {
+      if (row.valid[s]) {
+        last_value_[s] = row.values[s];
+      } else {
+        row.values[s] = last_value_[s];  // last-known-value imputation
         ++health_.imputed_cells;
         ++health_.imputed_per_stream[s];
         ++lifetime_imputed_;
       }
     }
-    StationMetrics::get().imputed.add(static_cast<double>(out.missing));
   }
-  for (std::size_t s = 0; s < out.values.size(); ++s) {
-    if (out.valid[s]) last_value_[s] = out.values[s];
-  }
-  if (tick > release_watermark_) release_watermark_ = tick;
-  released_.emplace(tick, std::move(out));
+  if (row.tick > watermark_) watermark_ = row.tick;
 }
 
 void CentralStation::evict_oldest() {
   // Prefer dropping a row still under assembly; only a caller that never
   // takes released rows forces released evictions.
-  if (!pending_.empty()) {
-    const Tick tick = pending_.begin()->first;
-    if (tick > release_watermark_) release_watermark_ = tick;
-    pending_.erase(pending_.begin());
-  } else {
-    released_.erase(released_.begin());
+  std::size_t victim = 0;
+  while (victim < held_ && slots_[victim].released) ++victim;
+  if (victim == held_) {
+    victim = 0;
+  } else if (slots_[victim].row.tick > watermark_) {
+    watermark_ = slots_[victim].row.tick;
   }
+  slots_[victim].released = true;  // closed: no report may reach it
+  retire(victim, 1);
   ++health_.evictions;
   ++lifetime_evictions_;
   StationMetrics::get().evictions.inc();
 }
 
-std::vector<Tick> CentralStation::ingest(MessageBus& bus,
-                                         std::optional<Tick> now) {
-  bus.drain_into(drain_scratch_);
-  return ingest(drain_scratch_, now);
+std::size_t CentralStation::settle(Tick clock, const RowSink* on_row) {
+  const std::size_t streams = stream_count();
+  for (std::size_t i = 0; i < held_; ++i) {
+    Slot& slot = slots_[i];
+    if (!slot.released && (slot.filled == streams ||
+                           clock - slot.row.tick >= config_.deadline_ticks)) {
+      release(slot);
+    }
+  }
+  if (on_row == nullptr) return 0;
+  // The sink takes every released row no held row precedes.
+  std::size_t n = 0;
+  for (; n < held_ && slots_[n].released; ++n) (*on_row)(slots_[n].row);
+  retire(0, n);
+  return n;
 }
 
-std::vector<Tick> CentralStation::ingest(std::span<const Measurement> batch,
-                                         std::optional<Tick> now) {
-  // A live ordered-path assembly row is just a pending row the fast path
-  // kept out of the map; fold it back in so the two paths can interleave
-  // on one station without losing reports.
-  spill_assembly();
+CentralStation::Slot* CentralStation::slot_for(Tick tick, bool clocked,
+                                               const RowSink* on_row,
+                                               std::size_t& emitted) {
+  if (tick > newest_) {
+    // Newer than every held row, so accepted into a fresh one.  When
+    // this tick is the clock, advancing it is a decision point: rows
+    // then depend on the report sequence, not on where batches split.
+    newest_ = tick;
+    if (clocked) emitted += settle(newest_, on_row);
+  } else {
+    const std::size_t i = find(tick);
+    if (i != held_ && !slots_[i].released) return &slots_[i];
+    // A report for a tick already released (or given up on) cannot
+    // amend the frozen row: the caller counts it late.
+    if (tick <= watermark_) return nullptr;
+  }
+  while (held_ >= config_.max_pending) evict_oldest();
+  return &open_slot(tick);
+}
+
+std::size_t CentralStation::assemble(std::span<const Measurement> batch,
+                                     std::optional<Tick> now,
+                                     const RowSink* on_row) {
+  const std::size_t devices = device_count_;
+  const std::size_t streams = stream_count();
+  const bool clocked = !now.has_value();
+  std::size_t emitted = 0;
+  // The per-report counters are flushed once per batch: at millions of
+  // reports/sec a per-report obs inc() is the dominant station cost.
+  std::uint64_t reports = 0, duplicates = 0, rejected = 0, late = 0,
+                malformed = 0;
+  // Whether the batch may have made a row releasable: a given clock may
+  // have moved, and only a lookup (which opens or changes rows) or a
+  // completed row can free one otherwise.  A batch that only adds cells
+  // to the open row, as small in-order batches do, skips the decision.
+  bool unsettled = now.has_value();
+  SeqWindow* const seen = seen_ticks_.data();
+  // Consecutive reports of one tick, within a batch or across batches,
+  // skip the lookup: a slot that is not released is held and open.
+  Slot* open = last_ < slots_.size() && !slots_[last_].released
+                   ? &slots_[last_]
+                   : nullptr;
   for (const Measurement& m : batch) {
-    ++health_.reports;
-    StationMetrics::get().reports.inc();
+    ++reports;
     // Ingest runs on wire-decoded input: a CRC-valid frame can still
     // carry device ids or ticks no deployment produced.  Those reports
     // are counted malformed and dropped — stream_index() is a contract
     // for trusted callers, not a validator for hostile bytes.
-    if (m.tx >= device_count_ || m.rx >= device_count_ || m.tx == m.rx ||
-        m.tick < 0) {
-      ++health_.malformed;
-      StationMetrics::get().malformed.inc();
+    if (m.tx >= devices || m.rx >= devices || m.tx == m.rx || m.tick < 0) {
+      ++malformed;
       continue;
     }
-    const std::size_t s = stream_index(m.tx, m.rx);
-    auto it = pending_.find(m.tick);
-    if (it == pending_.end()) {
-      // A report for a tick already released (or given up on) cannot
-      // amend the frozen row: count it late and move on.  The watermark
-      // gates strict mode too — a straggler for a released-and-taken
-      // tick used to re-open a pending row there that could never
-      // complete, stalling every newer tick at the monotone-release
-      // gate below.
-      const bool already_released = released_.count(m.tick) > 0;
-      const bool past_watermark = m.tick <= release_watermark_;
-      if (already_released || past_watermark) {
-        ++health_.late_reports;
-        StationMetrics::get().late.inc();
-        if (seen_ticks_[s].seen(static_cast<std::uint64_t>(m.tick))) {
+    const std::size_t s = static_cast<std::size_t>(m.tx) * (devices - 1) +
+                          (m.rx < m.tx ? m.rx : m.rx - 1);
+    if (open == nullptr || open->row.tick != m.tick) {
+      unsettled = true;
+      open = slot_for(m.tick, clocked, on_row, emitted);
+      if (open == nullptr) {
+        ++late;
+        if (seen[s].seen(static_cast<std::uint64_t>(m.tick))) {
           // Not a straggling loss — a repeat of a report this stream
           // already delivered (wire duplicate / injector duplicate).
-          ++health_.duplicates_rejected;
-          StationMetrics::get().duplicates_rejected.inc();
+          ++rejected;
         }
         continue;
       }
-      while (buffered_count() >= config_.max_pending) evict_oldest();
-      PendingRow fresh;
-      fresh.values.assign(stream_count(), 0.0);
-      fresh.present.assign(stream_count(), 0);
-      it = pending_.emplace(m.tick, std::move(fresh)).first;
     }
-    PendingRow& row = it->second;
-    if (!row.present[s]) {
-      row.present[s] = 1;
-      ++row.filled;
+    StationRow& row = open->row;
+    if (!row.valid[s]) {
+      row.valid[s] = 1;
+      if (++open->filled == streams) unsettled = true;
       row.values[s] = m.rssi_dbm;
-      seen_ticks_[s].accept(static_cast<std::uint64_t>(m.tick));
+      seen[s].accept(static_cast<std::uint64_t>(m.tick));
     } else {
-      ++health_.duplicates;
-      StationMetrics::get().duplicates.inc();
+      ++duplicates;
       if (row.values[s] == m.rssi_dbm) {
-        // Exact repeat: dropped without effect.
-        ++health_.duplicates_rejected;
-        StationMetrics::get().duplicates_rejected.inc();
+        ++rejected;  // exact repeat: dropped without effect
       } else {
         row.values[s] = m.rssi_dbm;  // revised reports keep the latest
       }
     }
   }
+  if (open != nullptr) {
+    last_ = static_cast<std::size_t>(open - slots_.data());
+  }
+  if (unsettled) emitted += settle(now.value_or(newest_), on_row);
 
-  // Release complete rows, then everything past the deadline.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const bool complete = it->second.filled == stream_count();
-    const bool expired =
-        config_.deadline_ticks > 0 && now.has_value() &&
-        *now - it->first >= config_.deadline_ticks;
-    if (complete || expired) {
-      release(it->first, std::move(it->second), complete);
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // Surface released rows in tick order: a released tick is ready only
-  // once nothing older is still under assembly, so downstream always
-  // consumes a monotone stream (the deadline bounds the holdback).
-  std::vector<Tick> ready;
-  ready.reserve(released_.size());
-  for (const auto& [tick, row] : released_) {
-    if (!pending_.empty() && pending_.begin()->first < tick) break;
-    ready.push_back(tick);
-  }
-  return ready;  // std::map iterates in ascending tick order
-}
-
-void CentralStation::spill_assembly() {
-  if (!assembly_live_) return;
-  assembly_live_ = false;
-  pending_.emplace(assembly_tick_, std::move(assembly_));
-  assembly_ = PendingRow{};
-}
-
-void CentralStation::emit_assembly(const RowSink& on_row) {
-  emit_row_.tick = assembly_tick_;
-  emit_row_.values.swap(assembly_.values);
-  emit_row_.valid.swap(assembly_.present);
-  if (assembly_.filled == stream_count()) {
-    emit_row_.missing = 0;
-    std::copy(emit_row_.values.begin(), emit_row_.values.end(),
-              last_value_.begin());
-  } else {
-    // Incomplete release under the ordered contract (the stream moved
-    // past this tick): same imputation taxonomy as release().
-    ++health_.incomplete_releases;
-    StationMetrics::get().incomplete.inc();
-    emit_row_.missing = stream_count() - assembly_.filled;
-    for (std::size_t s = 0; s < emit_row_.values.size(); ++s) {
-      if (!emit_row_.valid[s]) {
-        emit_row_.values[s] = last_value_[s];
-        ++health_.imputed_cells;
-        ++health_.imputed_per_stream[s];
-        ++lifetime_imputed_;
-      } else {
-        last_value_[s] = emit_row_.values[s];
-      }
-    }
-    StationMetrics::get().imputed.add(
-        static_cast<double>(emit_row_.missing));
-  }
-  if (assembly_tick_ > release_watermark_) {
-    release_watermark_ = assembly_tick_;
-  }
-  on_row(emit_row_);
-  // Reclaim the buffers: the sink contract says the row dies with the
-  // call, so the vectors come straight back for the next assembly.
-  assembly_.values.swap(emit_row_.values);
-  assembly_.present.swap(emit_row_.valid);
-  std::fill(assembly_.values.begin(), assembly_.values.end(), 0.0);
-  std::fill(assembly_.present.begin(), assembly_.present.end(),
-            std::uint8_t{0});
-  assembly_.filled = 0;
-  assembly_live_ = false;
-}
-
-std::size_t CentralStation::ingest_ordered(std::span<const Measurement> batch,
-                                           const RowSink& on_row,
-                                           std::optional<Tick> now) {
-  std::size_t emitted = 0;
-  std::size_t i = 0;
-  // The fast loop assumes strict mode and no carried-over generic state;
-  // anything else (and any mid-batch ordering violation below) drops to
-  // the generic path, which implements the full semantics.
-  if (config_.deadline_ticks == 0 && pending_.empty() &&
-      released_.empty()) {
-    const std::size_t streams = stream_count();
-    const std::size_t devices = device_count_;
-    // obs counters and the hot health_ totals are flushed once per batch
-    // instead of bumped per measurement — at millions of reports/sec the
-    // per-inc() shard lookup (and even a per-report member store) is the
-    // dominant station cost.
-    std::uint64_t n_reports = 0, n_dup = 0, n_dup_rej = 0, n_late = 0,
-                  n_malformed = 0;
-    for (; i < batch.size(); ++i) {
-      const Measurement& m = batch[i];
-      ++n_reports;
-      if (m.tx >= devices || m.rx >= devices || m.tx == m.rx ||
-          m.tick < 0) {
-        ++n_malformed;
-        ++health_.malformed;
-        continue;
-      }
-      const std::size_t s =
-          static_cast<std::size_t>(m.tx) * (devices - 1) +
-          (m.rx < m.tx ? m.rx : m.rx - 1);
-      if (assembly_live_ && m.tick != assembly_tick_) {
-        if (m.tick < assembly_tick_) {
-          // Tick regression: the ordering contract is broken; let the
-          // generic path handle this and everything after it.
-          break;
-        }
-        // A strictly newer tick finalises the assembly row, complete or
-        // not — emit_assembly imputes missing cells (see header doc).
-        emit_assembly(on_row);
-        ++emitted;
-      }
-      if (!assembly_live_) {
-        if (m.tick <= release_watermark_) {
-          // Straggler for an already-emitted (or given-up) tick: same
-          // late/duplicate taxonomy as the generic path.
-          ++n_late;
-          ++health_.late_reports;
-          if (seen_ticks_[s].seen(static_cast<std::uint64_t>(m.tick))) {
-            ++n_dup_rej;
-            ++health_.duplicates_rejected;
-          }
-          continue;
-        }
-        if (assembly_.values.size() != streams) {
-          assembly_.values.assign(streams, 0.0);
-          assembly_.present.assign(streams, 0);
-        }
-        assembly_tick_ = m.tick;
-        assembly_live_ = true;
-      }
-      PendingRow& row = assembly_;
-      if (!row.present[s]) {
-        row.present[s] = 1;
-        ++row.filled;
-        row.values[s] = m.rssi_dbm;
-        seen_ticks_[s].accept(static_cast<std::uint64_t>(m.tick));
-      } else {
-        ++n_dup;
-        ++health_.duplicates;
-        if (row.values[s] == m.rssi_dbm) {
-          ++n_dup_rej;
-          ++health_.duplicates_rejected;
-        } else {
-          row.values[s] = m.rssi_dbm;  // revised reports keep the latest
-        }
-      }
-    }
-    health_.reports += n_reports;
-    StationMetrics& mx = StationMetrics::get();
-    if (n_reports) mx.reports.add(n_reports);
-    if (n_dup) mx.duplicates.add(n_dup);
-    if (n_dup_rej) mx.duplicates_rejected.add(n_dup_rej);
-    if (n_late) mx.late.add(n_late);
-    if (n_malformed) mx.malformed.add(n_malformed);
-  }
-  if (i < batch.size()) {
-    // Generic remainder: spill the live row (ingest() does), run the
-    // full-semantics path, and forward whatever it releases.
-    const std::vector<Tick> ready = ingest(batch.subspan(i), now);
-    for (const Tick tick : ready) {
-      if (std::optional<StationRow> row = take_row(tick)) {
-        on_row(*row);
-        ++emitted;
-      }
-    }
-  }
+  health_.reports += reports;
+  health_.duplicates += duplicates;
+  health_.duplicates_rejected += rejected;
+  health_.late_reports += late;
+  health_.malformed += malformed;
+  StationMetrics& metrics = StationMetrics::get();
+  if (reports != 0) metrics.reports.add(reports);
+  if (duplicates != 0) metrics.duplicates.add(duplicates);
+  if (rejected != 0) metrics.duplicates_rejected.add(rejected);
+  if (late != 0) metrics.late.add(late);
+  if (malformed != 0) metrics.malformed.add(malformed);
   return emitted;
 }
 
-std::size_t CentralStation::finish_ordered(const RowSink& on_row) {
-  if (!assembly_live_) return 0;
-  if (assembly_.filled == stream_count()) {
-    emit_assembly(on_row);
-    return 1;
+std::vector<Tick> CentralStation::ingest(std::span<const Measurement> batch,
+                                         std::optional<Tick> now) {
+  assemble(batch, now, nullptr);
+  std::vector<Tick> ready;
+  for (std::size_t i = 0; i < held_ && slots_[i].released; ++i) {
+    ready.push_back(slots_[i].row.tick);
   }
-  spill_assembly();  // strict mode holds it, as the generic path would
-  return 0;
+  return ready;
+}
+
+std::size_t CentralStation::ingest(std::span<const Measurement> batch,
+                                   const RowSink& on_row,
+                                   std::optional<Tick> now) {
+  return assemble(batch, now, &on_row);
 }
 
 std::optional<StationRow> CentralStation::take_row(Tick tick) {
-  const auto it = released_.find(tick);
-  if (it == released_.end()) return std::nullopt;
-  StationRow row = std::move(it->second);
-  released_.erase(it);
+  const std::size_t i = find(tick);
+  if (i == held_ || !slots_[i].released) return std::nullopt;
+  StationRow row = std::move(slots_[i].row);
+  retire(i, 1);
   return row;
 }
 

@@ -1,36 +1,37 @@
-// The central station: assembles per-tick measurement reports from the
-// bus into the m x (m-1) synchronised stream rows MD reads.
+// The central station: assembles per-tick measurement reports into the
+// m x (m-1) synchronised stream rows MD reads.
 //
 // The paper assumes every stream reports every tick; this station does
-// not.  Rows are released either when complete or — when a release
-// deadline is configured — once the deadline passes, with missing cells
-// imputed from the stream's last released value and flagged stale.
-// Pending state is tick-indexed and capacity-bounded (oldest rows are
-// evicted, never silently retained forever), and every degradation is
-// counted in a StationHealth block, so a lossy reporting path degrades
-// output quality instead of aborting the process.
+// not.  Rows under assembly live in a small tick-sorted pool of reusable
+// slots, grown on demand and bounded by max_pending, and one rule
+// releases them (DESIGN §10).  The clock is the caller's `now`, or else
+// the newest tick accepted.  Release is decided after each batch — and,
+// without `now`, at each advance of the clock.  A complete row leaves at
+// the first decision; an incomplete one once clock - tick >=
+// deadline_ticks, its missing cells imputed from the stream's last
+// released value and flagged stale.  Rows leave in tick order.  A full
+// pool evicts its oldest row under assembly (then its oldest released,
+// untaken row), and every degradation is counted in StationHealth, so a
+// lossy reporting path degrades output quality instead of aborting.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "fadewich/net/measurement.hpp"
-#include "fadewich/net/message_bus.hpp"
 #include "fadewich/net/seq_window.hpp"
 #include "fadewich/obs/export.hpp"
 
 namespace fadewich::net {
 
 struct StationConfig {
-  /// Rows older than `now - deadline_ticks` are released incomplete when
-  /// ingest() is given the current tick.  0 keeps the strict mode: only
-  /// complete rows are ever released.
-  Tick deadline_ticks = 0;
-  /// Upper bound on rows buffered (pending assembly plus released but not
+  /// An incomplete row is released, imputed, once the station clock is
+  /// this many ticks past it.  Requires >= 1.
+  Tick deadline_ticks = 1;
+  /// Upper bound on rows buffered (under assembly plus released but not
   /// yet taken).  The oldest row is evicted on overflow.  Requires >= 1.
   std::size_t max_pending = 1024;
 };
@@ -70,7 +71,10 @@ struct StationHealth {
 /// summarised as its max, not expanded per stream).
 obs::HealthBlock health_block(const StationHealth& health);
 
-class CentralStation {
+// Cache-line aligned: the ingest plane feeds the stations of different
+// offices from different threads, and one station's per-batch writes
+// must not share a line with its neighbour's.
+class alignas(64) CentralStation {
  public:
   /// `device_count` radios; streams are all ordered (tx, rx) pairs in
   /// row-major order (matching rf::ChannelMatrix).  Requires >= 2.
@@ -88,22 +92,12 @@ class CentralStation {
   /// Inverse of stream_index: the (tx, rx) pair of a stream.
   std::pair<DeviceId, DeviceId> stream_pair(std::size_t stream) const;
 
-  /// Ingest all measurements pending on the bus.  Returns the ticks that
-  /// are released, not yet taken, and *in order* — a released tick is
-  /// reported only once no older tick is still under assembly, so
-  /// consumers always see a monotone tick stream.  Rows are fetched with
-  /// take_row().  A row is released when every stream reported, or — if
-  /// `now` is supplied and a deadline is configured — when
-  /// `now - tick >= deadline_ticks` (missing cells are imputed and
-  /// flagged).  Reports for already-released ticks are counted late and
-  /// discarded; they never abort.
-  std::vector<Tick> ingest(MessageBus& bus,
-                           std::optional<Tick> now = std::nullopt);
-
-  /// Batch form of ingest(): identical semantics over measurements the
-  /// caller already holds contiguously.  This is the hot route — the
-  /// wire-ingest path pops ring-buffer batches straight into it, and
-  /// the bus overload above forwards here after a copy-free drain.
+  /// Apply a batch and release rows by the station rule.  Returns the
+  /// ticks that are released, not yet taken, and have no older row
+  /// still held — in tick order, so consumers always see a monotone
+  /// stream.  Rows are fetched with take_row().  Reports for ticks
+  /// already released or evicted are counted late and discarded; no
+  /// runtime input aborts.
   std::vector<Tick> ingest(std::span<const Measurement> batch,
                            std::optional<Tick> now = std::nullopt);
 
@@ -112,49 +106,19 @@ class CentralStation {
   /// decide how to recover; the station never aborts on runtime input.
   std::optional<StationRow> take_row(Tick tick);
 
-  /// A completed-row consumer for the ordered fast path.  The row
-  /// reference is valid only for the duration of the call — the station
-  /// reuses its storage for the next row.
+  /// A released-row consumer.  The row reference is valid only for the
+  /// duration of the call — the station reuses its storage.
   using RowSink = std::function<void(const StationRow&)>;
 
-  /// Ordered-batch fast path: ingest a measurement stream whose ticks
-  /// are non-decreasing (the sharded ingest plane's per-shard contract),
-  /// handing each completed row to `on_row` the moment a newer tick
-  /// arrives.  This skips the per-measurement map lookups and per-row
-  /// allocations of the generic path: one reusable assembly row is
-  /// filled in place and emitted by callback, never staged in the
-  /// released map.  For clean tick-ordered input in strict mode it
-  /// delivers exactly the rows the generic path would (verified by
-  /// test), except that the final tick is held until the next call
-  /// advances past it or finish_ordered() declares end-of-stream —
-  /// emission timing depends only on the measurement sequence, never on
-  /// batch boundaries, which is what keeps sharded replay bit-identical
-  /// at any lane count.  One documented divergence: when a strictly
-  /// newer tick arrives while the assembly row is still incomplete (a
-  /// frame was lost upstream), the ordered contract says no more
-  /// reports for that row are coming, so it is released incomplete with
-  /// last-known-value imputation — the same taxonomy a one-tick
-  /// deadline applies — where the strict generic path would buffer it
-  /// until eviction pressure.  Holding it would stall every later row
-  /// behind the monotone-release gate for the rest of the capture.
-  /// Deadline-configured stations, carried-over pending/released state,
-  /// and tick regressions all fall back to the generic path (full
-  /// semantics, no ordering assumed).  Returns rows emitted.
-  std::size_t ingest_ordered(std::span<const Measurement> batch,
-                             const RowSink& on_row,
-                             std::optional<Tick> now = std::nullopt);
+  /// The same engine, with each row handed to `on_row` the moment it may
+  /// leave instead of staged for take_row(): no copy, and after warm-up
+  /// no allocation.  Returns the rows emitted.
+  std::size_t ingest(std::span<const Measurement> batch,
+                     const RowSink& on_row,
+                     std::optional<Tick> now = std::nullopt);
 
-  /// Declare end-of-stream for the ordered path: a live complete
-  /// assembly row is emitted; a live incomplete one is spilled to the
-  /// generic pending map (where strict mode holds it, exactly as the
-  /// generic path would).  Returns rows emitted (0 or 1).
-  std::size_t finish_ordered(const RowSink& on_row);
-
-  /// Rows currently buffered (pending assembly + released, untaken,
-  /// plus the ordered path's live assembly row).
-  std::size_t buffered_count() const {
-    return pending_.size() + released_.size() + (assembly_live_ ? 1 : 0);
-  }
+  /// Rows currently buffered (under assembly + released, untaken).
+  std::size_t buffered_count() const { return held_; }
 
   const StationHealth& health() const { return health_; }
 
@@ -166,35 +130,38 @@ class CentralStation {
   std::uint64_t lifetime_imputed_cells() const { return lifetime_imputed_; }
 
  private:
-  struct PendingRow {
-    std::vector<double> values;
-    std::vector<std::uint8_t> present;
+  struct Slot {
+    StationRow row;  // row.valid marks the cells reported so far
     std::size_t filled = 0;
+    bool released = true;  // false only while held and under assembly
   };
 
-  void release(Tick tick, PendingRow&& row, bool complete);
+  std::size_t assemble(std::span<const Measurement> batch,
+                       std::optional<Tick> now, const RowSink* on_row);
+  Slot* slot_for(Tick tick, bool clocked, const RowSink* on_row,
+                 std::size_t& emitted);
+  std::size_t settle(Tick clock, const RowSink* on_row);
+  std::size_t find(Tick tick) const;
+  Slot& open_slot(Tick tick);
+  void retire(std::size_t first, std::size_t count);
+  void release(Slot& slot);
   void evict_oldest();
-  void spill_assembly();
-  void emit_assembly(const RowSink& on_row);
 
   std::size_t device_count_;
   StationConfig config_;
-  std::map<Tick, PendingRow> pending_;   // tick-indexed assembly buffers
-  std::map<Tick, StationRow> released_;  // released, not yet taken
-  std::vector<Measurement> drain_scratch_;  // bus-drain reuse buffer
-  std::vector<double> last_value_;       // per-stream imputation source
+  // [0, held_): the rows held, in ascending tick order; the rest are
+  // spares that keep their buffers.  Grown on demand.
+  std::vector<Slot> slots_;
+  std::size_t held_ = 0;
+  std::size_t last_ = 0;  // slot the last report went to
+  std::vector<double> last_value_;   // per-stream imputation source
   // One anti-replay window per stream over tick numbers: an exact repeat
   // of an already-applied (tick, stream) report — a duplicated frame on
-  // the wire, or FaultInjector's duplicate taxon — is rejected before it
-  // touches (or re-opens) any row.
+  // the wire, or FaultInjector's duplicate taxon — is told apart from a
+  // straggling loss when it arrives after its row has left.
   std::vector<SeqWindow> seen_ticks_;
-  // The ordered fast path's single in-place assembly row (live iff
-  // assembly_live_) and the reusable emission buffer it swaps through.
-  PendingRow assembly_;
-  StationRow emit_row_;
-  Tick assembly_tick_ = -1;
-  bool assembly_live_ = false;
-  Tick release_watermark_ = -1;  // highest tick released or evicted
+  Tick newest_ = -1;     // newest tick accepted: the clock without `now`
+  Tick watermark_ = -1;  // highest tick released or evicted
   StationHealth health_;
   std::uint64_t lifetime_evictions_ = 0;
   std::uint64_t lifetime_imputed_ = 0;

@@ -22,7 +22,8 @@ struct FaultMetrics {
   obs::Counter duplicated = obs::registry().counter(
       "fadewich_fault_duplicated_total", "reports published twice");
   obs::Counter delivered = obs::registry().counter(
-      "fadewich_fault_delivered_total", "reports that reached the bus");
+      "fadewich_fault_delivered_total",
+      "reports that reached the station batch");
   static FaultMetrics& get() {
     static FaultMetrics metrics;
     return metrics;
@@ -102,7 +103,8 @@ bool FaultInjector::in_outage(DeviceId device, Tick tick) const {
   return false;
 }
 
-void FaultInjector::offer(const Measurement& m, MessageBus& bus) {
+void FaultInjector::offer(const Measurement& m,
+                          std::vector<Measurement>& out) {
   auto& metrics = FaultMetrics::get();
   ++counters_.offered;
   metrics.offered.inc();
@@ -118,7 +120,7 @@ void FaultInjector::offer(const Measurement& m, MessageBus& bus) {
   if (!config_.enabled()) {
     ++counters_.delivered;
     metrics.delivered.inc();
-    bus.publish(m);
+    out.push_back(m);
     return;
   }
 
@@ -147,23 +149,23 @@ void FaultInjector::offer(const Measurement& m, MessageBus& bus) {
   }
   ++counters_.delivered;
   metrics.delivered.inc();
-  bus.publish(m);
+  out.push_back(m);
   if (config_.duplicate_probability > 0.0 &&
       rng.bernoulli(config_.duplicate_probability)) {
     ++counters_.duplicated;
     ++counters_.delivered;
     metrics.duplicated.inc();
     metrics.delivered.inc();
-    bus.publish(m);
+    out.push_back(m);
   }
 }
 
-void FaultInjector::advance(Tick now, MessageBus& bus) {
+void FaultInjector::advance(Tick now, std::vector<Measurement>& out) {
   auto& metrics = FaultMetrics::get();
   while (!delayed_.empty() && delayed_.front().due <= now) {
     ++counters_.delivered;
     metrics.delivered.inc();
-    bus.publish(delayed_.front().measurement);
+    out.push_back(delayed_.front().measurement);
     delayed_.pop_front();
   }
 }

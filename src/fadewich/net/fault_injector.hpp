@@ -3,9 +3,10 @@
 // The paper assumes a reliable secure channel between sensors and the
 // central station; real deployments lose, delay, and duplicate reports,
 // and whole sensors drop out.  FaultInjector sits between the devices and
-// the MessageBus and injects exactly those faults, per directed link:
+// the station's input batch and injects exactly those faults, per
+// directed link:
 //
-//   - drop: the report never reaches the bus
+//   - drop: the report never reaches the batch
 //   - delay: the report is buffered and published `1..max_delay_ticks`
 //     beacon rounds later (delayed traffic naturally reorders)
 //   - duplicate: the report is published twice
@@ -17,7 +18,7 @@
 // exec::task_seed(seed, stream_index), and draws only for its own
 // reports in report order.  Fault decisions are therefore a pure function
 // of (seed, per-link report sequence) — independent of thread count, of
-// other links' traffic, and of bus interleaving — so faulty runs are
+// other links' traffic, and of batch interleaving — so faulty runs are
 // exactly reproducible.  A disabled config (all probabilities zero, no
 // outages) never draws and passes reports through byte-identically.
 #pragma once
@@ -28,7 +29,6 @@
 
 #include "fadewich/common/rng.hpp"
 #include "fadewich/net/measurement.hpp"
-#include "fadewich/net/message_bus.hpp"
 #include "fadewich/obs/export.hpp"
 
 namespace fadewich::net {
@@ -62,7 +62,7 @@ class FaultInjector {
     std::uint64_t outage_dropped = 0;  // drops due to sensor outages
     std::uint64_t delayed = 0;
     std::uint64_t duplicated = 0;
-    std::uint64_t delivered = 0;  // reports that reached the bus (incl.
+    std::uint64_t delivered = 0;  // reports that reached the batch (incl.
                                   // duplicates and released delays)
   };
 
@@ -75,12 +75,12 @@ class FaultInjector {
   std::size_t device_count() const { return device_count_; }
 
   /// Submit one report.  It is dropped, held back for later delivery, or
-  /// published to `bus` (possibly twice), per the configured fault model.
-  void offer(const Measurement& m, MessageBus& bus);
+  /// appended to `out` (possibly twice), per the configured fault model.
+  void offer(const Measurement& m, std::vector<Measurement>& out);
 
-  /// Publish every held-back report whose delivery tick is <= `now`.
+  /// Append every held-back report whose delivery tick is <= `now`.
   /// Call once per beacon round, after the round's offers.
-  void advance(Tick now, MessageBus& bus);
+  void advance(Tick now, std::vector<Measurement>& out);
 
   /// Reports still held back for future delivery.
   std::size_t in_flight() const { return delayed_.size(); }

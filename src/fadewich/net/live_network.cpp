@@ -22,11 +22,6 @@ LiveSensorNetwork::LiveSensorNetwork(std::vector<rf::Point> sensors,
       station_(channel_.sensor_count(), station),
       tick_hz_(tick_hz) {
   FADEWICH_EXPECTS(tick_hz > 0.0);
-  // Mismatched fault/station configs are a runtime deployment error.
-  if (faults.enabled() && station.deadline_ticks <= 0) {
-    throw Error(
-        "live network: faults need a release deadline (deadline_ticks)");
-  }
   if (faults.enabled()) {
     // A distinct seed stream from the channel's: the injector's draws
     // must not disturb the physical truth.
@@ -49,22 +44,19 @@ std::vector<StationRow> LiveSensorNetwork::round(
       const Measurement report{tx, rx, tick_,
                                truth[channel_.stream_index(tx, rx)]};
       if (injector_) {
-        injector_->offer(report, bus_);
+        injector_->offer(report, batch_);
       } else {
-        bus_.publish(report);
+        batch_.push_back(report);
       }
     }
   }
-  if (injector_) injector_->advance(tick_, bus_);
+  if (injector_) injector_->advance(tick_, batch_);
 
-  const std::vector<Tick> ready = station_.ingest(bus_, tick_);
   std::vector<StationRow> rows;
-  rows.reserve(ready.size());
-  for (const Tick tick : ready) {
-    std::optional<StationRow> row = station_.take_row(tick);
-    FADEWICH_ENSURES(row.has_value());
-    rows.push_back(std::move(*row));
-  }
+  station_.ingest(
+      batch_, [&rows](const StationRow& row) { rows.push_back(row); },
+      tick_);
+  batch_.clear();
   if (!injector_) {
     // Reliable channel: the paper's assumption holds and every round
     // must assemble exactly its own tick.

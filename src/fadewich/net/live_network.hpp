@@ -1,8 +1,8 @@
 // Live sensor network: every tick is one TDMA beacon round — each device
 // broadcasts once and all others report the measured RSSI to the central
-// station through the message bus.  The channel truth comes from
-// rf::ChannelMatrix; body states are supplied by the caller each tick
-// (typically from sim::Person agents).
+// station, which ingests the round's reports as one batch.  The channel
+// truth comes from rf::ChannelMatrix; body states are supplied by the
+// caller each tick (typically from sim::Person agents).
 //
 // The reporting path may be degraded: an optional FaultInjector drops,
 // delays, and duplicates reports (and takes whole sensors offline), and
@@ -19,8 +19,6 @@
 
 #include "fadewich/net/central_station.hpp"
 #include "fadewich/net/fault_injector.hpp"
-#include "fadewich/net/message_bus.hpp"
-#include "fadewich/net/stream_source.hpp"
 #include "fadewich/rf/channel.hpp"
 
 namespace fadewich::net {
@@ -33,9 +31,7 @@ class LiveSensorNetwork {
 
   /// As above, with a degraded reporting path: `faults` drives the
   /// injector (seeded from `seed` so runs stay reproducible) and
-  /// `station` sets the release deadline and pending cap.  When faults
-  /// are enabled the station deadline must be positive, or lost reports
-  /// would stall row release forever.
+  /// `station` sets the release deadline and pending cap.
   LiveSensorNetwork(std::vector<rf::Point> sensors,
                     rf::ChannelConfig channel_config, double tick_hz,
                     std::uint64_t seed, const FaultConfig& faults,
@@ -60,7 +56,7 @@ class LiveSensorNetwork {
 
  private:
   rf::ChannelMatrix channel_;
-  MessageBus bus_;
+  std::vector<Measurement> batch_;  // the round's reports, reused
   CentralStation station_;
   std::optional<FaultInjector> injector_;
   double tick_hz_;

@@ -2,9 +2,9 @@
 //
 // Each device periodically broadcasts a beacon; every other device
 // measures the beacon's RSSI and reports the measurement to the central
-// station over a secure channel (system model item 2).  In this in-process
-// reproduction the "secure channel" is a message bus; the framing below is
-// what a real deployment would serialise.
+// station over a secure channel (system model item 2).  In process, the
+// "secure channel" is a batch of these structs handed to the station's
+// ingest; on the wire they travel as net/wire.hpp frames.
 #pragma once
 
 #include <cstdint>

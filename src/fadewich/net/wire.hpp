@@ -122,7 +122,7 @@ std::uint64_t frame_tag(const WireKey& key, const FrameHeader& header,
 /// unauthenticated frames and for tag mismatches.
 bool verify_frame_tag(const WireKey& key, const DecodedFrame& frame);
 
-/// Expand a decoded frame into bus-level measurements (int8 -> double),
+/// Expand a decoded frame into station measurements (int8 -> double),
 /// appending to `out`.
 void to_measurements(const DecodedFrame& frame,
                      std::vector<Measurement>& out);

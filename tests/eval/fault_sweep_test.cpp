@@ -64,11 +64,13 @@ TEST_F(FaultSweepTest, LossyReplayCompletesAndImputes) {
 }
 
 TEST_F(FaultSweepTest, FaultyReplayRequiresADeadline) {
+  // The station itself refuses a zero deadline (a runtime config error).
   net::FaultConfig faults;
   faults.drop_probability = 0.10;
-  EXPECT_THROW(replay_through_station(recording(), faults,
-                                      net::StationConfig{}, 1),
-               ContractViolation);
+  net::StationConfig station;
+  station.deadline_ticks = 0;
+  EXPECT_THROW(replay_through_station(recording(), faults, station, 1),
+               Error);
 }
 
 TEST_F(FaultSweepTest, ScenarioFaultsDropLowestPrioritySensorsFirst) {

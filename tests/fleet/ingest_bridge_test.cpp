@@ -271,9 +271,31 @@ TEST(IngestBridgeTest, RejectsInvalidConfigs) {
   one_device.devices = 1;
   EXPECT_THROW(IngestBridge{one_device}, Error);
 
+  // Any station deadline is accepted: a row missing a report holds
+  // itself and every newer row until the stream is deadline_ticks past
+  // it, then leaves imputed.
   BridgeConfig deadline;
+  deadline.devices = kDevices;
   deadline.station.deadline_ticks = 4;
-  EXPECT_THROW(IngestBridge{deadline}, Error);
+  IngestBridge bridge(deadline);
+  const Tick kLossy = 2;
+  std::vector<net::Measurement> batch;
+  for (Tick tick = 0; tick < 8; ++tick) {
+    batch.clear();
+    for (net::DeviceId tx = 0; tx < kDevices; ++tx) {
+      for (net::DeviceId rx = 0; rx < kDevices; ++rx) {
+        if (rx == tx || (tick == kLossy && tx == 0 && rx == 1)) continue;
+        batch.push_back({tx, rx, tick, -50.0});
+      }
+    }
+    bridge.ingest(0, batch);
+    const bool held = tick >= kLossy && tick < kLossy + 4;
+    EXPECT_EQ(bridge.rows_ready_through(0), held ? kLossy : tick + 1)
+        << "tick " << tick;
+  }
+  EXPECT_EQ(bridge.health(0).incomplete_releases, 1u);
+  EXPECT_EQ(bridge.health(0).imputed_cells, 1u);
+  EXPECT_EQ(bridge.gap_rows(0), 0u);
 }
 
 }  // namespace

@@ -2,27 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "fadewich/common/error.hpp"
 
 namespace fadewich::net {
 namespace {
 
-/// Publish every directed measurement for one tick with value
+/// Append every directed measurement for one tick with value
 /// base - stream_index.
-void publish_full_round(MessageBus& bus, std::size_t devices, Tick tick,
-                        double base) {
+void publish_full_round(std::vector<Measurement>& batch,
+                        std::size_t devices, Tick tick, double base) {
   CentralStation index(devices);
   for (DeviceId tx = 0; tx < devices; ++tx) {
     for (DeviceId rx = 0; rx < devices; ++rx) {
       if (tx == rx) continue;
-      bus.publish({tx, rx, tick,
-                   base - static_cast<double>(index.stream_index(tx, rx))});
+      batch.push_back(
+          {tx, rx, tick,
+           base - static_cast<double>(index.stream_index(tx, rx))});
     }
   }
 }
 
+/// Ingest everything queued in `batch` and empty it for the next call.
+std::vector<Tick> ingest(CentralStation& station,
+                         std::vector<Measurement>& batch,
+                         std::optional<Tick> now = std::nullopt) {
+  const std::vector<Tick> ready = station.ingest(batch, now);
+  batch.clear();
+  return ready;
+}
+
 TEST(CentralStationTest, RejectsTooFewDevices) {
   EXPECT_THROW(CentralStation(1), Error);
+}
+
+TEST(CentralStationTest, RejectsZeroDeadline) {
+  StationConfig config;
+  config.deadline_ticks = 0;
+  EXPECT_THROW(CentralStation(3, config), Error);
 }
 
 TEST(CentralStationTest, RejectsZeroPendingCapacity) {
@@ -69,17 +88,17 @@ TEST(CentralStationTest, StreamIndexRoundTripsOverAllPairs) {
 
 TEST(CentralStationTest, IncompleteTickIsNotReported) {
   CentralStation station(3);
-  MessageBus bus;
-  bus.publish({0, 1, 0, -50.0});
-  bus.publish({1, 0, 0, -52.0});
-  EXPECT_TRUE(station.ingest(bus).empty());
+  std::vector<Measurement> batch;
+  batch.push_back({0, 1, 0, -50.0});
+  batch.push_back({1, 0, 0, -52.0});
+  EXPECT_TRUE(ingest(station, batch).empty());
 }
 
 TEST(CentralStationTest, CompleteTickAssemblesRow) {
   CentralStation station(3);
-  MessageBus bus;
-  publish_full_round(bus, 3, 7, -40.0);
-  const auto ready = station.ingest(bus);
+  std::vector<Measurement> batch;
+  publish_full_round(batch, 3, 7, -40.0);
+  const auto ready = ingest(station, batch);
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0], 7);
   const auto row = station.take_row(7);
@@ -94,29 +113,44 @@ TEST(CentralStationTest, CompleteTickAssemblesRow) {
 }
 
 TEST(CentralStationTest, ReleasedRowsSurfaceInTickOrder) {
-  CentralStation station(2);
-  MessageBus bus;
-  bus.publish({0, 1, 0, -50.0});
-  bus.publish({0, 1, 1, -51.0});
-  bus.publish({1, 0, 1, -61.0});
+  // Deadline 2 keeps tick 0 assembling while tick 1 completes.  Under
+  // the default deadline of 1 the tick-1 reports put the clock a full
+  // tick past tick 0, which then leaves at once, imputed — the count
+  // change that came with retiring strict mode, pinned at the end.
+  StationConfig config;
+  config.deadline_ticks = 2;
+  CentralStation station(2, config);
+  std::vector<Measurement> batch;
+  batch.push_back({0, 1, 0, -50.0});
+  batch.push_back({0, 1, 1, -51.0});
+  batch.push_back({1, 0, 1, -61.0});
   // Tick 1 is complete but tick 0 is still assembling: nothing may be
   // surfaced yet, or MD would see an out-of-order stream.
-  EXPECT_TRUE(station.ingest(bus).empty());
+  EXPECT_TRUE(ingest(station, batch).empty());
   // Completing tick 0 unblocks both, in order.
-  bus.publish({1, 0, 0, -60.0});
-  const auto ready = station.ingest(bus);
+  batch.push_back({1, 0, 0, -60.0});
+  const auto ready = ingest(station, batch);
   ASSERT_EQ(ready.size(), 2u);
   EXPECT_EQ(ready[0], 0);
   EXPECT_EQ(ready[1], 1);
+
+  CentralStation prompt(2);
+  batch = {{0, 1, 0, -50.0}, {0, 1, 1, -51.0}, {1, 0, 1, -61.0}};
+  const auto both = ingest(prompt, batch);
+  ASSERT_EQ(both.size(), 2u);
+  EXPECT_EQ(both[0], 0);
+  EXPECT_EQ(both[1], 1);
+  EXPECT_EQ(prompt.take_row(0)->missing, 1u);
+  EXPECT_TRUE(prompt.take_row(1)->complete());
 }
 
 TEST(CentralStationTest, OutOfOrderTickDeliveryAssemblesBothTicks) {
   CentralStation station(2);
-  MessageBus bus;
+  std::vector<Measurement> batch;
   // All of tick 3 arrives before any of tick 2.
-  publish_full_round(bus, 2, 3, -45.0);
-  publish_full_round(bus, 2, 2, -47.0);
-  const auto ready = station.ingest(bus);
+  publish_full_round(batch, 2, 3, -45.0);
+  publish_full_round(batch, 2, 2, -47.0);
+  const auto ready = ingest(station, batch);
   ASSERT_EQ(ready.size(), 2u);
   EXPECT_EQ(ready[0], 2);
   EXPECT_EQ(ready[1], 3);
@@ -126,18 +160,18 @@ TEST(CentralStationTest, OutOfOrderTickDeliveryAssemblesBothTicks) {
 
 TEST(CentralStationTest, TakeRowRemovesTheTick) {
   CentralStation station(2);
-  MessageBus bus;
-  publish_full_round(bus, 2, 3, -45.0);
-  station.ingest(bus);
+  std::vector<Measurement> batch;
+  publish_full_round(batch, 2, 3, -45.0);
+  ingest(station, batch);
   EXPECT_TRUE(station.take_row(3).has_value());
   EXPECT_FALSE(station.take_row(3).has_value());
 }
 
 TEST(CentralStationTest, TakeRowReturnsNulloptForIncompleteTick) {
   CentralStation station(2);
-  MessageBus bus;
-  bus.publish({0, 1, 5, -50.0});
-  station.ingest(bus);
+  std::vector<Measurement> batch;
+  batch.push_back({0, 1, 5, -50.0});
+  ingest(station, batch);
   EXPECT_FALSE(station.take_row(5).has_value());
 }
 
@@ -148,11 +182,11 @@ TEST(CentralStationTest, TakeRowReturnsNulloptForUnknownTick) {
 
 TEST(CentralStationTest, DuplicateReportsKeepTheLatest) {
   CentralStation station(2);
-  MessageBus bus;
-  bus.publish({0, 1, 0, -50.0});
-  bus.publish({0, 1, 0, -55.0});
-  bus.publish({1, 0, 0, -60.0});
-  const auto ready = station.ingest(bus);
+  std::vector<Measurement> batch;
+  batch.push_back({0, 1, 0, -50.0});
+  batch.push_back({0, 1, 0, -55.0});
+  batch.push_back({1, 0, 0, -60.0});
+  const auto ready = ingest(station, batch);
   ASSERT_EQ(ready.size(), 1u);
   const auto row = station.take_row(0);
   ASSERT_TRUE(row.has_value());
@@ -162,12 +196,12 @@ TEST(CentralStationTest, DuplicateReportsKeepTheLatest) {
 
 TEST(CentralStationTest, DuplicateAcrossIngestCallsStillLatestWins) {
   CentralStation station(2);
-  MessageBus bus;
-  bus.publish({0, 1, 0, -50.0});
-  station.ingest(bus);
-  bus.publish({0, 1, 0, -52.0});  // newer report for the same cell
-  bus.publish({1, 0, 0, -60.0});
-  station.ingest(bus);
+  std::vector<Measurement> batch;
+  batch.push_back({0, 1, 0, -50.0});
+  ingest(station, batch);
+  batch.push_back({0, 1, 0, -52.0});  // newer report for the same cell
+  batch.push_back({1, 0, 0, -60.0});
+  ingest(station, batch);
   EXPECT_DOUBLE_EQ(station.take_row(0)->values[station.stream_index(0, 1)],
                    -52.0);
 }
@@ -183,20 +217,20 @@ TEST(CentralStationTest, DeadlineReleasesIncompleteRowWithImputation) {
   StationConfig config;
   config.deadline_ticks = 2;
   CentralStation station(2, config);
-  MessageBus bus;
+  std::vector<Measurement> batch;
 
   // Tick 0 completes normally: both streams carry real values.
-  bus.publish({0, 1, 0, -41.0});
-  bus.publish({1, 0, 0, -42.0});
-  station.ingest(bus, 0);
+  batch.push_back({0, 1, 0, -41.0});
+  batch.push_back({1, 0, 0, -42.0});
+  ingest(station, batch, 0);
   EXPECT_TRUE(station.take_row(0)->complete());
 
   // Tick 1 loses stream (1->0); the row must not release before the
   // deadline, then release with the lost cell imputed from tick 0.
-  bus.publish({0, 1, 1, -51.0});
-  EXPECT_TRUE(station.ingest(bus, 1).empty());
-  EXPECT_TRUE(station.ingest(bus, 2).empty());
-  const auto ready = station.ingest(bus, 3);  // 3 - 1 >= deadline
+  batch.push_back({0, 1, 1, -51.0});
+  EXPECT_TRUE(ingest(station, batch, 1).empty());
+  EXPECT_TRUE(ingest(station, batch, 2).empty());
+  const auto ready = ingest(station, batch, 3);  // 3 - 1 >= deadline
   ASSERT_EQ(ready.size(), 1u);
   const auto row = station.take_row(1);
   ASSERT_TRUE(row.has_value());
@@ -219,13 +253,13 @@ TEST(CentralStationTest, LateReportAfterReleaseIsCountedAndDiscarded) {
   StationConfig config;
   config.deadline_ticks = 1;
   CentralStation station(2, config);
-  MessageBus bus;
-  bus.publish({0, 1, 0, -50.0});
-  station.ingest(bus, 5);  // deadline long past: released incomplete
+  std::vector<Measurement> batch;
+  batch.push_back({0, 1, 0, -50.0});
+  ingest(station, batch, 5);  // deadline long past: released incomplete
   ASSERT_TRUE(station.take_row(0).has_value());
 
-  bus.publish({1, 0, 0, -60.0});  // the lost report finally shows up
-  EXPECT_TRUE(station.ingest(bus, 6).empty());
+  batch.push_back({1, 0, 0, -60.0});  // the lost report finally shows up
+  EXPECT_TRUE(ingest(station, batch, 6).empty());
   EXPECT_EQ(station.health().late_reports, 1u);
 }
 
@@ -233,86 +267,79 @@ TEST(CentralStationTest, PendingIsBoundedAndEvictionsAreRecorded) {
   // Regression: a permanently missing stream used to grow pending_
   // without bound.  Feed many never-completing ticks and assert the
   // buffer stays capped and evictions are counted.
-  StationConfig config;
-  config.max_pending = 8;  // strict mode: no deadline, only the cap
-  CentralStation station(3, config);
-  MessageBus bus;
   const Tick ticks = 100;
-  for (Tick t = 0; t < ticks; ++t) {
-    for (DeviceId tx = 0; tx < 3; ++tx) {
-      for (DeviceId rx = 0; rx < 3; ++rx) {
-        if (tx == rx) continue;
-        if (tx == 2 && rx == 0) continue;  // stream (2->0) never reports
-        bus.publish({tx, rx, t, -50.0});
+  const auto feed = [ticks](CentralStation& station, bool expect_empty) {
+    std::vector<Measurement> batch;
+    for (Tick t = 0; t < ticks; ++t) {
+      for (DeviceId tx = 0; tx < 3; ++tx) {
+        for (DeviceId rx = 0; rx < 3; ++rx) {
+          if (tx == rx) continue;
+          if (tx == 2 && rx == 0) continue;  // stream (2->0) never reports
+          batch.push_back({tx, rx, t, -50.0});
+        }
       }
+      const bool empty = ingest(station, batch).empty();
+      if (expect_empty) {
+        EXPECT_TRUE(empty) << t;
+      }
+      EXPECT_LE(station.buffered_count(), station.config().max_pending);
     }
-    EXPECT_TRUE(station.ingest(bus).empty());
-    EXPECT_LE(station.buffered_count(), config.max_pending);
-  }
-  EXPECT_EQ(station.health().evictions,
+  };
+  // A deadline longer than the run: every row stays under assembly, as
+  // the retired strict mode kept them, and only the cap drops them.
+  StationConfig config;
+  config.max_pending = 8;
+  config.deadline_ticks = 1000;
+  CentralStation held(3, config);
+  feed(held, true);
+  EXPECT_EQ(held.health().evictions,
             static_cast<std::uint64_t>(ticks) - config.max_pending);
+  EXPECT_EQ(held.health().incomplete_releases, 0u);
+
+  // The default deadline releases each row, imputed, once the next tick
+  // arrives, so ingest() now reports ticks.  This caller never takes
+  // them: released rows fill the cap instead and are evicted oldest
+  // first — the same count.
+  config.deadline_ticks = 1;
+  CentralStation untaken(3, config);
+  feed(untaken, false);
+  EXPECT_EQ(untaken.health().evictions,
+            static_cast<std::uint64_t>(ticks) - config.max_pending);
+  EXPECT_EQ(untaken.health().incomplete_releases,
+            static_cast<std::uint64_t>(ticks) - 1);
 }
 
 TEST(CentralStationTest, StrictModeStragglerDoesNotStallRelease) {
-  // Regression: with deadline_ticks == 0 the watermark check used to be
-  // skipped, so a straggler for a tick already released *and taken*
-  // re-opened a pending row that could never complete — and held every
-  // newer released tick at the monotone-release gate forever.
-  CentralStation station(2);  // strict mode: no deadline
-  MessageBus bus;
-  publish_full_round(bus, 2, 0, -40.0);
-  ASSERT_EQ(station.ingest(bus).size(), 1u);
+  // Regression: in the retired strict mode (deadline 0) the watermark
+  // check used to be skipped, so a straggler for a tick already
+  // released *and taken* re-opened a pending row that could never
+  // complete — and held every newer released tick at the
+  // monotone-release gate forever.
+  CentralStation station(2);
+  std::vector<Measurement> batch;
+  publish_full_round(batch, 2, 0, -40.0);
+  ASSERT_EQ(ingest(station, batch).size(), 1u);
   ASSERT_TRUE(station.take_row(0).has_value());
 
   // The straggler: a duplicate of a tick-0 report shows up late.
-  bus.publish({0, 1, 0, -40.0});
-  EXPECT_TRUE(station.ingest(bus).empty());
+  batch.push_back({0, 1, 0, -40.0});
+  EXPECT_TRUE(ingest(station, batch).empty());
   EXPECT_EQ(station.health().late_reports, 1u);
   EXPECT_EQ(station.buffered_count(), 0u);  // no re-opened pending row
 
   // Every newer tick must keep releasing.
-  publish_full_round(bus, 2, 1, -41.0);
-  const auto ready = station.ingest(bus);
+  publish_full_round(batch, 2, 1, -41.0);
+  const auto ready = ingest(station, batch);
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0], 1);
   EXPECT_TRUE(station.take_row(1).has_value());
 }
 
-TEST(CentralStationTest, BatchIngestMatchesBusIngest) {
-  // The span overload is the wire hot route; it must be semantically
-  // identical to draining the same measurements off the bus.
-  CentralStation bus_station(3);
-  CentralStation batch_station(3);
-  MessageBus bus;
-  publish_full_round(bus, 3, 4, -44.0);
-  bus.publish({0, 1, 4, -30.0});  // duplicate
-  bus.publish({0, 1, 9, -31.0});  // future tick, incomplete
-
-  std::vector<Measurement> batch;
-  MessageBus copy_bus;
-  publish_full_round(copy_bus, 3, 4, -44.0);
-  copy_bus.publish({0, 1, 4, -30.0});
-  copy_bus.publish({0, 1, 9, -31.0});
-  copy_bus.drain_into(batch);
-
-  const auto from_bus = bus_station.ingest(bus);
-  const auto from_batch = batch_station.ingest(batch);
-  ASSERT_EQ(from_bus, from_batch);
-  ASSERT_EQ(from_bus.size(), 1u);
-  const auto bus_row = bus_station.take_row(4);
-  const auto batch_row = batch_station.take_row(4);
-  ASSERT_TRUE(bus_row.has_value() && batch_row.has_value());
-  EXPECT_EQ(bus_row->values, batch_row->values);
-  EXPECT_EQ(bus_row->valid, batch_row->valid);
-  EXPECT_EQ(bus_station.health().duplicates,
-            batch_station.health().duplicates);
-}
-
 TEST(CentralStationTest, HealthCountsReports) {
   CentralStation station(2);
-  MessageBus bus;
-  publish_full_round(bus, 2, 0, -40.0);
-  station.ingest(bus);
+  std::vector<Measurement> batch;
+  publish_full_round(batch, 2, 0, -40.0);
+  ingest(station, batch);
   EXPECT_EQ(station.health().reports, 2u);
   EXPECT_EQ(station.health().duplicates, 0u);
   EXPECT_EQ(station.health().evictions, 0u);

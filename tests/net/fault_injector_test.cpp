@@ -15,20 +15,18 @@ Measurement report(DeviceId tx, DeviceId rx, Tick tick) {
 }
 
 /// Run `ticks` full beacon rounds through the injector, returning every
-/// measurement that reached the bus in delivery order.
+/// measurement it delivered, in delivery order.
 std::vector<Measurement> run_rounds(FaultInjector& injector, Tick ticks) {
-  MessageBus bus;
   std::vector<Measurement> delivered;
   const auto m = static_cast<DeviceId>(injector.device_count());
   for (Tick t = 0; t < ticks; ++t) {
     for (DeviceId tx = 0; tx < m; ++tx) {
       for (DeviceId rx = 0; rx < m; ++rx) {
         if (tx == rx) continue;
-        injector.offer(report(tx, rx, t), bus);
+        injector.offer(report(tx, rx, t), delivered);
       }
     }
-    injector.advance(t, bus);
-    for (const Measurement& out : bus.drain()) delivered.push_back(out);
+    injector.advance(t, delivered);
   }
   return delivered;
 }

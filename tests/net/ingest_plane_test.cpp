@@ -1,7 +1,7 @@
 // Sharded ingest plane: the per-shard stream must be bit-identical at
 // any lane count — including over adversarial captures whose corruption
-// lands on or around lane boundaries — and the ordered station fast
-// path must agree with the generic ingest path it replaces.
+// lands on or around lane boundaries — and the station's RowSink form,
+// which the plane's consumers use, must agree with its take_row form.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -272,7 +272,7 @@ TEST(IngestPlaneTest, ReplayIsReusableAndCountersAccumulate) {
   EXPECT_EQ(plane.counters().wire.frames_ok, 2u * 2u * 10u * kDevices);
 }
 
-// --- CentralStation ordered fast path --------------------------------
+// --- CentralStation over tick-ordered streams ------------------------
 
 std::vector<Measurement> tick_ordered_stream(std::size_t devices,
                                              Tick ticks,
@@ -309,7 +309,7 @@ void expect_same_rows(const std::vector<StationRow>& got,
   }
 }
 
-/// Generic-path reference: ingest in the same batch splits, draining
+/// take_row-form reference: ingest in the same batch splits, draining
 /// released rows in order after every batch.
 std::vector<StationRow> generic_rows(
     CentralStation& station, std::span<const Measurement> stream,
@@ -336,9 +336,8 @@ TEST(IngestOrderedTest, MatchesGenericPathOnCleanOrderedStream) {
   // must not depend on batch boundaries.
   for (std::size_t at = 0; at < stream.size(); at += 7) {
     const std::size_t n = std::min<std::size_t>(7, stream.size() - at);
-    emitted += fast.ingest_ordered({stream.data() + at, n}, got.sink());
+    emitted += fast.ingest({stream.data() + at, n}, got.sink());
   }
-  emitted += fast.finish_ordered(got.sink());
   EXPECT_EQ(emitted, got.rows.size());
   expect_same_rows(got.rows, want);
   EXPECT_EQ(fast.health().reports, generic.health().reports);
@@ -359,8 +358,7 @@ TEST(IngestOrderedTest, DuplicatesAndRevisionsMatchGenericTaxonomy) {
   const auto want = generic_rows(generic, stream, stream.size());
   CentralStation fast(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  fast.finish_ordered(got.sink());
+  fast.ingest(stream, got.sink());
   expect_same_rows(got.rows, want);
   EXPECT_EQ(fast.health().duplicates, generic.health().duplicates);
   EXPECT_EQ(fast.health().duplicates_rejected,
@@ -371,25 +369,26 @@ TEST(IngestOrderedTest, LateStragglerAfterEmissionCountsLate) {
   const auto stream = tick_ordered_stream(kDevices, 4, 0xace);
   CentralStation fast(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  ASSERT_EQ(got.rows.size(), 3u);  // tick 3 still live
-  // A straggler for emitted tick 0: late + rejected as an exact repeat.
-  const Measurement straggler = stream[0];
-  // The regression drops to the generic path, which spills the complete
-  // tick-3 row and releases it immediately — same as generic semantics.
-  EXPECT_EQ(fast.ingest_ordered({&straggler, 1}, got.sink()), 1u);
-  EXPECT_EQ(fast.health().late_reports, 1u);
-  EXPECT_EQ(fast.health().duplicates_rejected, 1u);
-  EXPECT_EQ(fast.finish_ordered(got.sink()), 0u);
+  // Complete tick 3 leaves with the call that completed it; the retired
+  // ordered path held it (3 rows) until a newer tick or the old
+  // finish_ordered() call.
+  fast.ingest(stream, got.sink());
   ASSERT_EQ(got.rows.size(), 4u);
   EXPECT_EQ(got.rows.back().tick, 3);
+  // A straggler for emitted tick 0: late + rejected as an exact repeat,
+  // and it emits nothing.
+  const Measurement straggler = stream[0];
+  EXPECT_EQ(fast.ingest({&straggler, 1}, got.sink()), 0u);
+  EXPECT_EQ(fast.health().late_reports, 1u);
+  EXPECT_EQ(fast.health().duplicates_rejected, 1u);
+  EXPECT_EQ(got.rows.size(), 4u);
+  EXPECT_EQ(fast.buffered_count(), 0u);
 }
 
 TEST(IngestOrderedTest, LostFrameReleasesIncompleteOnTickAdvance) {
-  // Drop one report from tick 1: the ordered contract finalises the row
-  // when tick 2 arrives, imputing the missing cell from tick 0 — the
-  // strict generic path would buffer the row until eviction pressure,
-  // stalling every later tick (see ingest_ordered header doc).
+  // Drop one report from tick 1: without a `now` the clock is the
+  // newest tick, so the row is released when tick 2 arrives, imputing
+  // the missing cell from tick 0, instead of stalling every later tick.
   auto stream = tick_ordered_stream(kDevices, 4, 0x105e);
   const std::size_t per_tick = kDevices * (kDevices - 1);
   const Measurement dropped = stream[per_tick + 2];
@@ -398,8 +397,7 @@ TEST(IngestOrderedTest, LostFrameReleasesIncompleteOnTickAdvance) {
 
   CentralStation fast(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  fast.finish_ordered(got.sink());
+  fast.ingest(stream, got.sink());
   ASSERT_EQ(got.rows.size(), 4u);
   const StationRow& row = got.rows[1];
   EXPECT_EQ(row.tick, 1);
@@ -422,8 +420,7 @@ TEST(IngestOrderedTest, MalformedReportsCountedNotApplied) {
   stream.push_back({0, 1, -5, -44.0});  // negative tick
   CentralStation fast(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
-  fast.finish_ordered(got.sink());
+  fast.ingest(stream, got.sink());
   EXPECT_EQ(fast.health().malformed, 3u);
   EXPECT_EQ(got.rows.size(), 2u);
 }
@@ -435,19 +432,20 @@ TEST(IngestOrderedTest, TickRegressionFallsBackToGenericSemantics) {
   stream.push_back({0, 1, 1, -60.0});
   stream.push_back({0, 2, 5, -61.0});  // then jump forward
 
-  // Reference split puts the regression in its own batch: by then the
-  // generic path has released ticks 0-2, which is the state the ordered
-  // path's fallback reproduces (its emissions are already final).
+  // There is no fallback left: one engine serves both forms.  The
+  // reference split puts the regression in its own batch, after ticks
+  // 0-2 are released; a single batch must agree, because without a
+  // `now` each clock advance is a decision point, so tick 1 has left
+  // before its repeat arrives.
   CentralStation generic(kDevices);
   const auto want = generic_rows(generic, stream, a.size());
   CentralStation fast(kDevices);
   CollectedRows got;
-  fast.ingest_ordered(stream, got.sink());
+  fast.ingest(stream, got.sink());
   expect_same_rows(got.rows, want);
   EXPECT_EQ(fast.health().late_reports, generic.health().late_reports);
-  // The fallback parked state in the generic maps; the next ordered
-  // call must keep using the generic path without losing it.
-  EXPECT_GT(fast.buffered_count(), 0u);
+  // Tick 5 is incomplete and stays held for the next call.
+  EXPECT_EQ(fast.buffered_count(), 1u);
 }
 
 TEST(IngestOrderedTest, RowSplitAcrossCallsEmitsOnce) {
@@ -455,11 +453,9 @@ TEST(IngestOrderedTest, RowSplitAcrossCallsEmitsOnce) {
   const std::size_t half = stream.size() / 2 - 1;
   CentralStation fast(kDevices);
   CollectedRows got;
-  fast.ingest_ordered({stream.data(), half}, got.sink());
+  fast.ingest({stream.data(), half}, got.sink());
   const std::size_t early = got.rows.size();
-  fast.ingest_ordered({stream.data() + half, stream.size() - half},
-                      got.sink());
-  fast.finish_ordered(got.sink());
+  fast.ingest({stream.data() + half, stream.size() - half}, got.sink());
   EXPECT_EQ(got.rows.size(), 2u);
   EXPECT_LE(early, 1u);
   std::map<Tick, int> seen;
@@ -472,9 +468,9 @@ TEST(IngestOrderedTest, InterleavesWithGenericIngestCoherently) {
   const std::size_t per_tick = kDevices * (kDevices - 1);
   CentralStation station(kDevices);
   CollectedRows got;
-  // Fast path leaves tick 1's row half-assembled...
-  station.ingest_ordered({stream.data(), per_tick + 3}, got.sink());
-  // ...then the generic path takes over mid-row and completes it.
+  // The RowSink form leaves tick 1's row half-assembled...
+  station.ingest({stream.data(), per_tick + 3}, got.sink());
+  // ...then the take_row form picks it up mid-row and completes it.
   const auto ready = station.ingest(
       {stream.data() + per_tick + 3, stream.size() - per_tick - 3});
   EXPECT_EQ(got.rows.size(), 1u);

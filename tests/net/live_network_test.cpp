@@ -76,8 +76,12 @@ TEST(LiveNetworkTest, RejectsNonPositiveTickRate) {
 }
 
 TEST(LiveNetworkTest, FaultsRequireAReleaseDeadline) {
+  // Every station has a deadline now (>= 1, default 1), so the default
+  // config serves a faulty network; only a zero deadline is refused.
+  EXPECT_NO_THROW(LiveSensorNetwork(sensors(), quiet_config(), 5.0, 1,
+                                    lossy(0.1), StationConfig{}));
   EXPECT_THROW(LiveSensorNetwork(sensors(), quiet_config(), 5.0, 1,
-                                 lossy(0.1), StationConfig{}),
+                                 lossy(0.1), deadline(0)),
                Error);
 }
 

@@ -7,7 +7,7 @@
 // Modes:
 //   --max (default)  replay as fast as the plane decodes: N lanes fan
 //                    decoded reports through per-shard rings into one
-//                    ordered CentralStation per shard.
+//                    CentralStation per shard.
 //   --pace X         single-lane streaming replay throttled to X times
 //                    real time (X=1 reproduces the capture's own tick
 //                    rate), for feeding downstream consumers that expect
@@ -22,7 +22,10 @@
 // The replay prints (and with --json records) a row-stream digest — an
 // order-sensitive 64-bit fold of every released row — so two runs over
 // the same capture can be checked for bit-identity regardless of lane
-// count.
+// count, as long as each shard carries one station id.  With --shards
+// below the office count, offices share a station and revise each
+// other's cells; a revision that arrives after its row left counts late,
+// so where the plane's batches split (which lanes change) moves rows.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -203,18 +206,12 @@ ReplayResult replay_max(const net::Capture& capture, const Options& opts) {
   result.reports = plane.replay(
       capture.frames,
       [&](std::size_t shard, std::span<const Measurement> batch) {
-        stations[shard].ingest_ordered(
+        stations[shard].ingest(
             batch, [&, shard](const net::StationRow& row) {
               digest_row(digests[shard], row);
               ++result.rows;
             });
       });
-  for (std::size_t s = 0; s < opts.shards; ++s) {
-    stations[s].finish_ordered([&, s](const net::StationRow& row) {
-      digest_row(digests[s], row);
-      ++result.rows;
-    });
-  }
   result.seconds = seconds_since(start);
 
   RowDigest combined;
@@ -266,7 +263,7 @@ ReplayResult replay_paced(const net::Capture& capture, const Options& opts,
           scratch[i] = {view.header.tx, r.rx, view.header.tick,
                         static_cast<double>(r.rssi_dbm)};
         }
-        stations[shard].ingest_ordered(
+        stations[shard].ingest(
             {scratch.data(), view.count},
             [&, shard](const net::StationRow& row) {
               digest_row(digests[shard], row);
@@ -283,12 +280,6 @@ ReplayResult replay_paced(const net::Capture& capture, const Options& opts,
         ++pos;
         break;
     }
-  }
-  for (std::size_t s = 0; s < opts.shards; ++s) {
-    stations[s].finish_ordered([&, s](const net::StationRow& row) {
-      digest_row(digests[s], row);
-      ++result.rows;
-    });
   }
   result.seconds = seconds_since(start);
 
