@@ -15,7 +15,6 @@
 //      defended clean anchor.  Pure availability attacks (outage DoS,
 //      RF jamming) remove information the defender cannot conjure
 //      back; their residual outcome shift is reported, not gated.
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,72 +29,52 @@ namespace {
 
 void write_json(const std::string& path, bool clean_identical,
                 const std::vector<eval::AttackScenarioResult>& results) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_adversary: cannot open " << path
-              << " for writing\n";
-    std::exit(1);
-  }
-  out.precision(6);
-  out << "{\n";
-  out << bench::json_stamp("fadewich-bench-adversary/1",
-                           exec::default_thread_count());
-  out << "  \"clean_runs_identical\": "
-      << (clean_identical ? "true" : "false") << ",\n";
-  out << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const eval::AttackScenarioResult& r = results[i];
+  bench::JsonReport json(path, "fadewich-bench-adversary/1",
+                         exec::default_thread_count());
+  json.field("clean_runs_identical", clean_identical)
+      .begin_array("scenarios");
+  for (const eval::AttackScenarioResult& r : results) {
     const std::uint64_t injected =
         r.attack.forged + r.attack.replayed + r.attack.flooded;
     const double detection =
         injected == 0 ? 0.0
                       : static_cast<double>(r.defend.frames_rejected()) /
                             static_cast<double>(injected);
-    out << "    {\n";
-    out << "      \"name\": \"" << r.scenario.name << "\",\n";
-    out << "      \"defended\": " << (r.scenario.defend ? "true" : "false")
-        << ",\n";
-    out << "      \"leave_events\": " << r.leave_events << ",\n";
-    out << "      \"case_a\": " << r.case_a << ",\n";
-    out << "      \"case_b\": " << r.case_b << ",\n";
-    out << "      \"case_c\": " << r.case_c << ",\n";
-    out << "      \"mean_deauth_delay_s\": " << r.mean_delay << ",\n";
-    out << "      \"p90_deauth_delay_s\": " << r.p90_delay << ",\n";
-    out << "      \"re_accuracy\": " << r.re_accuracy << ",\n";
-    out << "      \"spurious_deauths\": " << r.spurious_deauths << ",\n";
-    out << "      \"attack_forged\": " << r.attack.forged << ",\n";
-    out << "      \"attack_replayed\": " << r.attack.replayed << ",\n";
-    out << "      \"attack_flooded\": " << r.attack.flooded << ",\n";
-    out << "      \"attack_suppressed\": " << r.attack.suppressed << ",\n";
-    out << "      \"attack_jammed_samples\": " << r.attack.jammed_samples
-        << ",\n";
-    out << "      \"defend_frames_rejected\": "
-        << r.defend.frames_rejected() << ",\n";
-    out << "      \"defend_bad_tag\": " << r.defend.bad_tag << ",\n";
-    out << "      \"defend_unauthenticated\": " << r.defend.unauthenticated
-        << ",\n";
-    out << "      \"defend_replayed\": "
-        << r.defend.replayed + r.defend.stale << ",\n";
-    out << "      \"defend_rate_limited\": " << r.defend.rate_limited
-        << ",\n";
-    out << "      \"defend_reports_dropped\": "
-        << r.defend.impossible_rssi + r.defend.variance_flags +
-               r.defend.stuck_drops + r.defend.link_quarantine_drops
-        << ",\n";
-    out << "      \"defend_link_quarantine_drops\": "
-        << r.defend.link_quarantine_drops << ",\n";
-    out << "      \"detection_rate\": " << detection << ",\n";
-    out << "      \"station_imputed_cells\": " << r.health.imputed_cells
-        << ",\n";
-    out << "      \"station_malformed\": " << r.health.malformed << ",\n";
-    out << "      \"station_duplicates_rejected\": "
-        << r.health.duplicates_rejected << ",\n";
-    out << "      \"wire_rejected_frames\": " << r.wire.rejected_frames()
-        << ",\n";
-    out << "      \"row_digest\": " << r.row_digest << "\n";
-    out << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
+    json.begin_object()
+        .field("name", r.scenario.name)
+        .field("defended", r.scenario.defend)
+        .field("leave_events", r.leave_events)
+        .field("case_a", r.case_a)
+        .field("case_b", r.case_b)
+        .field("case_c", r.case_c)
+        .field("mean_deauth_delay_s", r.mean_delay)
+        .field("p90_deauth_delay_s", r.p90_delay)
+        .field("re_accuracy", r.re_accuracy)
+        .field("spurious_deauths", r.spurious_deauths)
+        .field("attack_forged", r.attack.forged)
+        .field("attack_replayed", r.attack.replayed)
+        .field("attack_flooded", r.attack.flooded)
+        .field("attack_suppressed", r.attack.suppressed)
+        .field("attack_jammed_samples", r.attack.jammed_samples)
+        .field("defend_frames_rejected", r.defend.frames_rejected())
+        .field("defend_bad_tag", r.defend.bad_tag)
+        .field("defend_unauthenticated", r.defend.unauthenticated)
+        .field("defend_replayed", r.defend.replayed + r.defend.stale)
+        .field("defend_rate_limited", r.defend.rate_limited)
+        .field("defend_reports_dropped",
+               r.defend.impossible_rssi + r.defend.variance_flags +
+                   r.defend.stuck_drops + r.defend.link_quarantine_drops)
+        .field("defend_link_quarantine_drops",
+               r.defend.link_quarantine_drops)
+        .field("detection_rate", detection)
+        .field("station_imputed_cells", r.health.imputed_cells)
+        .field("station_malformed", r.health.malformed)
+        .field("station_duplicates_rejected", r.health.duplicates_rejected)
+        .field("wire_rejected_frames", r.wire.rejected_frames())
+        .field("row_digest", r.row_digest)
+        .end();
   }
-  out << "  ],\n";
+  json.end();
 
   // Availability campaigns (outage DoS, RF jamming) remove information
   // the defender cannot conjure back, so their spurious-deauth residue
@@ -108,27 +87,23 @@ void write_json(const std::string& path, bool clean_identical,
   }
   const std::uint64_t anchor =
       clean_defended != nullptr ? clean_defended->spurious_deauths : 0;
-  out << "  \"availability_trend\": {\n";
-  bool first = true;
+  json.begin_object("availability_trend");
   for (const eval::AttackScenarioResult& r : results) {
     if (!r.scenario.defend) continue;
     if (r.scenario.name != "outage_dos" && r.scenario.name != "jam_mimic" &&
         r.scenario.name != "jam_mask") {
       continue;
     }
-    if (!first) out << ",\n";
-    first = false;
     const std::uint64_t over =
         r.spurious_deauths > anchor ? r.spurious_deauths - anchor : 0;
-    out << "    \"" << r.scenario.name << "\": {\n";
-    out << "      \"spurious_deauths\": " << r.spurious_deauths << ",\n";
-    out << "      \"spurious_over_clean\": " << over << ",\n";
-    out << "      \"jammed_samples\": " << r.attack.jammed_samples << ",\n";
-    out << "      \"imputed_cells\": " << r.health.imputed_cells << "\n";
-    out << "    }";
+    json.begin_object(r.scenario.name)
+        .field("spurious_deauths", r.spurious_deauths)
+        .field("spurious_over_clean", over)
+        .field("jammed_samples", r.attack.jammed_samples)
+        .field("imputed_cells", r.health.imputed_cells)
+        .end();
   }
-  out << "\n  }\n";
-  out << "}\n";
+  json.end().close();
 }
 
 }  // namespace

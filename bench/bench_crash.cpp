@@ -11,7 +11,6 @@
 // else.  Deauth decisions must never diverge past the re-warm window;
 // the json records the re-warm bound so readers can audit the claim.
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -54,59 +53,42 @@ void write_json(const std::string& path, const sim::Recording& recording,
                 const CaseCounts& reference_cases,
                 std::size_t reference_actions,
                 const std::vector<CrashRun>& runs) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_crash: cannot open " << path << " for writing\n";
-    std::exit(1);
+  bench::JsonReport json(path, "fadewich-bench-crash/2",
+                         exec::default_thread_count());
+  json.field("tick_hz", recording.rate().hz())
+      .field("total_ticks", recording.tick_count())
+      .begin_object("reference")
+      .field("actions", reference_actions)
+      .field("case_a", reference_cases.a)
+      .field("case_b", reference_cases.b)
+      .field("case_c", reference_cases.c)
+      .end()
+      .begin_array("runs");
+  for (const CrashRun& r : runs) {
+    json.begin_object()
+        .field("crash_fraction", r.crash_fraction)
+        .field("crash_tick", r.result.crash_tick)
+        .field("checkpoint_period_ticks", r.checkpoint_period)
+        .field("restored_tick", r.result.restored_tick)
+        .field("lost_ticks", r.result.crash_tick - r.result.restored_tick)
+        .field("cold_start", r.result.cold_start)
+        .field("snapshots_rejected", r.result.report.rejected.size())
+        .field("recovery_wall_ms", r.result.recovery_wall_ms)
+        .field("rewarm_bound_s", r.rewarm)
+        .field("reference_actions_after_restore",
+               r.divergence.reference_actions)
+        .field("divergent_in_rewarm", r.divergence.divergent_in_rewarm)
+        .field("divergent_after_rewarm", r.divergence.divergent_after_rewarm)
+        .field("divergent_deauths_after_rewarm",
+               r.divergence.divergent_deauths_after_rewarm)
+        .field("reconverge_after_s", r.divergence.reconverge_after)
+        .field("case_a", r.case_a)
+        .field("case_b", r.case_b)
+        .field("case_c", r.case_c)
+        .field("outcome_mismatches", r.outcome_mismatches)
+        .end();
   }
-  out.precision(6);
-  out << "{\n";
-  out << bench::json_stamp("fadewich-bench-crash/2",
-                           exec::default_thread_count());
-  out << "  \"tick_hz\": " << recording.rate().hz() << ",\n";
-  out << "  \"total_ticks\": " << recording.tick_count() << ",\n";
-  out << "  \"reference\": {\n";
-  out << "    \"actions\": " << reference_actions << ",\n";
-  out << "    \"case_a\": " << reference_cases.a << ",\n";
-  out << "    \"case_b\": " << reference_cases.b << ",\n";
-  out << "    \"case_c\": " << reference_cases.c << "\n";
-  out << "  },\n";
-  out << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const CrashRun& r = runs[i];
-    out << "    {\n";
-    out << "      \"crash_fraction\": " << r.crash_fraction << ",\n";
-    out << "      \"crash_tick\": " << r.result.crash_tick << ",\n";
-    out << "      \"checkpoint_period_ticks\": " << r.checkpoint_period
-        << ",\n";
-    out << "      \"restored_tick\": " << r.result.restored_tick << ",\n";
-    out << "      \"lost_ticks\": "
-        << (r.result.crash_tick - r.result.restored_tick) << ",\n";
-    out << "      \"cold_start\": " << (r.result.cold_start ? "true" : "false")
-        << ",\n";
-    out << "      \"snapshots_rejected\": " << r.result.report.rejected.size()
-        << ",\n";
-    out << "      \"recovery_wall_ms\": " << r.result.recovery_wall_ms
-        << ",\n";
-    out << "      \"rewarm_bound_s\": " << r.rewarm << ",\n";
-    out << "      \"reference_actions_after_restore\": "
-        << r.divergence.reference_actions << ",\n";
-    out << "      \"divergent_in_rewarm\": " << r.divergence.divergent_in_rewarm
-        << ",\n";
-    out << "      \"divergent_after_rewarm\": "
-        << r.divergence.divergent_after_rewarm << ",\n";
-    out << "      \"divergent_deauths_after_rewarm\": "
-        << r.divergence.divergent_deauths_after_rewarm << ",\n";
-    out << "      \"reconverge_after_s\": " << r.divergence.reconverge_after
-        << ",\n";
-    out << "      \"case_a\": " << r.case_a << ",\n";
-    out << "      \"case_b\": " << r.case_b << ",\n";
-    out << "      \"case_c\": " << r.case_c << ",\n";
-    out << "      \"outcome_mismatches\": " << r.outcome_mismatches << "\n";
-    out << "    }" << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
+  json.end().close();
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 // else.  The (loss = 0, dropped = 0) row replays the recording through
 // the central station with faults disabled and must match the fault-free
 // evaluation — it is the anchor the other rows are compared against.
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -25,55 +24,39 @@ namespace {
 
 void write_json(const std::string& path,
                 const std::vector<eval::FaultScenarioResult>& results) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_faults: cannot open " << path << " for writing\n";
-    std::exit(1);
-  }
-  out.precision(6);
-  out << "{\n";
-  out << bench::json_stamp("fadewich-bench-faults/2",
-                           exec::default_thread_count());
-  out << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const eval::FaultScenarioResult& r = results[i];
+  bench::JsonReport json(path, "fadewich-bench-faults/2",
+                         exec::default_thread_count());
+  json.begin_array("scenarios");
+  for (const eval::FaultScenarioResult& r : results) {
     const auto pct = [&](std::size_t n) {
       return r.leave_events == 0
                  ? 0.0
                  : 100.0 * static_cast<double>(n) /
                        static_cast<double>(r.leave_events);
     };
-    out << "    {\n";
-    out << "      \"loss_rate\": " << r.scenario.loss_rate << ",\n";
-    out << "      \"dropped_sensors\": " << r.scenario.dropped_sensors
-        << ",\n";
-    out << "      \"leave_events\": " << r.leave_events << ",\n";
-    out << "      \"case_a\": " << r.case_a << ",\n";
-    out << "      \"case_b\": " << r.case_b << ",\n";
-    out << "      \"case_c\": " << r.case_c << ",\n";
-    out << "      \"case_a_pct\": " << pct(r.case_a) << ",\n";
-    out << "      \"case_b_pct\": " << pct(r.case_b) << ",\n";
-    out << "      \"case_c_pct\": " << pct(r.case_c) << ",\n";
-    out << "      \"mean_deauth_delay_s\": " << r.mean_delay << ",\n";
-    out << "      \"p90_deauth_delay_s\": " << r.p90_delay << ",\n";
-    out << "      \"re_accuracy\": " << r.re_accuracy << ",\n";
-    out << "      \"reports_offered\": " << r.fault_counters.offered
-        << ",\n";
-    out << "      \"reports_dropped\": " << r.fault_counters.dropped
-        << ",\n";
-    out << "      \"reports_outage_dropped\": "
-        << r.fault_counters.outage_dropped << ",\n";
-    out << "      \"station_incomplete_releases\": "
-        << r.health.incomplete_releases << ",\n";
-    out << "      \"station_imputed_cells\": " << r.health.imputed_cells
-        << ",\n";
-    out << "      \"station_late_reports\": " << r.health.late_reports
-        << ",\n";
-    out << "      \"station_evictions\": " << r.health.evictions << "\n";
-    out << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
+    json.begin_object()
+        .field("loss_rate", r.scenario.loss_rate)
+        .field("dropped_sensors", r.scenario.dropped_sensors)
+        .field("leave_events", r.leave_events)
+        .field("case_a", r.case_a)
+        .field("case_b", r.case_b)
+        .field("case_c", r.case_c)
+        .field("case_a_pct", pct(r.case_a))
+        .field("case_b_pct", pct(r.case_b))
+        .field("case_c_pct", pct(r.case_c))
+        .field("mean_deauth_delay_s", r.mean_delay)
+        .field("p90_deauth_delay_s", r.p90_delay)
+        .field("re_accuracy", r.re_accuracy)
+        .field("reports_offered", r.fault_counters.offered)
+        .field("reports_dropped", r.fault_counters.dropped)
+        .field("reports_outage_dropped", r.fault_counters.outage_dropped)
+        .field("station_incomplete_releases", r.health.incomplete_releases)
+        .field("station_imputed_cells", r.health.imputed_cells)
+        .field("station_late_reports", r.health.late_reports)
+        .field("station_evictions", r.health.evictions)
+        .end();
   }
-  out << "  ]\n";
-  out << "}\n";
+  json.end().close();
 }
 
 }  // namespace

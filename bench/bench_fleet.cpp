@@ -16,7 +16,6 @@
 // both).  Malformed knob values abort loudly (common::env_*).
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -124,46 +123,34 @@ void write_json(const std::string& path,
                 const std::vector<SweepPoint>& sweep, Tick ticks,
                 std::uint32_t pool1, std::uint32_t pool4,
                 const RecoveryOutcome& recovery) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_fleet: cannot open " << path << " for writing\n";
-    std::exit(1);
+  bench::JsonReport json(path, "fadewich-bench-fleet/1",
+                         exec::default_thread_count());
+  json.field("week_ticks", ticks).begin_object("fleet");
+  for (const SweepPoint& p : sweep) {
+    json.begin_object("offices_" + std::to_string(p.offices))
+        .field("offices", p.offices)
+        .field("ticks", p.stats.ticks)
+        .field("wall_seconds", p.stats.wall_seconds)
+        .field("offices_per_sec", p.stats.offices_per_sec)
+        .field("ticks_per_sec", p.stats.ticks_per_sec)
+        .field("bytes_per_office", p.bytes_per_office)
+        .field("deauths", p.deauths)
+        .field("spurious_deauths", p.spurious_deauths)
+        .field("digest", p.digest)
+        .end();
   }
-  out.precision(6);
-  out << "{\n";
-  out << bench::json_stamp("fadewich-bench-fleet/1",
-                           exec::default_thread_count());
-  out << "  \"week_ticks\": " << ticks << ",\n";
-  out << "  \"fleet\": {\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    out << "    \"offices_" << p.offices << "\": {\n";
-    out << "      \"offices\": " << p.offices << ",\n";
-    out << "      \"ticks\": " << p.stats.ticks << ",\n";
-    out << "      \"wall_seconds\": " << p.stats.wall_seconds << ",\n";
-    out << "      \"offices_per_sec\": " << p.stats.offices_per_sec
-        << ",\n";
-    out << "      \"ticks_per_sec\": " << p.stats.ticks_per_sec << ",\n";
-    out << "      \"bytes_per_office\": " << p.bytes_per_office << ",\n";
-    out << "      \"deauths\": " << p.deauths << ",\n";
-    out << "      \"spurious_deauths\": " << p.spurious_deauths << ",\n";
-    out << "      \"digest\": " << p.digest << "\n";
-    out << "    }" << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  out << "  },\n";
-  out << "  \"determinism\": {\n";
-  out << "    \"pool1_digest\": " << pool1 << ",\n";
-  out << "    \"pool4_digest\": " << pool4 << ",\n";
-  out << "    \"match\": " << (pool1 == pool4 ? "true" : "false") << "\n";
-  out << "  },\n";
-  out << "  \"recovery\": {\n";
-  out << "    \"restarts\": " << recovery.restarts << ",\n";
-  out << "    \"recovered\": " << (recovery.recovered ? "true" : "false")
-      << ",\n";
-  out << "    \"neighbors_identical\": "
-      << (recovery.neighbors_identical ? "true" : "false") << "\n";
-  out << "  }\n";
-  out << "}\n";
+  json.end()
+      .begin_object("determinism")
+      .field("pool1_digest", pool1)
+      .field("pool4_digest", pool4)
+      .field("match", pool1 == pool4)
+      .end()
+      .begin_object("recovery")
+      .field("restarts", recovery.restarts)
+      .field("recovered", recovery.recovered)
+      .field("neighbors_identical", recovery.neighbors_identical)
+      .end()
+      .close();
 }
 
 }  // namespace

@@ -399,26 +399,6 @@ net::WireCounters run_corrupt(std::span<const std::uint8_t> frames) {
   return decoder.counters();
 }
 
-std::string wire_json(const char* name, const WireRun& run,
-                      std::uint64_t reports, bool bit_identical,
-                      const std::string& extra) {
-  std::string out;
-  out += std::string("  \"") + name + "\": {\n";
-  out += json_rate_fields(run.seconds, reports);
-  out += "    \"rows\": " + std::to_string(run.rows) + ",\n";
-  out += "    \"frames_ok\": " + std::to_string(run.decode.frames_ok) +
-         ",\n";
-  out += "    \"rejected_frames\": " +
-         std::to_string(run.decode.rejected_frames()) + ",\n";
-  out += "    \"backpressure_rejects\": " +
-         std::to_string(run.queue.rejected_full) + ",\n";
-  if (!extra.empty()) out += extra;
-  out += std::string("    \"bit_identical\": ") +
-         (bit_identical ? "true" : "false") + "\n";
-  out += "  },\n";
-  return out;
-}
-
 int run(int argc, char** argv) {
   const std::string path =
       argc > 1 ? argv[1] : std::string("BENCH_ingest.json");
@@ -489,86 +469,72 @@ int run(int argc, char** argv) {
         make_campus_capture(recording, shards, sweep_ticks);
     for (const std::size_t lanes : lane_sweep) {
       PlaneRun run = run_plane(campus, lanes, shards, batch, bounded);
+      const double rate = ratio(static_cast<double>(run.reports), run.seconds);
       std::cerr << "[bench_ingest] plane lanes=" << lanes
-                << " shards=" << shards << ": "
-                << (run.seconds > 0.0
-                        ? static_cast<double>(run.reports) / run.seconds
-                        : 0.0)
+                << " shards=" << shards << ": " << rate
                 << " reports/sec, bit_identical="
                 << (run.bit_identical ? "true" : "false") << "\n";
       plane_ok = plane_ok && run.bit_identical;
-      if (run.seconds > 0.0) {
-        plane_best_rate =
-            std::max(plane_best_rate,
-                     static_cast<double>(run.reports) / run.seconds);
-      }
+      plane_best_rate = std::max(plane_best_rate, rate);
       plane_runs.push_back(std::move(run));
     }
   }
 
   std::cerr << "[bench_ingest] corrupt-corpus pass\n";
   const net::WireCounters corrupt = run_corrupt(capture.frames);
+  std::remove(capture_path.c_str());
 
   exec::ThreadPool& pool = exec::ThreadPool::global();
-  std::ofstream out(path);
-  out << "{\n" << json_stamp("fadewich-bench-ingest/2", pool.thread_count());
-  out << "  \"ingest\": {\n";
-  out << "    \"devices\": " << kDevices << ",\n";
-  out << "    \"streams\": " << kDevices * kReportsPerFrame << ",\n";
-  out << "    \"ticks\": " << ticks << ",\n";
-  out << "    \"reports\": " << reports << ",\n";
-  out << "    \"frames\": " << frames_written << ",\n";
-  out << "    \"frame_bytes\": " << kFrameBytes << ",\n";
-  out << "    \"capture_bytes\": " << capture.frames.size() << ",\n";
-  out << "    \"ring_capacity\": " << ring << ",\n";
-  out << "    \"batch_size\": " << batch << "\n";
-  out << "  },\n";
-  out << "  \"in_process\": {\n";
-  out << json_rate_fields(reference.seconds, reports);
-  out << "    \"rows\": " << reference.rows << "\n";
-  out << "  },\n";
+  JsonReport json(path, "fadewich-bench-ingest/2", pool.thread_count());
+  json.begin_object("ingest")
+      .field("devices", kDevices)
+      .field("streams", kDevices * kReportsPerFrame)
+      .field("ticks", ticks)
+      .field("reports", reports)
+      .field("frames", frames_written)
+      .field("frame_bytes", kFrameBytes)
+      .field("capture_bytes", capture.frames.size())
+      .field("ring_capacity", ring)
+      .field("batch_size", batch)
+      .end();
+  rate_fields(json.begin_object("in_process"), reference.seconds, reports);
+  json.field("rows", reference.rows).end();
 
-  std::string depth_extra;
+  rate_fields(json.begin_object("wire_single_thread"), single.seconds,
+              reports);
+  json.field("rows", single.rows)
+      .field("frames_ok", single.decode.frames_ok)
+      .field("rejected_frames", single.decode.rejected_frames())
+      .field("backpressure_rejects", single.queue.rejected_full);
   if (depth_sample != nullptr) {
-    depth_extra += "    \"queue_depth_p50\": " +
-                   std::to_string(depth_sample->percentile(0.50)) + ",\n";
-    depth_extra += "    \"queue_depth_p95\": " +
-                   std::to_string(depth_sample->percentile(0.95)) + ",\n";
-    depth_extra += "    \"queue_depth_p99\": " +
-                   std::to_string(depth_sample->percentile(0.99)) + ",\n";
+    json.field("queue_depth_p50", depth_sample->percentile(0.50))
+        .field("queue_depth_p95", depth_sample->percentile(0.95))
+        .field("queue_depth_p99", depth_sample->percentile(0.99));
   }
-  out << wire_json("wire_single_thread", single, reports, single_ok,
-                   depth_extra);
+  json.field("bit_identical", single_ok).end();
 
-  out << "  \"plane_sweep\": [\n";
-  for (std::size_t i = 0; i < plane_runs.size(); ++i) {
-    const PlaneRun& run = plane_runs[i];
-    out << "    {\"lanes\": " << run.lanes << ", \"shards\": "
-        << run.shards << ", \"seconds\": " << std::to_string(run.seconds)
-        << ", \"reports_per_sec\": "
-        << std::to_string(run.seconds > 0.0
-                              ? static_cast<double>(run.reports) /
-                                    run.seconds
-                              : 0.0)
-        << ", \"rows\": " << run.rows << ", \"rounds\": " << run.rounds
-        << ", \"ring_full_backpressure\": " << run.backpressure
-        << ", \"bit_identical\": "
-        << (run.bit_identical ? "true" : "false") << "}"
-        << (i + 1 < plane_runs.size() ? "," : "") << "\n";
+  json.begin_array("plane_sweep");
+  for (const PlaneRun& run : plane_runs) {
+    json.begin_object().field("lanes", run.lanes).field("shards", run.shards);
+    rate_fields(json, run.seconds, run.reports);
+    json.field("rows", run.rows)
+        .field("rounds", run.rounds)
+        .field("ring_full_backpressure", run.backpressure)
+        .field("bit_identical", run.bit_identical)
+        .end();
   }
-  out << "  ],\n";
+  json.end();
 
-  out << "  \"corrupt\": {\n";
-  out << "    \"frames_offered\": "
-      << corrupt.frames_ok + corrupt.rejected_frames() << ",\n";
-  out << "    \"frames_ok\": " << corrupt.frames_ok << ",\n";
-  out << "    \"rejected_frames\": " << corrupt.rejected_frames() << ",\n";
-  out << "    \"bad_crc\": " << corrupt.bad_crc << ",\n";
-  out << "    \"bad_length\": " << corrupt.bad_length << ",\n";
-  out << "    \"bad_version\": " << corrupt.bad_version << ",\n";
-  out << "    \"truncated\": " << corrupt.truncated << ",\n";
-  out << "    \"resync_bytes\": " << corrupt.resync_bytes << "\n";
-  out << "  },\n";
+  json.begin_object("corrupt")
+      .field("frames_offered", corrupt.frames_ok + corrupt.rejected_frames())
+      .field("frames_ok", corrupt.frames_ok)
+      .field("rejected_frames", corrupt.rejected_frames())
+      .field("bad_crc", corrupt.bad_crc)
+      .field("bad_length", corrupt.bad_length)
+      .field("bad_version", corrupt.bad_version)
+      .field("truncated", corrupt.truncated)
+      .field("resync_bytes", corrupt.resync_bytes)
+      .end();
 
   // Ratio block in the perf-gate's shape: "speedup" entries under a named
   // section gated by tools/check_perf_regression.py --section
@@ -577,40 +543,27 @@ int run(int argc, char** argv) {
   // baseline rate, so a regression in either decode fan-out or the
   // station's RowSink path moves a gated number.
   const double single_rate =
-      single.seconds > 0.0
-          ? static_cast<double>(reports) / single.seconds
-          : 0.0;
-  const double wire_vs_inprocess =
-      single.seconds > 0.0 ? reference.seconds / single.seconds : 0.0;
-  out << "  \"ingest_ratios\": {\n";
-  out << "    \"wire_vs_inprocess\": {\"speedup\": "
-      << std::to_string(wire_vs_inprocess) << "},\n";
-  out << "    \"sharded_plane_vs_single_lane\": {\"speedup\": "
-      << std::to_string(single_rate > 0.0 ? plane_best_rate / single_rate
-                                          : 0.0)
-      << "}";
+      ratio(static_cast<double>(reports), single.seconds);
+  const auto speedup = [&](const std::string& name, double value) {
+    json.begin_object(name).field("speedup", value).end();
+  };
+  json.begin_object("ingest_ratios");
+  speedup("wire_vs_inprocess", ratio(reference.seconds, single.seconds));
+  speedup("sharded_plane_vs_single_lane",
+          ratio(plane_best_rate, single_rate));
   for (const PlaneRun& run : plane_runs) {
-    const double rate =
-        run.seconds > 0.0
-            ? static_cast<double>(run.reports) / run.seconds
-            : 0.0;
-    out << ",\n    \"plane_lanes" << run.lanes << "_shards" << run.shards
-        << "\": {\"speedup\": "
-        << std::to_string(single_rate > 0.0 ? rate / single_rate : 0.0)
-        << "}";
+    speedup("plane_lanes" + std::to_string(run.lanes) + "_shards" +
+                std::to_string(run.shards),
+            ratio(ratio(static_cast<double>(run.reports), run.seconds),
+                  single_rate));
   }
-  out << "\n  }\n";
-  out << "}\n";
-  out.close();
-
-  std::remove(capture_path.c_str());
+  json.end().close();
 
   std::cerr << "[bench_ingest] single-lane baseline: " << single_rate
             << " reports/sec, bit_identical="
             << (single_ok ? "true" : "false") << "\n";
   std::cerr << "[bench_ingest] best plane cell: " << plane_best_rate
-            << " reports/sec ("
-            << (single_rate > 0.0 ? plane_best_rate / single_rate : 0.0)
+            << " reports/sec (" << ratio(plane_best_rate, single_rate)
             << "x single-lane)\n";
   std::cerr << "[bench_ingest] wrote " << path << "\n";
 

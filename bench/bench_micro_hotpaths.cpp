@@ -16,7 +16,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
@@ -679,28 +678,24 @@ int run_hotpath_report(const std::string& path) {
   const std::vector<SingleRate> singles{bench_system_step(),
                                         bench_profile_refit()};
 
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open " << path << "\n";
-    return 1;
-  }
-  out << "{\n";
-  out << bench::json_stamp("fadewich-bench-hotpaths/2",
-                           exec::default_thread_count());
-  out << "  \"hotpaths\": {\n";
+  bench::JsonReport json(path, "fadewich-bench-hotpaths/2",
+                         exec::default_thread_count());
+  json.begin_object("hotpaths");
   for (const HotpathPair& p : pairs) {
-    out << "    \"" << p.name << "\": {\"ops\": " << p.ops
-        << ", \"scalar_ns_per_op\": " << p.scalar_ns
-        << ", \"batched_ns_per_op\": " << p.batched_ns
-        << ", \"speedup\": " << p.speedup() << "},\n";
+    json.begin_object(p.name)
+        .field("ops", p.ops)
+        .field("scalar_ns_per_op", p.scalar_ns)
+        .field("batched_ns_per_op", p.batched_ns)
+        .field("speedup", p.speedup())
+        .end();
   }
-  for (std::size_t i = 0; i < singles.size(); ++i) {
-    out << "    \"" << singles[i].name << "\": {\"ops\": " << singles[i].ops
-        << ", \"ns_per_op\": " << singles[i].ns_per_op << "}"
-        << (i + 1 < singles.size() ? ",\n" : "\n");
+  for (const SingleRate& r : singles) {
+    json.begin_object(r.name)
+        .field("ops", r.ops)
+        .field("ns_per_op", r.ns_per_op)
+        .end();
   }
-  out << "  }\n";
-  out << "}\n";
+  json.end().close();
 
   for (const HotpathPair& p : pairs) {
     std::cout << p.name << ": scalar " << p.scalar_ns << " ns/op, batched "

@@ -10,11 +10,8 @@
 // Overhead percentages are recorded, not asserted: single-run wall times
 // are noisy and the budget is enforced by inspection of the trajectory,
 // not by failing CI on scheduler jitter.
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -30,20 +27,6 @@
 
 namespace fadewich::bench {
 namespace {
-
-template <typename F>
-double time_best_ms(int reps, F&& fn) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
 
 struct Overhead {
   std::string name;
@@ -194,10 +177,8 @@ void write_scrape_samples(const std::string& prom_path,
       network.injector()->counters();
   const obs::ScrapeReport report = supervised.scrape(&counters);
 
-  std::ofstream prom(prom_path);
-  prom << report.to_prometheus();
-  std::ofstream json(json_path);
-  json << report.to_json();
+  write_file(prom_path, report.to_prometheus());
+  write_file(json_path, report.to_json());
   std::filesystem::remove_all(ring_dir);
   std::cerr << "[bench_obs] wrote " << prom_path << " and " << json_path
             << "\n";
@@ -206,34 +187,20 @@ void write_scrape_samples(const std::string& prom_path,
 void write_json(const std::string& path,
                 const std::vector<Overhead>& overheads,
                 const std::vector<Primitive>& primitives) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_obs: cannot open " << path << " for writing\n";
-    std::exit(1);
+  JsonReport json(path, "fadewich-bench-obs/1", 1);
+  json.begin_array("workloads");
+  for (const Overhead& o : overheads) {
+    json.begin_object()
+        .field("name", o.name)
+        .field("items", o.items)
+        .field("disabled_wall_ms", o.disabled_ms)
+        .field("enabled_wall_ms", o.enabled_ms)
+        .field("overhead_pct", o.overhead_pct())
+        .end();
   }
-  out.precision(6);
-  out << "{\n";
-  out << json_stamp("fadewich-bench-obs/1", 1);
-  out << "  \"workloads\": [\n";
-  for (std::size_t i = 0; i < overheads.size(); ++i) {
-    const Overhead& o = overheads[i];
-    out << "    {\n";
-    out << "      \"name\": \"" << o.name << "\",\n";
-    out << "      \"items\": " << o.items << ",\n";
-    out << "      \"disabled_wall_ms\": " << o.disabled_ms << ",\n";
-    out << "      \"enabled_wall_ms\": " << o.enabled_ms << ",\n";
-    out << "      \"overhead_pct\": " << o.overhead_pct() << "\n";
-    out << "    }" << (i + 1 < overheads.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"primitives_ns_per_op\": {\n";
-  for (std::size_t i = 0; i < primitives.size(); ++i) {
-    out << "    \"" << primitives[i].name
-        << "\": " << primitives[i].ns_per_op
-        << (i + 1 < primitives.size() ? "," : "") << "\n";
-  }
-  out << "  }\n";
-  out << "}\n";
+  json.end().begin_object("primitives_ns_per_op");
+  for (const Primitive& p : primitives) json.field(p.name, p.ns_per_op);
+  json.end().close();
 }
 
 int run(int argc, char** argv) {

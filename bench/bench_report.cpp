@@ -8,10 +8,7 @@
 // FADEWICH_BENCH_FAST=1 shrinks the workloads for smoke runs;
 // FADEWICH_THREADS caps the parallel pool as everywhere else.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -30,21 +27,6 @@
 
 namespace fadewich::bench {
 namespace {
-
-/// Best-of-`reps` wall time of fn(), in milliseconds.
-template <typename F>
-double time_best_ms(int reps, F&& fn) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
 
 struct Comparison {
   std::string name;
@@ -231,61 +213,46 @@ void write_json(const std::string& path,
                 const std::vector<Comparison>& comparisons,
                 const std::vector<SingleRate>& rates,
                 const StationStats& station, std::size_t threads) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_report: cannot open " << path << " for writing\n";
-    std::exit(1);
+  JsonReport json(path, "fadewich-bench-parallel/2", threads);
+  json.begin_array("benchmarks");
+  for (const Comparison& c : comparisons) {
+    json.begin_object()
+        .field("name", c.name)
+        .field("items", c.items)
+        .field("serial_wall_ms", c.serial_ms)
+        .field("serial_items_per_s", c.serial_items_per_s())
+        .field("parallel_wall_ms", c.parallel_ms)
+        .field("parallel_items_per_s", c.parallel_items_per_s())
+        .field("speedup", c.speedup())
+        .end();
   }
-  out.precision(6);
-  out << "{\n";
-  out << json_stamp("fadewich-bench-parallel/2", threads);
-  out << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < comparisons.size(); ++i) {
-    const Comparison& c = comparisons[i];
-    out << "    {\n";
-    out << "      \"name\": \"" << c.name << "\",\n";
-    out << "      \"items\": " << c.items << ",\n";
-    out << "      \"serial_wall_ms\": " << c.serial_ms << ",\n";
-    out << "      \"serial_items_per_s\": " << c.serial_items_per_s()
-        << ",\n";
-    out << "      \"parallel_wall_ms\": " << c.parallel_ms << ",\n";
-    out << "      \"parallel_items_per_s\": " << c.parallel_items_per_s()
-        << ",\n";
-    out << "      \"speedup\": " << c.speedup() << "\n";
-    out << "    }" << (i + 1 < comparisons.size() ? "," : "") << "\n";
+  json.end().begin_array("single_thread");
+  for (const SingleRate& r : rates) {
+    json.begin_object()
+        .field("name", r.name)
+        .field("items", r.items)
+        .field("wall_ms", r.wall_ms)
+        .field("items_per_s", r.items_per_s())
+        .end();
   }
-  out << "  ],\n";
-  out << "  \"single_thread\": [\n";
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    const SingleRate& r = rates[i];
-    out << "    {\n";
-    out << "      \"name\": \"" << r.name << "\",\n";
-    out << "      \"items\": " << r.items << ",\n";
-    out << "      \"wall_ms\": " << r.wall_ms << ",\n";
-    out << "      \"items_per_s\": " << r.items_per_s() << "\n";
-    out << "    }" << (i + 1 < rates.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"station_health\": {\n";
-  out << "    \"name\": \"" << station.rate.name << "\",\n";
-  out << "    \"items\": " << station.rate.items << ",\n";
-  out << "    \"wall_ms\": " << station.rate.wall_ms << ",\n";
-  out << "    \"items_per_s\": " << station.rate.items_per_s() << ",\n";
-  out << "    \"reports\": " << station.health.reports << ",\n";
-  out << "    \"duplicates\": " << station.health.duplicates << ",\n";
-  out << "    \"late_reports\": " << station.health.late_reports << ",\n";
-  out << "    \"evictions\": " << station.health.evictions << ",\n";
-  out << "    \"incomplete_releases\": "
-      << station.health.incomplete_releases << ",\n";
-  out << "    \"imputed_cells\": " << station.health.imputed_cells
-      << ",\n";
-  out << "    \"faults_offered\": " << station.faults.offered << ",\n";
-  out << "    \"faults_dropped\": " << station.faults.dropped << ",\n";
-  out << "    \"faults_delayed\": " << station.faults.delayed << ",\n";
-  out << "    \"faults_duplicated\": " << station.faults.duplicated
-      << "\n";
-  out << "  }\n";
-  out << "}\n";
+  json.end()
+      .begin_object("station_health")
+      .field("name", station.rate.name)
+      .field("items", station.rate.items)
+      .field("wall_ms", station.rate.wall_ms)
+      .field("items_per_s", station.rate.items_per_s())
+      .field("reports", station.health.reports)
+      .field("duplicates", station.health.duplicates)
+      .field("late_reports", station.health.late_reports)
+      .field("evictions", station.health.evictions)
+      .field("incomplete_releases", station.health.incomplete_releases)
+      .field("imputed_cells", station.health.imputed_cells)
+      .field("faults_offered", station.faults.offered)
+      .field("faults_dropped", station.faults.dropped)
+      .field("faults_delayed", station.faults.delayed)
+      .field("faults_duplicated", station.faults.duplicated)
+      .end();
+  json.close();
 }
 
 int run(int argc, char** argv) {

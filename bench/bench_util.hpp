@@ -4,10 +4,9 @@
 // collection), printing the paper's reference values next to ours.
 #pragma once
 
-#include <cstdlib>
 #include <iostream>
-#include <string>
 
+#include "bench_json.hpp"
 #include "fadewich/eval/adversary.hpp"
 #include "fadewich/eval/md_evaluation.hpp"
 #include "fadewich/eval/paper_setup.hpp"
@@ -20,13 +19,12 @@
 namespace fadewich::bench {
 
 /// The canonical experiment every bench analyses.  FADEWICH_BENCH_FAST=1
-/// in the environment shrinks it (2 days x 2 h) so the whole bench suite
+/// (see fast_mode()) shrinks it (2 days x 2 h) so the whole bench suite
 /// can be smoke-tested quickly; by default it matches the paper's scale
 /// (5 days x 8 h, 3 users, 9 sensors).
 inline eval::PaperExperiment make_experiment() {
   eval::PaperSetup setup;
-  const char* fast = std::getenv("FADEWICH_BENCH_FAST");
-  if (fast != nullptr && std::string(fast) == "1") {
+  if (fast_mode()) {
     setup.days = 2;
     setup.day.day_length = 2.0 * 3600.0;
   }

@@ -45,31 +45,22 @@ SecurityResult evaluate_security(
     const core::MovementDetectorConfig& md_config,
     const SecurityConfig& config) {
   SecurityResult result;
-  auto& tracer = obs::tracer();
-  const auto whole = tracer.scope("evaluate_security");
 
   // 1. MD over the whole monitored period.
-  const MdRun md = [&] {
-    const auto span = tracer.scope("movement_detection");
-    return run_md(recording, sensors, md_config);
-  }();
+  const MdRun md = run_md(recording, sensors, md_config);
   const auto windows =
       filter_by_duration(md.windows, recording.rate(), config.t_delta);
   result.matches = match_windows(windows, recording.events(),
                                  recording.rate(), config.match);
 
   // 2. TP dataset with ground-truth labels.
-  const ml::Dataset data = [&] {
-    const auto span = tracer.scope("build_dataset");
-    return build_dataset(recording, sensors, result.matches,
-                         config.t_delta, config.features);
-  }();
+  const ml::Dataset data = build_dataset(recording, sensors, result.matches,
+                                         config.t_delta, config.features);
 
   // 3. Stratified k-fold predictions for every TP sample; the folds
   // train concurrently on the shared pool.
   std::vector<int> fold_prediction(data.size(), core::kLabelEntered);
   if (data.size() >= config.folds && data.max_label_plus_one() >= 2) {
-    const auto span = tracer.scope("cross_validate");
     Rng rng(config.seed);
     const auto folds =
         ml::stratified_k_fold(data.labels, config.folds, rng);
@@ -89,12 +80,10 @@ SecurityResult evaluate_security(
   // 4. Full-data model for windows outside the TP set (false positives).
   std::optional<ml::MulticlassSvm> full_model;
   if (!data.empty()) {
-    const auto span = tracer.scope("train_full_model");
     full_model.emplace(config.svm);
     full_model->train(data);
   }
 
-  const auto decisions_span = tracer.scope("decisions");
   // 5. Per-window decisions.
   std::map<Tick, std::size_t> tp_by_begin;  // window begin -> sample index
   for (std::size_t i = 0; i < result.matches.true_positives.size(); ++i) {

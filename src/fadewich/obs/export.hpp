@@ -4,15 +4,15 @@
 // A ScrapeReport is the one-call health surface: the merged metrics
 // snapshot, any number of named HealthBlocks (bespoke counter structs —
 // net::StationHealth, the supervisor's HealthReport — flattened to
-// key/number pairs by their owning modules), recent structured events,
-// and the finished trace spans.  Both exporters render the same report:
+// key/number pairs by their owning modules), and recent structured
+// events.  Both exporters render the same report:
 //
 //   to_prometheus(): `# HELP` / `# TYPE` / sample lines; histograms as
 //     cumulative `_bucket{le=...}` + `_sum` + `_count`; health blocks as
 //     gauges named fadewich_health_<block>_<field>.  Metric names may
 //     carry a `{label="x"}` suffix which is merged into the sample's
 //     label set.
-//   to_json(): one document with "metrics", "health", "events", "spans"
+//   to_json(): one document with "metrics", "health" and "events"
 //     sections; histograms carry count/sum/p50/p95/p99 plus raw buckets.
 #pragma once
 
@@ -24,7 +24,6 @@
 
 #include "fadewich/obs/event_log.hpp"
 #include "fadewich/obs/metrics.hpp"
-#include "fadewich/obs/trace.hpp"
 
 namespace fadewich::obs {
 
@@ -60,7 +59,6 @@ struct ScrapeReport {
   MetricsSnapshot metrics;
   std::vector<HealthBlock> health;
   std::vector<Event> events;
-  std::vector<Span> spans;
 
   const HealthBlock* find_block(const std::string& name) const;
 
@@ -69,12 +67,11 @@ struct ScrapeReport {
 };
 
 /// Capture the registry (global by default) plus, when given, the event
-/// ring and finished spans.  Modules' bespoke health structs are folded
-/// in afterwards via ScrapeReport::health (see net::health_block,
-/// persist::health_block, or persist::SupervisedSystem::scrape for the
-/// fully-assembled document).
+/// ring.  Modules' bespoke health structs are folded in afterwards via
+/// ScrapeReport::health (see net::health_block, persist::health_block,
+/// or persist::SupervisedSystem::scrape for the fully-assembled
+/// document).
 ScrapeReport scrape(const MetricsRegistry& registry = MetricsRegistry::global(),
-                    const EventLog* events = nullptr,
-                    const Tracer* tracer = nullptr);
+                    const EventLog* events = nullptr);
 
 }  // namespace fadewich::obs

@@ -1,8 +1,6 @@
 #include "fadewich/obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 
 #include "fadewich/common/error.hpp"
 
@@ -130,25 +128,6 @@ const HistogramSample* MetricsSnapshot::find_histogram(
 }
 
 std::vector<double> default_bucket_bounds() {
-  if (const char* env = std::getenv("FADEWICH_OBS_BUCKETS")) {
-    std::vector<double> bounds;
-    std::istringstream in(env);
-    std::string token;
-    bool valid = true;
-    while (std::getline(in, token, ',')) {
-      char* end = nullptr;
-      const double v = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0' ||
-          (!bounds.empty() && v <= bounds.back())) {
-        valid = false;
-        break;
-      }
-      bounds.push_back(v);
-    }
-    if (valid && !bounds.empty()) return bounds;
-    // Malformed config degrades to the built-in ladder rather than
-    // aborting a deployment over a telemetry knob.
-  }
   // 1-2.5-5 ladder, 1 µs .. 10 s: covers per-tick latencies through
   // checkpoint writes.
   return {1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,

@@ -223,9 +223,8 @@ struct MetricsSnapshot {
   const HistogramSample* find_histogram(const std::string& name) const;
 };
 
-/// Default histogram bucket bounds: the FADEWICH_OBS_BUCKETS environment
-/// variable (comma-separated increasing doubles) when set and valid,
-/// otherwise a 1-2.5-5 latency ladder from 1 µs to 10 s.
+/// Default histogram bucket bounds: a 1-2.5-5 latency ladder from 1 µs
+/// to 10 s.
 std::vector<double> default_bucket_bounds();
 
 class MetricsRegistry {

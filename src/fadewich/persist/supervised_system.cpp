@@ -81,8 +81,7 @@ SupervisedSystem::StepResult SupervisedSystem::step(
 
 obs::ScrapeReport SupervisedSystem::scrape(
     const net::FaultInjector::Counters* faults) const {
-  obs::ScrapeReport report =
-      obs::scrape(obs::registry(), &obs::events(), &obs::tracer());
+  obs::ScrapeReport report = obs::scrape(obs::registry(), &obs::events());
 
   obs::HealthBlock pipeline;
   pipeline.name = "pipeline";

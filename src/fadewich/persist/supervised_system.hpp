@@ -82,8 +82,7 @@ class SupervisedSystem {
 
   /// One unified observability document: every metric family plus
   /// pipeline, station, fault (when given), and supervisor health, with
-  /// recent events and finished spans folded in.  Render with
-  /// to_prometheus() or to_json().
+  /// recent events folded in.  Render with to_prometheus() or to_json().
   obs::ScrapeReport scrape(
       const net::FaultInjector::Counters* faults = nullptr) const;
 

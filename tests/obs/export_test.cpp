@@ -79,17 +79,12 @@ TEST_F(ObsExportTest, JsonSnapshotCarriesPercentiles) {
   EXPECT_TRUE(contains(json, "{\"le\":\"+Inf\",\"count\":100}"));
 }
 
-TEST_F(ObsExportTest, ScrapeReportFoldsHealthEventsAndSpans) {
+TEST_F(ObsExportTest, ScrapeReportFoldsHealthAndEvents) {
   registry_.counter("t_scrape_total").inc();
   EventLog events;
   events.warn("net", "sensor offline", 40, {{"sensor", "1"}});
-  Tracer tracer;
-  {
-    auto root = tracer.scope("evaluate");
-    auto child = tracer.scope("train");
-  }
 
-  ScrapeReport report = scrape(registry_, &events, &tracer);
+  ScrapeReport report = scrape(registry_, &events);
   HealthBlock station;
   station.name = "station";
   station.add("reports", 120.0);
@@ -116,21 +111,17 @@ TEST_F(ObsExportTest, ScrapeReportFoldsHealthEventsAndSpans) {
   EXPECT_TRUE(contains(
       json, "\"station\":{\"reports\":120,\"duplicates\":4}"));
   EXPECT_TRUE(contains(json, "\"supervisor\":{\"all_healthy\":1}"));
-  // The one warn event and both closed spans ride along.
+  // The one warn event rides along, and the events array closes the
+  // document.
   EXPECT_TRUE(contains(json, "\"message\":\"sensor offline\""));
   EXPECT_TRUE(contains(json, "\"sensor\":\"1\""));
-  EXPECT_TRUE(contains(json, "\"name\":\"train\""));
-  EXPECT_TRUE(contains(json, "\"name\":\"evaluate\""));
-  ASSERT_EQ(report.spans.size(), 2u);
-  EXPECT_EQ(report.spans[0].name, "train");
-  EXPECT_EQ(report.spans[0].parent, report.spans[1].id);
+  EXPECT_TRUE(json.ends_with("\"sensor\":\"1\"}]}"));
 }
 
-TEST_F(ObsExportTest, ScrapeWithoutEventsOrTracerIsMetricsOnly) {
+TEST_F(ObsExportTest, ScrapeWithoutEventsIsMetricsOnly) {
   registry_.gauge("t_only_gauge").set(2.0);
   const ScrapeReport report = scrape(registry_);
   EXPECT_TRUE(report.events.empty());
-  EXPECT_TRUE(report.spans.empty());
   EXPECT_TRUE(report.health.empty());
   EXPECT_TRUE(contains(report.to_prometheus(), "t_only_gauge 2\n"));
 }
