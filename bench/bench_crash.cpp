@@ -29,28 +29,12 @@ struct CrashRun {
   eval::CrashReplayResult result;
   eval::DivergenceResult divergence;
   Seconds rewarm = 0.0;
-  std::size_t case_a = 0, case_b = 0, case_c = 0;
+  eval::OutcomeTally cases;
   std::size_t outcome_mismatches = 0;  // vs the reference run, all events
 };
 
-struct CaseCounts {
-  std::size_t a = 0, b = 0, c = 0;
-};
-
-CaseCounts count_cases(const std::vector<eval::DeauthCase>& outcomes) {
-  CaseCounts counts;
-  for (const eval::DeauthCase outcome : outcomes) {
-    switch (outcome) {
-      case eval::DeauthCase::kCorrect: ++counts.a; break;
-      case eval::DeauthCase::kMisclassified: ++counts.b; break;
-      case eval::DeauthCase::kMissed: ++counts.c; break;
-    }
-  }
-  return counts;
-}
-
 void write_json(const std::string& path, const sim::Recording& recording,
-                const CaseCounts& reference_cases,
+                const eval::OutcomeTally& reference_cases,
                 std::size_t reference_actions,
                 const std::vector<CrashRun>& runs) {
   bench::JsonReport json(path, "fadewich-bench-crash/2",
@@ -59,9 +43,9 @@ void write_json(const std::string& path, const sim::Recording& recording,
       .field("total_ticks", recording.tick_count())
       .begin_object("reference")
       .field("actions", reference_actions)
-      .field("case_a", reference_cases.a)
-      .field("case_b", reference_cases.b)
-      .field("case_c", reference_cases.c)
+      .field("case_a", reference_cases.case_a)
+      .field("case_b", reference_cases.case_b)
+      .field("case_c", reference_cases.case_c)
       .end()
       .begin_array("runs");
   for (const CrashRun& r : runs) {
@@ -82,9 +66,9 @@ void write_json(const std::string& path, const sim::Recording& recording,
         .field("divergent_deauths_after_rewarm",
                r.divergence.divergent_deauths_after_rewarm)
         .field("reconverge_after_s", r.divergence.reconverge_after)
-        .field("case_a", r.case_a)
-        .field("case_b", r.case_b)
-        .field("case_c", r.case_c)
+        .field("case_a", r.cases.case_a)
+        .field("case_b", r.cases.case_b)
+        .field("case_c", r.cases.case_c)
         .field("outcome_mismatches", r.outcome_mismatches)
         .end();
   }
@@ -112,11 +96,13 @@ int main(int argc, char** argv) {
   std::cerr << "[bench_crash] reference (uninterrupted) run...\n";
   const std::vector<eval::ActionRecord> reference =
       eval::run_online(recording, workstations, online);
-  const CaseCounts reference_cases =
-      count_cases(eval::leave_outcomes(recording, reference));
+  const std::vector<eval::LeaveOutcome> reference_outcomes =
+      eval::leave_outcomes(recording, reference);
+  const eval::OutcomeTally reference_cases =
+      eval::tally_outcomes(reference_outcomes);
   std::cerr << "[bench_crash]   " << reference.size() << " actions, A="
-            << reference_cases.a << " B=" << reference_cases.b
-            << " C=" << reference_cases.c << "\n";
+            << reference_cases.case_a << " B=" << reference_cases.case_b
+            << " C=" << reference_cases.case_c << "\n";
 
   const auto ring_dir =
       std::filesystem::temp_directory_path() / "fadewich_bench_crash";
@@ -150,15 +136,11 @@ int main(int argc, char** argv) {
       run.divergence = eval::compare_actions(reference, run.result,
                                              recording.rate(), run.rewarm);
 
-      const auto reference_outcomes = eval::leave_outcomes(recording, reference);
       const auto crashed_outcomes =
           eval::leave_outcomes(recording, run.result.actions);
-      const CaseCounts cases = count_cases(crashed_outcomes);
-      run.case_a = cases.a;
-      run.case_b = cases.b;
-      run.case_c = cases.c;
+      run.cases = eval::tally_outcomes(crashed_outcomes);
       for (std::size_t i = 0; i < crashed_outcomes.size(); ++i) {
-        if (crashed_outcomes[i] != reference_outcomes[i]) {
+        if (crashed_outcomes[i].outcome != reference_outcomes[i].outcome) {
           ++run.outcome_mismatches;
         }
       }
@@ -191,12 +173,14 @@ int main(int argc, char** argv) {
          std::to_string(r.divergence.divergent_in_rewarm),
          std::to_string(r.divergence.divergent_after_rewarm),
          std::to_string(r.divergence.divergent_deauths_after_rewarm),
-         std::to_string(r.case_a) + "/" + std::to_string(r.case_b) + "/" +
-             std::to_string(r.case_c)});
+         std::to_string(r.cases.case_a) + "/" +
+             std::to_string(r.cases.case_b) + "/" +
+             std::to_string(r.cases.case_c)});
   }
   table.print(std::cout);
-  std::cout << "\nreference run: A=" << reference_cases.a
-            << " B=" << reference_cases.b << " C=" << reference_cases.c
+  std::cout << "\nreference run: A=" << reference_cases.case_a
+            << " B=" << reference_cases.case_b
+            << " C=" << reference_cases.case_c
             << "; deauth divergence after the re-warm window must be 0 in\n"
                "every row — alert-boundary jitter (div after) is the\n"
                "documented cost of dropping MD's sliding windows from the\n"

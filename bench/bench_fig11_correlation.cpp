@@ -22,7 +22,7 @@ int main() {
   const auto pairs = eval::dataset_stream_pairs(eval::sensor_subset(9));
 
   // Variance column of each stream across the samples.
-  const std::size_t per_stream = features.features_per_stream();
+  const std::size_t per_stream = core::kFeaturesPerStream;
   std::vector<std::vector<double>> variance_columns(pairs.size());
   for (std::size_t s = 0; s < pairs.size(); ++s) {
     for (const auto& sample : data.features) {

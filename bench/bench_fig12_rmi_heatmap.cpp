@@ -21,7 +21,7 @@ int main() {
       eval::build_dataset(experiment.recording, eval::sensor_subset(9),
                           analysis.matches, kTDelta, features);
   const auto pairs = eval::dataset_stream_pairs(eval::sensor_subset(9));
-  const std::size_t per_stream = features.features_per_stream();
+  const std::size_t per_stream = core::kFeaturesPerStream;
 
   // Stream importance: best RMI among its features (256 linear bins, as
   // in Appendix A).

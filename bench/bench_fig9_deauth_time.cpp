@@ -23,18 +23,9 @@ int main() {
                                 eval::default_md_config(), config);
     series.push_back(
         eval::deauth_proportion_series(security.outcomes, grid));
-    std::size_t a = 0;
-    std::size_t b = 0;
-    std::size_t c = 0;
-    for (const auto& o : security.outcomes) {
-      switch (o.outcome) {
-        case eval::DeauthCase::kCorrect: ++a; break;
-        case eval::DeauthCase::kMisclassified: ++b; break;
-        case eval::DeauthCase::kMissed: ++c; break;
-      }
-    }
-    std::cerr << "[bench] " << n << " sensors: case A=" << a
-              << " B=" << b << " C=" << c
+    const eval::OutcomeTally tally = eval::tally_outcomes(security.outcomes);
+    std::cerr << "[bench] " << n << " sensors: case A=" << tally.case_a
+              << " B=" << tally.case_b << " C=" << tally.case_c
               << " (RE k-fold accuracy "
               << eval::fmt(security.re_accuracy, 3) << ")\n";
   }

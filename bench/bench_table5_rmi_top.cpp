@@ -17,8 +17,7 @@ int main() {
   const auto data =
       eval::build_dataset(experiment.recording, eval::sensor_subset(9),
                           analysis.matches, kTDelta, features);
-  const auto names = eval::dataset_feature_names(
-      experiment.recording, eval::sensor_subset(9), features);
+  const auto names = eval::dataset_feature_names(eval::sensor_subset(9));
 
   // Column-major view and per-feature RMI.
   const std::size_t dims = data.feature_count();

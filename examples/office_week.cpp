@@ -63,23 +63,16 @@ int main(int argc, char** argv) {
             << eval::fmt(security.re_accuracy, 3) << "\n";
 
   eval::print_banner(std::cout, "Deauthentication outcomes (Fig. 5)");
-  std::size_t a = 0;
-  std::size_t b = 0;
-  std::size_t c = 0;
+  const eval::OutcomeTally tally = eval::tally_outcomes(security.outcomes);
   double worst_delay = 0.0;
   for (const auto& outcome : security.outcomes) {
-    switch (outcome.outcome) {
-      case eval::DeauthCase::kCorrect:
-        ++a;
-        worst_delay = std::max(worst_delay, outcome.delay);
-        break;
-      case eval::DeauthCase::kMisclassified: ++b; break;
-      case eval::DeauthCase::kMissed: ++c; break;
+    if (outcome.outcome == eval::DeauthCase::kCorrect) {
+      worst_delay = std::max(worst_delay, outcome.delay);
     }
   }
-  std::cout << "case A (correct, t1+t_delta): " << a
-            << "\ncase B (misclassified, t+tID+tss): " << b
-            << "\ncase C (missed, timeout): " << c
+  std::cout << "case A (correct, t1+t_delta): " << tally.case_a
+            << "\ncase B (misclassified, t+tID+tss): " << tally.case_b
+            << "\ncase C (missed, timeout): " << tally.case_c
             << "\nslowest case-A deauthentication: "
             << eval::fmt(worst_delay, 1) << " s after departure\n";
 

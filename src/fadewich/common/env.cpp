@@ -92,20 +92,6 @@ std::optional<double> env_positive_real(const char* name) {
   return parsed;
 }
 
-std::optional<std::uint64_t> env_u64(const char* name) {
-  const std::optional<std::string> value = env_raw(name);
-  if (!value) return std::nullopt;
-  for (const char c : *value) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      malformed(name, *value, "a decimal integer in [0, 2^64)");
-    }
-  }
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value->c_str(), nullptr, 10);
-  if (errno != 0) malformed(name, *value, "a decimal integer in [0, 2^64)");
-  return static_cast<std::uint64_t>(parsed);
-}
-
 std::vector<std::size_t> env_count_list(const char* name,
                                         std::size_t max_value) {
   const std::optional<std::string> value = env_raw(name);

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,12 +28,6 @@ std::size_t env_count(const char* name, std::size_t fallback,
 /// Strict boolean knob: "1"/"on"/"true" -> true, "0"/"off"/"false" ->
 /// false (case-insensitive), unset -> nullopt, anything else throws.
 std::optional<bool> env_flag(const char* name);
-
-/// Unsigned 64-bit knob (e.g. FADEWICH_DEFEND_KEYSEED, where 0 is a
-/// valid seed).  Unset -> nullopt.  Anything but a plain decimal integer
-/// in [0, 2^64) — signs, whitespace, hex, trailing junk, overflow —
-/// throws fadewich::Error.
-std::optional<std::uint64_t> env_u64(const char* name);
 
 /// Comma-separated positive integers (e.g. FADEWICH_FLEET_OFFICES=
 /// "10,100,1000").  Unset -> empty vector; a malformed element or an

@@ -13,11 +13,9 @@ void append_stream_features(std::span<const double> window,
                             const FeatureConfig& config,
                             std::vector<double>& out) {
   FADEWICH_EXPECTS(window.size() > config.autocorr_lag);
-  if (config.use_variance) out.push_back(stats::variance(window));
-  if (config.use_entropy) out.push_back(stats::value_entropy(window));
-  if (config.use_autocorrelation) {
-    out.push_back(stats::autocorrelation(window, config.autocorr_lag));
-  }
+  out.push_back(stats::variance(window));
+  out.push_back(stats::value_entropy(window));
+  out.push_back(stats::autocorrelation(window, config.autocorr_lag));
 }
 
 namespace {
@@ -49,23 +47,18 @@ std::vector<double> extract_features_batched(
   for (std::size_t i = 0; i < n; ++i) mean[i] /= rows_d;
   kt.coldev2(data.data(), rows, n, mean.data(), var.data(), n);
   for (std::size_t i = 0; i < n; ++i) var[i] /= rows_d;
-  std::span<double> ac;
-  if (config.use_autocorrelation) {
-    ac = arena.get<double>(n);
-    kt.collagprod(data.data(), rows, lag, n, mean.data(), ac.data(), n);
-    const double denom_rows = static_cast<double>(rows - lag);
-    for (std::size_t i = 0; i < n; ++i) {
-      ac[i] = var[i] == 0.0 ? 0.0 : ac[i] / (denom_rows * var[i]);
-    }
+  const std::span<double> ac = arena.get<double>(n);
+  kt.collagprod(data.data(), rows, lag, n, mean.data(), ac.data(), n);
+  const double denom_rows = static_cast<double>(rows - lag);
+  for (std::size_t i = 0; i < n; ++i) {
+    ac[i] = var[i] == 0.0 ? 0.0 : ac[i] / (denom_rows * var[i]);
   }
   std::vector<double> out;
-  out.reserve(n * config.features_per_stream());
+  out.reserve(n * kFeaturesPerStream);
   for (std::size_t i = 0; i < n; ++i) {
-    if (config.use_variance) out.push_back(var[i]);
-    if (config.use_entropy) {
-      out.push_back(stats::value_entropy(stream_windows[i]));
-    }
-    if (config.use_autocorrelation) out.push_back(ac[i]);
+    out.push_back(var[i]);
+    out.push_back(stats::value_entropy(stream_windows[i]));
+    out.push_back(ac[i]);
   }
   return out;
 }
@@ -81,12 +74,10 @@ std::vector<double> extract_features(
   for (const auto& window : stream_windows) {
     uniform = uniform && window.size() == rows;
   }
-  if (uniform && (config.use_variance || config.use_autocorrelation)) {
-    return extract_features_batched(stream_windows, rows, config);
-  }
-  // Ragged windows (or entropy-only configs): per-stream scalar path.
+  if (uniform) return extract_features_batched(stream_windows, rows, config);
+  // Ragged windows: per-stream scalar path.
   std::vector<double> out;
-  out.reserve(stream_windows.size() * config.features_per_stream());
+  out.reserve(stream_windows.size() * kFeaturesPerStream);
   for (const auto& window : stream_windows) {
     append_stream_features(window, config, out);
   }
@@ -94,16 +85,15 @@ std::vector<double> extract_features(
 }
 
 std::vector<std::string> feature_names(
-    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
-    const FeatureConfig& config) {
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs) {
   std::vector<std::string> names;
-  names.reserve(pairs.size() * config.features_per_stream());
+  names.reserve(pairs.size() * kFeaturesPerStream);
   for (const auto& [tx, rx] : pairs) {
     const std::string stem = "d" + std::to_string(tx + 1) + "-d" +
                              std::to_string(rx + 1) + "-";
-    if (config.use_variance) names.push_back(stem + "var");
-    if (config.use_entropy) names.push_back(stem + "ent");
-    if (config.use_autocorrelation) names.push_back(stem + "ac");
+    names.push_back(stem + "var");
+    names.push_back(stem + "ent");
+    names.push_back(stem + "ac");
   }
   return names;
 }

@@ -14,12 +14,11 @@
 
 namespace fadewich::core {
 
+/// Variance, entropy and autocorrelation: one of each per stream.
+inline constexpr std::size_t kFeaturesPerStream = 3;
+
 struct FeatureConfig {
   std::size_t autocorr_lag = 1;
-  // Ablation switches: the paper uses all three feature families.
-  bool use_variance = true;
-  bool use_entropy = true;
-  bool use_autocorrelation = true;
   // Degraded-input policy (fault-tolerant reporting): a stream whose
   // fraction of fresh samples over the feature window falls below
   // `min_stream_validity` contributes zeroed features (its imputed
@@ -29,12 +28,6 @@ struct FeatureConfig {
   // back to Rule-2 timeouts instead of trusting a starved classifier.
   double min_stream_validity = 0.5;
   double min_live_stream_fraction = 0.5;
-
-  std::size_t features_per_stream() const {
-    return static_cast<std::size_t>(use_variance) +
-           static_cast<std::size_t>(use_entropy) +
-           static_cast<std::size_t>(use_autocorrelation);
-  }
 };
 
 /// Features of one stream window.  Requires a window longer than the
@@ -52,7 +45,6 @@ std::vector<double> extract_features(
 /// (Table V's naming).  `pairs` holds the (tx, rx) sensor indices of each
 /// stream, 0-based; names are 1-based like the paper.
 std::vector<std::string> feature_names(
-    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
-    const FeatureConfig& config);
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs);
 
 }  // namespace fadewich::core

@@ -37,12 +37,11 @@ std::vector<double> RadioEnvironment::features_from(
   std::vector<double> features = extract_features(stream_windows, features_);
   if (validity.empty()) return features;
   FADEWICH_EXPECTS(validity.size() == stream_windows.size());
-  const std::size_t per_stream = features_.features_per_stream();
   for (std::size_t s = 0; s < validity.size(); ++s) {
     if (validity[s] >= features_.min_stream_validity) continue;
     std::fill_n(features.begin() +
-                    static_cast<std::ptrdiff_t>(s * per_stream),
-                per_stream, 0.0);
+                    static_cast<std::ptrdiff_t>(s * kFeaturesPerStream),
+                kFeaturesPerStream, 0.0);
   }
   return features;
 }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "fadewich/common/crc32.hpp"
-#include "fadewich/common/env.hpp"
-#include "fadewich/common/error.hpp"
 #include "fadewich/obs/obs.hpp"
 
 namespace fadewich::defend {
@@ -33,21 +30,6 @@ struct DefendMetrics {
 };
 
 }  // namespace
-
-DefendConfig DefendConfig::from_env() {
-  DefendConfig config;
-  if (const auto enabled = common::env_flag("FADEWICH_DEFEND")) {
-    config.enabled = *enabled;
-  }
-  if (const auto seed = common::env_u64("FADEWICH_DEFEND_KEYSEED")) {
-    config.key_seed = *seed;
-  }
-  if (const auto rate = common::env_positive_real("FADEWICH_DEFEND_RATE")) {
-    config.rate_per_tick = *rate;
-    config.rate_burst = *rate * 16.0;
-  }
-  return config;
-}
 
 obs::HealthBlock health_block(const DefendCounters& c) {
   obs::HealthBlock block;
@@ -117,23 +99,6 @@ bool Defender::take_token(StationState& st, Tick now) {
   return true;
 }
 
-std::uint64_t Defender::content_digest(
-    const net::DecodedFrame& frame) const {
-  // Under require_auth the tag has just verified under the station key,
-  // so it already is a keyed digest of every covered byte.  Unsigned
-  // traffic has no trustworthy tag (a tagged and a tag-stripped copy of
-  // one frame must compare equal), so it pays for a CRC over the content.
-  if (config_.require_auth) return frame.tag;
-  Crc32 crc;
-  crc.update(&frame.header.tick, sizeof(frame.header.tick));
-  crc.update(&frame.header.tx, sizeof(frame.header.tx));
-  for (const net::WireReport& r : frame.reports) {
-    crc.update(&r.rx, sizeof(r.rx));
-    crc.update(&r.rssi_dbm, sizeof(r.rssi_dbm));
-  }
-  return crc.value();
-}
-
 void Defender::remember(StationState& st, std::uint64_t seq,
                         std::uint64_t digest) {
   st.recent_seq[st.recent_head] = seq;
@@ -177,10 +142,6 @@ bool Defender::station_quarantined(std::uint16_t station, Tick now) const {
 
 FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
                                     std::vector<net::Measurement>& out) {
-  if (!config_.enabled) {
-    net::to_measurements(frame, out);
-    return FrameVerdict::kAccept;
-  }
   ++counters_.frames_checked;
   DefendMetrics::get().frames.inc();
 
@@ -210,22 +171,22 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
     return FrameVerdict::kRateLimited;
   }
 
-  if (config_.require_auth) {
-    if (!frame.authenticated) {
-      reject(counters_.unauthenticated);
-      return FrameVerdict::kUnauthenticated;
-    }
-    if (!net::verify_frame_tag(st.key, frame)) {
-      reject(counters_.bad_tag);
-      return FrameVerdict::kBadTag;
-    }
+  if (!frame.authenticated) {
+    reject(counters_.unauthenticated);
+    return FrameVerdict::kUnauthenticated;
+  }
+  if (!net::verify_frame_tag(st.key, frame)) {
+    reject(counters_.bad_tag);
+    return FrameVerdict::kBadTag;
   }
 
   // Anti-replay over the station's sequence space.  A duplicate seq with
   // identical content is a replay; with different content it is a spoof
   // under a (necessarily compromised) valid key — quarantine the
-  // identity, since its key can no longer be trusted.
-  const std::uint64_t digest = content_digest(frame);
+  // identity, since its key can no longer be trusted.  The tag has just
+  // verified under the station key, so it already is a keyed digest of
+  // every covered byte.
+  const std::uint64_t digest = frame.tag;
   switch (st.window.accept(frame.header.seq)) {
     case net::SeqWindow::Result::kDuplicate: {
       const std::optional<std::uint64_t> prior =

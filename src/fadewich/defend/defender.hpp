@@ -13,9 +13,8 @@
 //                  recomputed without the key) — are rejected; a repeat
 //                  seq whose *content* differs from the recorded digest
 //                  is a spoof conflict and quarantines the station id.
-//                  With auth on, the just-verified SipHash tag is that
-//                  digest (keyed, over every covered byte); only
-//                  unsigned legacy traffic pays for a CRC digest.
+//                  The just-verified SipHash tag is that digest
+//                  (keyed, over every covered byte).
 //   consistency -> physical checks on the values (defend::
 //                  ConsistencyChecker): an insider holding the key can
 //                  sign anything, but cannot make impossible RSSI
@@ -40,12 +39,6 @@
 namespace fadewich::defend {
 
 struct DefendConfig {
-  /// Master off-switch: disabled, filter_frame() forwards every report
-  /// untouched (bit-identical to a defender-less pipeline).
-  bool enabled = true;
-  /// Reject frames without a valid authentication tag.  Turn off only
-  /// for legacy stations that cannot sign.
-  bool require_auth = true;
   /// Master seed of the per-station key schedule
   /// (net::derive_station_key).  Must match the provisioned stations.
   std::uint64_t key_seed = 0x46414445'57494348ULL;  // "FADEWICH"
@@ -67,13 +60,6 @@ struct DefendConfig {
   /// active on a gap-free (clean) stream.  ramp_ticks = 0 disables.
   Tick rejoin_gap_ticks = 15;  // 3 s at 5 Hz
   Tick ramp_ticks = 100;       // 20 s at 5 Hz
-
-  /// Environment overrides:
-  ///   FADEWICH_DEFEND=0|1        enabled (common::env_flag grammar)
-  ///   FADEWICH_DEFEND_KEYSEED=n  key_seed (decimal u64, 0 allowed)
-  ///   FADEWICH_DEFEND_RATE=x     rate_per_tick > 0 (burst scales 16x)
-  /// A set but malformed value throws fadewich::Error.
-  static DefendConfig from_env();
 };
 
 /// Why a frame was rejected (kAccept = it was not).
@@ -81,7 +67,7 @@ enum class FrameVerdict : std::uint8_t {
   kAccept = 0,
   kRateLimited,         // station over its token budget
   kUnknownStation,      // station id outside the deployment
-  kUnauthenticated,     // no tag while require_auth
+  kUnauthenticated,     // frame carries no tag
   kBadTag,              // tag does not verify under the station key
   kReplayed,            // seq already accepted with identical content
   kStale,               // seq below the replay window
@@ -180,9 +166,6 @@ class Defender {
   bool take_token(StationState& st, Tick now);
   /// Rejoin smoothing for an accepted sample (see DefendConfig).
   double smooth(StreamState& stream, double value, Tick now);
-  /// Replay/spoof content digest: the verified tag under require_auth,
-  /// a CRC over the covered content otherwise.
-  std::uint64_t content_digest(const net::DecodedFrame& frame) const;
   static void remember(StationState& st, std::uint64_t seq,
                        std::uint64_t digest);
   /// Digest recorded for `seq`, if still in the ring.

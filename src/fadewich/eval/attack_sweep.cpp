@@ -1,7 +1,6 @@
 #include "fadewich/eval/attack_sweep.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -149,7 +148,7 @@ AttackScenarioResult evaluate_attack_scenario(
   out.gap_rows = replay.gap_rows;
   out.row_digest = replay.row_digest;
   out.re_accuracy = security.re_accuracy;
-  out.leave_events = security.outcomes.size();
+  static_cast<OutcomeTally&>(out) = tally_outcomes(security.outcomes);
 
   for (const WindowDecision& d : security.decisions) {
     if (!d.is_true_positive && core::is_leave_label(d.predicted_label)) {
@@ -162,26 +161,10 @@ AttackScenarioResult evaluate_attack_scenario(
       "deauth delay per leave event while an attack campaign is active",
       {1, 2, 4, 6, 8, 12, 16, 24, 32, 64, 128, 300});
 
-  std::vector<double> delays;
-  delays.reserve(security.outcomes.size());
-  for (const LeaveOutcome& o : security.outcomes) {
-    switch (o.outcome) {
-      case DeauthCase::kCorrect: ++out.case_a; break;
-      case DeauthCase::kMisclassified: ++out.case_b; break;
-      case DeauthCase::kMissed: ++out.case_c; break;
+  if (scenario.attack.enabled()) {
+    for (const LeaveOutcome& o : security.outcomes) {
+      under_attack_delay.observe(o.delay);
     }
-    delays.push_back(o.delay);
-    if (scenario.attack.enabled()) under_attack_delay.observe(o.delay);
-  }
-  if (!delays.empty()) {
-    double sum = 0.0;
-    for (const double d : delays) sum += d;
-    out.mean_delay = sum / static_cast<double>(delays.size());
-    std::sort(delays.begin(), delays.end());
-    const auto idx = static_cast<std::size_t>(std::ceil(
-                         0.9 * static_cast<double>(delays.size()))) -
-                     1;
-    out.p90_delay = delays[std::min(idx, delays.size() - 1)];
   }
   return out;
 }

@@ -63,14 +63,8 @@ AttackReplayResult replay_under_attack(
 /// the deauth decisions the attacker *injected* (false-positive windows
 /// that classified as a workstation departure — each one is a spurious
 /// deauthentication a real deployment would execute).
-struct AttackScenarioResult {
+struct AttackScenarioResult : OutcomeTally {
   AttackScenario scenario;
-  std::size_t leave_events = 0;
-  std::size_t case_a = 0;
-  std::size_t case_b = 0;
-  std::size_t case_c = 0;
-  double mean_delay = 0.0;
-  double p90_delay = 0.0;
   double re_accuracy = 0.0;
   /// False-positive variation windows that produced a deauthentication
   /// decision (predicted some workstation's departure).

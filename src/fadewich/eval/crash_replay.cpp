@@ -229,13 +229,16 @@ DivergenceResult compare_actions(const std::vector<ActionRecord>& reference,
   return out;
 }
 
-std::vector<DeauthCase> leave_outcomes(
-    const sim::Recording& recording,
-    const std::vector<ActionRecord>& actions, Seconds horizon) {
-  std::vector<DeauthCase> outcomes;
-  for (const sim::GroundTruthEvent& event : recording.events()) {
+std::vector<LeaveOutcome> leave_outcomes(
+    const sim::Recording& recording, const std::vector<ActionRecord>& actions,
+    Seconds horizon) {
+  const SecurityConfig paper;
+  std::vector<LeaveOutcome> outcomes;
+  const std::vector<sim::GroundTruthEvent>& events = recording.events();
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const sim::GroundTruthEvent& event = events[e];
     if (event.kind != sim::EventKind::kLeave) continue;
-    DeauthCase outcome = DeauthCase::kMissed;
+    LeaveOutcome outcome{e, DeauthCase::kMissed, paper.timeout};
     for (const ActionRecord& action : actions) {
       if (action.workstation != event.workstation) continue;
       if (action.time < event.movement_start ||
@@ -243,10 +246,12 @@ std::vector<DeauthCase> leave_outcomes(
         continue;
       }
       if (action.type == core::ActionType::kDeauthenticate) {
-        outcome = DeauthCase::kCorrect;
+        outcome.outcome = DeauthCase::kCorrect;
+        outcome.delay = std::max(0.0, action.time - event.proximity_exit);
         break;
       }
-      outcome = DeauthCase::kMisclassified;  // alert only: case B
+      outcome.outcome = DeauthCase::kMisclassified;  // alert only: case B
+      outcome.delay = paper.t_id + paper.t_ss;
     }
     outcomes.push_back(outcome);
   }

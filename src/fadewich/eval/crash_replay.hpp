@@ -110,9 +110,12 @@ DivergenceResult compare_actions(const std::vector<ActionRecord>& reference,
 
 /// Per-leave-event case A/B/C outcome from an online action stream:
 /// case A when a deauthentication hit the leaving workstation promptly,
-/// case B when only an alert fired, case C when neither did.
-std::vector<DeauthCase> leave_outcomes(const sim::Recording& recording,
-                                       const std::vector<ActionRecord>& actions,
-                                       Seconds horizon = 10.0);
+/// case B when only an alert fired, case C when neither did.  Delays
+/// follow evaluate_security at SecurityConfig's paper defaults: the
+/// deauth's time after the proximity exit for case A, tID + tss for B
+/// and the time-out T for C.
+std::vector<LeaveOutcome> leave_outcomes(
+    const sim::Recording& recording, const std::vector<ActionRecord>& actions,
+    Seconds horizon = 10.0);
 
 }  // namespace fadewich::eval

@@ -1,7 +1,5 @@
 #include "fadewich/eval/fault_sweep.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -141,27 +139,7 @@ FaultScenarioResult evaluate_fault_scenario(
   out.health = replay.health;
   out.fault_counters = replay.fault_counters;
   out.re_accuracy = security.re_accuracy;
-  out.leave_events = security.outcomes.size();
-  std::vector<double> delays;
-  delays.reserve(security.outcomes.size());
-  for (const LeaveOutcome& o : security.outcomes) {
-    switch (o.outcome) {
-      case DeauthCase::kCorrect: ++out.case_a; break;
-      case DeauthCase::kMisclassified: ++out.case_b; break;
-      case DeauthCase::kMissed: ++out.case_c; break;
-    }
-    delays.push_back(o.delay);
-  }
-  if (!delays.empty()) {
-    double sum = 0.0;
-    for (const double d : delays) sum += d;
-    out.mean_delay = sum / static_cast<double>(delays.size());
-    std::sort(delays.begin(), delays.end());
-    const auto idx = static_cast<std::size_t>(std::ceil(
-                         0.9 * static_cast<double>(delays.size()))) -
-                     1;
-    out.p90_delay = delays[std::min(idx, delays.size() - 1)];
-  }
+  static_cast<OutcomeTally&>(out) = tally_outcomes(security.outcomes);
   return out;
 }
 

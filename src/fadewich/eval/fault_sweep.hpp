@@ -90,14 +90,9 @@ net::FaultConfig scenario_faults(const FaultScenario& scenario,
                                  std::size_t sensor_count,
                                  Tick tick_count);
 
-struct FaultScenarioResult {
+/// The scenario's outcome tally over its leave events, plus replay health.
+struct FaultScenarioResult : OutcomeTally {
   FaultScenario scenario;
-  std::size_t leave_events = 0;
-  std::size_t case_a = 0;  // deauth via correct classification
-  std::size_t case_b = 0;  // misclassified -> screensaver lock
-  std::size_t case_c = 0;  // missed -> baseline timeout
-  double mean_delay = 0.0;  // mean deauth delay (s) over leave events
-  double p90_delay = 0.0;   // 90th-percentile deauth delay (s)
   double re_accuracy = 0.0;
   net::StationHealth health;
   net::FaultInjector::Counters fault_counters;

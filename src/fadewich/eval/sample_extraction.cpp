@@ -66,11 +66,8 @@ std::vector<std::pair<std::size_t, std::size_t>> dataset_stream_pairs(
 }
 
 std::vector<std::string> dataset_feature_names(
-    const sim::Recording& recording,
-    const std::vector<std::size_t>& sensors,
-    const core::FeatureConfig& features) {
-  (void)recording;  // names depend only on the sensor subset
-  return core::feature_names(dataset_stream_pairs(sensors), features);
+    const std::vector<std::size_t>& sensors) {
+  return core::feature_names(dataset_stream_pairs(sensors));
 }
 
 }  // namespace fadewich::eval

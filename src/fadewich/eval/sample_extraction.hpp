@@ -35,9 +35,7 @@ int event_label(const sim::GroundTruthEvent& event);
 
 /// Feature names matching build_dataset's column order.
 std::vector<std::string> dataset_feature_names(
-    const sim::Recording& recording,
-    const std::vector<std::size_t>& sensors,
-    const core::FeatureConfig& features);
+    const std::vector<std::size_t>& sensors);
 
 /// (tx, rx) sensor-index pairs of the dataset's streams, in column-group
 /// order (original deployment indices, 0-based).

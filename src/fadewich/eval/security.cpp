@@ -1,6 +1,7 @@
 #include "fadewich/eval/security.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "fadewich/common/error.hpp"
@@ -146,6 +147,31 @@ SecurityResult evaluate_security(
     result.outcomes.push_back(outcome);
   }
   return result;
+}
+
+OutcomeTally tally_outcomes(std::span<const LeaveOutcome> outcomes) {
+  OutcomeTally tally;
+  tally.leave_events = outcomes.size();
+  if (outcomes.empty()) return tally;
+  std::vector<double> delays;
+  delays.reserve(outcomes.size());
+  double sum = 0.0;
+  for (const LeaveOutcome& o : outcomes) {
+    switch (o.outcome) {
+      case DeauthCase::kCorrect: ++tally.case_a; break;
+      case DeauthCase::kMisclassified: ++tally.case_b; break;
+      case DeauthCase::kMissed: ++tally.case_c; break;
+    }
+    delays.push_back(o.delay);
+    sum += o.delay;
+  }
+  tally.mean_delay = sum / static_cast<double>(delays.size());
+  std::sort(delays.begin(), delays.end());
+  const auto idx = static_cast<std::size_t>(std::ceil(
+                       0.9 * static_cast<double>(delays.size()))) -
+                   1;
+  tally.p90_delay = delays[std::min(idx, delays.size() - 1)];
+  return tally;
 }
 
 std::vector<double> deauth_proportion_series(

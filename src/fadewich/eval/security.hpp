@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fadewich/core/features.hpp"
@@ -49,7 +50,21 @@ struct LeaveOutcome {
   std::size_t event_index = 0;
   DeauthCase outcome = DeauthCase::kMissed;
   Seconds delay = 0.0;  // deauth delay after leaving the vicinity
+
+  bool operator==(const LeaveOutcome&) const = default;
 };
+
+/// Case counts and deauth-delay summary over a set of leave outcomes.
+struct OutcomeTally {
+  std::size_t leave_events = 0;
+  std::size_t case_a = 0;  // deauth via correct classification
+  std::size_t case_b = 0;  // misclassified -> screensaver lock
+  std::size_t case_c = 0;  // missed -> baseline timeout
+  Seconds mean_delay = 0.0;  // mean deauth delay; 0 without leaves
+  Seconds p90_delay = 0.0;   // sorted delays[ceil(0.9 n) - 1]; 0 without
+};
+
+OutcomeTally tally_outcomes(std::span<const LeaveOutcome> outcomes);
 
 /// One decision per variation window >= t_delta (TPs carry their k-fold
 /// test prediction; FPs are classified by a model trained on all TPs).

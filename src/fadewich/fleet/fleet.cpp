@@ -23,9 +23,6 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
     : config_(std::move(config)),
       pool_(pool != nullptr ? pool : &exec::ThreadPool::global()) {
   if (config_.offices < 1) throw Error("fleet config: offices must be >= 1");
-  if (config_.supervise_every < 0) {
-    throw Error("fleet config: supervise_every must be >= 0");
-  }
   if (config_.checkpoint_period < 1) {
     throw Error("fleet config: checkpoint_period must be >= 1");
   }
@@ -81,9 +78,7 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
 
   if (!config_.snapshot_root.empty()) {
     persist::SupervisorConfig sup = config_.supervisor;
-    const Tick quantum = config_.supervise_every > 0
-                             ? config_.supervise_every
-                             : static_cast<Tick>(config_.shard.block_ticks);
+    const auto quantum = static_cast<Tick>(config_.shard.block_ticks);
     // A shard only heartbeats at block boundaries; a stall threshold
     // tighter than two blocks would restart healthy shards.
     sup.stall_ticks = std::max(sup.stall_ticks, 2 * quantum);
@@ -125,9 +120,7 @@ RunStats Fleet::run_week(Tick ticks) {
   FADEWICH_EXPECTS(ticks >= 0);
   const auto start = std::chrono::steady_clock::now();
   const Tick target = cursor_ + ticks;
-  const Tick quantum = config_.supervise_every > 0
-                           ? config_.supervise_every
-                           : static_cast<Tick>(config_.shard.block_ticks);
+  const auto quantum = static_cast<Tick>(config_.shard.block_ticks);
   std::size_t restarts = 0;
 
   while (cursor_ < target) {

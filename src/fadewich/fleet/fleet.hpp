@@ -34,11 +34,9 @@ namespace fadewich::fleet {
 struct FleetConfig {
   std::size_t offices = 16;
   std::uint64_t seed = 0xFADE'2017'0001ull;
-  ShardConfig shard;  // template applied to every office
-
-  /// Block quantum in ticks: shards run this far between supervision
-  /// passes.  0 means shard.block_ticks.
-  Tick supervise_every = 0;
+  /// Template applied to every office.  shard.block_ticks is also the
+  /// fleet's block quantum: shards run this far between supervision passes.
+  ShardConfig shard;
 
   /// Root directory for per-office snapshot rings.  Empty disables
   /// persistence and supervision entirely (the 10k-office bench sweeps

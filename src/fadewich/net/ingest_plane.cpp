@@ -14,12 +14,17 @@ namespace {
 // a caller bug (a misrouting router, a sink that rethrows into a lane).
 constexpr std::uint64_t kStagnantRoundLimit = 1000;
 
+// Total measurement-slot memory across all rings when ring_capacity is 0.
+constexpr std::size_t kRingBudgetBytes = 32ull << 20;
 constexpr std::size_t kMinRingCapacity = 256;
 // 4096 slots = 64 KiB of Measurement per ring: deep enough to amortise
 // the producer/consumer handoff, small enough that a round's ring
 // traffic stays cache-resident — 65536-slot rings measured ~15% slower
 // end-to-end because every fill/drain cycle streamed through L2.
 constexpr std::size_t kMaxRingCapacity = 4096;
+
+// Cardinality cap on the per-shard labeled obs series.
+constexpr std::size_t kPerShardSeriesCap = 512;
 
 }  // namespace
 
@@ -76,7 +81,7 @@ IngestPlane::IngestPlane(PlaneConfig config, exec::ThreadPool* pool)
     ring_capacity_ = config_.ring_capacity;
   } else {
     const std::size_t per_ring =
-        config_.ring_budget_bytes /
+        kRingBudgetBytes /
         (config_.lanes * config_.shards * sizeof(Measurement));
     ring_capacity_ = std::clamp(per_ring, kMinRingCapacity,
                                 kMaxRingCapacity);
@@ -112,7 +117,7 @@ IngestPlane::IngestPlane(PlaneConfig config, exec::ThreadPool* pool)
       "Measurements queued in a (lane, shard) ring at drain time");
   // Same cardinality discipline as fleet's per-office series: labeled
   // handles only under the cap, aggregate names otherwise.
-  if (config_.per_shard_series && shards <= config_.per_shard_series_cap) {
+  if (shards <= kPerShardSeriesCap) {
     shard_metrics_.resize(shards);
     for (std::size_t s = 0; s < shards; ++s) {
       const std::string label = std::to_string(s);

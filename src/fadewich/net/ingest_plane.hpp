@@ -58,21 +58,15 @@ struct PlaneConfig {
   std::size_t lanes = 1;
   /// Output partitions (one per fleet office, typically).  Requires >= 1.
   std::size_t shards = 1;
-  /// Slots per (lane, shard) ring; 0 derives it from ring_budget_bytes.
+  /// Slots per (lane, shard) ring; 0 splits a fixed 32 MiB slot budget
+  /// across all rings, clamped to [256, 4096] slots per ring.
   std::size_t ring_capacity = 0;
-  /// Total measurement-slot memory across all rings when ring_capacity
-  /// is 0; the derived per-ring capacity is clamped to [256, 65536].
-  std::size_t ring_budget_bytes = 32ull << 20;
   /// Max measurements handed to the sink per call (and the drain
   /// scratch-buffer size).  Requires >= 1.
   std::size_t drain_batch = 4096;
   /// Run every round on the calling thread instead of the pool — the
   /// reproducible single-thread reference the bench gates against.
   bool serial = false;
-  /// Mint per-shard labeled obs series — subject to the cardinality cap
-  /// below, exactly like fleet's per-office series.
-  bool per_shard_series = true;
-  std::size_t per_shard_series_cap = 512;
 };
 
 /// Per-shard ingest counters, exported through obs::labeled when the

@@ -14,17 +14,11 @@ namespace fadewich::core {
 namespace {
 
 TEST(FeaturesTest, DefaultConfigHasThreePerStream) {
-  const FeatureConfig config;
-  EXPECT_EQ(config.features_per_stream(), 3u);
-}
-
-TEST(FeaturesTest, AblationSwitchesReduceTheCount) {
-  FeatureConfig config;
-  config.use_entropy = false;
-  EXPECT_EQ(config.features_per_stream(), 2u);
-  config.use_variance = false;
-  config.use_autocorrelation = false;
-  EXPECT_EQ(config.features_per_stream(), 0u);
+  std::vector<double> out;
+  append_stream_features(std::vector<double>{-60.0, -61.0, -62.0},
+                         FeatureConfig{}, out);
+  EXPECT_EQ(out.size(), kFeaturesPerStream);
+  EXPECT_EQ(kFeaturesPerStream, 3u);
 }
 
 TEST(FeaturesTest, StreamFeaturesMatchStatsPrimitives) {
@@ -55,14 +49,12 @@ TEST(FeaturesTest, ExtractConcatenatesStreamsInOrder) {
 TEST(FeaturesTest, ConfigurableAutocorrelationLag) {
   const std::vector<double> window{1.0, -1.0, 1.0, -1.0, 1.0, -1.0};
   FeatureConfig config;
-  config.use_variance = false;
-  config.use_entropy = false;
   config.autocorr_lag = 2;
   std::vector<double> out;
   append_stream_features(window, config, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0], stats::autocorrelation(window, 2));
-  EXPECT_GT(out[0], 0.5);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_DOUBLE_EQ(out[2], stats::autocorrelation(window, 2));
+  EXPECT_GT(out[2], 0.5);
 }
 
 TEST(FeaturesTest, WindowMustExceedLag) {
@@ -81,7 +73,7 @@ TEST(FeaturesTest, FeatureNamesMatchPaperConvention) {
       {8, 1},  // d9 -> d2
       {0, 2},  // d1 -> d3
   };
-  const auto names = feature_names(pairs, FeatureConfig{});
+  const auto names = feature_names(pairs);
   ASSERT_EQ(names.size(), 6u);
   EXPECT_EQ(names[0], "d9-d2-var");
   EXPECT_EQ(names[1], "d9-d2-ent");
@@ -89,34 +81,20 @@ TEST(FeaturesTest, FeatureNamesMatchPaperConvention) {
   EXPECT_EQ(names[3], "d1-d3-var");
 }
 
-TEST(FeaturesTest, NamesRespectAblation) {
-  FeatureConfig config;
-  config.use_variance = false;
-  const auto names = feature_names({{0, 1}}, config);
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "d1-d2-ent");
-  EXPECT_EQ(names[1], "d1-d2-ac");
-}
-
 // Uniform-length windows take the SIMD column-reduction path; the
 // contract is that it matches the per-stream scalar path bit-for-bit.
-// Stream counts straddle the vector widths (scalar tails included) and
-// the ablation grid covers every batched-eligible config.
+// Stream counts straddle the vector widths (scalar tails included).
+// Ragged windows fall back to the scalar path and must concatenate the
+// same per-stream features.
 TEST(FeaturesTest, BatchedPathMatchesPerStreamScalarPath) {
   Rng rng(73);
-  for (std::size_t streams : {1u, 2u, 3u, 4u, 5u, 9u, 17u}) {
-    std::vector<std::vector<double>> windows(streams);
-    for (auto& w : windows) {
-      w.resize(25);
-      for (double& v : w) v = rng.normal(-60.0, 2.5);
-    }
-    for (int mask = 0; mask < 8; ++mask) {
-      FeatureConfig config;
-      config.use_variance = (mask & 1) != 0;
-      config.use_entropy = (mask & 2) != 0;
-      config.use_autocorrelation = (mask & 4) != 0;
-      if (!config.use_variance && !config.use_autocorrelation) {
-        continue;  // entropy-only / empty configs use the scalar path
+  const FeatureConfig config;
+  for (const bool ragged : {false, true}) {
+    for (std::size_t streams : {1u, 2u, 3u, 4u, 5u, 9u, 17u}) {
+      std::vector<std::vector<double>> windows(streams);
+      for (std::size_t s = 0; s < streams; ++s) {
+        windows[s].resize(ragged ? 20 + s % 7 : 25);
+        for (double& v : windows[s]) v = rng.normal(-60.0, 2.5);
       }
       std::vector<double> scalar_out;
       for (const auto& w : windows) {
@@ -126,7 +104,8 @@ TEST(FeaturesTest, BatchedPathMatchesPerStreamScalarPath) {
       ASSERT_EQ(batched.size(), scalar_out.size());
       for (std::size_t i = 0; i < batched.size(); ++i) {
         EXPECT_EQ(batched[i], scalar_out[i])
-            << "streams " << streams << " mask " << mask << " idx " << i;
+            << "streams " << streams << " ragged " << ragged << " idx "
+            << i;
       }
     }
   }

@@ -61,16 +61,6 @@ TEST(RadioEnvironmentTest, LearnsSyntheticSignatures) {
   EXPECT_GE(static_cast<double>(correct) / trials, 0.9);
 }
 
-TEST(RadioEnvironmentTest, AblatedFeaturesStillWork) {
-  FeatureConfig features;
-  features.use_entropy = false;
-  features.use_autocorrelation = false;
-  RadioEnvironment re(features, ml::SvmConfig{});
-  Rng rng(7);
-  const auto f = re.features_from(windows_for_class(1, rng));
-  EXPECT_EQ(f.size(), 3u);  // variance only, one per stream
-}
-
 TEST(RadioEnvironmentTest, LowValidityStreamGetsZeroedFeatures) {
   RadioEnvironment re(FeatureConfig{}, ml::SvmConfig{});
   Rng rng(11);

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
-#include "fadewich/common/error.hpp"
 #include "fadewich/net/wire.hpp"
 
 namespace fadewich::defend {
@@ -29,19 +27,6 @@ net::DecodedFrame signed_frame(const DefendConfig& config,
       net::derive_station_key(config.key_seed, station), frame.header,
       frame.reports);
   return frame;
-}
-
-TEST(DefenderTest, DisabledDefenderIsAPassthrough) {
-  DefendConfig config;
-  config.enabled = false;
-  Defender defender(kDevices, config);
-  net::DecodedFrame frame = signed_frame(config, 0, 1, 0);
-  frame.authenticated = false;  // would be rejected if enabled
-  frame.tag = 0;
-  std::vector<net::Measurement> out;
-  EXPECT_EQ(defender.filter_frame(frame, 0, out), FrameVerdict::kAccept);
-  EXPECT_EQ(out.size(), kDevices - 1);
-  EXPECT_EQ(defender.counters().frames_checked, 0u);  // untouched
 }
 
 TEST(DefenderTest, AcceptsASignedFrameAndEmitsItsReports) {
@@ -134,8 +119,7 @@ TEST(DefenderTest, SpoofConflictQuarantinesTheStationIdentity) {
 }
 
 TEST(DefenderTest, TokenBucketAbsorbsBurstsButStopsFloods) {
-  DefendConfig config;
-  config.require_auth = false;  // isolate the rate limiter
+  const DefendConfig config;
   Defender defender(kDevices, config);
   std::vector<net::Measurement> out;
   std::uint64_t seq = 1;
@@ -208,66 +192,22 @@ TEST(DefenderTest, GapFreeStreamsAreNeverRamped) {
 }
 
 TEST(DefenderTest, OutOfRangeReportIdsAreForwardedForStationAccounting) {
-  DefendConfig config;
-  config.require_auth = false;
+  const DefendConfig config;
   Defender defender(kDevices, config);
   net::DecodedFrame frame;
   frame.header = {0, 1, 0, 0};
   frame.reports.push_back({500, -50});  // rx outside the deployment
+  frame.authenticated = true;
+  frame.tag = net::frame_tag(net::derive_station_key(config.key_seed, 0),
+                             frame.header, frame.reports);
   std::vector<net::Measurement> out;
   EXPECT_EQ(defender.filter_frame(frame, 0, out), FrameVerdict::kAccept);
   ASSERT_EQ(out.size(), 1u);  // forwarded: CentralStation counts it
   EXPECT_EQ(out[0].rx, 500);
 }
 
-TEST(DefenderTest, FromEnvReadsTheKnobs) {
-  ::setenv("FADEWICH_DEFEND", "0", 1);
-  ::setenv("FADEWICH_DEFEND_KEYSEED", "12345", 1);
-  ::setenv("FADEWICH_DEFEND_RATE", "2.5", 1);
-  const DefendConfig config = DefendConfig::from_env();
-  EXPECT_FALSE(config.enabled);
-  EXPECT_EQ(config.key_seed, 12345u);
-  EXPECT_DOUBLE_EQ(config.rate_per_tick, 2.5);
-  EXPECT_DOUBLE_EQ(config.rate_burst, 40.0);
-
-  // Key seed 0 and the u64 maximum are valid seeds.
-  ::setenv("FADEWICH_DEFEND", "on", 1);
-  ::setenv("FADEWICH_DEFEND_KEYSEED", "0", 1);
-  EXPECT_TRUE(DefendConfig::from_env().enabled);
-  EXPECT_EQ(DefendConfig::from_env().key_seed, 0u);
-  ::setenv("FADEWICH_DEFEND_KEYSEED", "18446744073709551615", 1);
-  EXPECT_EQ(DefendConfig::from_env().key_seed, ~std::uint64_t{0});
-
-  // Malformed values throw instead of silently falling back.
-  const auto rejects = [](const char* name, const char* value) {
-    ::setenv(name, value, 1);
-    EXPECT_THROW(DefendConfig::from_env(), Error) << name << "=" << value;
-    ::unsetenv(name);
-  };
-  ::unsetenv("FADEWICH_DEFEND");
-  ::unsetenv("FADEWICH_DEFEND_KEYSEED");
-  ::unsetenv("FADEWICH_DEFEND_RATE");
-  rejects("FADEWICH_DEFEND", "yes");
-  rejects("FADEWICH_DEFEND", "2");
-  rejects("FADEWICH_DEFEND_KEYSEED", "abc");
-  rejects("FADEWICH_DEFEND_KEYSEED", "12x");
-  rejects("FADEWICH_DEFEND_KEYSEED", "-1");
-  rejects("FADEWICH_DEFEND_KEYSEED", " 7");
-  rejects("FADEWICH_DEFEND_KEYSEED", "0x10");
-  rejects("FADEWICH_DEFEND_KEYSEED", "18446744073709551616");
-  rejects("FADEWICH_DEFEND_RATE", "-1");
-  rejects("FADEWICH_DEFEND_RATE", "0");
-  rejects("FADEWICH_DEFEND_RATE", "fast");
-  rejects("FADEWICH_DEFEND_RATE", "inf");
-
-  const DefendConfig defaults = DefendConfig::from_env();
-  EXPECT_TRUE(defaults.enabled);
-  EXPECT_EQ(defaults.key_seed, DefendConfig{}.key_seed);
-  EXPECT_DOUBLE_EQ(defaults.rate_per_tick, DefendConfig{}.rate_per_tick);
-}
-
 TEST(DefenderTest, SignedReplayDigestIsTheVerifiedTag) {
-  const DefendConfig config;  // require_auth on
+  const DefendConfig config;
   Defender defender(kDevices, config);
   std::vector<net::Measurement> out;
   const net::DecodedFrame frame = signed_frame(config, 0, 9, 4, -50);
@@ -280,34 +220,6 @@ TEST(DefenderTest, SignedReplayDigestIsTheVerifiedTag) {
       defender.filter_frame(signed_frame(config, 0, 9, 4, -61), 5, out),
       FrameVerdict::kSpoofConflict);
   EXPECT_EQ(defender.counters().replayed, 1u);
-  EXPECT_EQ(defender.counters().spoof_conflicts, 1u);
-}
-
-TEST(DefenderTest, UnsignedReplayDigestIgnoresTheUnverifiedTag) {
-  DefendConfig config;
-  config.require_auth = false;
-  Defender defender(kDevices, config);
-  std::vector<net::Measurement> out;
-  // The same content tagged, then tag-stripped, at one seq: a replay.
-  // The tag is unverified here, so it must not make the copies differ.
-  const net::DecodedFrame tagged = signed_frame(config, 1, 3, 2, -55);
-  net::DecodedFrame stripped = tagged;
-  stripped.authenticated = false;
-  stripped.tag = 0;
-  EXPECT_EQ(defender.filter_frame(tagged, 2, out), FrameVerdict::kAccept);
-  EXPECT_EQ(defender.filter_frame(stripped, 3, out), FrameVerdict::kReplayed);
-  // A garbage tag on the same content is still the same content.
-  net::DecodedFrame garbage = tagged;
-  garbage.tag ^= 0xFFFF;
-  EXPECT_EQ(defender.filter_frame(garbage, 3, out), FrameVerdict::kReplayed);
-  EXPECT_EQ(defender.counters().spoof_conflicts, 0u);
-  // Different untagged content at that seq is a spoof conflict.
-  net::DecodedFrame changed = signed_frame(config, 1, 3, 2, -70);
-  changed.authenticated = false;
-  changed.tag = 0;
-  EXPECT_EQ(defender.filter_frame(changed, 3, out),
-            FrameVerdict::kSpoofConflict);
-  EXPECT_EQ(defender.counters().replayed, 2u);
   EXPECT_EQ(defender.counters().spoof_conflicts, 1u);
 }
 

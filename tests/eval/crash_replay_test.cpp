@@ -108,7 +108,7 @@ class CrashReplayTest : public ::testing::Test {
     for (const auto& event : recording().events()) {
       if (event.kind != sim::EventKind::kLeave) continue;
       if (event.movement_start > settle) {
-        EXPECT_EQ(got_outcomes[index], ref_outcomes[index])
+        EXPECT_EQ(got_outcomes[index].outcome, ref_outcomes[index].outcome)
             << "leave event at " << event.movement_start << " s";
         ++checked;
       }

@@ -134,8 +134,7 @@ TEST_F(PipelineTest, DatasetLabelsComeFromGroundTruth) {
 }
 
 TEST_F(PipelineTest, FeatureNamesMatchDatasetWidth) {
-  const auto names = dataset_feature_names(recording(), sensor_subset(3),
-                                           core::FeatureConfig{});
+  const auto names = dataset_feature_names(sensor_subset(3));
   EXPECT_EQ(names.size(), 6u * 3u);
   EXPECT_EQ(names[0].substr(0, 1), "d");
 }

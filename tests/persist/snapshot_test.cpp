@@ -40,8 +40,7 @@ core::FadewichSystem warmed_system() {
 
   ml::Dataset samples;
   Rng feature_rng(7);
-  const std::size_t n_features =
-      system.re().feature_config().features_per_stream() * kStreams;
+  const std::size_t n_features = core::kFeaturesPerStream * kStreams;
   for (int label = 0; label < 3; ++label) {
     for (int i = 0; i < 6; ++i) {
       std::vector<double> x(n_features);
@@ -106,8 +105,7 @@ TEST(SnapshotTest, RestoredSystemClassifiesIdentically) {
   EXPECT_EQ(restored.md().profile().threshold(),
             source.md().profile().threshold());
   Rng rng(3);
-  const std::size_t n_features =
-      source.re().feature_config().features_per_stream() * kStreams;
+  const std::size_t n_features = core::kFeaturesPerStream * kStreams;
   for (int i = 0; i < 20; ++i) {
     std::vector<double> x(n_features);
     for (double& v : x) v = rng.normal(1.0, 2.0);
