@@ -81,8 +81,11 @@ int main() {
   std::cout << "\nTop 10 correlated stream pairs:\n";
   eval::TextTable top({"stream A", "stream B", "correlation"});
   auto name = [&](std::size_t s) {
-    return "d" + std::to_string(pairs[s].first + 1) + "-d" +
-           std::to_string(pairs[s].second + 1);
+    std::string n = "d";
+    n += std::to_string(pairs[s].first + 1);
+    n += "-d";
+    n += std::to_string(pairs[s].second + 1);
+    return n;
   };
   for (std::size_t k = 0; k < 10 && k < entries.size(); ++k) {
     top.add_row({name(entries[k].i), name(entries[k].j),

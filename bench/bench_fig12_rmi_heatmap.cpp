@@ -50,7 +50,9 @@ int main() {
   eval::TextTable table({"sensor", "mean RMI of its streams",
                          "max stream RMI"});
   for (std::size_t d = 0; d < 9; ++d) {
-    table.add_row({"d" + std::to_string(d + 1),
+    std::string sensor = "d";
+    sensor += std::to_string(d + 1);
+    table.add_row({sensor,
                    eval::fmt(stats::mean(per_sensor[d]), 4),
                    eval::fmt(stats::max(per_sensor[d]), 4)});
   }
@@ -65,9 +67,11 @@ int main() {
   eval::TextTable top({"stream", "RMI"});
   for (std::size_t k = 0; k < 10; ++k) {
     const std::size_t s = order[k];
-    top.add_row({"d" + std::to_string(pairs[s].first + 1) + "-d" +
-                     std::to_string(pairs[s].second + 1),
-                 eval::fmt(stream_rmi[s], 4)});
+    std::string stream = "d";
+    stream += std::to_string(pairs[s].first + 1);
+    stream += "-d";
+    stream += std::to_string(pairs[s].second + 1);
+    top.add_row({stream, eval::fmt(stream_rmi[s], 4)});
   }
   top.print(std::cout);
   std::cout << "\npaper shape: importance concentrates on links crossing\n"

@@ -6,7 +6,7 @@
 //   1. Determinism: the same fleet week on a 1-thread and a 4-thread
 //      pool must produce identical fleet digests.
 //   2. Supervised recovery: killing one shard mid-week must recover via
-//      the fleet supervisor with every *other* shard's digest
+//      the fleet's restart pass with every *other* shard's digest
 //      bit-identical to an uncrashed reference run.
 //
 //   ./bench_fleet [output.json]   (default: BENCH_fleet.json)

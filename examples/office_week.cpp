@@ -8,7 +8,7 @@
 // a SupervisedSystem trains for two days, checkpoints every two minutes,
 // has the plug pulled at the end of day 3, restarts from the snapshot
 // ring, and finishes the week — printing the recovery report and the
-// watchdog's health bill.
+// restart bill.
 //
 //   $ ./office_week [days] [sensors]
 #include <algorithm>
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
 
   // --- Crash-safe online week ---------------------------------------
   // Everything above analysed the recording offline.  Now live the week
-  // online under the supervisor: train on the first two days, checkpoint
+  // online under crash protection: train on the first two days, checkpoint
   // every two minutes, lose power at the end of day 3, restart from the
   // snapshot ring, and finish the week.
   if (setup.days >= 2) {
@@ -202,17 +202,12 @@ int main(int argc, char** argv) {
         ++next_input;
       }
       drive(reborn, restored_tick, recording.tick_count());
-      const persist::HealthReport health = reborn.health();
       std::cout << "week finished: " << actions << " actions total ("
                 << deauths << " deauthentications), " << recovered_steps
                 << " in-flight restarts\n";
-      for (const persist::ModuleHealth& module : health.modules) {
-        std::cout << "watchdog: module '" << module.name << "' "
-                  << (module.status == persist::ModuleStatus::kHealthy
-                          ? "healthy"
-                          : "degraded")
-                  << ", " << module.restarts << " restart(s)\n";
-      }
+      std::cout << "watchdog: module 'pipeline' "
+                << (reborn.retired() ? "degraded" : "healthy") << ", "
+                << reborn.restarts() << " restart(s)\n";
 
       // End-of-day observability scrape: the same unified document a
       // monitoring agent would pull, reduced to the operator's two

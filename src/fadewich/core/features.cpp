@@ -89,8 +89,13 @@ std::vector<std::string> feature_names(
   std::vector<std::string> names;
   names.reserve(pairs.size() * kFeaturesPerStream);
   for (const auto& [tx, rx] : pairs) {
-    const std::string stem = "d" + std::to_string(tx + 1) + "-d" +
-                             std::to_string(rx + 1) + "-";
+    // Appends, not "d" + std::to_string(...): GCC 12 reports a spurious
+    // -Wrestrict for operator+ on a string literal and a temporary.
+    std::string stem = "d";
+    stem += std::to_string(tx + 1);
+    stem += "-d";
+    stem += std::to_string(rx + 1);
+    stem += '-';
     names.push_back(stem + "var");
     names.push_back(stem + "ent");
     names.push_back(stem + "ac");

@@ -265,14 +265,21 @@ void FadewichSystem::import_state(const SystemState& state) {
       state.training_samples.labels.size()) {
     throw Error("system state training set is ragged");
   }
-  // Restore the sub-modules first so a throw leaves this system
-  // untouched only where the failing module is concerned; callers treat
-  // any Error as "snapshot unusable" and fall back to an older one.
-  kma_.restore(state.kma_last_input);
-  md_.import_state(state.md);
+  // Restore the validating sub-modules into copies and commit only once
+  // all of them accepted the state, so a throw leaves this system
+  // unchanged: recovery treats any Error as "snapshot unusable" and
+  // tries an older one on the same system.
+  KeyboardMouseActivity kma = kma_;
+  kma.restore(state.kma_last_input);
+  MovementDetector md = md_;
+  md.import_state(state.md);
+  RadioEnvironment re = re_;
   if (state.re_trained) {
-    re_.import_classifier(state.re);
+    re.import_classifier(state.re);
   }
+  kma_ = std::move(kma);
+  md_ = std::move(md);
+  re_ = std::move(re);
   controller_.restore(state.controller);
   for (std::size_t w = 0; w < sessions_.size(); ++w) {
     sessions_[w].restore(state.sessions[w]);

@@ -111,9 +111,10 @@ class FadewichSystem {
   /// Restore a persisted state into this system.  The system must have
   /// been constructed with the same stream/workstation counts and
   /// configuration as the one that exported the state; mismatches throw
-  /// fadewich::Error.  After the call the pipeline resumes at the saved
-  /// tick with empty stream history, so detection re-warms for
-  /// `md.std_window` seconds before windows can open again.
+  /// fadewich::Error and leave this system unchanged (strong guarantee).
+  /// After the call the pipeline resumes at the saved tick with empty
+  /// stream history, so detection re-warms for `md.std_window` seconds
+  /// before windows can open again.
   void import_state(const SystemState& state);
 
   // --- Introspection ------------------------------------------------

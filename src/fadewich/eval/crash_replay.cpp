@@ -140,15 +140,11 @@ CrashReplayResult run_with_crash(const sim::Recording& recording,
                               system_config);
   persist::RecoveryManager recovery(config.recovery);
   const auto t0 = std::chrono::steady_clock::now();
-  std::optional<persist::Snapshot> snapshot =
-      recovery.recover(&result.report);
-  Tick restored = 0;
-  if (snapshot) {
-    system.import_state(snapshot->system);
-    restored = static_cast<Tick>(snapshot->system.tick);
-  } else {
-    result.cold_start = true;
-  }
+  const std::optional<persist::Snapshot> snapshot =
+      recovery.recover(system, &result.report);
+  const Tick restored =
+      snapshot ? static_cast<Tick>(snapshot->system.tick) : 0;
+  result.cold_start = !snapshot;
   result.recovery_wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)

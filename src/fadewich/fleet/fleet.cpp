@@ -17,6 +17,11 @@ std::string office_label(std::size_t office) {
   return std::to_string(office);
 }
 
+/// An office's snapshot directory and its scrape prefix.
+std::string unit_name(std::size_t office) {
+  return "office-" + office_label(office);
+}
+
 }  // namespace
 
 Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
@@ -25,6 +30,9 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
   if (config_.offices < 1) throw Error("fleet config: offices must be >= 1");
   if (config_.checkpoint_period < 1) {
     throw Error("fleet config: checkpoint_period must be >= 1");
+  }
+  if (config_.max_restarts < 1) {
+    throw Error("fleet config: max_restarts must be >= 1");
   }
 
   auto& registry = obs::MetricsRegistry::global();
@@ -76,44 +84,32 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
     shards_[i] = std::move(shard);
   });
 
-  if (!config_.snapshot_root.empty()) {
-    persist::SupervisorConfig sup = config_.supervisor;
-    const auto quantum = static_cast<Tick>(config_.shard.block_ticks);
-    // A shard only heartbeats at block boundaries; a stall threshold
-    // tighter than two blocks would restart healthy shards.
-    sup.stall_ticks = std::max(sup.stall_ticks, 2 * quantum);
-    supervisor_ = std::make_unique<persist::Supervisor>(sup);
+  if (supervised()) {
+    retired_.assign(shards_.size(), false);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       persist::RecoveryConfig recovery;
-      recovery.directory =
-          config_.snapshot_root + "/office-" + std::to_string(i);
+      recovery.directory = config_.snapshot_root + "/" + unit_name(i);
       shards_[i]->enable_persistence(std::move(recovery),
                                      config_.checkpoint_period);
-      OfficeShard* shard = shards_[i].get();
-      supervisor_->add_module(module_name(i), [this, shard] {
-        if (!shard->restore_from_ring()) shard->reset_to_cold();
-        shard->run_until(current_boundary_);
-        return !shard->faulted();
-      });
     }
   }
 }
 
-std::string Fleet::module_name(std::size_t office) const {
-  return "office-" + std::to_string(office);
-}
-
-void Fleet::supervise(Tick boundary, std::size_t* restarts) {
+std::size_t Fleet::restart_faulted(Tick boundary) {
+  std::size_t restarts = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const OfficeShard& shard = *shards_[i];
-    if (shard.faulted()) {
-      supervisor_->report_failure(module_name(i), boundary,
-                                  shard.fault_what());
-    } else {
-      supervisor_->heartbeat(module_name(i), boundary);
+    OfficeShard& shard = *shards_[i];
+    if (!shard.faulted() || retired_[i]) continue;
+    if (shard.restores() >= config_.max_restarts) {
+      retired_[i] = true;
+      continue;
     }
+    ++restarts;
+    if (!shard.restore_from_ring()) shard.reset_to_cold();
+    shard.run_until(boundary);
+    retired_[i] = shard.faulted();
   }
-  *restarts += supervisor_->poll(boundary);
+  return restarts;
 }
 
 RunStats Fleet::run_week(Tick ticks) {
@@ -125,11 +121,10 @@ RunStats Fleet::run_week(Tick ticks) {
 
   while (cursor_ < target) {
     const Tick boundary = std::min(cursor_ + quantum, target);
-    current_boundary_ = boundary;
     pool_->parallel_for(0, shards_.size(), [&](std::size_t i) {
       shards_[i]->run_until(boundary);
     });
-    if (supervisor_ != nullptr) supervise(boundary, &restarts);
+    if (supervised()) restarts += restart_faulted(boundary);
     cursor_ = boundary;
   }
 
@@ -160,6 +155,11 @@ void Fleet::inject_crash(std::size_t office, Tick tick) {
 const OfficeShard& Fleet::shard(std::size_t office) const {
   FADEWICH_EXPECTS(office < shards_.size());
   return *shards_[office];
+}
+
+bool Fleet::retired(std::size_t office) const {
+  FADEWICH_EXPECTS(office < shards_.size());
+  return supervised() && retired_[office];
 }
 
 std::uint32_t Fleet::fleet_digest() const {
@@ -200,11 +200,6 @@ double Fleet::memory_bytes_per_office() const {
   return static_cast<double>(total) / static_cast<double>(shards_.size());
 }
 
-persist::HealthReport Fleet::supervisor_health() const {
-  if (supervisor_ == nullptr) return {};
-  return supervisor_->health();
-}
-
 obs::ScrapeReport Fleet::scrape() const {
   obs::ScrapeReport report = obs::scrape();
 
@@ -227,8 +222,13 @@ obs::ScrapeReport Fleet::scrape() const {
             latency != nullptr ? latency->percentile(0.99) : 0.0);
   report.health.push_back(std::move(fleet));
 
-  if (supervisor_ != nullptr) {
-    report.health.push_back(persist::health_block(supervisor_->health()));
+  if (supervised()) {
+    std::vector<persist::UnitHealth> units;
+    units.reserve(shards_.size());
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      units.push_back({unit_name(i), shards_[i]->restores(), retired_[i]});
+    }
+    report.health.push_back(persist::health_block(units));
   }
   return report;
 }

@@ -244,16 +244,7 @@ void OfficeShard::run_until(Tick boundary) {
 }
 
 bool OfficeShard::restore_from_ring() {
-  if (recovery_ == nullptr) return false;
-  persist::RecoveryReport report;
-  const std::optional<persist::Snapshot> snapshot =
-      recovery_->recover(&report);
-  if (!snapshot) return false;
-  try {
-    system_.import_state(snapshot->system);
-  } catch (const Error&) {
-    return false;
-  }
+  if (recovery_ == nullptr || !recovery_->recover(system_)) return false;
   faulted_ = false;
   fault_what_.clear();
   ++restores_;

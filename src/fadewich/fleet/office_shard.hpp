@@ -113,7 +113,7 @@ class OfficeShard {
   /// trigger disarms once fired, so a recovered shard replays past it.
   void kill_at(Tick tick) { kill_tick_ = tick; }
 
-  /// Restore the newest valid snapshot; false on a cold ring.  Clears
+  /// Restore the newest snapshot that fits; false when none does.  Clears
   /// the fault flag on success.  The pipeline resumes from the snapshot
   /// tick; the stateless driver replays the lost range bit-identically.
   bool restore_from_ring();

@@ -3,7 +3,7 @@
 //
 // A ScrapeReport is the one-call health surface: the merged metrics
 // snapshot, any number of named HealthBlocks (bespoke counter structs —
-// net::StationHealth, the supervisor's HealthReport — flattened to
+// net::StationHealth, persist::UnitHealth restart counts — flattened to
 // key/number pairs by their owning modules), and recent structured
 // events.  Both exporters render the same report:
 //

@@ -144,7 +144,8 @@ std::string RecoveryManager::checkpoint(const Snapshot& snapshot) {
   return path;
 }
 
-std::optional<Snapshot> RecoveryManager::recover(RecoveryReport* report) {
+std::optional<Snapshot> RecoveryManager::recover(core::FadewichSystem& into,
+                                                 RecoveryReport* report) {
   auto& metrics = PersistMetrics::get();
   ScopedTimer timer(metrics.recover_latency);
   metrics.recoveries.inc();
@@ -159,6 +160,9 @@ std::optional<Snapshot> RecoveryManager::recover(RecoveryReport* report) {
     for (std::size_t attempt = 0; attempt < config_.max_retries; ++attempt) {
       try {
         Snapshot snapshot = load_snapshot(path);
+        // A snapshot from another deployment loads fine but does not
+        // fit; import_state leaves `into` unchanged when it throws.
+        into.import_state(snapshot.system);
         out.recovered_path = path;
         return snapshot;
       } catch (const Error& e) {
@@ -191,6 +195,25 @@ std::vector<std::string> RecoveryManager::ring() const {
     paths.push_back(path);
   }
   return paths;
+}
+
+obs::HealthBlock health_block(std::span<const UnitHealth> units) {
+  obs::HealthBlock block;
+  block.name = "supervisor";
+  std::uint64_t total_restarts = 0;
+  bool all_healthy = true;
+  for (const UnitHealth& unit : units) {
+    total_restarts += unit.restarts;
+    all_healthy = all_healthy && !unit.retired;
+  }
+  block.add("modules", static_cast<double>(units.size()));
+  block.add("total_restarts", static_cast<double>(total_restarts));
+  block.add("all_healthy", all_healthy ? 1.0 : 0.0);
+  for (const UnitHealth& unit : units) {
+    block.add(unit.name + "_status", unit.retired ? 2.0 : 0.0);
+    block.add(unit.name + "_restarts", static_cast<double>(unit.restarts));
+  }
+  return block;
 }
 
 }  // namespace fadewich::persist

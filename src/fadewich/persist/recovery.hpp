@@ -3,16 +3,23 @@
 // A RecoveryManager owns a directory of numbered snapshot files
 // (`snap-00000042.fdws`).  checkpoint() writes a new snapshot atomically
 // and prunes the ring to `ring_size` files; recover() walks the ring
-// newest-first, skipping corrupt or version-mismatched files, retrying
-// transient I/O failures with bounded backoff, and returns the newest
-// snapshot that validates — or nullopt for an explicit cold start.
+// newest-first, skipping corrupt or version-mismatched files and
+// snapshots the pipeline refuses to import (another deployment's shape),
+// retrying transient I/O failures with bounded backoff.  It imports the
+// newest snapshot that both loads and fits — or reports an explicit cold
+// start and leaves the pipeline untouched.  Every restore site (the
+// supervised system, fleet shards, the crash-replay harness) goes
+// through this one walk.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "fadewich/core/system.hpp"
+#include "fadewich/obs/export.hpp"
 #include "fadewich/persist/snapshot.hpp"
 
 namespace fadewich::persist {
@@ -53,10 +60,14 @@ class RecoveryManager {
   /// oldest files beyond ring_size.
   std::string checkpoint(const Snapshot& snapshot);
 
-  /// Load the newest valid snapshot, falling back across the ring.
-  /// Returns nullopt (cold start) when no file validates; never throws
-  /// for bad snapshot data.  Details land in *report when non-null.
-  std::optional<Snapshot> recover(RecoveryReport* report = nullptr);
+  /// Import the newest snapshot that loads and that `into` accepts,
+  /// falling back across the ring: a file that fails to load or to
+  /// import is rejected with its reason and the next older one is tried.
+  /// Returns the imported snapshot, or nullopt (cold start, `into`
+  /// unchanged) when no file fits; never throws for bad snapshot data.
+  /// Details land in *report when non-null.
+  std::optional<Snapshot> recover(core::FadewichSystem& into,
+                                  RecoveryReport* report = nullptr);
 
   /// Paths of the retained snapshots, oldest first.
   std::vector<std::string> ring() const;
@@ -68,5 +79,19 @@ class RecoveryManager {
   std::uint64_t next_seq_ = 0;
   std::uint64_t checkpoints_written_ = 0;
 };
+
+/// One restartable unit (a supervised pipeline, a fleet office) as the
+/// scrape shows it.  Its owner restores it after a fault until
+/// `restarts` reaches the owner's bound, then retires it.
+struct UnitHealth {
+  std::string name;
+  std::uint64_t restarts = 0;
+  bool retired = false;
+};
+
+/// The scrape's "supervisor" block: modules, total_restarts and
+/// all_healthy, then per unit <name>_status (0 healthy, 2 retired) and
+/// <name>_restarts.
+obs::HealthBlock health_block(std::span<const UnitHealth> units);
 
 }  // namespace fadewich::persist

@@ -9,11 +9,12 @@
 namespace fadewich::persist {
 
 namespace {
-constexpr const char* kPipelineModule = "pipeline";
-
 SupervisedConfig validated(SupervisedConfig config) {
   if (config.checkpoint_period_ticks < 1) {
     throw Error("supervised config: checkpoint_period_ticks must be >= 1");
+  }
+  if (config.max_restarts < 1) {
+    throw Error("supervised config: max_restarts must be >= 1");
   }
   return config;
 }
@@ -25,17 +26,10 @@ SupervisedSystem::SupervisedSystem(std::size_t stream_count,
                                    SupervisedConfig config)
     : system_(stream_count, workstation_count, system_config),
       recovery_(validated(config).recovery),
-      supervisor_(config.supervisor),
-      checkpoint_period_(config.checkpoint_period_ticks) {
+      checkpoint_period_(config.checkpoint_period_ticks),
+      max_restarts_(config.max_restarts) {
   station_health_.imputed_per_stream.assign(stream_count, 0);
-  supervisor_.add_module(kPipelineModule,
-                         [this]() { return restore_from_ring(); });
-
-  const std::optional<Snapshot> snapshot =
-      recovery_.recover(&recovery_report_);
-  if (snapshot) {
-    system_.import_state(snapshot->system);
-    station_health_ = snapshot->station;
+  if (restore(&recovery_report_)) {
     obs::events().info("persist", "recovered from snapshot", 0,
                        {{"path", recovery_report_.recovered_path}});
   } else {
@@ -44,17 +38,21 @@ SupervisedSystem::SupervisedSystem(std::size_t stream_count,
   }
 }
 
-bool SupervisedSystem::restore_from_ring() {
-  RecoveryReport report;
-  const std::optional<Snapshot> snapshot = recovery_.recover(&report);
-  if (!snapshot) return false;
-  try {
-    system_.import_state(snapshot->system);
-  } catch (const Error&) {
+bool SupervisedSystem::restore(RecoveryReport* report) {
+  const std::optional<Snapshot> snapshot = recovery_.recover(system_, report);
+  if (snapshot) station_health_ = snapshot->station;
+  return snapshot.has_value();
+}
+
+bool SupervisedSystem::restart() {
+  if (retired_) return false;
+  if (restarts_ >= max_restarts_) {
+    retired_ = true;
     return false;
   }
-  station_health_ = snapshot->station;
-  return true;
+  ++restarts_;
+  if (!restore(nullptr)) retired_ = true;
+  return !retired_;
 }
 
 SupervisedSystem::StepResult SupervisedSystem::step(
@@ -64,17 +62,16 @@ SupervisedSystem::StepResult SupervisedSystem::step(
   const Tick tick = static_cast<Tick>(steps_);
   try {
     result.inner = system_.step(rssi_row, valid);
-    supervisor_.heartbeat(kPipelineModule, tick);
     if (steps_ % static_cast<std::uint64_t>(checkpoint_period_) == 0) {
       checkpoint_now();
     }
   } catch (const std::exception& e) {
-    supervisor_.report_failure(kPipelineModule, tick, e.what());
-    supervisor_.poll(tick);
     result.inner = {};
-    result.recovered = true;
-    obs::events().error("persist", "pipeline step failed; restored", tick,
-                        {{"what", e.what()}});
+    result.recovered = restart();
+    obs::events().error("persist",
+                        result.recovered ? "pipeline step failed; restored"
+                                         : "pipeline step failed; retired",
+                        tick, {{"what", e.what()}});
   }
   return result;
 }
@@ -97,7 +94,8 @@ obs::ScrapeReport SupervisedSystem::scrape(
   if (faults != nullptr) {
     report.health.push_back(net::health_block(*faults));
   }
-  report.health.push_back(health_block(supervisor_.health()));
+  const UnitHealth pipeline_unit{"pipeline", restarts_, retired_};
+  report.health.push_back(health_block({&pipeline_unit, 1}));
   return report;
 }
 

@@ -1,12 +1,14 @@
 // SupervisedSystem: a FadewichSystem under crash protection.
 //
-// On construction it recovers the newest valid snapshot from the ring
-// (or cold-starts, flagged degraded).  Every step() heartbeats the
-// watchdog, checkpoints on a fixed period, and catches module
-// exceptions: a throwing step is reported to the Supervisor, which
-// restores the last checkpoint (bounded by max_restarts).  After a
-// restore the pipeline resumes from the snapshot's tick with empty
-// sliding windows, so detection re-warms for `md.std_window` seconds.
+// On construction it recovers the newest snapshot from the ring that
+// fits this deployment (or cold-starts, flagged degraded).  Every step()
+// checkpoints on a fixed period and catches module exceptions: a
+// throwing step restores the newest fitting checkpoint, up to
+// `max_restarts` times.  A fault with the budget spent, or a restore
+// that finds nothing to import, retires the pipeline: it keeps stepping,
+// is no longer restored, and is reported retired in the scrape.  After a restore
+// the pipeline resumes from the snapshot's tick with empty sliding
+// windows, so detection re-warms for `md.std_window` seconds.
 #pragma once
 
 #include <cstdint>
@@ -17,14 +19,13 @@
 #include "fadewich/net/fault_injector.hpp"
 #include "fadewich/obs/obs.hpp"
 #include "fadewich/persist/recovery.hpp"
-#include "fadewich/persist/supervisor.hpp"
 
 namespace fadewich::persist {
 
 struct SupervisedConfig {
   RecoveryConfig recovery;
-  SupervisorConfig supervisor;
   Tick checkpoint_period_ticks = 600;  // >= 1
+  std::size_t max_restarts = 5;        // restores after faults, >= 1
 };
 
 class SupervisedSystem {
@@ -54,9 +55,9 @@ class SupervisedSystem {
   }
   bool finish_training() { return system_.finish_training(); }
 
-  /// Step the pipeline under the watchdog.  A throwing step is
-  /// reported, the Supervisor restores the last checkpoint, and an
-  /// empty result is returned for that tick; `recovered` is set so
+  /// Step the pipeline.  A throwing step restores the newest fitting
+  /// checkpoint (while the restart budget lasts) and returns an empty
+  /// result for that tick; `recovered` is set when it restored, so
   /// callers can observe the restart.
   struct StepResult {
     core::FadewichSystem::StepResult inner;
@@ -78,25 +79,31 @@ class SupervisedSystem {
     return recovery_.checkpoints_written();
   }
 
-  HealthReport health() const { return supervisor_.health(); }
+  /// Restart attempts after faulted steps (a failed one counts too).
+  std::uint64_t restarts() const { return restarts_; }
+  /// True once a fault found the budget spent or nothing to restore.
+  bool retired() const { return retired_; }
 
   /// One unified observability document: every metric family plus
-  /// pipeline, station, fault (when given), and supervisor health, with
+  /// pipeline, station, fault (when given), and restart health, with
   /// recent events folded in.  Render with to_prometheus() or to_json().
   obs::ScrapeReport scrape(
       const net::FaultInjector::Counters* faults = nullptr) const;
 
  private:
-  bool restore_from_ring();
+  bool restore(RecoveryReport* report);
+  bool restart();
 
   core::FadewichSystem system_;
   RecoveryManager recovery_;
-  Supervisor supervisor_;
   Tick checkpoint_period_;
+  std::size_t max_restarts_;
   net::StationHealth station_health_;
   RecoveryReport recovery_report_;
   bool degraded_start_ = false;
   std::uint64_t steps_ = 0;
+  std::uint64_t restarts_ = 0;
+  bool retired_ = false;
 };
 
 }  // namespace fadewich::persist

@@ -60,7 +60,8 @@ FloorPlan build_office(const OfficeSpec& spec) {
   }
   for (std::size_t i = 0; i < spec.workstations; ++i) {
     Workstation ws;
-    ws.name = "w" + std::to_string(i + 1);
+    ws.name = "w";
+    ws.name += std::to_string(i + 1);
     if (i < top_capacity) {
       const double x = 0.8 + desk_pitch * static_cast<double>(i);
       ws.seat = {x, spec.height - 0.5};

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "fadewich/common/error.hpp"
+#include "fadewich/persist/snapshot.hpp"
 #include "synthetic_harness.hpp"
 
 namespace fadewich::core {
@@ -106,6 +109,35 @@ TEST_F(SystemTest, PresentUserKeepsSessionThroughMovementOfOther) {
   ASSERT_TRUE(h.system().finish_training());
   h.leave(0, {1});
   EXPECT_EQ(h.system().session(1).state(), SessionState::kActive);
+}
+
+// A state the KMA accepts but the MD refuses must leave the system
+// exactly as it was, so recovery can try an older snapshot on it.
+TEST_F(SystemTest, FailedImportLeavesTheSystemUnchanged) {
+  Harness h;
+  h.train();
+  ASSERT_TRUE(h.system().finish_training());
+  h.advance(5.0, {0, 1}, {});
+  const auto encoded = [&h] {
+    persist::Snapshot snapshot;
+    snapshot.system = h.system().export_state();
+    return persist::encode_snapshot(snapshot);
+  };
+  const std::string before = encoded();
+
+  SystemState bad = h.system().export_state();
+  bad.kma_last_input.assign(bad.kma_last_input.size(), 1.0);
+  bad.training = true;
+  bad.md.calibration_buffer.assign(100000, -60.0);
+  try {
+    h.system().import_state(bad);
+    FAIL() << "import_state accepted an oversized calibration buffer";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("calibration buffer"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(encoded(), before);
 }
 
 }  // namespace

@@ -204,12 +204,17 @@ TEST_F(CrashReplayTest, CorruptedRingFallsBackWithoutAborting) {
                     fs::file_size(ring[ring.size() - 2]) / 3);
   }
 
+  core::SystemConfig system_config = config.online.system;
+  system_config.tick_hz = recording().rate().hz();
+  core::FadewichSystem system(recording().stream_count(), kWorkstations,
+                              system_config);
   persist::RecoveryManager recovery(config.recovery);
   persist::RecoveryReport report;
-  const auto snapshot = recovery.recover(&report);
+  const auto snapshot = recovery.recover(system, &report);
   ASSERT_TRUE(snapshot.has_value());  // third-newest survives
   EXPECT_EQ(report.rejected.size(), 2u);
   EXPECT_EQ(snapshot->system.tick, 600u);  // the oldest of the three
+  EXPECT_EQ(system.tick(), 600);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "fadewich/exec/thread_pool.hpp"
 #include "fadewich/obs/export.hpp"
@@ -97,14 +98,21 @@ TEST(FleetScrape, SupervisedFleetExportsTheSupervisorBlock) {
   const obs::ScrapeReport report = fleet.scrape();
   const obs::HealthBlock* sup = report.find_block("supervisor");
   ASSERT_NE(sup, nullptr);
-  bool saw_modules = false;
+  std::vector<std::string> fields;
   for (const auto& [field, value] : sup->fields) {
+    fields.push_back(field);
     if (field == "modules") {
-      saw_modules = true;
       EXPECT_EQ(value, 2.0);
     }
+    if (field == "all_healthy") {
+      EXPECT_EQ(value, 1.0);
+    }
   }
-  EXPECT_TRUE(saw_modules);
+  const std::vector<std::string> expected = {
+      "modules",          "total_restarts",   "all_healthy",
+      "office-0_status",  "office-0_restarts", "office-1_status",
+      "office-1_restarts"};
+  EXPECT_EQ(fields, expected);
   fs::remove_all(root);
 }
 

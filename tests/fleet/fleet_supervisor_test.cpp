@@ -1,5 +1,6 @@
 // Supervised fleet recovery: killing one shard mid-week must recover it
-// through the fleet supervisor without perturbing any neighbor's output.
+// through the fleet's restart pass without perturbing any neighbor's
+// output, and a shard that keeps faulting is retired at its bound.
 #include "fadewich/fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -65,13 +66,10 @@ TEST_F(FleetSupervisorTest, CrashedShardRecoversWithoutPerturbingNeighbors) {
   EXPECT_FALSE(crashed.shard(kVictim).faulted());
   EXPECT_EQ(crashed.shard(kVictim).tick(), kWeek);
 
-  const persist::HealthReport health = crashed.supervisor_health();
-  ASSERT_EQ(health.modules.size(), kOffices);
-  EXPECT_TRUE(health.all_healthy());
-  EXPECT_EQ(health.total_restarts, 1u);
-
   for (std::size_t i = 0; i < kOffices; ++i) {
+    EXPECT_FALSE(crashed.retired(i));
     if (i == kVictim) continue;
+    EXPECT_EQ(crashed.shard(i).restores(), 0u);
     EXPECT_EQ(crashed.shard_digest(i), expected[i])
         << "recovery of office " << kVictim << " perturbed office " << i;
   }
@@ -99,25 +97,24 @@ TEST_F(FleetSupervisorTest, RepeatedCrashesExhaustTheRestartBudget) {
   reference.run_week(kWeek);
 
   FleetConfig config = supervised("budget");
-  config.supervisor.max_restarts = 1;
+  config.max_restarts = 1;
   Fleet fleet(config, &pool);
   fleet.inject_crash(kVictim, 800);
   fleet.run_week(1000);
   ASSERT_EQ(fleet.total_restarts(), 1u);
 
-  // A second crash exceeds max_restarts = 1: the module is retired as
-  // kFailed and the shard stays parked at its failing tick.
+  // A second crash exceeds max_restarts = 1: the office is retired
+  // without another restore and the shard stays parked at its failing
+  // tick.
   fleet.inject_crash(kVictim, 1600);
-  fleet.run_week(kWeek - 1000);
+  const RunStats stats = fleet.run_week(kWeek - 1000);
+  EXPECT_EQ(stats.restarts, 0u);
+  EXPECT_EQ(fleet.total_restarts(), 1u);
 
-  const persist::HealthReport health = fleet.supervisor_health();
-  ASSERT_EQ(health.modules.size(), kOffices);
-  EXPECT_FALSE(health.all_healthy());
-  std::size_t failed = 0;
-  for (const persist::ModuleHealth& m : health.modules) {
-    if (m.status == persist::ModuleStatus::kFailed) ++failed;
-  }
-  EXPECT_EQ(failed, 1u);
+  std::size_t retired = 0;
+  for (std::size_t i = 0; i < kOffices; ++i) retired += fleet.retired(i);
+  EXPECT_EQ(retired, 1u);
+  EXPECT_TRUE(fleet.retired(kVictim));
   EXPECT_TRUE(fleet.shard(kVictim).faulted());
   EXPECT_LT(fleet.shard(kVictim).tick(), kWeek);
 
@@ -137,7 +134,20 @@ TEST_F(FleetSupervisorTest, UnsupervisedFleetHasNoSupervisor) {
   exec::ThreadPool pool(2);
   Fleet fleet(config, &pool);
   EXPECT_FALSE(fleet.supervised());
-  EXPECT_TRUE(fleet.supervisor_health().modules.empty());
+  // Without a snapshot ring a crashed office is neither restarted nor
+  // retired: it just stays parked.
+  fleet.inject_crash(1, 300);
+  EXPECT_EQ(fleet.run_week(500).restarts, 0u);
+  EXPECT_TRUE(fleet.shard(1).faulted());
+  EXPECT_FALSE(fleet.retired(1));
+  EXPECT_EQ(fleet.total_restarts(), 0u);
+}
+
+TEST_F(FleetSupervisorTest, ValidatesTheRestartBound) {
+  FleetConfig config = supervised("bound");
+  config.max_restarts = 0;
+  exec::ThreadPool pool(1);
+  EXPECT_THROW(Fleet(config, &pool), Error);
 }
 
 TEST_F(FleetSupervisorTest, CrashBehindTheCursorIsRejected) {

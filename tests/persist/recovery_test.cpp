@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "fadewich/common/error.hpp"
 
@@ -34,16 +35,20 @@ class RecoveryTest : public ::testing::Test {
     return config;
   }
 
-  /// A minimal valid snapshot: tick N, one session, no classifier.
+  /// A minimal snapshot that fits system_: tick N, one workstation, no
+  /// classifier, MD still calibrating.
   static Snapshot tagged(std::uint64_t tick) {
     Snapshot snapshot;
     snapshot.system.tick = tick;
     snapshot.system.md.now = static_cast<Tick>(tick);
     snapshot.system.sessions.resize(1);
+    snapshot.system.kma_last_input.assign(
+        1, -std::numeric_limits<Seconds>::infinity());
     return snapshot;
   }
 
   std::string dir_;
+  core::FadewichSystem system_{2, 1};  // what recover() imports into
 };
 
 TEST_F(RecoveryTest, ValidatesConfig) {
@@ -62,7 +67,7 @@ TEST_F(RecoveryTest, ValidatesConfig) {
 TEST_F(RecoveryTest, ColdStartOnEmptyDirectory) {
   RecoveryManager manager(config());
   RecoveryReport report;
-  EXPECT_FALSE(manager.recover(&report).has_value());
+  EXPECT_FALSE(manager.recover(system_, &report).has_value());
   EXPECT_TRUE(report.cold_start);
   EXPECT_TRUE(report.rejected.empty());
 }
@@ -73,11 +78,30 @@ TEST_F(RecoveryTest, RecoversTheNewestSnapshot) {
   manager.checkpoint(tagged(200));
   manager.checkpoint(tagged(300));
   RecoveryReport report;
-  const auto snapshot = manager.recover(&report);
+  const auto snapshot = manager.recover(system_, &report);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 300u);
+  EXPECT_EQ(system_.tick(), 300);  // imported, not just loaded
   EXPECT_FALSE(report.cold_start);
   EXPECT_TRUE(report.rejected.empty());
+}
+
+TEST_F(RecoveryTest, FallsBackPastASnapshotThatDoesNotImport) {
+  RecoveryManager manager(config());
+  manager.checkpoint(tagged(100));
+  Snapshot misfit = tagged(200);  // a two-workstation deployment's
+  misfit.system.sessions.resize(2);
+  misfit.system.kma_last_input.resize(2);
+  const std::string newest = manager.checkpoint(misfit);
+  RecoveryReport report;
+  const auto snapshot = manager.recover(system_, &report);
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->system.tick, 100u);
+  EXPECT_EQ(system_.tick(), 100);
+  ASSERT_EQ(report.rejected.size(), 1u);
+  EXPECT_EQ(report.rejected[0].path, newest);
+  EXPECT_NE(report.rejected[0].reason.find("2 sessions"), std::string::npos)
+      << report.rejected[0].reason;
 }
 
 TEST_F(RecoveryTest, RingIsPrunedToConfiguredSize) {
@@ -108,7 +132,7 @@ TEST_F(RecoveryTest, FallsBackPastACorruptNewestSnapshot) {
         .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   RecoveryReport report;
-  const auto snapshot = manager.recover(&report);
+  const auto snapshot = manager.recover(system_, &report);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 100u);
   ASSERT_EQ(report.rejected.size(), 1u);
@@ -120,7 +144,7 @@ TEST_F(RecoveryTest, FallsBackPastATruncatedSnapshot) {
   manager.checkpoint(tagged(100));
   const std::string newest = manager.checkpoint(tagged(200));
   fs::resize_file(newest, fs::file_size(newest) / 2);
-  const auto snapshot = manager.recover();
+  const auto snapshot = manager.recover(system_);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 100u);
 }
@@ -133,7 +157,7 @@ TEST_F(RecoveryTest, AllCorruptMeansColdStartNotAbort) {
         << "not a snapshot";
   }
   RecoveryReport report;
-  EXPECT_FALSE(manager.recover(&report).has_value());
+  EXPECT_FALSE(manager.recover(system_, &report).has_value());
   EXPECT_TRUE(report.cold_start);
   EXPECT_EQ(report.rejected.size(), 3u);
 }
@@ -148,7 +172,7 @@ TEST_F(RecoveryTest, NumberingContinuesAcrossInstances) {
   RecoveryManager reborn(config());
   const std::string next = reborn.checkpoint(tagged(3));
   EXPECT_NE(next, first);
-  const auto snapshot = reborn.recover();
+  const auto snapshot = reborn.recover(system_);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 3u);  // new file sorts newest
 }
@@ -157,7 +181,7 @@ TEST_F(RecoveryTest, ForeignFilesInTheDirectoryAreIgnored) {
   RecoveryManager manager(config());
   std::ofstream(fs::path(dir_) / "README.txt") << "hands off";
   manager.checkpoint(tagged(42));
-  const auto snapshot = manager.recover();
+  const auto snapshot = manager.recover(system_);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 42u);
   EXPECT_TRUE(fs::exists(fs::path(dir_) / "README.txt"));

@@ -1,0 +1,169 @@
+// SupervisedSystem: recovery at construction goes through the one ring
+// walk (a snapshot from another deployment is rejected, not fatal), and
+// faulted steps restore the last checkpoint up to a plain restart bound.
+#include "fadewich/persist/supervised_system.hpp"
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "fadewich/common/error.hpp"
+
+namespace fadewich::persist {
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr std::size_t kStreams = 4;
+constexpr std::size_t kWorkstations = 2;
+
+class SupervisedSystemTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (fs::temp_directory_path() /
+            ("fadewich_supervised_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name())))
+               .string();
+    fs::remove_all(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  SupervisedConfig config(std::size_t max_restarts = 5) const {
+    SupervisedConfig config;
+    config.recovery.directory = dir_;
+    config.recovery.backoff_ms = 0.0;
+    config.max_restarts = max_restarts;
+    return config;
+  }
+
+  /// Checkpoint a fresh pipeline of `workstations` stepped `ticks` times
+  /// into the ring; returns the snapshot's path.
+  std::string checkpoint(std::size_t workstations, int ticks) const {
+    core::FadewichSystem system(kStreams, workstations);
+    const std::vector<double> row(kStreams, -60.0);
+    for (int t = 0; t < ticks; ++t) system.step(row);
+    Snapshot snapshot;
+    snapshot.system = system.export_state();
+    return RecoveryManager(config().recovery).checkpoint(snapshot);
+  }
+
+  /// One step whose validity mask does not match the row: the pipeline
+  /// throws before touching any state.
+  static SupervisedSystem::StepResult faulty_step(SupervisedSystem& live) {
+    const std::vector<double> row(kStreams, -60.0);
+    const std::vector<std::uint8_t> valid(1, 1);
+    return live.step(row, valid);
+  }
+
+  static double field(const obs::HealthBlock& block, const std::string& name) {
+    for (const auto& [key, value] : block.fields) {
+      if (key == name) return value;
+    }
+    ADD_FAILURE() << "no field " << name << " in block " << block.name;
+    return -1.0;
+  }
+
+  std::string dir_;
+};
+
+TEST_F(SupervisedSystemTest, ValidatesConfig) {
+  EXPECT_THROW(SupervisedSystem(kStreams, kWorkstations, {}, config(0)),
+               Error);
+  SupervisedConfig bad = config();
+  bad.checkpoint_period_ticks = 0;
+  EXPECT_THROW(SupervisedSystem(kStreams, kWorkstations, {}, bad), Error);
+}
+
+// The newest snapshot comes from a 3-workstation deployment: it loads but
+// does not fit, so recovery rejects it and restores the older one.
+TEST_F(SupervisedSystemTest, SkipsAnotherDeploymentsSnapshot) {
+  const std::string fits = checkpoint(kWorkstations, 40);
+  const std::string misfit = checkpoint(3, 80);
+
+  SupervisedSystem live(kStreams, kWorkstations, {}, config());
+  EXPECT_FALSE(live.degraded_start());
+  EXPECT_EQ(live.system().tick(), 40);
+  const RecoveryReport& report = live.recovery_report();
+  EXPECT_EQ(report.recovered_path, fits);
+  EXPECT_FALSE(report.cold_start);
+  ASSERT_EQ(report.rejected.size(), 1u);
+  EXPECT_EQ(report.rejected[0].path, misfit);
+  EXPECT_NE(report.rejected[0].reason.find("3 sessions"), std::string::npos)
+      << report.rejected[0].reason;
+}
+
+TEST_F(SupervisedSystemTest, OnlyAMisfitSnapshotMeansADegradedStart) {
+  checkpoint(3, 80);
+  SupervisedSystem live(kStreams, kWorkstations, {}, config());
+  EXPECT_TRUE(live.degraded_start());
+  EXPECT_EQ(live.system().tick(), 0);
+  EXPECT_TRUE(live.recovery_report().cold_start);
+  EXPECT_EQ(live.recovery_report().rejected.size(), 1u);
+}
+
+TEST_F(SupervisedSystemTest, FaultedStepRestoresTheLastCheckpoint) {
+  SupervisedSystem live(kStreams, kWorkstations, {}, config());
+  const std::vector<double> row(kStreams, -60.0);
+  for (int t = 0; t < 30; ++t) live.step(row);
+  live.checkpoint_now();
+  for (int t = 0; t < 10; ++t) live.step(row);
+  ASSERT_EQ(live.system().tick(), 40);
+
+  EXPECT_TRUE(faulty_step(live).recovered);
+  EXPECT_EQ(live.system().tick(), 30);
+  EXPECT_EQ(live.restarts(), 1u);
+  EXPECT_FALSE(live.retired());
+  EXPECT_FALSE(live.step(row).recovered);  // healthy steps carry on
+}
+
+TEST_F(SupervisedSystemTest, RestartsAreBoundedThenRetired) {
+  SupervisedSystem live(kStreams, kWorkstations, {}, config(2));
+  live.checkpoint_now();
+  EXPECT_TRUE(faulty_step(live).recovered);
+  EXPECT_TRUE(faulty_step(live).recovered);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_FALSE(faulty_step(live).recovered);  // budget spent
+  }
+  EXPECT_EQ(live.restarts(), 2u);
+  EXPECT_TRUE(live.retired());
+}
+
+TEST_F(SupervisedSystemTest, FailedRestartRetiresThePipeline) {
+  SupervisedSystem live(kStreams, kWorkstations, {}, config());
+  ASSERT_TRUE(live.degraded_start());  // empty ring: nothing to restore
+  EXPECT_FALSE(faulty_step(live).recovered);
+  EXPECT_EQ(live.restarts(), 1u);
+  EXPECT_TRUE(live.retired());
+  // A retired pipeline is left alone afterwards.
+  EXPECT_FALSE(faulty_step(live).recovered);
+  EXPECT_EQ(live.restarts(), 1u);
+}
+
+TEST_F(SupervisedSystemTest, ScrapeCarriesTheRestartBlock) {
+  SupervisedSystem live(kStreams, kWorkstations, {}, config(1));
+  live.checkpoint_now();
+  faulty_step(live);
+  const obs::ScrapeReport healthy = live.scrape();
+  const obs::HealthBlock* block = healthy.find_block("supervisor");
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(field(*block, "modules"), 1.0);
+  EXPECT_EQ(field(*block, "total_restarts"), 1.0);
+  EXPECT_EQ(field(*block, "all_healthy"), 1.0);
+  EXPECT_EQ(field(*block, "pipeline_status"), 0.0);
+  EXPECT_EQ(field(*block, "pipeline_restarts"), 1.0);
+  EXPECT_EQ(block->fields.size(), 5u);
+
+  faulty_step(live);
+  const obs::ScrapeReport retired = live.scrape();
+  block = retired.find_block("supervisor");
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(field(*block, "all_healthy"), 0.0);
+  EXPECT_EQ(field(*block, "pipeline_status"), 2.0);
+}
+
+}  // namespace
+}  // namespace fadewich::persist
