@@ -42,9 +42,6 @@ fleet::FleetConfig fleet_config(std::size_t offices) {
   fleet::FleetConfig config;
   config.offices = offices;
   config.shard.system = fleet::default_shard_system();
-  // Big sweeps run unsupervised and without per-office series: the
-  // bench trends raw shard throughput, not registry pressure.
-  config.per_office_series = false;
   return config;
 }
 

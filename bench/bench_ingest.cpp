@@ -236,7 +236,7 @@ struct WireRun {
   std::uint64_t rows = 0;
   std::uint64_t digest = 0;
   net::WireCounters decode;
-  net::IngestQueue::Counters queue;
+  std::uint64_t backpressure_rejects = 0;  // pushes the full ring refused
 };
 
 /// The single-lane baseline: decode a span of capture frames, push
@@ -278,7 +278,9 @@ WireRun run_wire(std::span<const std::uint8_t> frames,
       net::to_measurements(*frame, staged);
       std::span<const Measurement> rest(staged);
       while (!rest.empty()) {
-        rest = rest.subspan(queue.push_some(rest));
+        const std::size_t pushed = queue.push_some(rest);
+        run.backpressure_rejects += rest.size() - pushed;
+        rest = rest.subspan(pushed);
         // A full ring is backpressure: the producer yields to the
         // consumer (here: the same thread draining a batch).
         if (!rest.empty()) drain();
@@ -292,7 +294,6 @@ WireRun run_wire(std::span<const std::uint8_t> frames,
   run.seconds = seconds_since(start);
   run.digest = digest.value();
   run.decode = decoder.counters();
-  run.queue = queue.counters();
   return run;
 }
 
@@ -505,7 +506,7 @@ int run(int argc, char** argv) {
   json.field("rows", single.rows)
       .field("frames_ok", single.decode.frames_ok)
       .field("rejected_frames", single.decode.rejected_frames())
-      .field("backpressure_rejects", single.queue.rejected_full);
+      .field("backpressure_rejects", single.backpressure_rejects);
   if (depth_sample != nullptr) {
     json.field("queue_depth_p50", depth_sample->percentile(0.50))
         .field("queue_depth_p95", depth_sample->percentile(0.95))

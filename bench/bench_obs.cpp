@@ -67,35 +67,6 @@ Overhead bench_md_step(int reps) {
   return out;
 }
 
-/// Faulty station rounds: every report pays injector + station counters,
-/// the densest per-event instrumentation in the tree.
-Overhead bench_station_round(int reps) {
-  const rf::FloorPlan plan = rf::paper_office();
-  net::FaultConfig faults;
-  faults.drop_probability = 0.10;
-  faults.delay_probability = 0.05;
-  faults.max_delay_ticks = 3;
-  faults.duplicate_probability = 0.02;
-  net::StationConfig station;
-  station.deadline_ticks = 3;
-  const std::int64_t ticks = fast_mode() ? 2'000 : 8'000;
-
-  Overhead out;
-  out.name = "central_station_faulty_round";
-  const auto run = [&] {
-    net::LiveSensorNetwork network(plan.sensors, rf::ChannelConfig{}, 5.0,
-                                   42, faults, station);
-    out.items =
-        ticks * static_cast<std::int64_t>(network.stream_count());
-    for (std::int64_t t = 0; t < ticks; ++t) network.round({});
-  };
-  obs::set_enabled(false);
-  out.disabled_ms = time_best_ms(reps, run);
-  obs::set_enabled(true);
-  out.enabled_ms = time_best_ms(reps, run);
-  return out;
-}
-
 struct Primitive {
   std::string name;
   double ns_per_op = 0.0;
@@ -214,7 +185,6 @@ int run(int argc, char** argv) {
 
   std::vector<Overhead> overheads;
   overheads.push_back(bench_md_step(reps));
-  overheads.push_back(bench_station_round(reps));
   for (const Overhead& o : overheads) {
     std::cerr << "[bench_obs] " << o.name << ": disabled "
               << o.disabled_ms << " ms, enabled " << o.enabled_ms

@@ -232,12 +232,20 @@ int main(int argc, char** argv) {
                 << counter("fadewich_md_windows_closed_total")
                 << ", degraded ticks: "
                 << counter("fadewich_md_degraded_ticks_total") << "\n";
+      const obs::HealthBlock* station = scrape.find_block("station");
+      const auto station_field = [station](const char* name) {
+        std::uint64_t value = 0;
+        for (const auto& [field, v] : station->fields) {
+          if (field == name) value = static_cast<std::uint64_t>(v);
+        }
+        return value;
+      };
       std::cout << "fault counters: duplicates="
-                << counter("fadewich_net_duplicates_total")
-                << " late=" << counter("fadewich_net_late_reports_total")
-                << " evictions=" << counter("fadewich_net_evictions_total")
-                << " imputed_cells="
-                << counter("fadewich_net_imputed_cells_total") << "\n";
+                << station_field("duplicates")
+                << " late=" << station_field("late_reports")
+                << " evictions=" << station_field("evictions")
+                << " imputed_cells=" << station_field("imputed_cells")
+                << "\n";
       std::cout << "health blocks in the scrape:";
       for (const obs::HealthBlock& block : scrape.health) {
         std::cout << " " << block.name;

@@ -2,34 +2,7 @@
 
 #include <algorithm>
 
-#include "fadewich/obs/obs.hpp"
-
 namespace fadewich::defend {
-
-namespace {
-
-struct DefendMetrics {
-  obs::Counter frames = obs::registry().counter(
-      "fadewich_defend_frames_total", "frames judged by the defender");
-  obs::Counter rejected = obs::registry().counter(
-      "fadewich_defend_frames_rejected_total",
-      "frames refused (rate / auth / replay / spoof / quarantine)");
-  obs::Counter reports_dropped = obs::registry().counter(
-      "fadewich_defend_reports_dropped_total",
-      "reports dropped by consistency checks or link quarantine");
-  obs::Counter quarantines = obs::registry().counter(
-      "fadewich_defend_quarantines_total",
-      "link + station quarantine entries");
-  obs::Gauge quarantined_links = obs::registry().gauge(
-      "fadewich_defend_quarantined_links",
-      "links currently under quarantine");
-  static DefendMetrics& get() {
-    static DefendMetrics metrics;
-    return metrics;
-  }
-};
-
-}  // namespace
 
 obs::HealthBlock health_block(const DefendCounters& c) {
   obs::HealthBlock block;
@@ -53,6 +26,7 @@ obs::HealthBlock health_block(const DefendCounters& c) {
   block.add("stuck_drops", static_cast<double>(c.stuck_drops));
   block.add("link_quarantine_drops",
             static_cast<double>(c.link_quarantine_drops));
+  block.add("link_quarantines", static_cast<double>(c.link_quarantines));
   block.add("ramped_samples", static_cast<double>(c.ramped_samples));
   return block;
 }
@@ -143,40 +117,34 @@ bool Defender::station_quarantined(std::uint16_t station, Tick now) const {
 FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
                                     std::vector<net::Measurement>& out) {
   ++counters_.frames_checked;
-  DefendMetrics::get().frames.inc();
-
-  const auto reject = [](std::uint64_t& counter) {
-    ++counter;
-    DefendMetrics::get().rejected.inc();
-  };
 
   // Station identity: in this deployment every sensor is its own
   // reporting station, so a station id outside the device table is a
   // fabricated identity, not a routing error.
   if (frame.header.station_id >= device_count_) {
-    reject(counters_.unknown_station);
+    ++counters_.unknown_station;
     return FrameVerdict::kUnknownStation;
   }
   StationState& st = stations_[frame.header.station_id];
 
   if (st.quarantine_until > now) {
-    reject(counters_.station_quarantine_drops);
+    ++counters_.station_quarantine_drops;
     return FrameVerdict::kStationQuarantined;
   }
 
   // Rate limit before any per-byte work: a flood must cost the attacker
   // bandwidth, not the defender CPU.
   if (!take_token(st, now)) {
-    reject(counters_.rate_limited);
+    ++counters_.rate_limited;
     return FrameVerdict::kRateLimited;
   }
 
   if (!frame.authenticated) {
-    reject(counters_.unauthenticated);
+    ++counters_.unauthenticated;
     return FrameVerdict::kUnauthenticated;
   }
   if (!net::verify_frame_tag(st.key, frame)) {
-    reject(counters_.bad_tag);
+    ++counters_.bad_tag;
     return FrameVerdict::kBadTag;
   }
 
@@ -192,16 +160,15 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
       const std::optional<std::uint64_t> prior =
           recall(st, frame.header.seq);
       if (prior.has_value() && *prior != digest) {
-        reject(counters_.spoof_conflicts);
+        ++counters_.spoof_conflicts;
         st.quarantine_until = now + config_.consistency.quarantine_ticks;
-        DefendMetrics::get().quarantines.inc();
         return FrameVerdict::kSpoofConflict;
       }
-      reject(counters_.replayed);
+      ++counters_.replayed;
       return FrameVerdict::kReplayed;
     }
     case net::SeqWindow::Result::kStale:
-      reject(counters_.stale);
+      ++counters_.stale;
       return FrameVerdict::kStale;
     case net::SeqWindow::Result::kFresh:
     case net::SeqWindow::Result::kReordered:
@@ -213,7 +180,6 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
   // the deployment are forwarded untouched — CentralStation counts them
   // malformed; duplicating that bookkeeping here would skew its health
   // block.
-  const std::uint64_t quarantines_before = consistency_.quarantines();
   for (const net::WireReport& r : frame.reports) {
     ++counters_.reports_checked;
     const net::DeviceId tx = frame.header.tx;
@@ -234,35 +200,22 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
         break;
       case SampleVerdict::kExcessVariance:
         ++counters_.variance_flags;
-        DefendMetrics::get().reports_dropped.inc();
         break;
       case SampleVerdict::kImpossible:
         ++counters_.impossible_rssi;
-        DefendMetrics::get().reports_dropped.inc();
         break;
       case SampleVerdict::kStuck:
         ++counters_.stuck_drops;
-        DefendMetrics::get().reports_dropped.inc();
         break;
       case SampleVerdict::kQuarantined:
         ++counters_.link_quarantine_drops;
-        DefendMetrics::get().reports_dropped.inc();
         break;
     }
   }
-  const std::uint64_t new_quarantines =
-      consistency_.quarantines() - quarantines_before;
-  if (new_quarantines > 0) {
-    DefendMetrics::get().quarantines.add(new_quarantines);
-  }
+  counters_.link_quarantines = consistency_.quarantines();
 
   ++counters_.frames_accepted;
   return FrameVerdict::kAccept;
-}
-
-void Defender::publish_metrics(Tick now) const {
-  DefendMetrics::get().quarantined_links.set(
-      static_cast<double>(consistency_.quarantined_count(now)));
 }
 
 }  // namespace fadewich::defend

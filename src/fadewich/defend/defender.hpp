@@ -92,6 +92,7 @@ struct DefendCounters {
   std::uint64_t variance_flags = 0;
   std::uint64_t stuck_drops = 0;
   std::uint64_t link_quarantine_drops = 0;
+  std::uint64_t link_quarantines = 0;  // entries (ConsistencyChecker)
   std::uint64_t ramped_samples = 0;  // rejoin-smoothed (still delivered)
 
   std::uint64_t frames_rejected() const {
@@ -131,9 +132,6 @@ class Defender {
   const DefendCounters& counters() const { return counters_; }
   const DefendConfig& config() const { return config_; }
   const ConsistencyChecker& consistency() const { return consistency_; }
-
-  /// Publish gauge-style state (quarantined link count) to obs.
-  void publish_metrics(Tick now) const;
 
  private:
   static constexpr std::size_t kRecentRing = 64;  // matches SeqWindow span

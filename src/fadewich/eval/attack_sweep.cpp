@@ -117,7 +117,6 @@ AttackReplayResult replay_under_attack(
   }
   decoder.finish();
 
-  if (defender) defender->publish_metrics(ticks);
   AttackReplayResult out{recorder.finish(ticks), station.health(),
                          decoder.counters(), {}, {}, recorder.gaps(), 0};
   if (injector) out.attack = injector->counters();

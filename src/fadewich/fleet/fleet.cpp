@@ -13,13 +13,9 @@ namespace {
 
 constexpr const char* kLatencyName = "fadewich_fleet_deauth_latency_seconds";
 
-std::string office_label(std::size_t office) {
-  return std::to_string(office);
-}
-
 /// An office's snapshot directory and its scrape prefix.
 std::string unit_name(std::size_t office) {
-  return "office-" + office_label(office);
+  return "office-" + std::to_string(office);
 }
 
 }  // namespace
@@ -35,52 +31,16 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
     throw Error("fleet config: max_restarts must be >= 1");
   }
 
-  auto& registry = obs::MetricsRegistry::global();
-  fleet_latency_ = registry.histogram(
+  fleet_latency_ = obs::MetricsRegistry::global().histogram(
       kLatencyName, "Leave-to-deauthentication latency across the fleet");
-  const bool per_office =
-      config_.per_office_series &&
-      config_.offices <= config_.per_office_series_cap;
-
-  // Shard construction is the expensive part (pipeline + script setup),
-  // so it fans out on the pool; metric handles are minted serially first
-  // because the registry hands them out under a lock anyway.
-  std::vector<ShardMetrics> metrics(config_.offices);
-  for (std::size_t i = 0; i < config_.offices; ++i) {
-    ShardMetrics m;
-    if (per_office) {
-      const std::string office = office_label(i);
-      m.ticks = registry.counter(
-          obs::labeled("fadewich_fleet_office_ticks_total",
-                       {{"office", office}}),
-          "Ticks stepped by one office");
-      m.deauths = registry.counter(
-          obs::labeled("fadewich_fleet_office_deauths_total",
-                       {{"office", office}}),
-          "On-time deauthentications by one office");
-      m.spurious_deauths = registry.counter(
-          obs::labeled("fadewich_fleet_office_spurious_deauths_total",
-                       {{"office", office}}),
-          "Spurious deauthentications by one office");
-    } else {
-      m.ticks = registry.counter("fadewich_fleet_ticks_total",
-                                 "Ticks stepped across the fleet");
-      m.deauths = registry.counter(
-          "fadewich_fleet_deauths_total",
-          "On-time deauthentications across the fleet");
-      m.spurious_deauths = registry.counter(
-          "fadewich_fleet_spurious_deauths_total",
-          "Spurious deauthentications across the fleet");
-    }
-    m.deauth_latency = fleet_latency_;
-    metrics[i] = m;
-  }
+  ShardMetrics metrics;
+  metrics.deauth_latency = fleet_latency_;
 
   shards_.resize(config_.offices);
   pool_->parallel_for(0, config_.offices, [&](std::size_t i) {
     auto shard = std::make_unique<OfficeShard>(
         i, exec::task_seed(config_.seed, i), config_.shard);
-    shard->set_metrics(metrics[i]);
+    shard->set_metrics(metrics);
     shards_[i] = std::move(shard);
   });
 
@@ -220,6 +180,15 @@ obs::ScrapeReport Fleet::scrape() const {
       report.metrics.find_histogram(kLatencyName);
   fleet.add("deauth_latency_p99_seconds",
             latency != nullptr ? latency->percentile(0.99) : 0.0);
+  if (offices() <= obs::kPerUnitHealthCap) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const std::string office = "office_" + std::to_string(i);
+      fleet.add(office + "_deauths",
+                static_cast<double>(shards_[i]->deauths()));
+      fleet.add(office + "_spurious_deauths",
+                static_cast<double>(shards_[i]->spurious_deauths()));
+    }
+  }
   report.health.push_back(std::move(fleet));
 
   if (supervised()) {

@@ -43,12 +43,6 @@ struct FleetConfig {
   std::string snapshot_root;
   Tick checkpoint_period = 500;  // ticks between shard checkpoints
   std::size_t max_restarts = 5;  // restores per office, >= 1
-
-  /// Mint per-office labeled series (fadewich_fleet_office_*{office="i"})
-  /// while the fleet is at or under the cardinality cap; above it only
-  /// the fleet aggregates are exported.
-  bool per_office_series = true;
-  std::size_t per_office_series_cap = 512;
 };
 
 /// One run_week() summary, for benches and the merged scrape.
@@ -99,11 +93,12 @@ class Fleet {
   /// objects); the bench trends this across the 10 -> 10k sweep.
   double memory_bytes_per_office() const;
 
-  /// One merged scrape: the global metrics snapshot (fleet aggregates
-  /// plus per-office labeled series when minted), a "fleet" HealthBlock
-  /// (offices, cursor, deauth totals, last-run throughput, p99 deauth
-  /// latency, bytes per office), and, when supervised, the "supervisor"
-  /// block of per-office restarts and retirements.
+  /// One merged scrape: the global metrics snapshot, a "fleet"
+  /// HealthBlock (offices, cursor, deauth totals, last-run throughput,
+  /// p99 deauth latency, bytes per office, and per-office
+  /// office_<i>_{deauths,spurious_deauths} for fleets of at most
+  /// obs::kPerUnitHealthCap offices), and, when supervised, the
+  /// "supervisor" block of per-office restarts and retirements.
   obs::ScrapeReport scrape() const;
 
  private:

@@ -202,13 +202,11 @@ void OfficeShard::account(Tick tick,
         phase.offset < script_.burst + script_.away;
     if (on_leave) {
       ++deauths_;
-      metrics_.deauths.inc();
       const Seconds latency =
           system_.rate().to_seconds(tick - phase.leave_start);
       metrics_.deauth_latency.observe(latency);
     } else {
       ++spurious_deauths_;
-      metrics_.spurious_deauths.inc();
     }
   }
 }
@@ -238,7 +236,6 @@ void OfficeShard::run_until(Tick boundary) {
         fault_what_ = e.what();
         return;
       }
-      metrics_.ticks.inc();
     }
   }
 }

@@ -58,12 +58,10 @@ struct ShardConfig {
 /// 2 s MD windows, 15 s calibration, a small profile, 20 s long-idle.
 core::SystemConfig default_shard_system();
 
-/// Per-office metric handles; minted by the fleet (with office labels)
-/// or left default (no-op) for label-free shards.
+/// Registry handles a shard observes into; left default (no-op) for
+/// shards nobody scrapes.  Event counts live in the shard itself
+/// (deauths(), spurious_deauths()).
 struct ShardMetrics {
-  obs::Counter ticks;
-  obs::Counter deauths;
-  obs::Counter spurious_deauths;
   obs::Histogram deauth_latency;  // seconds from leave start to deauth
 };
 

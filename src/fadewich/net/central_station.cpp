@@ -4,41 +4,8 @@
 #include <utility>
 
 #include "fadewich/common/error.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::net {
-
-namespace {
-
-struct StationMetrics {
-  obs::Counter reports = obs::registry().counter(
-      "fadewich_net_reports_total", "measurements ingested by the station");
-  obs::Counter duplicates = obs::registry().counter(
-      "fadewich_net_duplicates_total", "repeat (tick, stream) reports");
-  obs::Counter late = obs::registry().counter(
-      "fadewich_net_late_reports_total",
-      "reports for already-released ticks");
-  obs::Counter evictions = obs::registry().counter(
-      "fadewich_net_evictions_total", "rows dropped by the capacity cap");
-  obs::Counter incomplete = obs::registry().counter(
-      "fadewich_net_incomplete_releases_total",
-      "rows released past the deadline");
-  obs::Counter imputed = obs::registry().counter(
-      "fadewich_net_imputed_cells_total",
-      "cells filled from last released values");
-  obs::Counter duplicates_rejected = obs::registry().counter(
-      "fadewich_net_duplicates_rejected_total",
-      "exact repeat reports dropped without effect");
-  obs::Counter malformed = obs::registry().counter(
-      "fadewich_net_malformed_total",
-      "reports with impossible device ids or ticks");
-  static StationMetrics& get() {
-    static StationMetrics metrics;
-    return metrics;
-  }
-};
-
-}  // namespace
 
 void StationHealth::reset() {
   reports = 0;
@@ -156,8 +123,6 @@ void CentralStation::release(Slot& slot) {
     std::copy(row.values.begin(), row.values.end(), last_value_.begin());
   } else {
     ++health_.incomplete_releases;
-    StationMetrics::get().incomplete.inc();
-    StationMetrics::get().imputed.add(row.missing);
     for (std::size_t s = 0; s < row.values.size(); ++s) {
       if (row.valid[s]) {
         last_value_[s] = row.values[s];
@@ -186,7 +151,6 @@ void CentralStation::evict_oldest() {
   retire(victim, 1);
   ++health_.evictions;
   ++lifetime_evictions_;
-  StationMetrics::get().evictions.inc();
 }
 
 std::size_t CentralStation::settle(Tick clock, const RowSink* on_row) {
@@ -233,8 +197,7 @@ std::size_t CentralStation::assemble(std::span<const Measurement> batch,
   const std::size_t streams = stream_count();
   const bool clocked = !now.has_value();
   std::size_t emitted = 0;
-  // The per-report counters are flushed once per batch: at millions of
-  // reports/sec a per-report obs inc() is the dominant station cost.
+  // The per-report counters are batch locals, added to health_ once.
   std::uint64_t reports = 0, duplicates = 0, rejected = 0, late = 0,
                 malformed = 0;
   // Whether the batch may have made a row releasable: a given clock may
@@ -298,12 +261,6 @@ std::size_t CentralStation::assemble(std::span<const Measurement> batch,
   health_.duplicates_rejected += rejected;
   health_.late_reports += late;
   health_.malformed += malformed;
-  StationMetrics& metrics = StationMetrics::get();
-  if (reports != 0) metrics.reports.add(reports);
-  if (duplicates != 0) metrics.duplicates.add(duplicates);
-  if (rejected != 0) metrics.duplicates_rejected.add(rejected);
-  if (late != 0) metrics.late.add(late);
-  if (malformed != 0) metrics.malformed.add(malformed);
   return emitted;
 }
 

@@ -4,33 +4,8 @@
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/exec/thread_pool.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::net {
-
-namespace {
-
-struct FaultMetrics {
-  obs::Counter offered = obs::registry().counter(
-      "fadewich_fault_offered_total", "reports offered to the injector");
-  obs::Counter dropped = obs::registry().counter(
-      "fadewich_fault_dropped_total", "random per-report drops");
-  obs::Counter outage_dropped = obs::registry().counter(
-      "fadewich_fault_outage_dropped_total", "drops from sensor outages");
-  obs::Counter delayed = obs::registry().counter(
-      "fadewich_fault_delayed_total", "reports held back for later ticks");
-  obs::Counter duplicated = obs::registry().counter(
-      "fadewich_fault_duplicated_total", "reports published twice");
-  obs::Counter delivered = obs::registry().counter(
-      "fadewich_fault_delivered_total",
-      "reports that reached the station batch");
-  static FaultMetrics& get() {
-    static FaultMetrics metrics;
-    return metrics;
-  }
-};
-
-}  // namespace
 
 obs::HealthBlock health_block(const FaultInjector::Counters& counters) {
   obs::HealthBlock block;
@@ -105,21 +80,17 @@ bool FaultInjector::in_outage(DeviceId device, Tick tick) const {
 
 void FaultInjector::offer(const Measurement& m,
                           std::vector<Measurement>& out) {
-  auto& metrics = FaultMetrics::get();
   ++counters_.offered;
-  metrics.offered.inc();
 
   // Outage drops are schedule-driven: no RNG draw, so enabling an outage
   // does not perturb the other links' fault sequences.
   if (in_outage(m.tx, m.tick) || in_outage(m.rx, m.tick)) {
     ++counters_.outage_dropped;
-    metrics.outage_dropped.inc();
     return;
   }
 
   if (!config_.enabled()) {
     ++counters_.delivered;
-    metrics.delivered.inc();
     out.push_back(m);
     return;
   }
@@ -128,14 +99,12 @@ void FaultInjector::offer(const Measurement& m,
   if (config_.drop_probability > 0.0 &&
       rng.bernoulli(config_.drop_probability)) {
     ++counters_.dropped;
-    metrics.dropped.inc();
     return;
   }
   if (config_.delay_probability > 0.0 &&
       rng.bernoulli(config_.delay_probability)) {
     const Tick delay = rng.uniform_int(1, config_.max_delay_ticks);
     ++counters_.delayed;
-    metrics.delayed.inc();
     DelayedReport held{m.tick + delay, next_sequence_++, m};
     // Insertion keeps the queue sorted by (due, sequence); delays are
     // bounded by max_delay_ticks so the scan is short.
@@ -148,23 +117,18 @@ void FaultInjector::offer(const Measurement& m,
     return;
   }
   ++counters_.delivered;
-  metrics.delivered.inc();
   out.push_back(m);
   if (config_.duplicate_probability > 0.0 &&
       rng.bernoulli(config_.duplicate_probability)) {
     ++counters_.duplicated;
     ++counters_.delivered;
-    metrics.duplicated.inc();
-    metrics.delivered.inc();
     out.push_back(m);
   }
 }
 
 void FaultInjector::advance(Tick now, std::vector<Measurement>& out) {
-  auto& metrics = FaultMetrics::get();
   while (!delayed_.empty() && delayed_.front().due <= now) {
     ++counters_.delivered;
-    metrics.delivered.inc();
     out.push_back(delayed_.front().measurement);
     delayed_.pop_front();
   }

@@ -1,6 +1,7 @@
 #include "fadewich/net/ingest_plane.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/obs/obs.hpp"
@@ -22,9 +23,6 @@ constexpr std::size_t kMinRingCapacity = 256;
 // traffic stays cache-resident — 65536-slot rings measured ~15% slower
 // end-to-end because every fill/drain cycle streamed through L2.
 constexpr std::size_t kMaxRingCapacity = 4096;
-
-// Cardinality cap on the per-shard labeled obs series.
-constexpr std::size_t kPerShardSeriesCap = 512;
 
 }  // namespace
 
@@ -62,6 +60,18 @@ obs::HealthBlock health_block(const PlaneCounters& counters) {
             static_cast<double>(counters.reports_delivered));
   block.add("ring_full_backpressure",
             static_cast<double>(counters.ring_full_backpressure));
+  if (counters.per_shard.size() > obs::kPerUnitHealthCap) return block;
+  for (std::size_t s = 0; s < counters.per_shard.size(); ++s) {
+    const PlaneShardCounters& c = counters.per_shard[s];
+    const std::string shard = "shard_" + std::to_string(s);
+    block.add(shard + "_frames_decoded",
+              static_cast<double>(c.frames_decoded));
+    block.add(shard + "_crc_rejected", static_cast<double>(c.crc_rejected));
+    block.add(shard + "_ring_full_backpressure",
+              static_cast<double>(c.ring_full_backpressure));
+    block.add(shard + "_reports_delivered",
+              static_cast<double>(c.reports_delivered));
+  }
   return block;
 }
 
@@ -109,50 +119,9 @@ IngestPlane::IngestPlane(PlaneConfig config, exec::ThreadPool* pool)
     shards_.push_back(std::move(shard));
   }
   counters_.per_shard.resize(shards);
-  flushed_.resize(shards);
-
-  auto& registry = obs::MetricsRegistry::global();
-  ring_depth_ = registry.histogram(
+  ring_depth_ = obs::MetricsRegistry::global().histogram(
       "fadewich_ingest_ring_depth",
       "Measurements queued in a (lane, shard) ring at drain time");
-  // Same cardinality discipline as fleet's per-office series: labeled
-  // handles only under the cap, aggregate names otherwise.
-  if (shards <= kPerShardSeriesCap) {
-    shard_metrics_.resize(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::string label = std::to_string(s);
-      shard_metrics_[s].frames = registry.counter(
-          obs::labeled("fadewich_ingest_shard_frames_decoded_total",
-                       {{"shard", label}}),
-          "CRC-valid frames routed to one shard");
-      shard_metrics_[s].crc_rejected = registry.counter(
-          obs::labeled("fadewich_ingest_shard_crc_rejected_total",
-                       {{"shard", label}}),
-          "CRC-rejected frames attributed to one shard");
-      shard_metrics_[s].backpressure = registry.counter(
-          obs::labeled("fadewich_ingest_shard_ring_full_total",
-                       {{"shard", label}}),
-          "Lane stalls on one shard's full rings");
-      shard_metrics_[s].reports = registry.counter(
-          obs::labeled("fadewich_ingest_shard_reports_total",
-                       {{"shard", label}}),
-          "Measurements delivered to one shard's sink");
-    }
-  } else {
-    shard_metrics_.resize(1);
-    shard_metrics_[0].frames = registry.counter(
-        "fadewich_ingest_frames_decoded_total",
-        "CRC-valid frames decoded across the plane");
-    shard_metrics_[0].crc_rejected =
-        registry.counter("fadewich_ingest_crc_rejected_total",
-                         "CRC-rejected frames across the plane");
-    shard_metrics_[0].backpressure =
-        registry.counter("fadewich_ingest_ring_full_total",
-                         "Lane stalls on full rings across the plane");
-    shard_metrics_[0].reports =
-        registry.counter("fadewich_ingest_reports_total",
-                         "Measurements delivered across the plane");
-  }
 }
 
 void IngestPlane::set_router(Router router) {
@@ -354,21 +323,6 @@ void IngestPlane::merge_lane_counters() {
   }
 }
 
-void IngestPlane::flush_obs() {
-  const bool labeled = shard_metrics_.size() == config_.shards;
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    const PlaneShardCounters& now = counters_.per_shard[s];
-    PlaneShardCounters& last = flushed_[s];
-    const ShardMetrics& m = shard_metrics_[labeled ? s : 0];
-    m.frames.add(now.frames_decoded - last.frames_decoded);
-    m.crc_rejected.add(now.crc_rejected - last.crc_rejected);
-    m.backpressure.add(now.ring_full_backpressure -
-                       last.ring_full_backpressure);
-    m.reports.add(now.reports_delivered - last.reports_delivered);
-    last = now;
-  }
-}
-
 std::uint64_t IngestPlane::replay(std::span<const std::uint8_t> bytes,
                                   const Sink& sink) {
   plan_lanes(bytes);
@@ -407,7 +361,6 @@ std::uint64_t IngestPlane::replay(std::span<const std::uint8_t> bytes,
   }
   merge_lane_counters();
   counters_.reports_delivered += delivered;
-  flush_obs();
   for (auto& shard : shards_) shard->reports = 0;
   return delivered;
 }

@@ -69,8 +69,9 @@ struct PlaneConfig {
   bool serial = false;
 };
 
-/// Per-shard ingest counters, exported through obs::labeled when the
-/// cardinality cap allows.
+/// Per-shard ingest counters, exported as shard_<s>_* entries of the
+/// "ingest_plane" health block for planes of at most
+/// obs::kPerUnitHealthCap shards.
 struct PlaneShardCounters {
   std::uint64_t frames_decoded = 0;         // CRC-valid frames routed here
   std::uint64_t crc_rejected = 0;           // kBadCrc frames attributed here
@@ -136,7 +137,6 @@ class IngestPlane {
   void drain_round(ShardState& shard, const Sink& sink);
   std::uint64_t progress_mark() const;
   void merge_lane_counters();
-  void flush_obs();
 
   PlaneConfig config_;
   exec::ThreadPool* pool_;
@@ -146,16 +146,6 @@ class IngestPlane {
   std::vector<std::unique_ptr<LaneState>> lanes_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   PlaneCounters counters_;
-  // Labeled per-shard handles (empty when the cardinality cap bites)
-  // plus the last-flushed snapshot so repeated replays export deltas.
-  struct ShardMetrics {
-    obs::Counter frames;
-    obs::Counter crc_rejected;
-    obs::Counter backpressure;
-    obs::Counter reports;
-  };
-  std::vector<ShardMetrics> shard_metrics_;
-  std::vector<PlaneShardCounters> flushed_;
   obs::Histogram ring_depth_;
 };
 

@@ -25,13 +25,9 @@ IngestQueue::IngestQueue(std::size_t capacity) {
 bool IngestQueue::try_push(const Measurement& m) {
   const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
   const std::uint64_t head = head_.load(std::memory_order_acquire);
-  if (tail - head >= slots_.size()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (tail - head >= slots_.size()) return false;
   slots_[static_cast<std::size_t>(tail) & mask_] = m;
   tail_.store(tail + 1, std::memory_order_release);
-  pushed_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -45,10 +41,6 @@ std::size_t IngestQueue::push_some(std::span<const Measurement> batch) {
     slots_[static_cast<std::size_t>(tail + i) & mask_] = batch[i];
   }
   tail_.store(tail + n, std::memory_order_release);
-  pushed_.fetch_add(n, std::memory_order_relaxed);
-  if (n < batch.size()) {
-    rejected_.fetch_add(batch.size() - n, std::memory_order_relaxed);
-  }
   return n;
 }
 
@@ -61,7 +53,6 @@ std::size_t IngestQueue::pop_batch(std::span<Measurement> out) {
     out[i] = slots_[static_cast<std::size_t>(head + i) & mask_];
   }
   head_.store(head + n, std::memory_order_release);
-  popped_.fetch_add(n, std::memory_order_relaxed);
   return n;
 }
 
@@ -78,7 +69,6 @@ std::span<Measurement> IngestQueue::back_span(std::size_t limit) {
 void IngestQueue::publish(std::size_t n) {
   const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
   tail_.store(tail + n, std::memory_order_release);
-  pushed_.fetch_add(n, std::memory_order_relaxed);
 }
 
 std::span<const Measurement> IngestQueue::front_span(
@@ -95,24 +85,6 @@ std::span<const Measurement> IngestQueue::front_span(
 void IngestQueue::consume(std::size_t n) {
   const std::uint64_t head = head_.load(std::memory_order_relaxed);
   head_.store(head + n, std::memory_order_release);
-  popped_.fetch_add(n, std::memory_order_relaxed);
-}
-
-IngestQueue::Counters IngestQueue::counters() const {
-  Counters c;
-  c.pushed = pushed_.load(std::memory_order_relaxed);
-  c.popped = popped_.load(std::memory_order_relaxed);
-  c.rejected_full = rejected_.load(std::memory_order_relaxed);
-  return c;
-}
-
-obs::HealthBlock health_block(const IngestQueue::Counters& counters) {
-  obs::HealthBlock block;
-  block.name = "ingest_queue";
-  block.add("pushed", static_cast<double>(counters.pushed));
-  block.add("popped", static_cast<double>(counters.popped));
-  block.add("rejected_full", static_cast<double>(counters.rejected_full));
-  return block;
 }
 
 }  // namespace fadewich::net

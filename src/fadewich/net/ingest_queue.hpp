@@ -5,8 +5,8 @@
 // pops them in batches (the station driver).  Both sides are wait-free:
 // a power-of-two slot array indexed by free-running head/tail counters,
 // with one acquire/release pair per operation and no locks, so a full
-// queue exerts *backpressure* (try_push returns false and the rejection
-// is counted) instead of blocking or allocating.  Single-threaded use —
+// queue exerts *backpressure* (try_push returns false, push_some returns
+// a short count) instead of blocking or allocating.  Single-threaded use —
 // the replay driver's tight loop — is the degenerate case and pays only
 // uncontended atomics.
 //
@@ -21,20 +21,11 @@
 #include <vector>
 
 #include "fadewich/net/measurement.hpp"
-#include "fadewich/obs/export.hpp"
 
 namespace fadewich::net {
 
 class IngestQueue {
  public:
-  /// Monotone operation counters.  `rejected_full` is the backpressure
-  /// signal: pushes refused because the consumer is behind.
-  struct Counters {
-    std::uint64_t pushed = 0;
-    std::uint64_t popped = 0;
-    std::uint64_t rejected_full = 0;
-  };
-
   /// `capacity` is rounded up to a power of two; requires >= 1.
   explicit IngestQueue(std::size_t capacity);
 
@@ -47,9 +38,9 @@ class IngestQueue {
         head_.load(std::memory_order_acquire));
   }
 
-  /// Producer side: enqueue one measurement.  False (and a counted
-  /// rejection) when the ring is full — the producer decides whether to
-  /// retry after the consumer drains or drop under pressure.
+  /// Producer side: enqueue one measurement.  False when the ring is
+  /// full — the producer decides whether to retry after the consumer
+  /// drains or drop under pressure, and counts the refusal if it cares.
   bool try_push(const Measurement& m);
 
   /// Producer side: enqueue a batch; returns how many fit.  Stops at the
@@ -82,19 +73,11 @@ class IngestQueue {
   /// logic error upstream, not runtime input.
   void consume(std::size_t n);
 
-  Counters counters() const;
-
  private:
   std::vector<Measurement> slots_;  // size is a power of two
   std::size_t mask_ = 0;
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer cursor
-  alignas(64) std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> popped_{0};
-  std::atomic<std::uint64_t> rejected_{0};
 };
-
-/// Flatten queue counters for obs::ScrapeReport.
-obs::HealthBlock health_block(const IngestQueue::Counters& counters);
 
 }  // namespace fadewich::net

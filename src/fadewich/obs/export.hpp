@@ -16,6 +16,7 @@
 //     sections; histograms carry count/sum/p50/p95/p99 plus raw buckets.
 #pragma once
 
+#include <cstddef>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -34,8 +35,8 @@ std::string escape_label_value(std::string_view value);
 /// Build `base{k1="v1",k2="v2"}` — the registry family key the exporters
 /// split back into base name and label set — with values escaped.  Label
 /// names must be legal identifiers; values may hold anything.  This is
-/// the one sanctioned way to mint per-entity series (per-office fleet
-/// labels, per-class counters): hand-concatenation skips the escaping.
+/// the one sanctioned way to mint per-entity series (per-class
+/// counters, say): hand-concatenation skips the escaping.
 std::string labeled(
     std::string_view base,
     std::initializer_list<std::pair<std::string_view, std::string_view>>
@@ -51,6 +52,11 @@ struct HealthBlock {
     fields.emplace_back(std::move(field), value);
   }
 };
+
+/// A block expands per-unit entries (one fleet office, one plane shard)
+/// only for deployments of at most this many units; larger ones report
+/// totals alone, so a scrape's size stays bounded.
+inline constexpr std::size_t kPerUnitHealthCap = 512;
 
 std::string to_prometheus(const MetricsSnapshot& snapshot);
 std::string to_json(const MetricsSnapshot& snapshot);

@@ -132,5 +132,26 @@ TEST_F(AttackSweepTest, StandardScenariosCoverEveryCampaign) {
   EXPECT_TRUE(saw_insider);
 }
 
+/// Wire-path conservation under every defended campaign: each decoded
+/// frame is judged once, each judged frame is accepted or rejected, and
+/// each report the defender forwards reaches the station.
+TEST_F(AttackSweepTest, DefendedCampaignsConserveFramesAndReports) {
+  const std::vector<AttackScenario> scenarios = standard_attack_scenarios(
+      recording().tick_count(), recording().sensor_count(),
+      /*defend=*/true, defend::DefendConfig{}, /*seed=*/11);
+  ASSERT_EQ(scenarios.size(), 8u);
+  for (const AttackScenario& scenario : scenarios) {
+    const AttackReplayResult replay =
+        replay_under_attack(recording(), positions(), scenario);
+    const defend::DefendCounters& def = replay.defend;
+    EXPECT_GT(def.frames_checked, 0u) << scenario.name;
+    EXPECT_EQ(def.frames_checked, replay.wire.frames_ok) << scenario.name;
+    EXPECT_EQ(def.frames_checked,
+              def.frames_accepted + def.frames_rejected())
+        << scenario.name;
+    EXPECT_EQ(def.reports_accepted, replay.health.reports) << scenario.name;
+  }
+}
+
 }  // namespace
 }  // namespace fadewich::eval

@@ -21,7 +21,6 @@ FleetConfig small_fleet(std::size_t offices) {
   FleetConfig config;
   config.offices = offices;
   config.shard.system = default_shard_system();
-  config.per_office_series = false;  // keep the registry quiet here
   return config;
 }
 

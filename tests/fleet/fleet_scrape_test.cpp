@@ -1,10 +1,12 @@
-// Merged fleet observability: one scrape carries per-office labeled
-// series, fleet aggregates, and the supervisor block.
+// Merged fleet observability: one scrape carries the fleet block, with
+// per-office deauth counts for fleets under the unit cap, and the
+// supervisor block.
 #include "fadewich/fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,80 +18,69 @@ namespace {
 
 namespace fs = std::filesystem;
 
-FleetConfig labeled_fleet(std::size_t offices) {
+FleetConfig small_fleet(std::size_t offices) {
   FleetConfig config;
   config.offices = offices;
   config.shard.system = default_shard_system();
-  config.per_office_series = true;
   return config;
+}
+
+std::map<std::string, double> fleet_fields(const obs::ScrapeReport& report) {
+  const obs::HealthBlock* block = report.find_block("fleet");
+  EXPECT_NE(block, nullptr);
+  if (block == nullptr) return {};
+  return {block->fields.begin(), block->fields.end()};
 }
 
 TEST(FleetScrape, PerOfficeSeriesAndAggregatesShareOneDocument) {
   exec::ThreadPool pool(2);
-  Fleet fleet(labeled_fleet(3), &pool);
+  Fleet fleet(small_fleet(3), &pool);
   fleet.run_week(3000);
+  ASSERT_GT(fleet.total_deauths(), 0u);
 
   const obs::ScrapeReport report = fleet.scrape();
-
+  const std::map<std::string, double> fields = fleet_fields(report);
+  EXPECT_EQ(fields.at("offices"), 3.0);
+  EXPECT_GE(fields.at("deauth_latency_p99_seconds"), 0.0);
+  EXPECT_EQ(fields.at("deauths"), static_cast<double>(fleet.total_deauths()));
   for (std::size_t i = 0; i < fleet.offices(); ++i) {
-    const std::string name = obs::labeled(
-        "fadewich_fleet_office_ticks_total",
-        {{"office", std::to_string(i)}});
-    const obs::CounterSample* ticks = report.metrics.find_counter(name);
-    ASSERT_NE(ticks, nullptr) << name;
-    EXPECT_GE(ticks->value, 3000u);
+    const std::string office = "office_" + std::to_string(i);
+    EXPECT_EQ(fields.at(office + "_deauths"),
+              static_cast<double>(fleet.shard(i).deauths()));
+    EXPECT_EQ(fields.at(office + "_spurious_deauths"),
+              static_cast<double>(fleet.shard(i).spurious_deauths()));
   }
 
-  const obs::HealthBlock* fleet_block = report.find_block("fleet");
-  ASSERT_NE(fleet_block, nullptr);
-  bool saw_offices = false;
-  bool saw_p99 = false;
-  for (const auto& [field, value] : fleet_block->fields) {
-    if (field == "offices") {
-      saw_offices = true;
-      EXPECT_EQ(value, 3.0);
-    }
-    if (field == "deauth_latency_p99_seconds") {
-      saw_p99 = true;
-      EXPECT_GE(value, 0.0);
-    }
-  }
-  EXPECT_TRUE(saw_offices);
-  EXPECT_TRUE(saw_p99);
-
-  // Both render paths must carry the per-office label.
+  // Both render paths carry the per-office entries.
   const std::string prometheus = report.to_prometheus();
-  EXPECT_NE(prometheus.find("office=\"2\""), std::string::npos);
+  EXPECT_NE(prometheus.find("fadewich_health_fleet_office_2_deauths "),
+            std::string::npos);
   EXPECT_NE(prometheus.find("fadewich_health_fleet_offices"),
             std::string::npos);
   const std::string json = report.to_json();
-  EXPECT_NE(json.find("fadewich_fleet_office_ticks_total"),
-            std::string::npos);
+  EXPECT_NE(json.find("\"office_2_spurious_deauths\""), std::string::npos);
   EXPECT_NE(json.find("\"fleet\""), std::string::npos);
 }
 
 TEST(FleetScrape, CardinalityCapFallsBackToAggregates) {
-  FleetConfig config = labeled_fleet(6);
-  config.per_office_series_cap = 4;  // 6 offices > cap: aggregate only
   exec::ThreadPool pool(2);
-  Fleet fleet(config, &pool);
-  fleet.run_week(200);
+  Fleet fleet(small_fleet(obs::kPerUnitHealthCap + 1), &pool);
+  fleet.run_week(64);
 
-  const obs::ScrapeReport report = fleet.scrape();
-  const std::string name = obs::labeled(
-      "fadewich_fleet_office_ticks_total", {{"office", "5"}});
-  EXPECT_EQ(report.metrics.find_counter(name), nullptr);
-  const obs::CounterSample* ticks =
-      report.metrics.find_counter("fadewich_fleet_ticks_total");
-  ASSERT_NE(ticks, nullptr);
-  EXPECT_GE(ticks->value, 6u * 200u);
+  const std::map<std::string, double> fields = fleet_fields(fleet.scrape());
+  EXPECT_EQ(fields.at("offices"),
+            static_cast<double>(obs::kPerUnitHealthCap + 1));
+  EXPECT_EQ(fields.at("deauths"), static_cast<double>(fleet.total_deauths()));
+  for (const auto& [field, value] : fields) {
+    EXPECT_FALSE(field.starts_with("office_")) << field;
+  }
 }
 
 TEST(FleetScrape, SupervisedFleetExportsTheSupervisorBlock) {
   const std::string root =
       (fs::temp_directory_path() / "fadewich_fleet_scrape_sup").string();
   fs::remove_all(root);
-  FleetConfig config = labeled_fleet(2);
+  FleetConfig config = small_fleet(2);
   config.snapshot_root = root;
   exec::ThreadPool pool(2);
   Fleet fleet(config, &pool);
@@ -118,7 +109,7 @@ TEST(FleetScrape, SupervisedFleetExportsTheSupervisorBlock) {
 
 TEST(FleetScrape, RunStatsReportThroughput) {
   exec::ThreadPool pool(2);
-  Fleet fleet(labeled_fleet(2), &pool);
+  Fleet fleet(small_fleet(2), &pool);
   const RunStats stats = fleet.run_week(500);
   EXPECT_EQ(stats.ticks, 500);
   EXPECT_GT(stats.wall_seconds, 0.0);

@@ -39,7 +39,6 @@ class FleetSupervisorTest : public ::testing::Test {
     config.shard.system = default_shard_system();
     config.snapshot_root = root_ + "/" + subdir;
     config.checkpoint_period = 300;
-    config.per_office_series = false;
     return config;
   }
 
@@ -130,7 +129,6 @@ TEST_F(FleetSupervisorTest, UnsupervisedFleetHasNoSupervisor) {
   FleetConfig config;
   config.offices = 2;
   config.shard.system = default_shard_system();
-  config.per_office_series = false;
   exec::ThreadPool pool(2);
   Fleet fleet(config, &pool);
   EXPECT_FALSE(fleet.supervised());

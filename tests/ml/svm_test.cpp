@@ -273,7 +273,9 @@ TEST_P(SvmSeparation, AccuracyAtLeastMajority) {
   }
   const double acc = static_cast<double>(correct) / blob.x.size();
   EXPECT_GE(acc, 0.5);
-  if (GetParam() >= 3.0) EXPECT_GE(acc, 0.97);
+  if (GetParam() >= 3.0) {
+    EXPECT_GE(acc, 0.97);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Separations, SvmSeparation,

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "fadewich/common/error.hpp"
@@ -238,6 +239,55 @@ TEST(IngestPlaneTest, CrcRejectionAttributedToRoutedShard) {
   EXPECT_EQ(plane.counters().per_shard[0].crc_rejected, 0u);
   EXPECT_GT(plane.counters().per_shard[0].frames_decoded, 0u);
   EXPECT_GT(plane.counters().per_shard[1].reports_delivered, 0u);
+}
+
+/// The "ingest_plane" health block is the only export of the per-shard
+/// counters: its shard_<s>_* entries must carry PlaneCounters::per_shard.
+TEST(IngestPlaneTest, HealthBlockCarriesPerShardCounters) {
+  auto bytes = make_capture(3, 8, 0x3c);
+  bytes[kWireHeaderSize + 2] ^= 0x01;  // one CRC rejection on shard 0
+  PlaneConfig config;
+  config.lanes = 2;
+  config.shards = 3;
+  config.ring_capacity = 4;  // tiny rings: backpressure is nonzero
+  IngestPlane plane(config);
+  plane_streams(plane, bytes, 3);
+  const PlaneCounters& counters = plane.counters();
+  ASSERT_GT(counters.ring_full_backpressure, 0u);
+
+  const obs::HealthBlock block = health_block(counters);
+  EXPECT_EQ(block.name, "ingest_plane");
+  const std::map<std::string, double> fields(block.fields.begin(),
+                                             block.fields.end());
+  for (std::size_t s = 0; s < config.shards; ++s) {
+    const PlaneShardCounters& c = counters.per_shard[s];
+    const std::string shard = "shard_" + std::to_string(s);
+    EXPECT_EQ(fields.at(shard + "_frames_decoded"),
+              static_cast<double>(c.frames_decoded));
+    EXPECT_EQ(fields.at(shard + "_crc_rejected"),
+              static_cast<double>(c.crc_rejected));
+    EXPECT_EQ(fields.at(shard + "_ring_full_backpressure"),
+              static_cast<double>(c.ring_full_backpressure));
+    EXPECT_EQ(fields.at(shard + "_reports_delivered"),
+              static_cast<double>(c.reports_delivered));
+  }
+  EXPECT_EQ(fields.at("shard_0_crc_rejected"), 1.0);
+  EXPECT_EQ(fields.count("shard_3_frames_decoded"), 0u);
+}
+
+TEST(IngestPlaneTest, HealthBlockKeepsTotalsOnlyPastTheUnitCap) {
+  const auto per_shard_entries = [](std::size_t shards) {
+    PlaneCounters counters;
+    counters.per_shard.resize(shards);
+    std::size_t n = 0;
+    for (const auto& [field, value] : health_block(counters).fields) {
+      if (field.starts_with("shard_")) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(per_shard_entries(obs::kPerUnitHealthCap),
+            4 * obs::kPerUnitHealthCap);
+  EXPECT_EQ(per_shard_entries(obs::kPerUnitHealthCap + 1), 0u);
 }
 
 TEST(IngestPlaneTest, MisroutingRouterThrows) {

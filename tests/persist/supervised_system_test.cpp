@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "fadewich/common/error.hpp"
+#include "fadewich/net/live_network.hpp"
+#include "fadewich/rf/channel.hpp"
+#include "fadewich/rf/floorplan.hpp"
 
 namespace fadewich::persist {
 namespace {
@@ -163,6 +166,44 @@ TEST_F(SupervisedSystemTest, ScrapeCarriesTheRestartBlock) {
   ASSERT_NE(block, nullptr);
   EXPECT_EQ(field(*block, "all_healthy"), 0.0);
   EXPECT_EQ(field(*block, "pipeline_status"), 2.0);
+}
+
+/// The station and fault blocks are the scrape's only count of those
+/// events: they must carry the network's own structs, field by field.
+TEST_F(SupervisedSystemTest, ScrapeCarriesTheNetworksOwnCounters) {
+  const rf::FloorPlan plan = rf::paper_office();
+  net::FaultConfig faults;
+  faults.drop_probability = 0.05;
+  faults.delay_probability = 0.05;
+  faults.max_delay_ticks = 3;
+  faults.duplicate_probability = 0.02;
+  net::StationConfig station;
+  station.deadline_ticks = 3;
+  net::LiveSensorNetwork network(plan.sensors, rf::ChannelConfig{}, 5.0,
+                                 42, faults, station);
+  SupervisedSystem live(network.stream_count(), plan.workstation_count(),
+                        {}, config());
+  for (int t = 0; t < 300; ++t) {
+    for (const net::StationRow& row : network.round({})) {
+      live.step(row.values, row.valid);
+    }
+  }
+  live.set_station_health(network.station().health());
+  const net::FaultInjector::Counters counters =
+      network.injector()->counters();
+  const obs::ScrapeReport report = live.scrape(&counters);
+
+  const obs::HealthBlock* station_block = report.find_block("station");
+  const obs::HealthBlock* fault_block = report.find_block("faults");
+  ASSERT_NE(station_block, nullptr);
+  ASSERT_NE(fault_block, nullptr);
+  EXPECT_EQ(station_block->fields,
+            net::health_block(network.station().health()).fields);
+  EXPECT_EQ(fault_block->fields, net::health_block(counters).fields);
+  EXPECT_GT(field(*fault_block, "dropped"), 0.0);
+  EXPECT_GT(field(*station_block, "incomplete_releases"), 0.0);
+  EXPECT_EQ(field(*station_block, "reports"),
+            field(*fault_block, "delivered"));
 }
 
 }  // namespace
