@@ -436,7 +436,8 @@ int run(int argc, char** argv) {
   // powers of two up to the default ring size.
   std::vector<double> depth_bounds;
   for (double b = 1.0; b <= 65536.0; b *= 2.0) depth_bounds.push_back(b);
-  obs::Histogram depth = obs::registry().histogram(
+  obs::MetricsRegistry metrics;
+  obs::Histogram depth = metrics.histogram(
       "fadewich_ingest_queue_depth", "ring occupancy sampled per drain",
       depth_bounds);
 
@@ -445,7 +446,7 @@ int run(int argc, char** argv) {
   const bool single_ok = single.digest == reference.digest &&
                          single.rows == reference.rows;
 
-  const auto snapshot = obs::registry().snapshot();
+  const auto snapshot = metrics.snapshot();
   const auto* depth_sample =
       snapshot.find_histogram("fadewich_ingest_queue_depth");
 

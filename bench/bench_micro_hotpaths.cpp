@@ -189,34 +189,8 @@ void BM_FeatureExtraction72Streams(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction72Streams);
 
-// Observability primitive costs: a counter increment and a histogram
-// observation on the instrumented (enabled) path, and the increment with
-// the runtime toggle off — the branch every call site pays when obs is
-// disabled.  These bound the per-event cost of every metric in the tree.
-void BM_ObsCounterInc(benchmark::State& state) {
-  obs::set_enabled(true);
-  obs::Counter counter =
-      obs::registry().counter("bench_obs_counter_total", "bench");
-  for (auto _ : state) {
-    counter.inc();
-  }
-  obs::set_enabled(true);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsCounterInc);
-
-void BM_ObsCounterIncDisabled(benchmark::State& state) {
-  obs::set_enabled(false);
-  obs::Counter counter =
-      obs::registry().counter("bench_obs_counter_off_total", "bench");
-  for (auto _ : state) {
-    counter.inc();
-  }
-  obs::set_enabled(true);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsCounterIncDisabled);
-
+// Observability primitive cost: one observation into a registry's
+// sharded histogram on the instrumented (enabled) path.
 void BM_ObsHistogramObserve(benchmark::State& state) {
   obs::set_enabled(true);
   obs::Histogram histogram =

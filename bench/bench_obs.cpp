@@ -80,18 +80,6 @@ std::vector<Primitive> bench_primitives() {
   };
 
   obs::set_enabled(true);
-  obs::Counter counter =
-      obs::registry().counter("bench_obs_counter_total", "bench");
-  out.push_back({"counter_inc_enabled", per_op(time_best_ms(3, [&] {
-                   for (std::int64_t i = 0; i < n; ++i) counter.inc();
-                 }))});
-
-  obs::set_enabled(false);
-  out.push_back({"counter_inc_disabled", per_op(time_best_ms(3, [&] {
-                   for (std::int64_t i = 0; i < n; ++i) counter.inc();
-                 }))});
-  obs::set_enabled(true);
-
   obs::Histogram histogram =
       obs::registry().histogram("bench_obs_histogram_seconds", "bench");
   out.push_back({"histogram_observe_enabled", per_op(time_best_ms(3, [&] {
@@ -102,10 +90,12 @@ std::vector<Primitive> bench_primitives() {
                    }
                  }))});
 
-  obs::Gauge gauge = obs::registry().gauge("bench_obs_gauge", "bench");
-  out.push_back({"gauge_set_enabled", per_op(time_best_ms(3, [&] {
+  obs::HistogramSample live(obs::default_bucket_bounds());
+  out.push_back({"live_histogram_observe", per_op(time_best_ms(3, [&] {
+                   double v = 1e-6;
                    for (std::int64_t i = 0; i < n; ++i) {
-                     gauge.set(static_cast<double>(i));
+                     live.observe(v);
+                     v = v < 1.0 ? v * 1.5 : 1e-6;
                    }
                  }))});
   return out;

@@ -212,7 +212,8 @@ int main(int argc, char** argv) {
       // End-of-day observability scrape: the same unified document a
       // monitoring agent would pull, reduced to the operator's two
       // questions — how fast are we locking screens, and what did the
-      // reporting path lose?
+      // reporting path lose?  Every count in it is the reborn pipeline's
+      // own; the offline analysis and the pre-crash system keep theirs.
       eval::print_banner(std::cout, "End-of-day scrape");
       const obs::ScrapeReport scrape = reborn.scrape();
       if (const obs::HistogramSample* latency =
@@ -224,27 +225,22 @@ int main(int argc, char** argv) {
                   << eval::fmt(latency->percentile(0.99), 1) << " s ("
                   << latency->count << " Rule-1 deauthentications)\n";
       }
-      const auto counter = [&scrape](const char* name) -> std::uint64_t {
-        const obs::CounterSample* c = scrape.metrics.find_counter(name);
-        return c != nullptr ? c->value : 0;
-      };
-      std::cout << "movement windows closed: "
-                << counter("fadewich_md_windows_closed_total")
-                << ", degraded ticks: "
-                << counter("fadewich_md_degraded_ticks_total") << "\n";
-      const obs::HealthBlock* station = scrape.find_block("station");
-      const auto station_field = [station](const char* name) {
+      const auto field = [&scrape](const char* block, const char* name) {
         std::uint64_t value = 0;
-        for (const auto& [field, v] : station->fields) {
-          if (field == name) value = static_cast<std::uint64_t>(v);
+        for (const auto& [key, v] : scrape.find_block(block)->fields) {
+          if (key == name) value = static_cast<std::uint64_t>(v);
         }
         return value;
       };
+      std::cout << "movement windows closed: "
+                << field("md", "windows_closed")
+                << ", degraded ticks: " << field("md", "degraded_ticks")
+                << "\n";
       std::cout << "fault counters: duplicates="
-                << station_field("duplicates")
-                << " late=" << station_field("late_reports")
-                << " evictions=" << station_field("evictions")
-                << " imputed_cells=" << station_field("imputed_cells")
+                << field("station", "duplicates")
+                << " late=" << field("station", "late_reports")
+                << " evictions=" << field("station", "evictions")
+                << " imputed_cells=" << field("station", "imputed_cells")
                 << "\n";
       std::cout << "health blocks in the scrape:";
       for (const obs::HealthBlock& block : scrape.health) {

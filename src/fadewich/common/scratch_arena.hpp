@@ -75,8 +75,8 @@ class ScratchArena {
   /// Bytes this arena has reserved from the heap so far (grow-only).
   std::size_t bytes_reserved() const { return bytes_reserved_; }
 
-  /// Bytes reserved across every live ScratchArena in the process, for
-  /// the `fadewich_scratch_arena_bytes` gauge.
+  /// Bytes reserved across every live ScratchArena in the process (the
+  /// scrape's `pipeline` block reports it as scratch_arena_bytes).
   static std::size_t process_bytes_reserved() {
     return process_bytes().load(std::memory_order_relaxed);
   }

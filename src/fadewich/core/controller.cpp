@@ -2,34 +2,8 @@
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/core/radio_environment.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::core {
-
-namespace {
-
-struct CtlMetrics {
-  obs::Counter rule1_deauth = obs::registry().counter(
-      "fadewich_ctl_rule1_deauth_total",
-      "Rule 1 deauthentications issued");
-  obs::Counter rule1_suppressed = obs::registry().counter(
-      "fadewich_ctl_rule1_suppressed_total",
-      "Rule 1 windows with an active or unknown workstation");
-  obs::Counter rule1_unavailable = obs::registry().counter(
-      "fadewich_ctl_rule1_unavailable_total",
-      "Rule 1 windows with no trustworthy classification");
-  obs::Counter rule2_alerts = obs::registry().counter(
-      "fadewich_ctl_rule2_alerts_total", "Rule 2 alerts issued");
-  obs::Histogram deauth_latency = obs::registry().histogram(
-      "fadewich_ctl_deauth_latency_seconds",
-      "movement-start to deauth command (window age at Rule 1)");
-  static CtlMetrics& get() {
-    static CtlMetrics metrics;
-    return metrics;
-  }
-};
-
-}  // namespace
 
 Controller::Controller(ControllerConfig config,
                        std::size_t workstation_count)
@@ -50,29 +24,28 @@ std::vector<Action> Controller::step(
     case ControlState::kQuiet:
       if (window_duration >= config_.t_delta) {
         // Rule 1, exactly once per window, right as it reaches t_delta.
-        auto& metrics = CtlMetrics::get();
         const std::optional<int> label = classify();
         if (label && is_leave_label(*label)) {
           const std::size_t w = workstation_of_label(*label);
           if (w < workstation_count_ &&
               kma.idle_for(w, now, config_.t_delta)) {
             actions.push_back({ActionType::kDeauthenticate, w, now});
-            metrics.rule1_deauth.inc();
+            ++rule1_deauths_;
             // Latency from movement start to the deauth command is the
             // window's age when Rule 1 fires.
-            metrics.deauth_latency.observe(window_duration);
+            deauth_latency_.observe(window_duration);
           } else {
-            metrics.rule1_suppressed.inc();
+            ++rule1_suppressed_;
           }
         } else if (!label) {
-          metrics.rule1_unavailable.inc();
+          ++rule1_unavailable_;
           if (config_.rule2_on_unavailable) {
             // No trustworthy classification: movement definitely happened
             // (MD crossed t_delta), so protect every idle workstation via
             // Rule 2 instead of doing nothing.
             for (std::size_t w : kma.idle_set(now, config_.rule2_idle)) {
               actions.push_back({ActionType::kAlert, w, now});
-              metrics.rule2_alerts.inc();
+              ++rule2_alerts_;
             }
           }
         }
@@ -89,12 +62,22 @@ std::vector<Action> Controller::step(
         for (std::size_t w :
              kma.idle_set(now, config_.rule2_idle)) {
           actions.push_back({ActionType::kAlert, w, now});
-          CtlMetrics::get().rule2_alerts.inc();
+          ++rule2_alerts_;
         }
       }
       break;
   }
   return actions;
+}
+
+obs::HealthBlock Controller::health_block() const {
+  obs::HealthBlock block;
+  block.name = "controller";
+  block.add("rule1_deauths", static_cast<double>(rule1_deauths_));
+  block.add("rule1_suppressed", static_cast<double>(rule1_suppressed_));
+  block.add("rule1_unavailable", static_cast<double>(rule1_unavailable_));
+  block.add("rule2_alerts", static_cast<double>(rule2_alerts_));
+  return block;
 }
 
 }  // namespace fadewich::core

@@ -17,12 +17,14 @@
 // Alert -> ScreenSaver -> Locked on their own idle clocks.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "fadewich/common/time.hpp"
 #include "fadewich/core/kma.hpp"
+#include "fadewich/obs/export.hpp"
 
 namespace fadewich::core {
 
@@ -69,10 +71,27 @@ class Controller {
   /// falls back to kQuiet on its next step.
   void restore(ControlState state) { state_ = state; }
 
+  /// The "controller" block: Rule-1 deauths, suppressions (workstation
+  /// active or unknown) and unavailable classifications, and Rule-2
+  /// alerts, all counted since construction.
+  obs::HealthBlock health_block() const;
+
+  /// Movement start to deauth command (the window's age at Rule 1), one
+  /// observation per Rule-1 deauth.
+  const obs::HistogramSample& deauth_latency() const {
+    return deauth_latency_;
+  }
+
  private:
   ControllerConfig config_;
   std::size_t workstation_count_;
   ControlState state_ = ControlState::kQuiet;
+
+  std::uint64_t rule1_deauths_ = 0;
+  std::uint64_t rule1_suppressed_ = 0;
+  std::uint64_t rule1_unavailable_ = 0;
+  std::uint64_t rule2_alerts_ = 0;
+  obs::HistogramSample deauth_latency_{obs::default_bucket_bounds()};
 };
 
 }  // namespace fadewich::core

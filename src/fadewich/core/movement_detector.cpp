@@ -3,33 +3,8 @@
 #include <algorithm>
 
 #include "fadewich/common/error.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::core {
-
-namespace {
-
-// Handles are fetched once; updates are sharded atomics guarded by the
-// runtime toggle, so the per-tick hot path pays only on the rare events
-// it counts (opens, closes, degraded ticks) — never per sample.
-struct MdMetrics {
-  obs::Counter opened = obs::registry().counter(
-      "fadewich_md_windows_opened_total", "variation windows opened");
-  obs::Counter closed = obs::registry().counter(
-      "fadewich_md_windows_closed_total", "variation windows completed");
-  obs::Counter degraded = obs::registry().counter(
-      "fadewich_md_degraded_ticks_total",
-      "ticks below min_live_fraction (s_t held)");
-  obs::Histogram duration = obs::registry().histogram(
-      "fadewich_md_window_seconds",
-      "completed variation-window durations");
-  static MdMetrics& get() {
-    static MdMetrics metrics;
-    return metrics;
-  }
-};
-
-}  // namespace
 
 namespace {
 
@@ -99,7 +74,6 @@ MdState MovementDetector::step(std::span<const double> rssi_row,
     // Too few fresh streams to trust s_t: hold the previous value so the
     // anomaly state persists through the outage instead of flapping.
     ++degraded_ticks_;
-    MdMetrics::get().degraded.inc();
     st = last_st_;
   } else if (live < windows_.streams()) {
     // Rescale the partial sum so the threshold calibrated on all streams
@@ -128,7 +102,7 @@ MdState MovementDetector::step(std::span<const double> rssi_row,
     } else {
       if (open_) close_window(*open_);
       open_ = VariationWindow{tick, tick};
-      MdMetrics::get().opened.inc();
+      ++windows_opened_;
     }
     last_anomalous_ = tick;
     return MdState::kAnomalous;
@@ -143,9 +117,8 @@ MdState MovementDetector::step(std::span<const double> rssi_row,
 
 void MovementDetector::close_window(const VariationWindow& window) {
   completed_.push_back(window);
-  auto& metrics = MdMetrics::get();
-  metrics.closed.inc();
-  metrics.duration.observe(rate_.to_seconds(window.end - window.begin + 1));
+  ++windows_closed_;
+  window_seconds_.observe(rate_.to_seconds(window.end - window.begin + 1));
 }
 
 MovementDetectorState MovementDetector::export_state() const {
@@ -190,6 +163,15 @@ void MovementDetector::import_state(const MovementDetectorState& state) {
 
 std::optional<VariationWindow> MovementDetector::current_window() const {
   return open_;
+}
+
+obs::HealthBlock MovementDetector::health_block() const {
+  obs::HealthBlock block;
+  block.name = "md";
+  block.add("windows_opened", static_cast<double>(windows_opened_));
+  block.add("windows_closed", static_cast<double>(windows_closed_));
+  block.add("degraded_ticks", static_cast<double>(degraded_ticks_));
+  return block;
 }
 
 Seconds MovementDetector::current_window_duration() const {

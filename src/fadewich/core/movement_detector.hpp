@@ -20,6 +20,7 @@
 
 #include "fadewich/common/time.hpp"
 #include "fadewich/core/normal_profile.hpp"
+#include "fadewich/obs/export.hpp"
 #include "fadewich/stats/window_bank.hpp"
 
 namespace fadewich::core {
@@ -98,6 +99,15 @@ class MovementDetector {
   /// Ticks degraded below min_live_fraction so far.
   std::uint64_t degraded_ticks() const { return degraded_ticks_; }
 
+  /// The "md" block: variation windows opened and closed by this
+  /// detector, and its degraded ticks.
+  obs::HealthBlock health_block() const;
+
+  /// Durations of this detector's completed variation windows.
+  const obs::HistogramSample& window_seconds() const {
+    return window_seconds_;
+  }
+
   /// The open variation window, if any; `end` tracks the last anomalous
   /// tick seen.
   std::optional<VariationWindow> current_window() const;
@@ -125,7 +135,7 @@ class MovementDetector {
   void import_state(const MovementDetectorState& state);
 
  private:
-  /// Push a finished window to completed_ and record its obs counters.
+  /// Push a finished window to completed_ and count it.
   void close_window(const VariationWindow& window);
 
   TickRate rate_;
@@ -142,6 +152,9 @@ class MovementDetector {
   double last_st_ = 0.0;
   double last_live_fraction_ = 1.0;
   std::uint64_t degraded_ticks_ = 0;
+  std::uint64_t windows_opened_ = 0;
+  std::uint64_t windows_closed_ = 0;
+  obs::HistogramSample window_seconds_{obs::default_bucket_bounds()};
   std::optional<VariationWindow> open_;
   Tick last_anomalous_ = -1;
   std::vector<VariationWindow> completed_;

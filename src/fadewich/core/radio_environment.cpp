@@ -1,27 +1,11 @@
 #include "fadewich/core/radio_environment.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "fadewich/common/error.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::core {
-
-namespace {
-
-// Per-label counters are created lazily (labels are open-ended small
-// ints).  Classification happens at most once per variation window, so
-// the name lookup is off the per-tick hot path.
-void count_label(int label) {
-  if (!obs::enabled()) return;
-  obs::registry()
-      .counter("fadewich_re_classified_total{label=\"" +
-                   std::to_string(label) + "\"}",
-               "classifications by predicted label")
-      .inc();
-}
-
-}  // namespace
 
 RadioEnvironment::RadioEnvironment(FeatureConfig features, ml::SvmConfig svm)
     : features_(features), svm_(svm) {}
@@ -57,23 +41,24 @@ std::size_t RadioEnvironment::live_streams(
 
 std::optional<int> RadioEnvironment::classify_degraded(
     const std::vector<std::vector<double>>& stream_windows,
-    std::span<const double> validity) const {
+    std::span<const double> validity) {
   if (!trained()) return std::nullopt;
   if (!validity.empty()) {
     FADEWICH_EXPECTS(validity.size() == stream_windows.size());
     const double live = static_cast<double>(live_streams(validity));
     const double total = static_cast<double>(validity.size());
     if (live / total < features_.min_live_stream_fraction) {
-      if (obs::enabled()) {
-        obs::registry()
-            .counter("fadewich_re_degraded_unavailable_total",
-                     "classifications refused for lack of live streams")
-            .inc();
-      }
+      ++degraded_unavailable_;
       return std::nullopt;
     }
   }
-  return classify(features_from(stream_windows, validity));
+  const int label = classify(features_from(stream_windows, validity));
+  if (label >= 0) {
+    const auto slot = static_cast<std::size_t>(label);
+    if (slot >= classified_.size()) classified_.resize(slot + 1, 0);
+    ++classified_[slot];
+  }
+  return label;
 }
 
 void RadioEnvironment::train(const ml::Dataset& samples) {
@@ -81,16 +66,25 @@ void RadioEnvironment::train(const ml::Dataset& samples) {
 }
 
 int RadioEnvironment::classify(const std::vector<double>& features) const {
-  const int label = svm_.predict(features);
-  count_label(label);
-  return label;
+  return svm_.predict(features);
 }
 
 void RadioEnvironment::classify_block(
     const std::vector<std::vector<double>>& features,
     std::span<int> out) const {
   svm_.predict_block(features, out);
-  for (const int label : out) count_label(label);
+}
+
+obs::HealthBlock RadioEnvironment::health_block() const {
+  obs::HealthBlock block;
+  block.name = "re";
+  for (std::size_t label = 0; label < classified_.size(); ++label) {
+    block.add("classified_label_" + std::to_string(label),
+              static_cast<double>(classified_[label]));
+  }
+  block.add("degraded_unavailable",
+            static_cast<double>(degraded_unavailable_));
+  return block;
 }
 
 }  // namespace fadewich::core

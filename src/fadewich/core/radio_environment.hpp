@@ -7,6 +7,7 @@
 //   1..k  -> w_i, "user left workstation i-1" (0-based workstation index)
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "fadewich/core/features.hpp"
 #include "fadewich/ml/dataset.hpp"
 #include "fadewich/ml/multiclass_svm.hpp"
+#include "fadewich/obs/export.hpp"
 
 namespace fadewich::core {
 
@@ -49,13 +51,15 @@ class RadioEnvironment {
   /// Live streams given validity fractions: validity >= min_stream_validity.
   std::size_t live_streams(std::span<const double> validity) const;
 
-  /// Classify degraded input.  Returns nullopt when the classifier is
-  /// untrained or fewer than min_live_stream_fraction of streams are
-  /// live — classification confidence is then unavailable and callers
-  /// (the controller) fall back to Rule-2 timeouts.
+  /// Classify degraded input — the deployed system's one classification
+  /// path, so it is the one this instance counts.  Returns nullopt when
+  /// the classifier is untrained or fewer than min_live_stream_fraction
+  /// of streams are live — classification confidence is then
+  /// unavailable and callers (the controller) fall back to Rule-2
+  /// timeouts.
   std::optional<int> classify_degraded(
       const std::vector<std::vector<double>>& stream_windows,
-      std::span<const double> validity) const;
+      std::span<const double> validity);
 
   /// Train the classifier on labeled samples.  Requires non-empty data.
   void train(const ml::Dataset& samples);
@@ -84,9 +88,16 @@ class RadioEnvironment {
   void classify_block(const std::vector<std::vector<double>>& features,
                       std::span<int> out) const;
 
+  /// The "re" block: classify_degraded() results per predicted label
+  /// (classified_label_<l>) and refusals for lack of live streams
+  /// (degraded_unavailable).
+  obs::HealthBlock health_block() const;
+
  private:
   FeatureConfig features_;
   ml::MulticlassSvm svm_;
+  std::vector<std::uint64_t> classified_;  // indexed by predicted label
+  std::uint64_t degraded_unavailable_ = 0;
 };
 
 }  // namespace fadewich::core

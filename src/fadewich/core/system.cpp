@@ -6,23 +6,11 @@
 #include <string>
 
 #include "fadewich/common/error.hpp"
-#include "fadewich/obs/obs.hpp"
+#include "fadewich/obs/toggle.hpp"
 
 namespace fadewich::core {
 
 namespace {
-
-struct SysMetrics {
-  obs::Counter steps = obs::registry().counter(
-      "fadewich_sys_steps_total", "pipeline ticks processed");
-  obs::Histogram step_latency = obs::registry().histogram(
-      "fadewich_sys_step_seconds",
-      "end-to-end step wall time, sampled every 64 ticks");
-  static SysMetrics& get() {
-    static SysMetrics metrics;
-    return metrics;
-  }
-};
 
 // Sampling keeps the steady_clock out of 63 of every 64 ticks; the step
 // path is the tightest loop the system has, and the budget is < 2%.
@@ -141,8 +129,6 @@ FadewichSystem::StepResult FadewichSystem::step(
     std::span<const double> rssi_row,
     std::span<const std::uint8_t> valid) {
   FADEWICH_EXPECTS(valid.empty() || valid.size() == rssi_row.size());
-  auto& metrics = SysMetrics::get();
-  metrics.steps.inc();
   const bool timed =
       obs::enabled() && tick_ % kLatencySampleStride == 0;
   const auto started = timed ? std::chrono::steady_clock::now()
@@ -150,14 +136,14 @@ FadewichSystem::StepResult FadewichSystem::step(
   struct LatencySample {
     bool timed;
     std::chrono::steady_clock::time_point started;
-    obs::Histogram& histogram;
+    obs::HistogramSample& histogram;
     ~LatencySample() {
       if (!timed) return;
       histogram.observe(std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - started)
                             .count());
     }
-  } latency_sample{timed, started, metrics.step_latency};
+  } latency_sample{timed, started, step_seconds_};
 
   history_.push(rssi_row);
   if (valid.empty()) {
@@ -290,6 +276,21 @@ void FadewichSystem::import_state(const SystemState& state) {
   pending_samples_.clear();
   history_.reset(tick_);
   validity_history_.reset(tick_);
+}
+
+void FadewichSystem::scrape_into(obs::ScrapeReport& report) const {
+  report.health.push_back(md_.health_block());
+  report.health.push_back(controller_.health_block());
+  report.health.push_back(re_.health_block());
+  report.metrics.add_histogram(
+      controller_.deauth_latency(), "fadewich_ctl_deauth_latency_seconds",
+      "movement-start to deauth command (window age at Rule 1)");
+  report.metrics.add_histogram(md_.window_seconds(),
+                               "fadewich_md_window_seconds",
+                               "completed variation-window durations");
+  report.metrics.add_histogram(
+      step_seconds_, "fadewich_sys_step_seconds",
+      "end-to-end step wall time, sampled every 64 ticks");
 }
 
 const WorkstationSession& FadewichSystem::session(

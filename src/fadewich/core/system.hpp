@@ -25,6 +25,7 @@
 #include "fadewich/core/stream_history.hpp"
 #include "fadewich/core/workstation.hpp"
 #include "fadewich/ml/dataset.hpp"
+#include "fadewich/obs/export.hpp"
 
 namespace fadewich::core {
 
@@ -124,6 +125,12 @@ class FadewichSystem {
   const Controller& controller() const { return controller_; }
   const WorkstationSession& session(std::size_t workstation) const;
 
+  /// Append this pipeline's own counts to `report`: the md, controller
+  /// and re blocks, and the deauth-latency, window-length and step-time
+  /// histograms.  Step wall time is sampled every 64th tick while
+  /// obs::enabled().
+  void scrape_into(obs::ScrapeReport& report) const;
+
  private:
   std::optional<int> classify_current_window();
   std::pair<Tick, Tick> current_window_range() const;
@@ -147,6 +154,7 @@ class FadewichSystem {
 
   Tick tick_ = 0;
   std::vector<double> validity_row_;  // scratch, reused every step
+  obs::HistogramSample step_seconds_{obs::default_bucket_bounds()};
   bool training_ = true;
   ml::Dataset samples_;
 

@@ -8,7 +8,6 @@
 #include "fadewich/common/error.hpp"
 #include "fadewich/core/radio_environment.hpp"
 #include "fadewich/eval/fault_sweep.hpp"
-#include "fadewich/obs/obs.hpp"
 #include "fadewich/rf/pathloss.hpp"
 
 namespace fadewich::eval {
@@ -155,16 +154,6 @@ AttackScenarioResult evaluate_attack_scenario(
     }
   }
 
-  static obs::Histogram under_attack_delay = obs::registry().histogram(
-      "fadewich_defend_under_attack_deauth_seconds",
-      "deauth delay per leave event while an attack campaign is active",
-      {1, 2, 4, 6, 8, 12, 16, 24, 32, 64, 128, 300});
-
-  if (scenario.attack.enabled()) {
-    for (const LeaveOutcome& o : security.outcomes) {
-      under_attack_delay.observe(o.delay);
-    }
-  }
   return out;
 }
 

@@ -77,10 +77,7 @@ struct AttackScenarioResult : OutcomeTally {
   std::uint64_t row_digest = 0;
 };
 
-/// Replay + security evaluation for one scenario.  Under-attack deauth
-/// delays are observed into the
-/// `fadewich_defend_under_attack_deauth_seconds` histogram when the
-/// scenario carries an active attack.
+/// Replay + security evaluation for one scenario.
 AttackScenarioResult evaluate_attack_scenario(
     const sim::Recording& recording,
     const std::vector<rf::Point>& positions,

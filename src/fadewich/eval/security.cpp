@@ -10,35 +10,8 @@
 #include "fadewich/eval/sample_extraction.hpp"
 #include "fadewich/ml/cross_validation.hpp"
 #include "fadewich/ml/multiclass_svm.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::eval {
-
-namespace {
-
-// Cross-validated confusion tallies: one counter per (truth, prediction)
-// label pair.  Created lazily — the label set is data-dependent — and
-// off every hot path (a handful of increments per evaluation).
-void count_confusion(int truth, int predicted) {
-  if (!obs::enabled()) return;
-  obs::registry()
-      .counter("fadewich_re_confusion_total{true=\"" +
-                   std::to_string(truth) + "\",pred=\"" +
-                   std::to_string(predicted) + "\"}",
-               "cross-validated (truth, prediction) label pairs")
-      .inc();
-}
-
-void count_outcome(const char* kind) {
-  if (!obs::enabled()) return;
-  obs::registry()
-      .counter(std::string("fadewich_eval_outcome_total{case=\"") + kind +
-                   "\"}",
-               "leave-event decision-tree outcomes (A/B/C cases)")
-      .inc();
-}
-
-}  // namespace
 
 SecurityResult evaluate_security(
     const sim::Recording& recording,
@@ -72,7 +45,6 @@ SecurityResult evaluate_security(
     std::size_t correct = 0;
     for (std::size_t i = 0; i < data.size(); ++i) {
       if (fold_prediction[i] == data.labels[i]) ++correct;
-      count_confusion(data.labels[i], fold_prediction[i]);
     }
     result.re_accuracy =
         static_cast<double>(correct) / static_cast<double>(data.size());
@@ -125,20 +97,17 @@ SecurityResult evaluate_security(
     if (tp_it == tp_sample_of_event.end()) {
       outcome.outcome = DeauthCase::kMissed;
       outcome.delay = config.timeout;
-      count_outcome("missed");
     } else {
       const std::size_t sample = tp_it->second;
       const bool correct = fold_prediction[sample] == data.labels[sample];
       if (correct) {
         outcome.outcome = DeauthCase::kCorrect;
-        count_outcome("correct");
         const Seconds t1 = recording.rate().to_seconds(
             result.matches.true_positives[sample].window.begin);
         outcome.delay = std::max(
             0.0, t1 + config.t_delta - event.proximity_exit);
       } else {
         outcome.outcome = DeauthCase::kMisclassified;
-        count_outcome("misclassified");
         // Worst case: the last input coincided with the departure, so
         // the screensaver lock fires tID + tss later.
         outcome.delay = config.t_id + config.t_ss;

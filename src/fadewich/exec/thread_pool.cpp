@@ -1,11 +1,7 @@
 #include "fadewich/exec/thread_pool.hpp"
 
-#include <chrono>
-#include <string>
-
 #include "fadewich/common/env.hpp"
 #include "fadewich/common/error.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::exec {
 
@@ -18,25 +14,6 @@ struct WorkerIdentity {
   std::size_t index = 0;
 };
 thread_local WorkerIdentity t_worker;
-
-// The ThreadPool constructor touches this struct, so the registry behind
-// the handles is constructed before — and therefore destroyed after —
-// any pool whose workers might still be flushing counters at exit.
-struct ExecMetrics {
-  obs::Counter submitted = obs::registry().counter(
-      "fadewich_exec_tasks_submitted_total", "tasks enqueued via submit()");
-  obs::Counter loops = obs::registry().counter(
-      "fadewich_exec_parallel_for_total", "parallel_for invocations");
-  obs::Gauge queue_depth = obs::registry().gauge(
-      "fadewich_exec_queue_depth", "tasks queued and not yet started");
-  obs::Histogram loop_latency = obs::registry().histogram(
-      "fadewich_exec_parallel_for_seconds",
-      "parallel_for wall time, caller's view");
-  static ExecMetrics& get() {
-    static ExecMetrics metrics;
-    return metrics;
-  }
-};
 
 }  // namespace
 
@@ -82,7 +59,6 @@ struct ThreadPool::ForLoop {
 };
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  ExecMetrics::get();  // pin registry lifetime past this pool's workers
   if (threads == 0) threads = default_thread_count();
   queues_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -115,10 +91,7 @@ void ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(queues_[q]->mutex);
     queues_[q]->tasks.push_back(std::move(task));
   }
-  const std::size_t depth = pending_.fetch_add(1) + 1;
-  auto& metrics = ExecMetrics::get();
-  metrics.submitted.inc();
-  metrics.queue_depth.set(static_cast<double>(depth));
+  pending_.fetch_add(1);
   // Passing through wake_mutex_ before notifying closes the lost-wakeup
   // window: a worker that evaluated its sleep predicate before our
   // pending_ increment has, by the time we acquire the mutex, atomically
@@ -222,12 +195,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   FADEWICH_EXPECTS(fn != nullptr);
   if (grain == 0) grain = 1;
 
-  // Only reach for the clock when obs is live: the disabled path must
-  // stay a branch on one relaxed load.
-  const bool timed = obs::enabled();
-  const auto started = timed ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
-
   auto loop = std::make_shared<ForLoop>();
   loop->end = end;
   loop->grain = grain;
@@ -259,15 +226,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     }
     std::unique_lock<std::mutex> lock(loop->done_mutex);
     loop->done_cv.wait(lock, [&] { return loop->finished(); });
-  }
-
-  if (timed) {
-    auto& metrics = ExecMetrics::get();
-    metrics.loops.inc();
-    metrics.loop_latency.observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-            .count());
   }
 
   if (loop->error) std::rethrow_exception(loop->error);

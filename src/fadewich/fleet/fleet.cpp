@@ -13,9 +13,16 @@ namespace {
 
 constexpr const char* kLatencyName = "fadewich_fleet_deauth_latency_seconds";
 
-/// An office's snapshot directory and its scrape prefix.
+/// An office's snapshot directory under the root.  Kept as office-<i> so
+/// an existing fleet's rings still recover.
+std::string ring_directory(const std::string& root, std::size_t office) {
+  return root + "/office-" + std::to_string(office);
+}
+
+/// An office's unit name in the supervisor block: office_<i>, so its
+/// exported field names stay legal Prometheus metric names.
 std::string unit_name(std::size_t office) {
-  return "office-" + std::to_string(office);
+  return "office_" + std::to_string(office);
 }
 
 }  // namespace
@@ -31,7 +38,7 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
     throw Error("fleet config: max_restarts must be >= 1");
   }
 
-  fleet_latency_ = obs::MetricsRegistry::global().histogram(
+  fleet_latency_ = metrics_.histogram(
       kLatencyName, "Leave-to-deauthentication latency across the fleet");
   ShardMetrics metrics;
   metrics.deauth_latency = fleet_latency_;
@@ -48,7 +55,7 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
     retired_.assign(shards_.size(), false);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       persist::RecoveryConfig recovery;
-      recovery.directory = config_.snapshot_root + "/" + unit_name(i);
+      recovery.directory = ring_directory(config_.snapshot_root, i);
       shards_[i]->enable_persistence(std::move(recovery),
                                      config_.checkpoint_period);
     }
@@ -161,7 +168,7 @@ double Fleet::memory_bytes_per_office() const {
 }
 
 obs::ScrapeReport Fleet::scrape() const {
-  obs::ScrapeReport report = obs::scrape();
+  obs::ScrapeReport report = obs::scrape(metrics_);
 
   obs::HealthBlock fleet;
   fleet.name = "fleet";
@@ -182,7 +189,7 @@ obs::ScrapeReport Fleet::scrape() const {
             latency != nullptr ? latency->percentile(0.99) : 0.0);
   if (offices() <= obs::kPerUnitHealthCap) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::string office = "office_" + std::to_string(i);
+      const std::string office = unit_name(i);
       fleet.add(office + "_deauths",
                 static_cast<double>(shards_[i]->deauths()));
       fleet.add(office + "_spurious_deauths",

@@ -93,7 +93,7 @@ class Fleet {
   /// objects); the bench trends this across the 10 -> 10k sweep.
   double memory_bytes_per_office() const;
 
-  /// One merged scrape: the global metrics snapshot, a "fleet"
+  /// One merged scrape: this fleet's deauth-latency histogram, a "fleet"
   /// HealthBlock (offices, cursor, deauth totals, last-run throughput,
   /// p99 deauth latency, bytes per office, and per-office
   /// office_<i>_{deauths,spurious_deauths} for fleets of at most
@@ -112,6 +112,7 @@ class Fleet {
   Tick cursor_ = 0;  // common boundary all healthy shards reached
   RunStats last_run_;
 
+  obs::MetricsRegistry metrics_;  // this fleet's multi-writer histograms
   obs::Histogram fleet_latency_;  // shared by all shards: fleet-wide p99
 };
 

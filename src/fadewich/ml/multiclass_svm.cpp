@@ -9,27 +9,8 @@
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/exec/thread_pool.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::ml {
-
-namespace {
-
-struct MlMetrics {
-  obs::Histogram decision_batch = obs::registry().histogram(
-      "fadewich_ml_decision_batch",
-      "queries per batched SVM inference call",
-      {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-  obs::Gauge arena_bytes = obs::registry().gauge(
-      "fadewich_scratch_arena_bytes",
-      "bytes reserved across all live scratch arenas");
-  static MlMetrics& get() {
-    static MlMetrics metrics;
-    return metrics;
-  }
-};
-
-}  // namespace
 
 MulticlassSvm::MulticlassSvm(SvmConfig config) : config_(config) {}
 
@@ -128,11 +109,6 @@ void MulticlassSvm::predict_rows(const double* xs, std::size_t stride,
     }
     out[r] = best;
   }
-
-  auto& metrics = MlMetrics::get();
-  metrics.decision_batch.observe(static_cast<double>(count));
-  metrics.arena_bytes.set(static_cast<double>(
-      common::ScratchArena::process_bytes_reserved()));
 }
 
 int MulticlassSvm::predict(const std::vector<double>& x) const {

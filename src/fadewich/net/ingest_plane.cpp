@@ -4,7 +4,6 @@
 #include <string>
 
 #include "fadewich/common/error.hpp"
-#include "fadewich/obs/obs.hpp"
 
 namespace fadewich::net {
 
@@ -119,7 +118,7 @@ IngestPlane::IngestPlane(PlaneConfig config, exec::ThreadPool* pool)
     shards_.push_back(std::move(shard));
   }
   counters_.per_shard.resize(shards);
-  ring_depth_ = obs::MetricsRegistry::global().histogram(
+  ring_depth_ = metrics_.histogram(
       "fadewich_ingest_ring_depth",
       "Measurements queued in a (lane, shard) ring at drain time");
 }

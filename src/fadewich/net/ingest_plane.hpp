@@ -125,6 +125,10 @@ class IngestPlane {
 
   const PlaneCounters& counters() const { return counters_; }
 
+  /// This plane's fadewich_ingest_ring_depth histogram: measurements
+  /// queued in a (lane, shard) ring at each drain.
+  obs::MetricsSnapshot metrics() const { return metrics_.snapshot(); }
+
  private:
   struct LaneState;
   struct ShardState;
@@ -146,6 +150,7 @@ class IngestPlane {
   std::vector<std::unique_ptr<LaneState>> lanes_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   PlaneCounters counters_;
+  obs::MetricsRegistry metrics_;  // drain workers write ring depth at once
   obs::Histogram ring_depth_;
 };
 

@@ -1,25 +1,23 @@
 // Exporters: Prometheus text format and JSON snapshots, plus the unified
 // ScrapeReport.
 //
-// A ScrapeReport is the one-call health surface: the merged metrics
-// snapshot, any number of named HealthBlocks (bespoke counter structs —
-// net::StationHealth, persist::UnitHealth restart counts — flattened to
-// key/number pairs by their owning modules), and recent structured
-// events.  Both exporters render the same report:
+// A ScrapeReport is the one-call health surface: histograms (each
+// owner's named copies plus, for multi-writer distributions, its
+// registry's snapshot), any number of named HealthBlocks (an instance's
+// own counts — the detector's windows, the station's reports, restart
+// counts — flattened to key/number pairs by their owning modules), and
+// recent structured events.  Both exporters render the same report:
 //
 //   to_prometheus(): `# HELP` / `# TYPE` / sample lines; histograms as
 //     cumulative `_bucket{le=...}` + `_sum` + `_count`; health blocks as
-//     gauges named fadewich_health_<block>_<field>.  Metric names may
-//     carry a `{label="x"}` suffix which is merged into the sample's
-//     label set.
+//     gauges named fadewich_health_<block>_<field>.  The only label is a
+//     bucket's `le`.
 //   to_json(): one document with "metrics", "health" and "events"
 //     sections; histograms carry count/sum/p50/p95/p99 plus raw buckets.
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,20 +25,6 @@
 #include "fadewich/obs/metrics.hpp"
 
 namespace fadewich::obs {
-
-/// Escape a label value for the Prometheus exposition format: backslash,
-/// double quote, and newline become \\, \" and \n.
-std::string escape_label_value(std::string_view value);
-
-/// Build `base{k1="v1",k2="v2"}` — the registry family key the exporters
-/// split back into base name and label set — with values escaped.  Label
-/// names must be legal identifiers; values may hold anything.  This is
-/// the one sanctioned way to mint per-entity series (per-class
-/// counters, say): hand-concatenation skips the escaping.
-std::string labeled(
-    std::string_view base,
-    std::initializer_list<std::pair<std::string_view, std::string_view>>
-        labels);
 
 /// A bespoke health struct flattened for export.  Field order is
 /// preserved in both output formats.
@@ -72,12 +56,11 @@ struct ScrapeReport {
   std::string to_json() const;
 };
 
-/// Capture the registry (global by default) plus, when given, the event
-/// ring.  Modules' bespoke health structs are folded in afterwards via
-/// ScrapeReport::health (see net::health_block, persist::health_block,
-/// or persist::SupervisedSystem::scrape for the fully-assembled
-/// document).
-ScrapeReport scrape(const MetricsRegistry& registry = MetricsRegistry::global(),
+/// Capture an instance's registry plus, when given, the event ring.
+/// Modules' own counts are folded in afterwards via ScrapeReport::health
+/// (see net::health_block, persist::health_block, or
+/// persist::SupervisedSystem::scrape for the fully-assembled document).
+ScrapeReport scrape(const MetricsRegistry& registry,
                     const EventLog* events = nullptr);
 
 }  // namespace fadewich::obs

@@ -6,6 +6,26 @@
 
 namespace fadewich::obs {
 
+namespace {
+
+/// Bucket index of `v`: the first bound >= v, or bounds.size() (+inf).
+std::size_t bucket_of(std::span<const double> bounds, double v) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+}
+
+}  // namespace
+
+std::span<const double> default_bucket_bounds() {
+  // 1-2.5-5 ladder, 1 µs .. 10 s: covers per-tick latencies through
+  // checkpoint writes.
+  static constexpr double kBounds[] = {
+      1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
+      5e-4, 1e-3,   2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,
+      0.25, 0.5,    1.0,  2.5,  5.0,  10.0};
+  return kBounds;
+}
+
 namespace detail {
 
 std::size_t shard_index() {
@@ -16,10 +36,9 @@ std::size_t shard_index() {
 }
 
 HistogramImpl::HistogramImpl(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) {
-    throw Error("obs histogram: bucket bounds must be non-empty");
-  }
+    : own_bounds_(std::move(bounds)),
+      bounds_(own_bounds_.empty() ? default_bucket_bounds()
+                                  : std::span<const double>(own_bounds_)) {
   for (std::size_t i = 1; i < bounds_.size(); ++i) {
     if (bounds_[i] <= bounds_[i - 1]) {
       throw Error("obs histogram: bucket bounds must be increasing");
@@ -32,11 +51,9 @@ HistogramImpl::HistogramImpl(std::vector<double> bounds)
 }
 
 void HistogramImpl::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto bucket =
-      static_cast<std::size_t>(it - bounds_.begin());  // +inf == size()
   Shard& shard = *shards_[shard_index()];
-  shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
+  shard.counts[bucket_of(bounds_, v)].fetch_add(1,
+                                                std::memory_order_relaxed);
   shard.count.fetch_add(1, std::memory_order_relaxed);
   add_double(shard.sum, v);
 }
@@ -77,6 +94,12 @@ void HistogramImpl::reset() {
 
 }  // namespace detail
 
+void HistogramSample::observe(double v) {
+  ++counts[bucket_of(bounds, v)];
+  ++count;
+  sum += v;
+}
+
 double HistogramSample::percentile(double q) const {
   if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -99,90 +122,28 @@ double HistogramSample::percentile(double q) const {
   return bounds.back();
 }
 
-namespace {
-
-template <typename Samples>
-const typename Samples::value_type* find_by_name(const Samples& samples,
-                                                 const std::string& name) {
-  for (const auto& s : samples) {
-    if (s.name == name) return &s;
+const HistogramSample* MetricsSnapshot::find_histogram(
+    const std::string& name) const {
+  for (const HistogramSample& h : histograms) {
+    if (h.name == name) return &h;
   }
   return nullptr;
 }
 
-}  // namespace
-
-const CounterSample* MetricsSnapshot::find_counter(
-    const std::string& name) const {
-  return find_by_name(counters, name);
-}
-
-const GaugeSample* MetricsSnapshot::find_gauge(
-    const std::string& name) const {
-  return find_by_name(gauges, name);
-}
-
-const HistogramSample* MetricsSnapshot::find_histogram(
-    const std::string& name) const {
-  return find_by_name(histograms, name);
-}
-
-std::vector<double> default_bucket_bounds() {
-  // 1-2.5-5 ladder, 1 µs .. 10 s: covers per-tick latencies through
-  // checkpoint writes.
-  return {1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-          1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,
-          1.0,  2.5,    5.0,  10.0};
-}
-
-void MetricsRegistry::check_unique(const std::string& name,
-                                   const char* type) const {
-  const bool is_counter = counters_.count(name) > 0;
-  const bool is_gauge = gauges_.count(name) > 0;
-  const bool is_histogram = histograms_.count(name) > 0;
-  const std::string want(type);
-  if ((is_counter && want != "counter") ||
-      (is_gauge && want != "gauge") ||
-      (is_histogram && want != "histogram")) {
-    throw Error("obs registry: metric '" + name +
-                "' already registered as a different type");
-  }
-}
-
-Counter MetricsRegistry::counter(const std::string& name,
-                                 const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  check_unique(name, "counter");
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    auto family = std::make_unique<CounterFamily>();
-    family->help = help;
-    it = counters_.emplace(name, std::move(family)).first;
-  }
-  return Counter(&it->second->impl);
-}
-
-Gauge MetricsRegistry::gauge(const std::string& name,
-                             const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  check_unique(name, "gauge");
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    auto family = std::make_unique<GaugeFamily>();
-    family->help = help;
-    it = gauges_.emplace(name, std::move(family)).first;
-  }
-  return Gauge(&it->second->impl);
+void MetricsSnapshot::add_histogram(const HistogramSample& live,
+                                    std::string_view name,
+                                    std::string_view help) {
+  histograms.push_back(live);
+  histograms.back().name = name;
+  histograms.back().help = help;
 }
 
 Histogram MetricsRegistry::histogram(const std::string& name,
                                      const std::string& help,
                                      std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mutex_);
-  check_unique(name, "histogram");
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    if (bounds.empty()) bounds = default_bucket_bounds();
     it = histograms_
              .emplace(name, std::make_unique<HistogramFamily>(
                                 help, std::move(bounds)))
@@ -194,14 +155,6 @@ Histogram MetricsRegistry::histogram(const std::string& name,
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, family] : counters_) {
-    snap.counters.push_back({name, family->help, family->impl.total()});
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, family] : gauges_) {
-    snap.gauges.push_back({name, family->help, family->impl.value()});
-  }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, family] : histograms_) {
     HistogramSample sample;
@@ -219,19 +172,12 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, family] : counters_) family->impl.reset();
-  for (auto& [name, family] : gauges_) family->impl.reset();
   for (auto& [name, family] : histograms_) family->impl.reset();
 }
 
 std::size_t MetricsRegistry::family_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  return histograms_.size();
 }
 
 }  // namespace fadewich::obs

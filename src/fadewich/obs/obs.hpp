@@ -1,17 +1,21 @@
-// Umbrella header for the observability subsystem: metrics, structured
-// events, exporters, and the process-wide instances the built-in
-// instrumentation writes to.
+// Umbrella header for the observability subsystem: histograms, structured
+// events, exporters, and the process-wide event log.
 //
 // Quick tour (see DESIGN.md §12 for the full model):
 //
-//   obs::Counter ticks = obs::registry().counter(
-//       "fadewich_core_steps_total", "pipeline ticks processed");
-//   ticks.inc();                              // lock-free, sharded
+//   // One writer: the instance owns the histogram and reports a copy.
+//   obs::HistogramSample latency(obs::default_bucket_bounds());
+//   latency.observe(0.004);
+//
+//   // Several writer threads: a sharded family in the owner's registry.
+//   obs::MetricsRegistry metrics;
+//   obs::Histogram depth = metrics.histogram("fadewich_x_depth", "help");
+//   depth.observe(12.0);                      // lock-free, sharded
 //
 //   obs::events().warn("station", "row evicted", tick);
 //
-//   obs::ScrapeReport report =
-//       obs::scrape(obs::registry(), &obs::events());
+//   obs::ScrapeReport report = obs::scrape(metrics, &obs::events());
+//   report.metrics.add_histogram(latency, "fadewich_x_seconds", "help");
 //   std::cout << report.to_prometheus();      // or report.to_json()
 //
 // Environment: FADEWICH_OBS=0 disables at runtime, FADEWICH_OBS_SINK
@@ -26,10 +30,15 @@
 
 namespace fadewich::obs {
 
-/// Process-wide registry and event log.  Instrumented modules
-/// fetch their handles from these on first use; tests may reset() the
-/// registry or clear() the log between cases.
-inline MetricsRegistry& registry() { return MetricsRegistry::global(); }
+/// A process-wide registry for programs outside the library: every
+/// library metric belongs to its instance, and nothing under src/
+/// writes here.
+inline MetricsRegistry& registry() {
+  static MetricsRegistry process_registry;
+  return process_registry;
+}
+
+/// The process-wide event log.  Tests may clear() it between cases.
 inline EventLog& events() { return EventLog::global(); }
 
 }  // namespace fadewich::obs

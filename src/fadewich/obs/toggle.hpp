@@ -1,13 +1,16 @@
 // Observability kill switches.
 //
-// Instrumentation is gated twice.  At compile time, defining
-// FADEWICH_OBS_DISABLE turns every metric handle and event-log call into
-// an empty inline body, so a build that wants zero telemetry pays zero
-// instructions.  At runtime (the default build), every instrumented site
-// first checks enabled() — one relaxed atomic load — so a deployment can
-// switch telemetry off without rebuilding.  The initial value comes from
-// the FADEWICH_OBS environment variable ("0" or "off" disables; anything
-// else, including unset, enables) and can be flipped programmatically.
+// The telemetry that costs more than an integer add — sharded registry
+// histograms, clock reads for latency samples, and event-log calls — is
+// gated twice.  (An instance's own event counts are plain fields and
+// always count.)  At compile time, defining FADEWICH_OBS_DISABLE turns
+// every registry handle and event-log call into an empty inline body and
+// enabled() into a constant false.  At runtime (the default build), every
+// gated site first checks enabled() — one relaxed atomic load — so a
+// deployment can switch telemetry off without rebuilding.  The initial
+// value comes from the FADEWICH_OBS environment variable ("0" or "off"
+// disables; anything else, including unset, enables) and can be flipped
+// programmatically.
 #pragma once
 
 namespace fadewich::obs {

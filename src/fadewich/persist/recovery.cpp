@@ -15,47 +15,11 @@ namespace fs = std::filesystem;
 
 namespace {
 
-struct PersistMetrics {
-  obs::Counter checkpoints = obs::registry().counter(
-      "fadewich_persist_checkpoints_total", "snapshots written");
-  obs::Counter recoveries = obs::registry().counter(
-      "fadewich_persist_recoveries_total", "recover() invocations");
-  obs::Counter rejected = obs::registry().counter(
-      "fadewich_persist_snapshots_rejected_total",
-      "snapshot files rejected during recovery");
-  obs::Counter cold_starts = obs::registry().counter(
-      "fadewich_persist_cold_starts_total",
-      "recoveries that found no usable snapshot");
-  obs::Histogram checkpoint_latency = obs::registry().histogram(
-      "fadewich_persist_checkpoint_seconds",
-      "checkpoint write + ring prune wall time");
-  obs::Histogram recover_latency = obs::registry().histogram(
-      "fadewich_persist_recover_seconds", "recover() wall time");
-  static PersistMetrics& get() {
-    static PersistMetrics metrics;
-    return metrics;
-  }
-};
-
-/// Observes elapsed wall time on destruction; no-cost when obs is off.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(obs::Histogram& histogram)
-      : histogram_(histogram), timed_(obs::enabled()) {
-    if (timed_) started_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (!timed_) return;
-    histogram_.observe(std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - started_)
-                           .count());
-  }
-
- private:
-  obs::Histogram& histogram_;
-  bool timed_;
-  std::chrono::steady_clock::time_point started_;
-};
+double seconds_since(std::chrono::steady_clock::time_point started) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       started)
+      .count();
+}
 
 constexpr char kPrefix[] = "snap-";
 constexpr char kSuffix[] = ".fdws";
@@ -126,9 +90,9 @@ RecoveryManager::RecoveryManager(RecoveryConfig config)
 }
 
 std::string RecoveryManager::checkpoint(const Snapshot& snapshot) {
-  auto& metrics = PersistMetrics::get();
-  ScopedTimer timer(metrics.checkpoint_latency);
-  metrics.checkpoints.inc();
+  const bool timed = obs::enabled();
+  const auto started = timed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
   const std::string path =
       (fs::path(config_.directory) / snapshot_name(next_seq_)).string();
   save_snapshot(snapshot, path);
@@ -141,18 +105,25 @@ std::string RecoveryManager::checkpoint(const Snapshot& snapshot) {
     fs::remove(existing.front().second, ec);
     existing.erase(existing.begin());
   }
+  if (timed) checkpoint_seconds_.observe(seconds_since(started));
   return path;
 }
 
 std::optional<Snapshot> RecoveryManager::recover(core::FadewichSystem& into,
                                                  RecoveryReport* report) {
-  auto& metrics = PersistMetrics::get();
-  ScopedTimer timer(metrics.recover_latency);
-  metrics.recoveries.inc();
+  const bool timed = obs::enabled();
+  const auto started = timed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
   RecoveryReport local;
   RecoveryReport& out = report ? *report : local;
   out = RecoveryReport{};
+  std::optional<Snapshot> snapshot = walk_ring(into, out);
+  if (timed) recover_seconds_.observe(seconds_since(started));
+  return snapshot;
+}
 
+std::optional<Snapshot> RecoveryManager::walk_ring(core::FadewichSystem& into,
+                                                   RecoveryReport& out) const {
   auto existing = list_snapshots(config_.directory);
   for (auto it = existing.rbegin(); it != existing.rend(); ++it) {
     const std::string& path = it->second;
@@ -180,13 +151,20 @@ std::optional<Snapshot> RecoveryManager::recover(core::FadewichSystem& into,
       }
     }
     out.rejected.push_back({path, last_reason});
-    metrics.rejected.inc();
     obs::events().warn("persist", "snapshot rejected during recovery", 0,
                        {{"path", path}, {"reason", last_reason}});
   }
   out.cold_start = true;
-  metrics.cold_starts.inc();
   return std::nullopt;
+}
+
+void RecoveryManager::scrape_into(obs::ScrapeReport& report) const {
+  report.metrics.add_histogram(checkpoint_seconds_,
+                               "fadewich_persist_checkpoint_seconds",
+                               "checkpoint write + ring prune wall time");
+  report.metrics.add_histogram(recover_seconds_,
+                               "fadewich_persist_recover_seconds",
+                               "recover() wall time");
 }
 
 std::vector<std::string> RecoveryManager::ring() const {

@@ -74,10 +74,19 @@ class RecoveryManager {
 
   std::uint64_t checkpoints_written() const { return checkpoints_written_; }
 
+  /// Append this manager's checkpoint and recover() wall-time
+  /// histograms to `report` (sampled while obs::enabled()).
+  void scrape_into(obs::ScrapeReport& report) const;
+
  private:
+  std::optional<Snapshot> walk_ring(core::FadewichSystem& into,
+                                    RecoveryReport& out) const;
+
   RecoveryConfig config_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t checkpoints_written_ = 0;
+  obs::HistogramSample checkpoint_seconds_{obs::default_bucket_bounds()};
+  obs::HistogramSample recover_seconds_{obs::default_bucket_bounds()};
 };
 
 /// One restartable unit (a supervised pipeline, a fleet office) as the

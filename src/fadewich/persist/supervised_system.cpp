@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "fadewich/common/error.hpp"
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/common/simd.hpp"
 
 namespace fadewich::persist {
@@ -78,7 +79,8 @@ SupervisedSystem::StepResult SupervisedSystem::step(
 
 obs::ScrapeReport SupervisedSystem::scrape(
     const net::FaultInjector::Counters* faults) const {
-  obs::ScrapeReport report = obs::scrape(obs::registry(), &obs::events());
+  obs::ScrapeReport report;
+  report.events = obs::events().recent();
 
   obs::HealthBlock pipeline;
   pipeline.name = "pipeline";
@@ -88,7 +90,12 @@ obs::ScrapeReport SupervisedSystem::scrape(
   pipeline.add("checkpoints_written",
                static_cast<double>(checkpoints_written()));
   pipeline.add("simd_isa", static_cast<double>(simd::active_isa()));
+  pipeline.add("scratch_arena_bytes",
+               static_cast<double>(
+                   common::ScratchArena::process_bytes_reserved()));
   report.health.push_back(std::move(pipeline));
+  system_.scrape_into(report);
+  recovery_.scrape_into(report);
 
   report.health.push_back(net::health_block(station_health_));
   if (faults != nullptr) {

@@ -84,9 +84,12 @@ class SupervisedSystem {
   /// True once a fault found the budget spent or nothing to restore.
   bool retired() const { return retired_; }
 
-  /// One unified observability document: every metric family plus
-  /// pipeline, station, fault (when given), and restart health, with
-  /// recent events folded in.  Render with to_prometheus() or to_json().
+  /// One unified observability document about this instance: the
+  /// pipeline block (tick, training, degraded start, checkpoints, SIMD
+  /// ISA, the process's scratch-arena bytes), the md, controller and re
+  /// blocks with this pipeline's histograms, station, fault (when given)
+  /// and restart health, and recent events.  Render with to_prometheus()
+  /// or to_json().
   obs::ScrapeReport scrape(
       const net::FaultInjector::Counters* faults = nullptr) const;
 

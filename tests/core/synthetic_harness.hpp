@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cmath>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -29,8 +30,13 @@ inline SystemConfig harness_config() {
 
 class Harness {
  public:
-  Harness() : system_(kStreams, kWorkstations, harness_config()),
-              rng_(77) {}
+  Harness()
+      : owned_(std::in_place, kStreams, kWorkstations, harness_config()),
+        system_(*owned_),
+        rng_(77) {}
+
+  /// Drive a system someone else owns (built with harness_config()).
+  explicit Harness(FadewichSystem& system) : system_(system), rng_(77) {}
 
   FadewichSystem& system() { return system_; }
   Seconds now() const { return system_.now(); }
@@ -89,7 +95,8 @@ class Harness {
   }
 
  private:
-  FadewichSystem system_;
+  std::optional<FadewichSystem> owned_;
+  FadewichSystem& system_;
   Rng rng_;
 };
 

@@ -12,6 +12,7 @@
 
 #include "fadewich/exec/thread_pool.hpp"
 #include "fadewich/obs/export.hpp"
+#include "obs/exposition_grammar.hpp"
 
 namespace fadewich::fleet {
 namespace {
@@ -23,6 +24,12 @@ FleetConfig small_fleet(std::size_t offices) {
   config.offices = offices;
   config.shard.system = default_shard_system();
   return config;
+}
+
+void expect_valid_exposition(const obs::ScrapeReport& report) {
+  const std::vector<std::string> errors =
+      test::exposition_errors(report.to_prometheus());
+  EXPECT_TRUE(errors.empty()) << test::joined(errors);
 }
 
 std::map<std::string, double> fleet_fields(const obs::ScrapeReport& report) {
@@ -60,6 +67,7 @@ TEST(FleetScrape, PerOfficeSeriesAndAggregatesShareOneDocument) {
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"office_2_spurious_deauths\""), std::string::npos);
   EXPECT_NE(json.find("\"fleet\""), std::string::npos);
+  expect_valid_exposition(report);
 }
 
 TEST(FleetScrape, CardinalityCapFallsBackToAggregates) {
@@ -67,7 +75,9 @@ TEST(FleetScrape, CardinalityCapFallsBackToAggregates) {
   Fleet fleet(small_fleet(obs::kPerUnitHealthCap + 1), &pool);
   fleet.run_week(64);
 
-  const std::map<std::string, double> fields = fleet_fields(fleet.scrape());
+  const obs::ScrapeReport report = fleet.scrape();
+  expect_valid_exposition(report);
+  const std::map<std::string, double> fields = fleet_fields(report);
   EXPECT_EQ(fields.at("offices"),
             static_cast<double>(obs::kPerUnitHealthCap + 1));
   EXPECT_EQ(fields.at("deauths"), static_cast<double>(fleet.total_deauths()));
@@ -101,10 +111,49 @@ TEST(FleetScrape, SupervisedFleetExportsTheSupervisorBlock) {
   }
   const std::vector<std::string> expected = {
       "modules",          "total_restarts",   "all_healthy",
-      "office-0_status",  "office-0_restarts", "office-1_status",
-      "office-1_restarts"};
+      "office_0_status",  "office_0_restarts", "office_1_status",
+      "office_1_restarts"};
   EXPECT_EQ(fields, expected);
+  expect_valid_exposition(report);
+  // The rings keep their office-<i> directories, so an existing fleet's
+  // snapshots still recover.
+  EXPECT_TRUE(fs::is_directory(root + "/office-0"));
+  EXPECT_TRUE(fs::is_directory(root + "/office-1"));
   fs::remove_all(root);
+}
+
+double p99(const Fleet& fleet) {
+  return fleet_fields(fleet.scrape()).at("deauth_latency_p99_seconds");
+}
+
+/// Each fleet's deauth-latency p99 is its own: a second fleet in the same
+/// process reads the same p99 as when it runs alone, and stepping it does
+/// not move the first one's.
+TEST(FleetScrape, TwoFleetsInOneProcessReadTheirOwnP99) {
+  exec::ThreadPool pool(2);
+  // Seed 7 puts every deauth of the first fleet in one bucket; the
+  // second fleet (default seed) also has one past 10 s, so a shared
+  // histogram would move the first fleet's p99.
+  FleetConfig one = small_fleet(2);
+  one.seed = 7;
+  const FleetConfig other = small_fleet(3);
+
+  Fleet first(one, &pool);
+  first.run_week(3000);
+  const double first_alone = p99(first);
+  ASSERT_GT(first.total_deauths(), 0u);
+
+  Fleet second(other, &pool);
+  second.run_week(3000);
+  ASSERT_GT(second.total_deauths(), 0u);
+  ASSERT_NE(p99(second), first_alone);
+  EXPECT_EQ(p99(first), first_alone);
+
+  Fleet second_again(other, &pool);
+  second_again.run_week(3000);
+  EXPECT_EQ(p99(second_again), p99(second));
+  EXPECT_EQ(p99(first), first_alone);
+  expect_valid_exposition(second.scrape());
 }
 
 TEST(FleetScrape, RunStatsReportThroughput) {

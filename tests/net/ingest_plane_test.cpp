@@ -322,6 +322,29 @@ TEST(IngestPlaneTest, ReplayIsReusableAndCountersAccumulate) {
   EXPECT_EQ(plane.counters().wire.frames_ok, 2u * 2u * 10u * kDevices);
 }
 
+/// The ring-depth histogram belongs to its plane: a second plane built in
+/// the same process stays empty while the first one drains.
+TEST(IngestPlaneTest, RingDepthHistogramBelongsToItsPlane) {
+  const auto bytes = make_capture(2, 10, 0x42);
+  PlaneConfig config;
+  config.lanes = 2;
+  config.shards = 2;
+  IngestPlane busy(config);
+  IngestPlane idle(config);
+  plane_streams(busy, bytes, 2);
+  const auto drains = [](const IngestPlane& plane) {
+    const obs::MetricsSnapshot snapshot = plane.metrics();
+    const obs::HistogramSample* depth =
+        snapshot.find_histogram("fadewich_ingest_ring_depth");
+    EXPECT_NE(depth, nullptr);
+    return depth != nullptr ? depth->count : 0u;
+  };
+  EXPECT_EQ(drains(idle), 0u);
+  if (obs::enabled()) {
+    EXPECT_GT(drains(busy), 0u);
+  }
+}
+
 // --- CentralStation over tick-ordered streams ------------------------
 
 std::vector<Measurement> tick_ordered_stream(std::size_t devices,

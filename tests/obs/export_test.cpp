@@ -1,12 +1,14 @@
-// Exporters: Prometheus text format (label splitting, histogram buckets,
-// one header per family), the JSON snapshot (percentiles inline), and the
-// unified ScrapeReport document with health blocks folded in.
+// Exporters: Prometheus text format (histogram buckets, one header per
+// family), the JSON snapshot (percentiles inline), the unified
+// ScrapeReport document with health blocks folded in, and the
+// exposition-grammar checker the other suites run on their scrapes.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "fadewich/obs/export.hpp"
 #include "fadewich/obs/toggle.hpp"
+#include "obs/exposition_grammar.hpp"
 
 namespace fadewich::obs {
 namespace {
@@ -19,28 +21,6 @@ class ObsExportTest : public ::testing::Test {
 
 bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
-}
-
-TEST_F(ObsExportTest, PrometheusCountersAndLabelSplitting) {
-  registry_.counter("t_plain_total", "plain counter").add(3);
-  registry_.counter("t_labeled_total{label=\"2\"}", "labeled").add(5);
-  registry_.counter("t_labeled_total{label=\"7\"}").add(1);
-
-  const std::string text = to_prometheus(registry_.snapshot());
-  EXPECT_TRUE(contains(text, "# HELP t_plain_total plain counter\n"));
-  EXPECT_TRUE(contains(text, "# TYPE t_plain_total counter\n"));
-  EXPECT_TRUE(contains(text, "t_plain_total 3\n"));
-  // The label suffix moves out of the family key into sample labels...
-  EXPECT_TRUE(contains(text, "t_labeled_total{label=\"2\"} 5\n"));
-  EXPECT_TRUE(contains(text, "t_labeled_total{label=\"7\"} 1\n"));
-  // ...and the shared base name gets exactly one TYPE header.
-  std::size_t headers = 0;
-  for (std::size_t pos = 0;
-       (pos = text.find("# TYPE t_labeled_total", pos)) != std::string::npos;
-       ++pos) {
-    ++headers;
-  }
-  EXPECT_EQ(headers, 1u);
 }
 
 TEST_F(ObsExportTest, PrometheusHistogramBucketsAreCumulative) {
@@ -58,18 +38,17 @@ TEST_F(ObsExportTest, PrometheusHistogramBucketsAreCumulative) {
   EXPECT_TRUE(contains(text, "t_lat_seconds_bucket{le=\"+Inf\"} 4\n"));
   EXPECT_TRUE(contains(text, "t_lat_seconds_count 4\n"));
   EXPECT_TRUE(contains(text, "t_lat_seconds_sum 2.55\n"));
+  EXPECT_TRUE(test::exposition_errors(text).empty())
+      << test::joined(test::exposition_errors(text));
 }
 
 TEST_F(ObsExportTest, JsonSnapshotCarriesPercentiles) {
-  registry_.counter("t_json_total").add(9);
-  registry_.gauge("t_json_gauge").set(1.5);
   Histogram histogram =
       registry_.histogram("t_json_seconds", "", {10.0, 20.0});
   for (int i = 0; i < 100; ++i) histogram.observe(15.0);
 
   const std::string json = to_json(registry_.snapshot());
-  EXPECT_TRUE(contains(json, "\"t_json_total\":9"));
-  EXPECT_TRUE(contains(json, "\"t_json_gauge\":1.5"));
+  EXPECT_TRUE(contains(json, "{\"histograms\":{\"t_json_seconds\":"));
   EXPECT_TRUE(contains(json, "\"count\":100"));
   EXPECT_TRUE(contains(json, "\"p50\":15"));
   EXPECT_TRUE(contains(json, "\"p95\":19.5"));
@@ -80,7 +59,7 @@ TEST_F(ObsExportTest, JsonSnapshotCarriesPercentiles) {
 }
 
 TEST_F(ObsExportTest, ScrapeReportFoldsHealthAndEvents) {
-  registry_.counter("t_scrape_total").inc();
+  registry_.histogram("t_scrape_seconds").observe(0.5);
   EventLog events;
   events.warn("net", "sensor offline", 40, {{"sensor", "1"}});
 
@@ -101,7 +80,9 @@ TEST_F(ObsExportTest, ScrapeReportFoldsHealthAndEvents) {
   EXPECT_EQ(report.find_block("station")->fields[0].second, 120.0);
 
   const std::string prom = report.to_prometheus();
-  EXPECT_TRUE(contains(prom, "t_scrape_total 1\n"));
+  EXPECT_TRUE(contains(prom, "t_scrape_seconds_count 1\n"));
+  EXPECT_TRUE(test::exposition_errors(prom).empty())
+      << test::joined(test::exposition_errors(prom));
   EXPECT_TRUE(contains(prom, "fadewich_health_station_reports 120\n"));
   EXPECT_TRUE(contains(prom, "fadewich_health_station_duplicates 4\n"));
   EXPECT_TRUE(contains(prom, "fadewich_health_supervisor_all_healthy 1\n"));
@@ -119,11 +100,48 @@ TEST_F(ObsExportTest, ScrapeReportFoldsHealthAndEvents) {
 }
 
 TEST_F(ObsExportTest, ScrapeWithoutEventsIsMetricsOnly) {
-  registry_.gauge("t_only_gauge").set(2.0);
+  registry_.histogram("t_only_seconds", "", {1.0}).observe(2.0);
   const ScrapeReport report = scrape(registry_);
   EXPECT_TRUE(report.events.empty());
   EXPECT_TRUE(report.health.empty());
-  EXPECT_TRUE(contains(report.to_prometheus(), "t_only_gauge 2\n"));
+  EXPECT_TRUE(
+      contains(report.to_prometheus(), "t_only_seconds_bucket{le=\"+Inf\"} 1\n"));
+}
+
+TEST(ExpositionGrammar, FlagsEachRule) {
+  const std::string good =
+      "# HELP a_seconds help\n"
+      "# TYPE a_seconds histogram\n"
+      "a_seconds_bucket{le=\"0.5\"} 1\n"
+      "a_seconds_bucket{le=\"+Inf\"} 2\n"
+      "a_seconds_sum 3.5\n"
+      "a_seconds_count 2\n"
+      "# TYPE fadewich_health_supervisor_office_0_status gauge\n"
+      "fadewich_health_supervisor_office_0_status 0\n";
+  EXPECT_TRUE(test::exposition_errors(good).empty())
+      << test::joined(test::exposition_errors(good));
+
+  // A '-' is not legal in a metric name.
+  EXPECT_EQ(test::exposition_errors(
+                "# TYPE fadewich_health_supervisor_office-0_status gauge\n"
+                "fadewich_health_supervisor_office-0_status 0\n")
+                .size(),
+            2u);
+  // Two TYPE lines for one family.
+  EXPECT_EQ(test::exposition_errors("# TYPE x gauge\nx 1\n# TYPE x gauge\n")
+                .size(),
+            1u);
+  // A sample ahead of its TYPE, and one with no TYPE at all.
+  EXPECT_EQ(test::exposition_errors("x 1\n# TYPE x gauge\ny_sum 1\n").size(),
+            2u);
+  // Malformed label sets and values.
+  EXPECT_EQ(test::exposition_errors("# TYPE h histogram\n"
+                                    "h_bucket{1e=\"1\"} 1\n"
+                                    "h_bucket{le=\"a\\q\"} 1\n"
+                                    "h_bucket{le=\"1\" 1\n"
+                                    "h_count one\n")
+                .size(),
+            4u);
 }
 
 }  // namespace

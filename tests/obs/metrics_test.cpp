@@ -1,8 +1,9 @@
-// MetricsRegistry: shard merge correctness under concurrent writers,
+// Histograms: shard merge correctness under concurrent writers,
 // fetch-or-create family identity, percentile interpolation, reset
-// semantics, and the type-mismatch guard.
+// semantics, and the single-writer HistogramSample an instance owns.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -18,25 +19,6 @@ class ObsMetricsTest : public ::testing::Test {
   void SetUp() override { set_enabled(true); }
   MetricsRegistry registry_;
 };
-
-TEST_F(ObsMetricsTest, CounterMergesAllShardsAcrossThreads) {
-  Counter counter = registry_.counter("t_counter_total", "help text");
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerThread = 10'000;
-  std::vector<std::thread> workers;
-  for (int i = 0; i < kThreads; ++i) {
-    workers.emplace_back([&counter] {
-      for (std::uint64_t n = 0; n < kPerThread; ++n) counter.inc();
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  const MetricsSnapshot snapshot = registry_.snapshot();
-  const CounterSample* sample = snapshot.find_counter("t_counter_total");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->value, kThreads * kPerThread);
-  EXPECT_EQ(sample->help, "help text");
-}
 
 TEST_F(ObsMetricsTest, HistogramMergesCountAndSumAcrossThreads) {
   Histogram histogram =
@@ -64,20 +46,13 @@ TEST_F(ObsMetricsTest, HistogramMergesCountAndSumAcrossThreads) {
 }
 
 TEST_F(ObsMetricsTest, SameNameReturnsSameFamily) {
-  Counter a = registry_.counter("t_shared_total");
-  Counter b = registry_.counter("t_shared_total");
-  a.inc();
-  b.add(2);
-  EXPECT_EQ(registry_.snapshot().find_counter("t_shared_total")->value, 3u);
+  Histogram a = registry_.histogram("t_shared_seconds");
+  Histogram b = registry_.histogram("t_shared_seconds");
+  a.observe(0.1);
+  b.observe(0.2);
+  EXPECT_EQ(registry_.snapshot().find_histogram("t_shared_seconds")->count,
+            2u);
   EXPECT_EQ(registry_.family_count(), 1u);
-}
-
-TEST_F(ObsMetricsTest, TypeMismatchThrows) {
-  registry_.counter("t_name");
-  EXPECT_THROW(registry_.gauge("t_name"), Error);
-  EXPECT_THROW(registry_.histogram("t_name"), Error);
-  registry_.gauge("t_gauge");
-  EXPECT_THROW(registry_.counter("t_gauge"), Error);
 }
 
 TEST_F(ObsMetricsTest, NonIncreasingBoundsThrow) {
@@ -130,58 +105,80 @@ TEST_F(ObsMetricsTest, EmptyHistogramPercentileIsZero) {
 }
 
 TEST_F(ObsMetricsTest, ResetZeroesValuesButKeepsFamiliesAndHandles) {
-  Counter counter = registry_.counter("t_reset_total");
-  Gauge gauge = registry_.gauge("t_reset_gauge");
-  Histogram histogram = registry_.histogram("t_reset_seconds");
-  counter.add(5);
-  gauge.set(3.5);
-  histogram.observe(0.01);
-  ASSERT_EQ(registry_.family_count(), 3u);
+  Histogram first = registry_.histogram("t_reset_seconds");
+  Histogram second = registry_.histogram("t_reset2_seconds");
+  first.observe(0.01);
+  second.observe(0.5);
+  ASSERT_EQ(registry_.family_count(), 2u);
 
   registry_.reset();
   MetricsSnapshot snapshot = registry_.snapshot();
-  EXPECT_EQ(snapshot.find_counter("t_reset_total")->value, 0u);
-  EXPECT_EQ(snapshot.find_gauge("t_reset_gauge")->value, 0.0);
   EXPECT_EQ(snapshot.find_histogram("t_reset_seconds")->count, 0u);
-  EXPECT_EQ(registry_.family_count(), 3u);
+  EXPECT_EQ(snapshot.find_histogram("t_reset2_seconds")->sum, 0.0);
+  EXPECT_EQ(registry_.family_count(), 2u);
 
   // Handles issued before the reset still write to the live families.
-  counter.inc();
-  gauge.add(1.0);
-  histogram.observe(0.02);
+  first.observe(0.02);
   snapshot = registry_.snapshot();
-  EXPECT_EQ(snapshot.find_counter("t_reset_total")->value, 1u);
-  EXPECT_EQ(snapshot.find_gauge("t_reset_gauge")->value, 1.0);
   EXPECT_EQ(snapshot.find_histogram("t_reset_seconds")->count, 1u);
+  EXPECT_EQ(snapshot.find_histogram("t_reset2_seconds")->count, 0u);
 }
 
 TEST_F(ObsMetricsTest, RuntimeToggleSuppressesUpdates) {
-  Counter counter = registry_.counter("t_toggle_total");
-  counter.inc();
+  Histogram histogram = registry_.histogram("t_toggle_seconds");
+  histogram.observe(0.1);
   set_enabled(false);
-  counter.add(100);
+  for (int i = 0; i < 100; ++i) histogram.observe(0.1);
   set_enabled(true);
-  counter.inc();
-  EXPECT_EQ(registry_.snapshot().find_counter("t_toggle_total")->value, 2u);
+  histogram.observe(0.1);
+  EXPECT_EQ(registry_.snapshot().find_histogram("t_toggle_seconds")->count,
+            2u);
 }
 
 TEST_F(ObsMetricsTest, SnapshotIsSortedByName) {
-  registry_.counter("t_b_total");
-  registry_.counter("t_a_total");
-  registry_.counter("t_c_total");
+  registry_.histogram("t_b_seconds");
+  registry_.histogram("t_a_seconds");
+  registry_.histogram("t_c_seconds");
   const MetricsSnapshot snapshot = registry_.snapshot();
-  ASSERT_EQ(snapshot.counters.size(), 3u);
-  EXPECT_EQ(snapshot.counters[0].name, "t_a_total");
-  EXPECT_EQ(snapshot.counters[1].name, "t_b_total");
-  EXPECT_EQ(snapshot.counters[2].name, "t_c_total");
+  ASSERT_EQ(snapshot.histograms.size(), 3u);
+  EXPECT_EQ(snapshot.histograms[0].name, "t_a_seconds");
+  EXPECT_EQ(snapshot.histograms[1].name, "t_b_seconds");
+  EXPECT_EQ(snapshot.histograms[2].name, "t_c_seconds");
 }
 
 TEST_F(ObsMetricsTest, DefaultBucketBoundsAreStrictlyIncreasing) {
-  const std::vector<double> bounds = default_bucket_bounds();
+  const std::span<const double> bounds = default_bucket_bounds();
   ASSERT_GE(bounds.size(), 2u);
   for (std::size_t i = 1; i < bounds.size(); ++i) {
     EXPECT_LT(bounds[i - 1], bounds[i]);
   }
+  // One static table: every default-bounded histogram views it.
+  EXPECT_EQ(default_bucket_bounds().data(), bounds.data());
+  registry_.histogram("t_default_seconds");
+  EXPECT_EQ(registry_.snapshot().histograms[0].bounds.data(), bounds.data());
+}
+
+TEST_F(ObsMetricsTest, LiveSampleCountsWithoutARegistry) {
+  HistogramSample live(default_bucket_bounds());
+  EXPECT_EQ(live.bounds.data(), default_bucket_bounds().data());
+  ASSERT_EQ(live.counts.size(), default_bucket_bounds().size() + 1);
+  live.observe(2e-6);   // (1e-6, 2.5e-6]
+  live.observe(1e-6);   // exactly the first bound: bucket 0
+  live.observe(100.0);  // past 10 s: the +inf bucket
+  EXPECT_EQ(live.count, 3u);
+  EXPECT_DOUBLE_EQ(live.sum, 100.0 + 3e-6);
+  EXPECT_EQ(live.counts[0], 1u);
+  EXPECT_EQ(live.counts[1], 1u);
+  EXPECT_EQ(live.counts.back(), 1u);
+  EXPECT_EQ(live.percentile(1.0), 10.0);
+
+  MetricsSnapshot report;
+  report.add_histogram(live, "t_live_seconds", "live help");
+  const HistogramSample* named = report.find_histogram("t_live_seconds");
+  ASSERT_NE(named, nullptr);
+  EXPECT_EQ(named->help, "live help");
+  EXPECT_EQ(named->counts, live.counts);
+  EXPECT_TRUE(live.name.empty());  // the live value stays unnamed
 }
 
 }  // namespace

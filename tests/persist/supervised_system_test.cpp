@@ -9,10 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "core/synthetic_harness.hpp"
 #include "fadewich/common/error.hpp"
 #include "fadewich/net/live_network.hpp"
 #include "fadewich/rf/channel.hpp"
 #include "fadewich/rf/floorplan.hpp"
+#include "obs/exposition_grammar.hpp"
 
 namespace fadewich::persist {
 namespace {
@@ -68,6 +70,12 @@ class SupervisedSystemTest : public ::testing::Test {
     }
     ADD_FAILURE() << "no field " << name << " in block " << block.name;
     return -1.0;
+  }
+
+  static void expect_valid_exposition(const obs::ScrapeReport& report) {
+    const std::vector<std::string> errors =
+        test::exposition_errors(report.to_prometheus());
+    EXPECT_TRUE(errors.empty()) << test::joined(errors);
   }
 
   std::string dir_;
@@ -159,6 +167,7 @@ TEST_F(SupervisedSystemTest, ScrapeCarriesTheRestartBlock) {
   EXPECT_EQ(field(*block, "pipeline_status"), 0.0);
   EXPECT_EQ(field(*block, "pipeline_restarts"), 1.0);
   EXPECT_EQ(block->fields.size(), 5u);
+  expect_valid_exposition(healthy);
 
   faulty_step(live);
   const obs::ScrapeReport retired = live.scrape();
@@ -166,6 +175,7 @@ TEST_F(SupervisedSystemTest, ScrapeCarriesTheRestartBlock) {
   ASSERT_NE(block, nullptr);
   EXPECT_EQ(field(*block, "all_healthy"), 0.0);
   EXPECT_EQ(field(*block, "pipeline_status"), 2.0);
+  expect_valid_exposition(retired);
 }
 
 /// The station and fault blocks are the scrape's only count of those
@@ -204,6 +214,57 @@ TEST_F(SupervisedSystemTest, ScrapeCarriesTheNetworksOwnCounters) {
   EXPECT_GT(field(*station_block, "incomplete_releases"), 0.0);
   EXPECT_EQ(field(*station_block, "reports"),
             field(*fault_block, "delivered"));
+  expect_valid_exposition(report);
+}
+
+/// Every count in a scrape belongs to its instance: stepping one system
+/// leaves a second one built in the same process at zero.
+TEST_F(SupervisedSystemTest, TwoSystemsInOneProcessScrapeIndependently) {
+  SupervisedConfig idle_config = config();
+  idle_config.recovery.directory = dir_ + "_idle";
+  fs::remove_all(idle_config.recovery.directory);
+  const core::SystemConfig system = core::testing::harness_config();
+  SupervisedSystem busy(kStreams, kWorkstations, system, config());
+  SupervisedSystem idle(kStreams, kWorkstations, system, idle_config);
+
+  core::testing::Harness harness(busy.system());
+  harness.train();
+  ASSERT_TRUE(busy.finish_training());
+  harness.advance(8.0, {1}, core::testing::Harness::streams_of(0));
+
+  const obs::ScrapeReport busy_report = busy.scrape();
+  const obs::ScrapeReport idle_report = idle.scrape();
+  expect_valid_exposition(busy_report);
+  expect_valid_exposition(idle_report);
+
+  const obs::HealthBlock* controller = busy_report.find_block("controller");
+  const obs::HealthBlock* md = busy_report.find_block("md");
+  const obs::HealthBlock* re = busy_report.find_block("re");
+  ASSERT_NE(controller, nullptr);
+  ASSERT_NE(md, nullptr);
+  ASSERT_NE(re, nullptr);
+  const double deauths = field(*controller, "rule1_deauths");
+  EXPECT_GT(deauths, 0.0);
+  EXPECT_GT(field(*md, "windows_closed"), 0.0);
+  EXPECT_GT(field(*re, "classified_label_1"), 0.0);
+  const obs::HistogramSample* latency = busy_report.metrics.find_histogram(
+      "fadewich_ctl_deauth_latency_seconds");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(static_cast<double>(latency->count), deauths);
+
+  for (const char* name : {"md", "controller", "re"}) {
+    const obs::HealthBlock* block = idle_report.find_block(name);
+    ASSERT_NE(block, nullptr) << name;
+    for (const auto& [key, value] : block->fields) {
+      EXPECT_EQ(value, 0.0) << name << "." << key;
+    }
+  }
+  const obs::HistogramSample* idle_latency =
+      idle_report.metrics.find_histogram(
+          "fadewich_ctl_deauth_latency_seconds");
+  ASSERT_NE(idle_latency, nullptr);
+  EXPECT_EQ(idle_latency->count, 0u);
+  fs::remove_all(idle_config.recovery.directory);
 }
 
 }  // namespace
