@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <span>
 #include <string>
@@ -24,6 +25,7 @@
 #include "bench_json.hpp"
 #include "fadewich/common/flat_matrix.hpp"
 #include "fadewich/common/rng.hpp"
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/common/simd_kernels.hpp"
 #include "fadewich/core/system.hpp"
 #include "fadewich/ml/dataset.hpp"
@@ -31,6 +33,7 @@
 #include "fadewich/core/features.hpp"
 #include "fadewich/core/movement_detector.hpp"
 #include "fadewich/core/normal_profile.hpp"
+#include "fadewich/core/stream_history.hpp"
 #include "fadewich/exec/thread_pool.hpp"
 #include "fadewich/ml/kde.hpp"
 #include "fadewich/ml/multiclass_svm.hpp"
@@ -39,6 +42,8 @@
 #include "fadewich/rf/floorplan.hpp"
 #include "fadewich/sim/schedule.hpp"
 #include "fadewich/sim/simulator.hpp"
+#include "oracle/features.hpp"
+#include "oracle/kde_percentile.hpp"
 
 namespace fadewich {
 namespace {
@@ -555,6 +560,176 @@ HotpathPair bench_channel_shadow_pass() {
   return result;
 }
 
+// --- Old-path-vs-new rows ---------------------------------------------
+// The two heavy online ticks, each timed against the code path it
+// replaced ("scalar" = old path, "batched" = new path in the report).
+
+// MD's normal-profile fold at the default capacity 600 and b = 150.  Old:
+// push the batch into the ring, sort all 600 values, Silverman, then the
+// exact-Newton percentile (oracle/kde_percentile.hpp).  New:
+// NormalProfile::offer, which merges the sorted batch into its sorted
+// samples and reaches the root with an approximate pass first.  Both see
+// the same batches; the thresholds must agree bit for bit.
+HotpathPair bench_profile_fold() {
+  const bool fast = bench::fast_mode();
+  core::NormalProfileConfig config;  // capacity 600, batch 150
+  const std::size_t cap = config.capacity;
+  const std::size_t b = config.batch_size;
+  Rng rng(23);
+  std::vector<double> seed(cap);
+  for (auto& v : seed) v = rng.normal(50.0, 5.0);
+  const std::size_t batches = fast ? 40 : 200;
+  std::vector<double> values(batches * b);
+  for (auto& v : values) v = rng.normal(50.0, 5.0);
+  const double p = 1.0 - config.alpha / 100.0;
+
+  // The old fold, as NormalProfile ran it before the merge.
+  std::vector<double> ring = seed;
+  std::size_t head = 0;
+  std::vector<double> queue;
+  std::vector<double> sorted;
+  double old_threshold = 0.0;
+  {
+    sorted = ring;
+    std::sort(sorted.begin(), sorted.end());
+    old_threshold = oracle::kde_percentile_exact_newton(
+        sorted, ml::GaussianKde::silverman_bandwidth(sorted), p, 80, 1e-9);
+  }
+  const auto old_offer = [&](double v) {
+    queue.push_back(v);
+    if (queue.size() < b) return;
+    std::size_t above = 0;
+    for (const double q : queue) above += q >= old_threshold ? 1 : 0;
+    if (static_cast<double>(above) <
+        config.anomalous_fraction * static_cast<double>(b)) {
+      for (const double q : queue) {
+        ring[head] = q;
+        head = head + 1 == cap ? 0 : head + 1;
+      }
+      sorted.assign(ring.begin() + static_cast<std::ptrdiff_t>(head),
+                    ring.end());
+      sorted.insert(sorted.end(), ring.begin(),
+                    ring.begin() + static_cast<std::ptrdiff_t>(head));
+      std::sort(sorted.begin(), sorted.end());
+      old_threshold = oracle::kde_percentile_exact_newton(
+          sorted, ml::GaussianKde::silverman_bandwidth(sorted), p, 80, 1e-9);
+    }
+    queue.clear();
+  };
+  core::NormalProfile profile(config);
+  profile.initialize(seed);
+
+  const int reps = fast ? 3 : 5;
+  const int factor = handicap("profile_fold");
+  HotpathPair result{"profile_fold", static_cast<std::int64_t>(batches),
+                     0.0, 0.0};
+  result.scalar_ns = time_best_ns_per_op(reps, result.ops, [&] {
+    for (const double v : values) old_offer(v);
+  });
+  result.batched_ns = time_best_ns_per_op(reps, result.ops, [&] {
+    for (const double v : values) profile.offer(v);
+    // The handicap repeats the folds' refits on a scratch profile.
+    for (int f = 1; f < factor; ++f) {
+      core::NormalProfile twin(config);
+      twin.initialize(seed);
+      for (const double v : values) twin.offer(v);
+    }
+  });
+  const double new_threshold = profile.threshold();
+  if (std::memcmp(&old_threshold, &new_threshold, sizeof(double)) != 0) {
+    std::cerr << "profile_fold: old and new thresholds differ\n";
+    std::exit(1);
+  }
+  return result;
+}
+
+// RE's Rule-1 feature step on 72 streams x 23 ticks of integer RSSI,
+// from the history rings to the feature vector.  Old: one heap vector
+// per stream window and validity mask, then the map-entropy extraction
+// (oracle/features.hpp).  New: both rings read into one arena block,
+// validity summed in place, then the block extraction into a reused
+// buffer.  Both must yield the same features.
+HotpathPair bench_classify_window_features() {
+  const bool fast = bench::fast_mode();
+  constexpr std::size_t kStreams = 72;
+  constexpr Tick kRows = 23;
+  constexpr std::size_t kCap = 64;
+  const core::FeatureConfig config;
+  Rng rng(31);
+  core::StreamHistory history(kStreams, kCap);
+  core::StreamHistory validity(kStreams, kCap);
+  // The old stream-major rings: ring[s * kCap + slot].
+  std::vector<double> old_ring(kStreams * kCap);
+  std::vector<double> old_valid(kStreams * kCap, 1.0);
+  std::vector<double> row(kStreams);
+  const std::vector<double> ones(kStreams, 1.0);
+  for (Tick t = 0; t < static_cast<Tick>(kCap); ++t) {
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      row[s] = std::round(rng.normal(-60.0, 2.0));
+      old_ring[s * kCap + static_cast<std::size_t>(t)] = row[s];
+    }
+    history.push(row);
+    validity.push(ones);
+  }
+  const Tick windows = static_cast<Tick>(kCap) - kRows + 1;
+  const int reps = fast ? 5 : 10;
+  const int factor = handicap("classify_window_features");
+  HotpathPair result{"classify_window_features", windows, 0.0, 0.0};
+
+  std::vector<double> old_features;
+  result.scalar_ns = time_best_ns_per_op(reps, result.ops, [&] {
+    for (Tick begin = 0; begin < windows; ++begin) {
+      std::vector<std::vector<double>> samples;
+      std::vector<std::vector<double>> masks;
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        std::vector<double> w;
+        std::vector<double> m;
+        for (Tick t = begin; t < begin + kRows; ++t) {
+          const std::size_t slot = s * kCap + static_cast<std::size_t>(t);
+          w.push_back(old_ring[slot]);
+          m.push_back(old_valid[slot]);
+        }
+        samples.push_back(std::move(w));
+        masks.push_back(std::move(m));
+      }
+      std::vector<double> fractions;
+      for (const auto& m : masks) {
+        double sum = 0.0;
+        for (const double v : m) sum += v;
+        fractions.push_back(sum / static_cast<double>(m.size()));
+      }
+      benchmark::DoNotOptimize(fractions.data());
+      old_features = oracle::extract_features(samples, config);
+    }
+  });
+  std::vector<double> features(kStreams * core::kFeaturesPerStream);
+  auto& arena = common::ScratchArena::local();
+  result.batched_ns = time_best_ns_per_op(reps, result.ops, [&] {
+    for (int f = 0; f < factor; ++f) {
+      for (Tick begin = 0; begin < windows; ++begin) {
+        const auto frame = arena.frame();
+        const Tick end = begin + kRows - 1;
+        const std::span<double> block =
+            arena.get<double>(static_cast<std::size_t>(kRows) * kStreams);
+        history.copy_rows(begin, end, block);
+        const std::span<double> fractions = arena.get<double>(kStreams);
+        validity.sum_rows(begin, end, fractions);
+        for (double& v : fractions) v /= static_cast<double>(kRows);
+        benchmark::DoNotOptimize(fractions.data());
+        core::extract_features(
+            core::WindowBlock{block, static_cast<std::size_t>(kRows),
+                              kStreams},
+            config, features);
+      }
+    }
+  });
+  if (features != old_features) {
+    std::cerr << "classify_window_features: old and new features differ\n";
+    std::exit(1);
+  }
+  return result;
+}
+
 // Steady-state cost of one full online pipeline tick (KMA + MD + RE +
 // controller + sessions) on a warmed, quiet system — the loop the
 // zero-allocation budget covers.  No scalar/batched pair; tracked as a
@@ -648,7 +823,8 @@ int run_hotpath_report(const std::string& path) {
       bench_kde_pdf_sweep(),      bench_svm_decision(),
       bench_channel_sample_block(), bench_kde_pdf_block(),
       bench_svm_sqdist_block(),   bench_welford_push_row(),
-      bench_channel_shadow_pass()};
+      bench_channel_shadow_pass(), bench_profile_fold(),
+      bench_classify_window_features()};
   const std::vector<SingleRate> singles{bench_system_step(),
                                         bench_profile_refit()};
 

@@ -19,7 +19,8 @@
 // shim's fast_exp (~2 ulp — both feed sums compared at 1e-12 relative
 // budgets); kde_erfsum_block and rbf_accum_block keep libm erf/exp, the
 // exact path (CDF tails feed percentile() bisection; RBF decisions sign
-// a classification).
+// a classification).  kde_cdfpdf_approx only steers the percentile's
+// root search, whose answer the exact path then certifies.
 #pragma once
 
 #include <cstddef>
@@ -73,6 +74,16 @@ struct KernelTable {
                            const double* xs, std::size_t nq, double inv_bw,
                            double* acc);
 
+  /// One query's approximate pruned KDE sums over a sample window, for
+  /// the percentile root search's pre-pass: with u_i = (x - samples[i])
+  /// * inv_bw, sums[0] += sum_i Phi~(u_i) and sums[1] += sum_i
+  /// fast_exp(-u_i^2 / 2), where Phi~ is the normal CDF from a Chebyshev
+  /// erfc (abs. error < 1e-14 for |u| <= 8).  Sample i folds into partial
+  /// sum i mod 4 and the partials combine as (p0 + p1) + (p2 + p3), so
+  /// the vector width never changes the bits.
+  void (*kde_cdfpdf_approx)(const double* samples, std::size_t count,
+                            double x, double inv_bw, double* sums);
+
   /// t[j] += dot(s, q_j) over a dimension-major transposed query block:
   /// query j's component d sits at qt[d * qstride + j].
   void (*dot_block)(const double* s, std::size_t dim, const double* qt,
@@ -117,6 +128,14 @@ struct KernelTable {
   void (*collagprod)(const double* data, std::size_t rows, std::size_t lag,
                      std::size_t stride, const double* mean, double* out,
                      std::size_t n);
+
+  /// Sort columns 0..n-1 of a row-major [rows x stride] block ascending,
+  /// in place, by odd-even transposition: rows rounds of min/max
+  /// compare-exchanges between neighbouring rows, so no branch depends
+  /// on the data.  Values that compare equal may come out with each
+  /// other's bits (-0 and +0); requires NaN-free columns.
+  void (*colsort)(double* data, std::size_t rows, std::size_t stride,
+                  std::size_t n);
 
   /// One body's pass over n links: rssi[j] -= attenuation (the same
   /// sequential subtraction order the per-link loop used) and

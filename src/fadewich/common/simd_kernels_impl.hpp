@@ -211,7 +211,7 @@ inline constexpr double kExpMaxArg = 709.782712893383996843;
 inline constexpr double kExpMinArg = -708.396418532264106224;
 
 template <typename V>
-V vexp(V x) {
+[[gnu::always_inline]] inline V vexp(V x) {
   const V xm = V::max(V::min(x, V::splat(710.0)), V::splat(-745.0));
   V n;
   V p2;
@@ -294,6 +294,98 @@ void k_kde_erfsum_block(const double* samples, std::size_t count,
     }
     acc[j] = a;
   }
+}
+
+// Phi~(u) = 0.5 * erfc(|u| / sqrt2), mirrored for u > 0, with
+// erfc(z) = exp(-z^2) * h(s): t = 1 / (1 + 0.3 z) is mapped onto
+// s in [-1, 1] over z in [0, 5.7] (|u| <= 8.06, the pruning window), and
+// h is the degree-14 Chebyshev interpolant of erfc(z) exp(z^2) at the
+// Chebyshev nodes, expanded in powers of s so Estrin's scheme can
+// evaluate it in four dependent steps.  |Phi~ - Phi| < 5e-15.
+inline constexpr double kErfcT = 0.3;
+inline constexpr double kErfcScale = 3.1695906432748537;  // 2 / (1 - t0)
+inline constexpr double kErfcShift = 2.1695906432748537;  // (1 + t0) / (1 - t0)
+inline constexpr double kErfcPoly[] = {
+    0.31573075060605366,    0.3551060512348968,    0.20238222888988913,
+    0.08910694165503141,    0.02971893437448984,   0.0070429522561941274,
+    0.0009604884037132925,  -1.4556974569579496e-05, -3.191914243227956e-05,
+    -2.9453831868882695e-06, 9.560693424504053e-07, 1.588179524484682e-07,
+    -3.631487572874903e-08, -6.00405201112153e-09, 1.5115441935146615e-09};
+
+/// Approximate normal CDF Phi~(u) and density kernel exp(-u^2 / 2).
+template <typename V>
+void vphi_exp(V u, V& phi, V& e) {
+  constexpr double kInvSqrt2 = 0.7071067811865476;
+  const auto c = [](std::size_t k) { return V::splat(kErfcPoly[k]); };
+  e = vexp(V::mul(V::mul(V::splat(-0.5), u), u));
+  const V z = V::mul(V::max(u, V::neg(u)), V::splat(kInvSqrt2));
+  const V t = V::div(V::splat(1.0),
+                     V::add(V::splat(1.0), V::mul(z, V::splat(kErfcT))));
+  const V s = V::sub(V::mul(t, V::splat(kErfcScale)), V::splat(kErfcShift));
+  const V s2 = V::mul(s, s);
+  const V s4 = V::mul(s2, s2);
+  const V s8 = V::mul(s4, s4);
+  V p[7];
+  for (std::size_t k = 0; k < 7; ++k) {
+    p[k] = V::add(c(2 * k), V::mul(c(2 * k + 1), s));
+  }
+  const V q0 = V::add(p[0], V::mul(p[1], s2));
+  const V q1 = V::add(p[2], V::mul(p[3], s2));
+  const V q2 = V::add(p[4], V::mul(p[5], s2));
+  const V q3 = V::add(p[6], V::mul(c(14), s2));
+  const V h = V::add(V::add(q0, V::mul(q1, s4)),
+                     V::mul(V::add(q2, V::mul(q3, s4)), s8));
+  const V tail = V::mul(V::mul(V::splat(0.5), h), e);
+  phi = V::blend(V::cmp_lt(u, V::splat(0.0)), tail,
+                 V::sub(V::splat(1.0), tail));
+}
+
+template <typename V>
+void k_kde_cdfpdf_approx(const double* samples, std::size_t count,
+                         double x, double inv_bw, double* sums) {
+  // Four partial sums at every width: kVecs vectors of kLanes lanes.
+  constexpr std::size_t kPartials = 4;
+  constexpr std::size_t kVecs = kPartials / V::kLanes;
+  static_assert(kVecs * V::kLanes == kPartials);
+  double c[kPartials] = {};
+  double d[kPartials] = {};
+  // The ragged tail (sample body + r into partial r) runs first, so the
+  // function ends on the vector path, whose exit clears the upper
+  // register state; ending on the scalar calls left it dirty, which
+  // slows every later SSE libm call (erf, exp) until the next clear.
+  const std::size_t body = count - count % kPartials;
+  for (std::size_t r = 0; body + r < count; ++r) {
+    VScalar phi;
+    VScalar e;
+    vphi_exp(VScalar{(x - samples[body + r]) * inv_bw}, phi, e);
+    c[r] += phi.v;
+    d[r] += e.v;
+  }
+  const V xv = V::splat(x);
+  const V ibw = V::splat(inv_bw);
+  V cdf[kVecs];
+  V pdf[kVecs];
+  for (std::size_t k = 0; k < kVecs; ++k) {
+    cdf[k] = V::load(c + k * V::kLanes);
+    pdf[k] = V::load(d + k * V::kLanes);
+  }
+  for (std::size_t i = 0; i < body; i += kPartials) {
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      const V u = V::mul(V::sub(xv, V::load(samples + i + k * V::kLanes)),
+                         ibw);
+      V phi;
+      V e;
+      vphi_exp(u, phi, e);
+      cdf[k] = V::add(cdf[k], phi);
+      pdf[k] = V::add(pdf[k], e);
+    }
+  }
+  for (std::size_t k = 0; k < kVecs; ++k) {
+    V::store(c + k * V::kLanes, cdf[k]);
+    V::store(d + k * V::kLanes, pdf[k]);
+  }
+  sums[0] += (c[0] + c[1]) + (c[2] + c[3]);
+  sums[1] += (d[0] + d[1]) + (d[2] + d[3]);
 }
 
 template <typename V>
@@ -457,6 +549,29 @@ void k_collagprod(const double* data, std::size_t rows, std::size_t lag,
 }
 
 template <typename V>
+void k_colsort(double* data, std::size_t rows, std::size_t stride,
+               std::size_t n) {
+  // Rounds outermost: every exchange of a round is independent, and the
+  // block stays in L1 across the rounds.
+  const std::size_t full = n - n % V::kLanes;
+  for (std::size_t round = 0; round < rows; ++round) {
+    for (std::size_t r = round % 2; r + 1 < rows; r += 2) {
+      double* a = data + r * stride;
+      double* b = a + stride;
+      for (std::size_t j = 0; j < full; j += V::kLanes) {
+        const V x = V::load(a + j);
+        const V y = V::load(b + j);
+        V::store(a + j, V::min(x, y));
+        V::store(b + j, V::max(x, y));
+      }
+    }
+  }
+  if constexpr (V::kLanes > 1) {
+    k_colsort<VScalar>(data + full, rows, stride, n - full);
+  }
+}
+
+template <typename V>
 void k_shadow_body_pass(const ShadowGeomView& g, std::size_t n,
                         const ShadowParams& p, double* rssi,
                         double* noise_var) {
@@ -527,6 +642,7 @@ KernelTable make_table(Isa isa) {
   t.exp_block = &k_exp_block<V>;
   t.kde_expsum_block = &k_kde_expsum_block<V>;
   t.kde_erfsum_block = &k_kde_erfsum_block<V>;
+  t.kde_cdfpdf_approx = &k_kde_cdfpdf_approx<V>;
   t.dot_block = &k_dot_block<V>;
   t.sqdist_block = &k_sqdist_block<V>;
   t.rbf_accum_block = &k_rbf_accum_block<V>;
@@ -536,6 +652,7 @@ KernelTable make_table(Isa isa) {
   t.colsum = &k_colsum<V>;
   t.coldev2 = &k_coldev2<V>;
   t.collagprod = &k_collagprod<V>;
+  t.colsort = &k_colsort<V>;
   t.shadow_body_pass = &k_shadow_body_pass<V>;
   return t;
 }

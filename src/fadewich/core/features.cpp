@@ -1,5 +1,7 @@
 #include "fadewich/core/features.hpp"
 
+#include <algorithm>
+
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/common/simd_kernels.hpp"
@@ -18,21 +20,68 @@ void append_stream_features(std::span<const double> window,
   out.push_back(stats::autocorrelation(window, config.autocorr_lag));
 }
 
-namespace {
-
-// Batched path for the common case: every stream window has the same
-// length.  The windows are transposed into one row-major [rows x
-// streams] block so the column-reduction kernels compute all variances
-// and lag products SIMD-wide; the per-column accumulation runs in the
-// same index order as stats::variance / stats::autocorrelation, so each
-// stream's features are bit-identical to append_stream_features.
-// Entropy stays scalar — it is a histogram walk, not a reduction.
-std::vector<double> extract_features_batched(
-    const std::vector<std::vector<double>>& stream_windows,
-    std::size_t rows, const FeatureConfig& config) {
-  const std::size_t n = stream_windows.size();
+void extract_features(const WindowBlock& window, const FeatureConfig& config,
+                      std::span<double> out) {
+  // The column kernels compute every variance and lag product SIMD-wide,
+  // accumulating each column in the same index order as stats::variance
+  // / stats::autocorrelation, and sort every column of a copy at once
+  // (branch-free min/max exchanges).  Entropy then counts each sorted
+  // column's runs (stats::sorted_value_entropy), with the -p log p terms
+  // tabulated once for the window length.
+  const std::size_t rows = window.rows;
+  const std::size_t n = window.streams;
   const std::size_t lag = config.autocorr_lag;
+  FADEWICH_EXPECTS(n >= 1 && rows > lag);
+  FADEWICH_EXPECTS(window.data.size() == rows * n);
+  FADEWICH_EXPECTS(out.size() == n * kFeaturesPerStream);
+  const double* data = window.data.data();
   const simd::KernelTable& kt = simd::active_kernels();
+  auto& arena = common::ScratchArena::local();
+  const auto scratch_frame = arena.frame();
+  const std::span<double> mean = arena.get<double>(n);
+  const std::span<double> var = arena.get<double>(n);
+  kt.colsum(data, rows, n, mean.data(), n);
+  const double rows_d = static_cast<double>(rows);
+  for (std::size_t i = 0; i < n; ++i) mean[i] /= rows_d;
+  kt.coldev2(data, rows, n, mean.data(), var.data(), n);
+  for (std::size_t i = 0; i < n; ++i) var[i] /= rows_d;
+  const std::span<double> ac = arena.get<double>(n);
+  kt.collagprod(data, rows, lag, n, mean.data(), ac.data(), n);
+  const double denom_rows = static_cast<double>(rows - lag);
+  const std::span<double> plogp = arena.get<double>(rows + 1);
+  stats::plogp_table(rows, plogp);
+  const std::span<double> sorted = arena.get<double>(rows * n);
+  std::copy(window.data.begin(), window.data.end(), sorted.begin());
+  kt.colsort(sorted.data(), rows, n, n);
+  const std::span<double> column = arena.get<double>(rows);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t r = 0; r < rows; ++r) column[r] = sorted[r * n + i];
+    out[i * kFeaturesPerStream] = var[i];
+    out[i * kFeaturesPerStream + 1] =
+        stats::sorted_value_entropy(column, plogp);
+    out[i * kFeaturesPerStream + 2] =
+        var[i] == 0.0 ? 0.0 : ac[i] / (denom_rows * var[i]);
+  }
+}
+
+std::vector<double> extract_features(
+    const std::vector<std::vector<double>>& stream_windows,
+    const FeatureConfig& config) {
+  FADEWICH_EXPECTS(!stream_windows.empty());
+  const std::size_t rows = stream_windows.front().size();
+  const std::size_t n = stream_windows.size();
+  bool uniform = rows > config.autocorr_lag;
+  for (const auto& window : stream_windows) {
+    uniform = uniform && window.size() == rows;
+  }
+  std::vector<double> out;
+  if (!uniform) {
+    out.reserve(n * kFeaturesPerStream);
+    for (const auto& window : stream_windows) {
+      append_stream_features(window, config, out);
+    }
+    return out;
+  }
   auto& arena = common::ScratchArena::local();
   const auto scratch_frame = arena.frame();
   const std::span<double> data = arena.get<double>(rows * n);
@@ -40,47 +89,8 @@ std::vector<double> extract_features_batched(
     const auto& window = stream_windows[i];
     for (std::size_t r = 0; r < rows; ++r) data[r * n + i] = window[r];
   }
-  const std::span<double> mean = arena.get<double>(n);
-  const std::span<double> var = arena.get<double>(n);
-  kt.colsum(data.data(), rows, n, mean.data(), n);
-  const double rows_d = static_cast<double>(rows);
-  for (std::size_t i = 0; i < n; ++i) mean[i] /= rows_d;
-  kt.coldev2(data.data(), rows, n, mean.data(), var.data(), n);
-  for (std::size_t i = 0; i < n; ++i) var[i] /= rows_d;
-  const std::span<double> ac = arena.get<double>(n);
-  kt.collagprod(data.data(), rows, lag, n, mean.data(), ac.data(), n);
-  const double denom_rows = static_cast<double>(rows - lag);
-  for (std::size_t i = 0; i < n; ++i) {
-    ac[i] = var[i] == 0.0 ? 0.0 : ac[i] / (denom_rows * var[i]);
-  }
-  std::vector<double> out;
-  out.reserve(n * kFeaturesPerStream);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(var[i]);
-    out.push_back(stats::value_entropy(stream_windows[i]));
-    out.push_back(ac[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<double> extract_features(
-    const std::vector<std::vector<double>>& stream_windows,
-    const FeatureConfig& config) {
-  FADEWICH_EXPECTS(!stream_windows.empty());
-  const std::size_t rows = stream_windows.front().size();
-  bool uniform = rows > config.autocorr_lag;
-  for (const auto& window : stream_windows) {
-    uniform = uniform && window.size() == rows;
-  }
-  if (uniform) return extract_features_batched(stream_windows, rows, config);
-  // Ragged windows: per-stream scalar path.
-  std::vector<double> out;
-  out.reserve(stream_windows.size() * kFeaturesPerStream);
-  for (const auto& window : stream_windows) {
-    append_stream_features(window, config, out);
-  }
+  out.resize(n * kFeaturesPerStream);
+  extract_features(WindowBlock{data, rows, n}, config, out);
   return out;
 }
 

@@ -30,13 +30,32 @@ struct FeatureConfig {
   double min_live_stream_fraction = 0.5;
 };
 
+/// One t_delta window of every stream as a row-major [rows x streams]
+/// block: column s is stream s's window in tick order (the layout
+/// StreamHistory::copy_rows fills).
+struct WindowBlock {
+  std::span<const double> data;  // rows * streams values
+  std::size_t rows = 0;
+  std::size_t streams = 0;
+};
+
 /// Features of one stream window.  Requires a window longer than the
 /// autocorrelation lag.
 void append_stream_features(std::span<const double> window,
                             const FeatureConfig& config,
                             std::vector<double>& out);
 
-/// Full sample: one window per stream, concatenated features.
+/// Full sample of a window block into `out` (streams *
+/// kFeaturesPerStream values, stream order).  Bit-identical to
+/// append_stream_features on each column; scratch comes from the
+/// thread's arena, so a warm call never touches the heap.  Requires
+/// rows > autocorr_lag.
+void extract_features(const WindowBlock& window, const FeatureConfig& config,
+                      std::span<double> out);
+
+/// Full sample from one window per stream (offline extraction): windows
+/// of equal length are packed into a block; ragged ones go stream by
+/// stream through append_stream_features.
 std::vector<double> extract_features(
     const std::vector<std::vector<double>>& stream_windows,
     const FeatureConfig& config);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/ml/kde.hpp"
 
 namespace fadewich::core {
@@ -34,6 +35,13 @@ void NormalProfile::ring_reset(std::span<const double> samples) {
   for (std::size_t i = skip; i < samples.size(); ++i) {
     ring_[ring_size_++] = samples[i];
   }
+  sorted_.reserve(config_.capacity);
+  sort_ring();
+}
+
+void NormalProfile::sort_ring() {
+  copy_in_order(sorted_);
+  std::sort(sorted_.begin(), sorted_.end());
 }
 
 void NormalProfile::ring_push(double value) {
@@ -63,7 +71,7 @@ void NormalProfile::initialize(std::vector<double> samples) {
   FADEWICH_EXPECTS(samples.size() >= 10);
   ring_reset(samples);
   queue_.clear();
-  reestimate();
+  refit();
   drift_rollbacks_ = 0;
   updates_accepted_ = 0;
   commit_last_good();
@@ -76,7 +84,7 @@ void NormalProfile::restore(std::vector<double> samples,
   }
   ring_reset(samples);
   queue_ = std::move(queue);
-  reestimate();
+  refit();
   drift_rollbacks_ = 0;
   updates_accepted_ = 0;
   commit_last_good();
@@ -108,10 +116,13 @@ bool NormalProfile::offer(double value) {
     return false;
   }
 
-  // Fold the batch in, dropping the oldest values past capacity.
+  // Fold the batch in, dropping the oldest values past capacity.  The
+  // merge reads the values the pushes overwrite, so it runs first.
+  const bool merged = queue_.size() < config_.capacity && merge_batch();
   for (double v : queue_) ring_push(v);
+  if (!merged) sort_ring();
   queue_.clear();
-  reestimate();
+  refit();
 
   // Drift guard: a batch that passed the anomalous-fraction test can
   // still shift the threshold far from the last committed estimate (a
@@ -122,7 +133,7 @@ bool NormalProfile::offer(double value) {
     if (std::abs(threshold_ - last_good_threshold_) >
         config_.max_drift_fraction * scale) {
       ring_reset(last_good_samples_);
-      reestimate();
+      refit();
       ++drift_rollbacks_;
       return false;
     }
@@ -132,9 +143,50 @@ bool NormalProfile::offer(double value) {
   return true;
 }
 
-void NormalProfile::reestimate() {
-  copy_in_order(sorted_);
-  std::sort(sorted_.begin(), sorted_.end());
+bool NormalProfile::merge_batch() {
+  // The values the batch's pushes will overwrite: the oldest `evict`.
+  const std::size_t b = queue_.size();
+  const std::size_t evict = ring_size_ + b > config_.capacity
+                                ? ring_size_ + b - config_.capacity
+                                : 0;
+  auto& arena = common::ScratchArena::local();
+  const auto frame = arena.frame();
+  const std::span<double> gone = arena.get<double>(evict);
+  for (std::size_t k = 0; k < evict; ++k) {
+    std::size_t slot = ring_head_ + k;
+    if (slot >= config_.capacity) slot -= config_.capacity;
+    gone[k] = ring_[slot];
+  }
+  std::sort(gone.begin(), gone.end());
+  const std::span<double> batch = arena.get<double>(b);
+  std::copy(queue_.begin(), queue_.end(), batch.begin());
+  std::sort(batch.begin(), batch.end());
+
+  // One pass over sorted_: skip each evicted value once, merge the batch
+  // in front of the first kept value it does not exceed.  Sized for the
+  // worst case, so a walk that misses an evicted value cannot overrun.
+  const std::span<double> merged = arena.get<double>(sorted_.size() + b);
+  std::size_t e = 0;
+  std::size_t j = 0;
+  std::size_t o = 0;
+  for (const double v : sorted_) {
+    if (e < evict && v == gone[e]) {
+      ++e;
+      continue;
+    }
+    while (j < b && batch[j] < v) merged[o++] = batch[j++];
+    merged[o++] = v;
+  }
+  while (j < b) merged[o++] = batch[j++];
+  // Only a value unequal to itself (NaN) can escape the walk; the caller
+  // then sorts the ring instead.
+  if (e != evict) return false;
+  const std::span<const double> kept = merged.first(o);
+  sorted_.assign(kept.begin(), kept.end());
+  return true;
+}
+
+void NormalProfile::refit() {
   bandwidth_ = ml::GaussianKde::silverman_bandwidth(sorted_);
 
   // Invert the CDF at p = 1 - alpha/100 by bisection on the pruned CDF.

@@ -5,9 +5,10 @@
 // Algorithm 1 lines 10-15).
 //
 // MD consults the threshold on every tick and the profile updates every
-// few hundred ticks, so the percentile inversion must be cheap.  The
-// profile keeps its samples sorted and evaluates the KDE's CDF with
-// tail pruning: a Gaussian kernel centred more than 8 bandwidths below x
+// few hundred ticks, so the refit must be cheap.  The profile keeps its
+// samples sorted — a fold merges the sorted batch in and the evicted
+// values out in one pass — and evaluates the KDE's CDF with tail
+// pruning: a Gaussian kernel centred more than 8 bandwidths below x
 // contributes exactly 1 to the CDF (0 above), so only the few samples
 // near x need an erf.
 #pragma once
@@ -80,6 +81,9 @@ class NormalProfile {
     return out;
   }
   std::vector<double> queue_snapshot() const { return queue_; }
+  /// The retained samples sorted ascending: the array the KDE, the
+  /// bandwidth and the threshold are computed over.
+  std::span<const double> sorted_samples() const { return sorted_; }
   const NormalProfileConfig& config() const { return config_; }
 
   /// Restore a previously persisted profile: `samples` in insertion
@@ -97,7 +101,9 @@ class NormalProfile {
   double last_good_threshold() const { return last_good_threshold_; }
 
  private:
-  void reestimate();
+  void sort_ring();
+  bool merge_batch();
+  void refit();
   void commit_last_good();
   void ring_reset(std::span<const double> samples);
   void ring_push(double value);
@@ -111,7 +117,10 @@ class NormalProfile {
   std::vector<double> ring_;
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;
-  std::vector<double> sorted_;   // same contents, sorted
+  // Same contents, sorted.  A fold merges the sorted batch in and the
+  // evicted values out in one linear pass (merge_batch); only
+  // initialize, restore and a drift rollback sort the whole ring.
+  std::vector<double> sorted_;
   std::vector<double> queue_;    // pending update batch Q
   double bandwidth_ = 1.0;
   double threshold_ = 0.0;

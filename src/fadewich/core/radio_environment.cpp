@@ -10,24 +10,18 @@ namespace fadewich::core {
 RadioEnvironment::RadioEnvironment(FeatureConfig features, ml::SvmConfig svm)
     : features_(features), svm_(svm) {}
 
-std::vector<double> RadioEnvironment::features_from(
-    const std::vector<std::vector<double>>& stream_windows) const {
-  return extract_features(stream_windows, features_);
-}
-
-std::vector<double> RadioEnvironment::features_from(
-    const std::vector<std::vector<double>>& stream_windows,
-    std::span<const double> validity) const {
-  std::vector<double> features = extract_features(stream_windows, features_);
-  if (validity.empty()) return features;
-  FADEWICH_EXPECTS(validity.size() == stream_windows.size());
+void RadioEnvironment::features_from(const WindowBlock& window,
+                                     std::span<const double> validity,
+                                     std::span<double> out) const {
+  extract_features(window, features_, out);
+  if (validity.empty()) return;
+  FADEWICH_EXPECTS(validity.size() == window.streams);
   for (std::size_t s = 0; s < validity.size(); ++s) {
     if (validity[s] >= features_.min_stream_validity) continue;
-    std::fill_n(features.begin() +
+    std::fill_n(out.begin() +
                     static_cast<std::ptrdiff_t>(s * kFeaturesPerStream),
                 kFeaturesPerStream, 0.0);
   }
-  return features;
 }
 
 std::size_t RadioEnvironment::live_streams(
@@ -40,11 +34,10 @@ std::size_t RadioEnvironment::live_streams(
 }
 
 std::optional<int> RadioEnvironment::classify_degraded(
-    const std::vector<std::vector<double>>& stream_windows,
-    std::span<const double> validity) {
+    const WindowBlock& window, std::span<const double> validity) {
   if (!trained()) return std::nullopt;
   if (!validity.empty()) {
-    FADEWICH_EXPECTS(validity.size() == stream_windows.size());
+    FADEWICH_EXPECTS(validity.size() == window.streams);
     const double live = static_cast<double>(live_streams(validity));
     const double total = static_cast<double>(validity.size());
     if (live / total < features_.min_live_stream_fraction) {
@@ -52,7 +45,10 @@ std::optional<int> RadioEnvironment::classify_degraded(
       return std::nullopt;
     }
   }
-  const int label = classify(features_from(stream_windows, validity));
+  query_.resize(window.streams * kFeaturesPerStream);
+  features_from(window, validity, query_);
+  int label = 0;
+  svm_.predict_block(query_, 1, std::span<int>(&label, 1));
   if (label >= 0) {
     const auto slot = static_cast<std::size_t>(label);
     if (slot >= classified_.size()) classified_.resize(slot + 1, 0);
@@ -67,12 +63,6 @@ void RadioEnvironment::train(const ml::Dataset& samples) {
 
 int RadioEnvironment::classify(const std::vector<double>& features) const {
   return svm_.predict(features);
-}
-
-void RadioEnvironment::classify_block(
-    const std::vector<std::vector<double>>& features,
-    std::span<int> out) const {
-  svm_.predict_block(features, out);
 }
 
 obs::HealthBlock RadioEnvironment::health_block() const {

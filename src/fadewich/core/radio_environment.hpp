@@ -36,17 +36,15 @@ class RadioEnvironment {
 
   const FeatureConfig& feature_config() const { return features_; }
 
-  /// Compute a sample's feature vector from per-stream windows.
-  std::vector<double> features_from(
-      const std::vector<std::vector<double>>& stream_windows) const;
-
-  /// As above with per-stream validity fractions (share of fresh,
-  /// non-imputed samples in each stream's window).  Streams below
+  /// A sample's feature vector from a window block into `out` (streams *
+  /// kFeaturesPerStream values), without touching the heap once warm.
+  /// `validity` holds per-stream validity fractions (share of fresh,
+  /// non-imputed samples in each stream's window); streams below
   /// `FeatureConfig::min_stream_validity` contribute zeroed features.
-  /// An empty span means fully valid and matches features_from exactly.
-  std::vector<double> features_from(
-      const std::vector<std::vector<double>>& stream_windows,
-      std::span<const double> validity) const;
+  /// An empty span means fully valid.
+  void features_from(const WindowBlock& window,
+                     std::span<const double> validity,
+                     std::span<double> out) const;
 
   /// Live streams given validity fractions: validity >= min_stream_validity.
   std::size_t live_streams(std::span<const double> validity) const;
@@ -56,10 +54,10 @@ class RadioEnvironment {
   /// the classifier is untrained or fewer than min_live_stream_fraction
   /// of streams are live — classification confidence is then
   /// unavailable and callers (the controller) fall back to Rule-2
-  /// timeouts.
-  std::optional<int> classify_degraded(
-      const std::vector<std::vector<double>>& stream_windows,
-      std::span<const double> validity);
+  /// timeouts.  Features and the SVM query use arena scratch and a
+  /// reused buffer, so a warm call allocates nothing.
+  std::optional<int> classify_degraded(const WindowBlock& window,
+                                       std::span<const double> validity);
 
   /// Train the classifier on labeled samples.  Requires non-empty data.
   void train(const ml::Dataset& samples);
@@ -80,14 +78,6 @@ class RadioEnvironment {
   /// Classify a feature vector.  Requires trained().
   int classify(const std::vector<double>& features) const;
 
-  /// Classify a batch of feature vectors in one pass: out[i] = label of
-  /// features[i].  Every pairwise SVM streams its support vectors once
-  /// for the whole batch (ml::MulticlassSvm::predict_block), so offline
-  /// sweeps and evaluation replays pay per-batch, not per-sample, memory
-  /// traffic.  Requires trained() and out.size() == features.size().
-  void classify_block(const std::vector<std::vector<double>>& features,
-                      std::span<int> out) const;
-
   /// The "re" block: classify_degraded() results per predicted label
   /// (classified_label_<l>) and refusals for lack of live streams
   /// (degraded_unavailable).
@@ -96,6 +86,7 @@ class RadioEnvironment {
  private:
   FeatureConfig features_;
   ml::MulticlassSvm svm_;
+  std::vector<double> query_;  // classify_degraded's feature buffer
   std::vector<std::uint64_t> classified_;  // indexed by predicted label
   std::uint64_t degraded_unavailable_ = 0;
 };

@@ -1,6 +1,8 @@
 // Short ring-buffered history of all streams, so the online system can
 // fetch V^(i)_{t1, t1+t_delta} when a variation window reaches t_delta
-// (t1 is at most t_delta + merge-gap ticks in the past).
+// (t1 is at most t_delta + merge-gap ticks in the past).  Ticks are
+// stored row-major, so a push is one row copy and a window read copies
+// whole rows into the [rows x streams] block feature extraction takes.
 #pragma once
 
 #include <algorithm>
@@ -45,46 +47,54 @@ class StreamHistory {
   /// Append one tick (one value per stream).
   void push(std::span<const double> row) {
     FADEWICH_EXPECTS(row.size() == stream_count_);
-    const std::size_t slot =
-        static_cast<std::size_t>(next_tick_ % static_cast<Tick>(capacity_));
-    for (std::size_t s = 0; s < stream_count_; ++s) {
-      data_[s * capacity_ + slot] = row[s];
-    }
+    std::copy(row.begin(), row.end(), data_.begin() + offset(next_tick_));
     ++next_tick_;
   }
 
-  /// Samples of one stream over ticks [begin, end] inclusive.  Requires
-  /// the range to be fully retained.
-  std::vector<double> window(std::size_t stream, Tick begin,
-                             Tick end) const {
-    FADEWICH_EXPECTS(stream < stream_count_);
-    FADEWICH_EXPECTS(begin >= oldest_tick());
-    FADEWICH_EXPECTS(begin <= end);
-    FADEWICH_EXPECTS(end < next_tick_);
-    std::vector<double> out;
-    out.reserve(static_cast<std::size_t>(end - begin + 1));
+  /// Every stream over ticks [begin, end] inclusive, as one row-major
+  /// [rows x streams] block: out[(t - begin) * streams + s].  Requires
+  /// the range to be fully retained and out.size() == rows * streams.
+  void copy_rows(Tick begin, Tick end, std::span<double> out) const {
+    check_range(begin, end);
+    FADEWICH_EXPECTS(out.size() == static_cast<std::size_t>(end - begin + 1) *
+                                       stream_count_);
+    auto it = out.begin();
     for (Tick t = begin; t <= end; ++t) {
-      const std::size_t slot =
-          static_cast<std::size_t>(t % static_cast<Tick>(capacity_));
-      out.push_back(data_[stream * capacity_ + slot]);
+      const auto row = data_.begin() + offset(t);
+      it = std::copy(row, row + static_cast<std::ptrdiff_t>(stream_count_),
+                     it);
     }
-    return out;
   }
 
-  /// Windows for every stream over [begin, end].
-  std::vector<std::vector<double>> windows(Tick begin, Tick end) const {
-    std::vector<std::vector<double>> out;
-    out.reserve(stream_count_);
-    for (std::size_t s = 0; s < stream_count_; ++s) {
-      out.push_back(window(s, begin, end));
+  /// Per-stream sums over ticks [begin, end]: out[s] starts at 0 and
+  /// adds stream s's values in tick order.  Same range contract as
+  /// copy_rows; out.size() == stream_count().
+  void sum_rows(Tick begin, Tick end, std::span<double> out) const {
+    check_range(begin, end);
+    FADEWICH_EXPECTS(out.size() == stream_count_);
+    std::fill(out.begin(), out.end(), 0.0);
+    for (Tick t = begin; t <= end; ++t) {
+      const double* row = data_.data() + offset(t);
+      for (std::size_t s = 0; s < stream_count_; ++s) out[s] += row[s];
     }
-    return out;
   }
 
  private:
+  std::ptrdiff_t offset(Tick t) const {
+    return static_cast<std::ptrdiff_t>(
+        static_cast<std::size_t>(t % static_cast<Tick>(capacity_)) *
+        stream_count_);
+  }
+
+  void check_range(Tick begin, Tick end) const {
+    FADEWICH_EXPECTS(begin >= oldest_tick());
+    FADEWICH_EXPECTS(begin <= end);
+    FADEWICH_EXPECTS(end < next_tick_);
+  }
+
   std::size_t stream_count_;
   std::size_t capacity_;
-  std::vector<double> data_;  // stream-major ring: data_[s * cap + slot]
+  std::vector<double> data_;  // tick-major ring: data_[slot * streams + s]
   Tick next_tick_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "fadewich/common/error.hpp"
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/obs/toggle.hpp"
 
 namespace fadewich::core {
@@ -62,29 +63,34 @@ std::pair<Tick, Tick> FadewichSystem::current_window_range() const {
   return {begin, end};
 }
 
-std::vector<std::vector<double>> FadewichSystem::current_window_samples()
-    const {
+FadewichSystem::WindowScratch FadewichSystem::read_current_window(
+    common::ScratchArena& arena) const {
   const auto [begin, end] = current_window_range();
-  return history_.windows(begin, end);
-}
-
-std::vector<double> FadewichSystem::current_window_validity() const {
-  const auto [begin, end] = current_window_range();
-  const auto masks = validity_history_.windows(begin, end);
-  std::vector<double> fractions;
-  fractions.reserve(masks.size());
-  for (const auto& mask : masks) {
-    double sum = 0.0;
-    for (const double v : mask) sum += v;
-    fractions.push_back(sum / static_cast<double>(mask.size()));
-  }
-  return fractions;
+  const auto rows = static_cast<std::size_t>(end - begin + 1);
+  const std::size_t streams = history_.stream_count();
+  const std::span<double> data = arena.get<double>(rows * streams);
+  history_.copy_rows(begin, end, data);
+  const std::span<double> validity = arena.get<double>(streams);
+  validity_history_.sum_rows(begin, end, validity);
+  for (double& v : validity) v /= static_cast<double>(rows);
+  return {WindowBlock{data, rows, streams}, validity};
 }
 
 std::optional<int> FadewichSystem::classify_current_window() {
   if (!re_.trained()) return std::nullopt;
-  return re_.classify_degraded(current_window_samples(),
-                               current_window_validity());
+  auto& arena = common::ScratchArena::local();
+  const auto frame = arena.frame();
+  const WindowScratch window = read_current_window(arena);
+  return re_.classify_degraded(window.block, window.validity);
+}
+
+std::vector<double> FadewichSystem::current_window_features() const {
+  auto& arena = common::ScratchArena::local();
+  const auto frame = arena.frame();
+  const WindowScratch window = read_current_window(arena);
+  std::vector<double> features(window.block.streams * kFeaturesPerStream);
+  re_.features_from(window.block, window.validity, features);
+  return features;
 }
 
 void FadewichSystem::collect_training_sample() {
@@ -92,17 +98,12 @@ void FadewichSystem::collect_training_sample() {
   AutoLabeler::Attempt attempt = labeler_.attempt(kma_, decision_time);
   if (attempt.ambiguous) return;  // discarded, per the paper
   if (attempt.label) {
-    samples_.add(re_.features_from(current_window_samples(),
-                                   current_window_validity()),
-                 *attempt.label);
+    samples_.add(current_window_features(), *attempt.label);
     return;
   }
   if (attempt.deferred()) {
     pending_samples_.push_back(
-        {decision_time,
-         re_.features_from(current_window_samples(),
-                           current_window_validity()),
-         std::move(attempt)});
+        {decision_time, current_window_features(), std::move(attempt)});
   }
 }
 

@@ -27,6 +27,10 @@
 #include "fadewich/ml/dataset.hpp"
 #include "fadewich/obs/export.hpp"
 
+namespace fadewich::common {
+class ScratchArena;
+}
+
 namespace fadewich::core {
 
 struct SystemConfig {
@@ -119,6 +123,11 @@ class FadewichSystem {
   void import_state(const SystemState& state);
 
   // --- Introspection ------------------------------------------------
+  /// Features of the open variation window's first t_delta, exactly as
+  /// Rule 1 classifies them (stale streams zeroed).  Requires an open
+  /// window (md().current_window()).
+  std::vector<double> current_window_features() const;
+
   const MovementDetector& md() const { return md_; }
   const KeyboardMouseActivity& kma() const { return kma_; }
   const RadioEnvironment& re() const { return re_; }
@@ -132,10 +141,15 @@ class FadewichSystem {
   void scrape_into(obs::ScrapeReport& report) const;
 
  private:
+  // The live window's t_delta block and per-stream validity fractions,
+  // read from both history rings into arena scratch.
+  struct WindowScratch {
+    WindowBlock block;
+    std::span<const double> validity;
+  };
+  WindowScratch read_current_window(common::ScratchArena& arena) const;
   std::optional<int> classify_current_window();
   std::pair<Tick, Tick> current_window_range() const;
-  std::vector<std::vector<double>> current_window_samples() const;
-  std::vector<double> current_window_validity() const;
   void collect_training_sample();
   void resolve_pending_entries();
 

@@ -18,8 +18,11 @@ constexpr double kInvSqrt2 = 0.7071067811865476;
 // search and let the inner loop vectorise.
 constexpr std::size_t kQueryBlock = 8;
 
-// Newton scans allowed before locate_root gives up (typical: ~5).
+// Exact Newton scans allowed before locate_root gives up (typical: 1-2
+// after the approximate pass, ~5 without it).
 constexpr int kNewtonMaxScans = 20;
+// Approximate Newton scans in locate_root's pre-pass (typical: ~4).
+constexpr int kApproxMaxScans = 12;
 
 // The pruned CDF at x, computed exactly as kde_cdf_sorted computes it,
 // and the pruned density, in one pass over the ±reach window.
@@ -46,6 +49,53 @@ CdfAndPdf kde_cdf_pdf_sorted(std::span<const double> sorted,
   return {acc / n, dens * kInvSqrt2Pi / (bandwidth * n)};
 }
 
+// The half-width around a Newton iterate x (density f there) inside
+// which a bisection midpoint must be decided by the exact CDF.  Rounding
+// budget of the computed CDF: each erf term and running-sum add is off
+// by at most ~1e-16, so 1e-12 covers up to ~1000 samples with a 10x
+// margin; larger sample sets scale it.
+double certified_delta(std::size_t n, double x, double f) {
+  const double budget = std::max(1e-12, 1e-15 * static_cast<double>(n));
+  return std::max(1e-12 * (1.0 + std::abs(x)), budget / f);
+}
+
+// Newton on the approximate pruned CDF (simd kde_cdfpdf_approx, a
+// Chebyshev erfc and fast_exp, all lanes at once), from x toward the
+// root, staying strictly inside (lo, hi).  Its signs are never trusted:
+// it only moves the start of the exact scans, which alone narrow the
+// sign bracket and certify the root, so the answer cannot depend on it.
+double approach_root(std::span<const double> sorted, double bandwidth,
+                     double p, double lo, double hi, double x) {
+  const simd::KernelTable& kernels = simd::active_kernels();
+  const double reach = kKdeKernelReach * bandwidth;
+  const double inv_bw = 1.0 / bandwidth;
+  const double n = static_cast<double>(sorted.size());
+  for (int scan = 0; scan < kApproxMaxScans; ++scan) {
+    const auto lo_it =
+        std::lower_bound(sorted.begin(), sorted.end(), x - reach);
+    const auto hi_it =
+        std::upper_bound(sorted.begin(), sorted.end(), x + reach);
+    double sums[2] = {static_cast<double>(lo_it - sorted.begin()), 0.0};
+    kernels.kde_cdfpdf_approx(sorted.data() + (lo_it - sorted.begin()),
+                              static_cast<std::size_t>(hi_it - lo_it), x,
+                              inv_bw, sums);
+    const double f = sums[1] * kInvSqrt2Pi / (bandwidth * n);
+    if (!(std::isfinite(f) && f > 0.0)) break;
+    const double step = (sums[0] / n - p) / f;
+    const double next = x - step;
+    if (!(next > lo && next < hi)) break;
+    x = next;
+    // Stop once this step leaves the iterate within delta / 64 of the
+    // root, twice as tight as the exact certification, so the first
+    // exact scan usually certifies.  Newton's error after a step is at
+    // most |f' / 2f| step^2, and |f' / f| <= reach / bandwidth^2 over the
+    // pruned window: 4 step^2 / bandwidth <= delta / 64.
+    const double delta = certified_delta(sorted.size(), x, f);
+    if (256.0 * step * step <= bandwidth * delta) break;
+  }
+  return x;
+}
+
 // The root c of the computed pruned CDF minus p, and the half-width
 // delta around it inside which a bisection midpoint must still be
 // decided by the exact CDF (see kde_percentile_sorted).  delta is +inf
@@ -66,6 +116,7 @@ Root locate_root(std::span<const double> sorted, double bandwidth, double p,
   double a = lo;  // CDF(a) < p is assumed, as the bisection assumes
   double b = hi;  // CDF(b) >= p likewise
   if (!(x > a && x < b)) x = 0.5 * (a + b);
+  x = approach_root(sorted, bandwidth, p, a, b, x);
   for (int scan = 0; scan < kNewtonMaxScans; ++scan) {
     const CdfAndPdf e = kde_cdf_pdf_sorted(sorted, bandwidth, x);
     if (e.cdf < p) {
@@ -75,13 +126,7 @@ Root locate_root(std::span<const double> sorted, double bandwidth, double p,
     }
     if (std::isfinite(e.pdf) && e.pdf > 0.0) {
       const double step = (e.cdf - p) / e.pdf;
-      // Rounding budget of the computed CDF: each erf term and
-      // running-sum add is off by at most ~1e-16, so 1e-12 covers up to
-      // ~1000 samples with a 10x margin; larger sample sets scale it.
-      const double budget =
-          std::max(1e-12, 1e-15 * static_cast<double>(n));
-      const double delta =
-          std::max(1e-12 * (1.0 + std::abs(x)), budget / e.pdf);
+      const double delta = certified_delta(n, x, e.pdf);
       if (std::abs(step) <= delta / 32.0) {
         // The margin argument needs the density near-constant across
         // ±delta; a root in a numerically flat region gets none.

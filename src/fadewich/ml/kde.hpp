@@ -77,7 +77,10 @@ void kde_cdf_block_sorted(std::span<const double> sorted, double bandwidth,
 /// `kde_cdf_sorted(m) < p`, but most midpoints skip the CDF:
 ///  1. Newton's method, started from the samples' empirical p-quantile
 ///     and kept inside the bracket, locates the root c of the computed
-///     CDF minus p (one fused CDF + density scan per step, at most 20).
+///     CDF minus p.  It first steps on an approximate CDF and density
+///     (simd kde_cdfpdf_approx, at most 12 scans), which never narrows
+///     the bracket, then on exact fused CDF + density scans (libm erf
+///     and exp, at most 20), which alone certify c.
 ///  2. The bisection then runs unchanged.  A midpoint with
 ///     |m - c| > delta is decided by its side of c; any other midpoint
 ///     by the exact CDF (libm erf).

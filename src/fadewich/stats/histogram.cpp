@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "fadewich/common/error.hpp"
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/stats/descriptive.hpp"
 
 namespace fadewich::stats {
@@ -90,15 +90,41 @@ double Histogram::entropy() const {
 
 double value_entropy(std::span<const double> xs) {
   FADEWICH_EXPECTS(!xs.empty());
-  std::map<double, std::size_t> freq;
-  for (double x : xs) ++freq[x];
-  const double n = static_cast<double>(xs.size());
+  auto& arena = common::ScratchArena::local();
+  const auto frame = arena.frame();
+  const std::span<double> sorted = arena.get<double>(xs.size());
+  std::copy(xs.begin(), xs.end(), sorted.begin());
+  std::sort(sorted.begin(), sorted.end());
+  const std::span<double> plogp = arena.get<double>(xs.size() + 1);
+  plogp_table(xs.size(), plogp);
+  return sorted_value_entropy(sorted, plogp);
+}
+
+double sorted_value_entropy(std::span<const double> sorted,
+                            std::span<const double> plogp) {
+  const std::size_t n = sorted.size();
+  FADEWICH_EXPECTS(n >= 1 && plogp.size() == n + 1);
+  // A run's term is subtracted where the next run starts; elsewhere the
+  // index is 0 and plogp[0] = +0 leaves h unchanged, so the loop needs
+  // no data-dependent branch.
   double h = 0.0;
-  for (const auto& [value, count] : freq) {
-    const double p = static_cast<double>(count) / n;
-    h -= p * std::log(p);
+  std::size_t count = 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t boundary = sorted[i] != sorted[i - 1] ? 1 : 0;
+    h -= plogp[count * boundary];
+    count = 1 + count * (1 - boundary);
   }
-  return h;
+  return h - plogp[count];
+}
+
+void plogp_table(std::size_t n, std::span<double> out) {
+  FADEWICH_EXPECTS(n >= 1 && out.size() == n + 1);
+  const double nd = static_cast<double>(n);
+  out[0] = 0.0;
+  for (std::size_t c = 1; c <= n; ++c) {
+    const double p = static_cast<double>(c) / nd;
+    out[c] = p * std::log(p);
+  }
 }
 
 }  // namespace fadewich::stats

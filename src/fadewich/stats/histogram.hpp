@@ -94,7 +94,21 @@ class Histogram {
 /// Entropy of the value-frequency distribution of a window, exactly as RE
 /// uses it: each distinct value is one outcome, P(r_j) its frequency.
 /// RSSI samples are quantised (1 dBm), so distinct-value counting matches
-/// the paper's histogram over the window's values.  Requires non-empty.
+/// the paper's histogram over the window's values.  Sorts a copy in the
+/// thread's scratch arena, then sorted_value_entropy.  Requires
+/// non-empty, NaN-free input.
 double value_entropy(std::span<const double> xs);
+
+/// value_entropy of a window already sorted ascending: each run of
+/// equal values is one outcome, and -p log p is subtracted run by run in
+/// ascending-value order, the order a std::map of the values walks, so
+/// the bits match it.  `plogp` = plogp_table(sorted.size()).
+double sorted_value_entropy(std::span<const double> sorted,
+                            std::span<const double> plogp);
+
+/// out[c] = p * log(p) at p = c / n for c = 1..n (out[0] = 0): the
+/// terms of value_entropy over an n-value window, computed once per
+/// window length.  Requires n >= 1 and out.size() == n + 1.
+void plogp_table(std::size_t n, std::span<double> out);
 
 }  // namespace fadewich::stats

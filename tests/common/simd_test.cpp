@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -23,6 +24,10 @@
 
 #include "fadewich/common/rng.hpp"
 #include "fadewich/common/simd.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 namespace fadewich::simd {
 namespace {
@@ -319,6 +324,149 @@ TEST(SimdKernels, ShadowBodyPassMatchesScalar) {
     }
   }
 }
+
+TEST(SimdKernels, KdeCdfPdfApproxMatchesScalarAndLibm) {
+  // Every table folds the samples into the same four partial sums, so
+  // the sums agree bit for bit; each term is within 1e-14 of libm.
+  const auto tables = available_tables();
+  Rng rng(707);
+  constexpr double kInvSqrt2 = 0.7071067811865476;
+  for (std::size_t n : kLengths) {
+    const double inv_bw = rng.uniform(0.2, 5.0);
+    const double x = rng.uniform(-3.0, 3.0);
+    // Samples spread over the whole +-8 bandwidth pruning window.
+    const std::vector<double> samples =
+        random_vec(rng, n, x - 8.0 / inv_bw, x + 8.0 / inv_bw);
+    double ref[2] = {0.25, 0.5};
+    tables[0]->kde_cdfpdf_approx(samples.data(), n, x, inv_bw, ref);
+    double cdf = 0.25;
+    double pdf = 0.5;
+    for (const double s : samples) {
+      const double u = (x - s) * inv_bw;
+      cdf += 0.5 * (1.0 + std::erf(u * kInvSqrt2));
+      pdf += std::exp(-0.5 * u * u);
+    }
+    const double budget = 1e-14 * static_cast<double>(n + 1);
+    EXPECT_NEAR(ref[0], cdf, budget) << "n " << n;
+    EXPECT_NEAR(ref[1], pdf, budget) << "n " << n;
+    for (std::size_t ti = 1; ti < tables.size(); ++ti) {
+      double out[2] = {0.25, 0.5};
+      tables[ti]->kde_cdfpdf_approx(samples.data(), n, x, inv_bw, out);
+      expect_bits_eq(out[0], ref[0], "cdfpdf_approx cdf", n);
+      expect_bits_eq(out[1], ref[1], "cdfpdf_approx pdf", n);
+    }
+  }
+}
+
+TEST(SimdKernels, ColsortSortsEveryColumnLikeScalar) {
+  const auto tables = available_tables();
+  Rng rng(808);
+  for (std::size_t rows : {1u, 2u, 3u, 8u, 23u}) {
+    for (std::size_t n : kLengths) {
+      const std::size_t stride = n + 2;  // columns past n stay untouched
+      std::vector<double> data(rows * stride);
+      for (double& v : data) v = std::round(rng.normal(-60.0, 3.0));
+      std::vector<double> ref = data;
+      tables[0]->colsort(ref.data(), rows, stride, n);
+      for (std::size_t c = 0; c < stride; ++c) {
+        std::vector<double> want(rows);
+        std::vector<double> got(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+          want[r] = data[r * stride + c];
+          got[r] = ref[r * stride + c];
+        }
+        if (c < n) std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << "rows " << rows << " column " << c;
+      }
+      for (std::size_t ti = 1; ti < tables.size(); ++ti) {
+        std::vector<double> out = data;
+        tables[ti]->colsort(out.data(), rows, stride, n);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          expect_bits_eq(out[i], ref[i], isa_name(tables[ti]->isa), i);
+        }
+      }
+    }
+  }
+}
+
+#if defined(__x86_64__)
+// A wide kernel that returns with the upper halves of the ymm registers
+// in use makes every later SSE instruction pay a transition penalty; on
+// some hosts libm's erf then runs ~20x slower, which is how a missing
+// vzeroupper once doubled the profile refit.  XGETBV(1) reports the
+// state directly: bit 2 set means the upper halves are still live.
+bool upper_state_in_use() {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & 4u) != 0;
+}
+
+TEST(SimdKernels, Avx2KernelsReturnWithTheUpperStateClear) {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid_count(0xd, 1, &a, &b, &c, &d) || (a & 4u) == 0) {
+    GTEST_SKIP() << "XGETBV with ECX=1 not supported";
+  }
+  const KernelTable& t = kernel_table(Isa::kAvx2);
+  if (t.isa != Isa::kAvx2) GTEST_SKIP() << "no AVX2 table on this host";
+  Rng rng(909);
+  constexpr std::size_t kN = 7;  // main loop and scalar tail
+  std::vector<double> v = random_vec(rng, 64, 0.5, 1.5);
+  std::vector<double> w = random_vec(rng, 64, 0.5, 1.5);
+  std::vector<double> m = random_vec(rng, 64, 0.5, 1.5);
+  std::vector<double> q = random_vec(rng, 64, 0.5, 1.5);
+  std::vector<double> out(64, 0.0);
+  const std::vector<double> g = random_vec(rng, 64, 0.0, 4.0);
+  const ShadowGeomView geom{g.data(), g.data() + 8, g.data() + 16,
+                            g.data() + 24, g.data() + 32, g.data() + 40,
+                            g.data() + 48, g.data() + 56};
+  ShadowParams params;
+  params.motion_coeff = 1.0;
+  params.ambient_coeff = 1.0;
+  double sums[2] = {0.0, 0.0};
+  struct Call {
+    const char* name;
+    bool dirty;
+  };
+  std::vector<Call> calls;
+  const auto check = [&](const char* name) {
+    calls.push_back({name, upper_state_in_use()});
+  };
+  t.exp_block(v.data(), out.data(), kN);
+  check("exp_block");
+  t.kde_expsum_block(v.data(), kN, w.data(), kN, 1.5, out.data());
+  check("kde_expsum_block");
+  t.kde_erfsum_block(v.data(), kN, w.data(), kN, 1.5, out.data());
+  check("kde_erfsum_block");
+  t.kde_cdfpdf_approx(v.data(), kN, 1.0, 1.5, sums);
+  check("kde_cdfpdf_approx");
+  t.dot_block(v.data(), 3, w.data(), kN, kN, out.data());
+  check("dot_block");
+  t.sqdist_block(v.data(), 3, w.data(), kN, kN, out.data());
+  check("sqdist_block");
+  t.rbf_accum_block(v.data(), kN, 0.5, 0.3, out.data());
+  check("rbf_accum_block");
+  t.welford_push_full(v.data(), w.data(), m.data(), q.data(), 8.0, kN);
+  check("welford_push_full");
+  t.welford_push_grow(v.data(), w.data(), m.data(), q.data(), 8.0, kN);
+  check("welford_push_grow");
+  t.stddev_from_m2(q.data(), 8.0, out.data(), kN);
+  check("stddev_from_m2");
+  t.colsum(v.data(), 3, kN, out.data(), kN);
+  check("colsum");
+  t.coldev2(v.data(), 3, kN, m.data(), out.data(), kN);
+  check("coldev2");
+  t.collagprod(v.data(), 3, 1, kN, m.data(), out.data(), kN);
+  check("collagprod");
+  t.colsort(v.data(), 3, kN, kN);
+  check("colsort");
+  t.shadow_body_pass(geom, kN, params, out.data(), w.data());
+  check("shadow_body_pass");
+  for (const Call& call : calls) {
+    EXPECT_FALSE(call.dirty) << call.name << " left the upper state in use";
+  }
+}
+#endif
 
 TEST(SimdDispatch, ActiveTableIsBestSupportedByDefault) {
   // This binary never sets FADEWICH_SIMD, so the active table must be

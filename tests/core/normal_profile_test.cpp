@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/rng.hpp"
+#include "fadewich/ml/kde.hpp"
 #include "oracle/kde_percentile.hpp"
 
 namespace fadewich::core {
@@ -345,6 +350,108 @@ TEST(NormalProfileTest, EveryFoldMatchesThePlainBisectionBitForBit) {
     EXPECT_GT(profile.updates_accepted(), 0u);
   }
 }
+
+// Differential test of the incremental sorted state: after every batch
+// (folded, discarded or rolled back) the profile's sorted samples,
+// bandwidth and threshold must equal, bit for bit, a from-scratch sort
+// of its ring, Silverman's rule over it and the plain-bisection oracle.
+struct RefitScenario {
+  const char* name;
+  std::size_t capacity;
+  std::size_t batch;
+  std::size_t seed_samples;  // < capacity: the ring starts part-full
+  double max_drift_fraction;
+  bool integer;  // rounded values: many exact duplicates
+};
+
+class IncrementalRefitOracle
+    : public ::testing::TestWithParam<RefitScenario> {};
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_P(IncrementalRefitOracle, EveryBatchMatchesAFullSortAndTheOracle) {
+  const RefitScenario& sc = GetParam();
+  NormalProfileConfig config;
+  config.capacity = sc.capacity;
+  config.batch_size = sc.batch;
+  config.max_drift_fraction = sc.max_drift_fraction;
+  Rng rng(0x72656669u + sc.capacity + sc.batch);
+  const auto draw = [&](double mean) {
+    const double v = rng.normal(mean, 5.0);
+    return sc.integer ? std::round(v) : v;
+  };
+  std::vector<double> seed(sc.seed_samples);
+  for (auto& v : seed) v = draw(50.0);
+  auto profile = std::make_unique<NormalProfile>(config);
+  profile->initialize(seed);
+
+  constexpr int kBatches = 160;
+  int checked = 0;
+  int discarded = 0;
+  int restores = 0;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    if (batch == kBatches / 2) {
+      // Restart mid-sequence from the persisted form.
+      auto reborn = std::make_unique<NormalProfile>(config);
+      reborn->restore(profile->samples_snapshot(), profile->queue_snapshot());
+      profile = std::move(reborn);
+      ++restores;
+    }
+    // Every 7th batch is a burst (discarded as anomalous); every 4th sits
+    // low, which the drift guard, when on, rolls back.
+    const double mean = batch % 7 == 6 ? 90.0 : batch % 4 == 3 ? 35.0 : 50.0;
+    const std::uint64_t accepted = profile->updates_accepted();
+    const std::uint64_t rollbacks = profile->drift_rollbacks();
+    for (std::size_t i = 0; i < sc.batch; ++i) profile->offer(draw(mean));
+    if (profile->updates_accepted() == accepted &&
+        profile->drift_rollbacks() == rollbacks) {
+      ++discarded;
+    }
+
+    std::vector<double> want = profile->samples_snapshot();
+    std::sort(want.begin(), want.end());
+    const double bw = ml::GaussianKde::silverman_bandwidth(want);
+    const double threshold = oracle::kde_percentile_sorted(
+        want, bw, 1.0 - config.alpha / 100.0, 80, 1e-9);
+    const double got_bw = profile->bandwidth();
+    const double got_threshold = profile->threshold();
+    ASSERT_TRUE(same_bits(profile->sorted_samples(), want))
+        << sc.name << " batch " << batch;
+    ASSERT_TRUE(same_bits({&got_bw, 1}, {&bw, 1}))
+        << sc.name << " batch " << batch;
+    ASSERT_TRUE(same_bits({&got_threshold, 1}, {&threshold, 1}))
+        << sc.name << " batch " << batch << ": " << got_threshold << " vs "
+        << threshold;
+    ++checked;
+  }
+  EXPECT_EQ(checked, kBatches);
+  EXPECT_EQ(restores, 1);
+  EXPECT_GT(discarded, 0);
+  EXPECT_GT(profile->updates_accepted(), 0u);
+  if (sc.max_drift_fraction > 0.0) {
+    EXPECT_GT(profile->drift_rollbacks(), 0u);
+  }
+}
+
+std::string scenario_name(
+    const ::testing::TestParamInfo<RefitScenario>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, IncrementalRefitOracle,
+    ::testing::Values(
+        RefitScenario{"Default", 600, 150, 600, 0.0, false},
+        RefitScenario{"PartFullRing", 600, 150, 40, 0.0, false},
+        RefitScenario{"IntegerDuplicates", 600, 150, 600, 0.0, true},
+        RefitScenario{"DriftRollbacks", 600, 150, 600, 0.02, false},
+        RefitScenario{"IntegerDriftRollbacks", 200, 50, 120, 0.02, true},
+        RefitScenario{"BatchNotDividingCapacity", 100, 30, 10, 0.0, false},
+        RefitScenario{"BatchFillsTheRing", 20, 25, 10, 0.0, false}),
+    scenario_name);
 
 }  // namespace
 }  // namespace fadewich::core

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "fadewich/common/error.hpp"
@@ -24,10 +25,33 @@ std::vector<std::vector<double>> windows_for_class(int cls, Rng& rng) {
   return windows;
 }
 
+/// The windows as one row-major block over `storage`.
+WindowBlock pack(const std::vector<std::vector<double>>& windows,
+                 std::vector<double>& storage) {
+  const std::size_t rows = windows.front().size();
+  storage.resize(rows * windows.size());
+  for (std::size_t s = 0; s < windows.size(); ++s) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      storage[r * windows.size() + s] = windows[s][r];
+    }
+  }
+  return {storage, rows, windows.size()};
+}
+
+/// RE's features of per-stream windows (packed into a block).
+std::vector<double> features_of(const RadioEnvironment& re,
+                                const std::vector<std::vector<double>>& windows,
+                                std::span<const double> validity = {}) {
+  std::vector<double> storage;
+  std::vector<double> out(windows.size() * kFeaturesPerStream);
+  re.features_from(pack(windows, storage), validity, out);
+  return out;
+}
+
 TEST(RadioEnvironmentTest, FeatureWidthMatchesConfig) {
   RadioEnvironment re(FeatureConfig{}, ml::SvmConfig{});
   Rng rng(3);
-  const auto features = re.features_from(windows_for_class(0, rng));
+  const auto features = features_of(re, windows_for_class(0, rng));
   EXPECT_EQ(features.size(), 9u);  // 3 streams x 3 features
 }
 
@@ -43,7 +67,7 @@ TEST(RadioEnvironmentTest, LearnsSyntheticSignatures) {
   ml::Dataset data;
   for (int i = 0; i < 40; ++i) {
     for (int cls = 0; cls < 3; ++cls) {
-      data.add(re.features_from(windows_for_class(cls, rng)), cls);
+      data.add(features_of(re, windows_for_class(cls, rng)), cls);
     }
   }
   re.train(data);
@@ -53,7 +77,7 @@ TEST(RadioEnvironmentTest, LearnsSyntheticSignatures) {
   const int trials = 60;
   for (int i = 0; i < trials; ++i) {
     const int cls = i % 3;
-    if (re.classify(re.features_from(windows_for_class(cls, rng))) ==
+    if (re.classify(features_of(re, windows_for_class(cls, rng))) ==
         cls) {
       ++correct;
     }
@@ -66,8 +90,8 @@ TEST(RadioEnvironmentTest, LowValidityStreamGetsZeroedFeatures) {
   Rng rng(11);
   const auto windows = windows_for_class(0, rng);
   const std::vector<double> validity{1.0, 0.2, 1.0};  // stream 1 starved
-  const auto masked = re.features_from(windows, validity);
-  const auto plain = re.features_from(windows);
+  const auto masked = features_of(re, windows, validity);
+  const auto plain = features_of(re, windows);
   ASSERT_EQ(masked.size(), plain.size());
   // Stream 1's block (features 3..5) is zeroed; the others untouched.
   for (std::size_t i = 0; i < masked.size(); ++i) {
@@ -84,20 +108,22 @@ TEST(RadioEnvironmentTest, FullValidityMatchesPlainFeatures) {
   Rng rng(13);
   const auto windows = windows_for_class(1, rng);
   const std::vector<double> validity{1.0, 1.0, 1.0};
-  EXPECT_EQ(re.features_from(windows, validity), re.features_from(windows));
+  EXPECT_EQ(features_of(re, windows, validity), features_of(re, windows));
 }
 
 TEST(RadioEnvironmentTest, ClassifyDegradedDeclinesWhenStarved) {
   RadioEnvironment re(FeatureConfig{}, ml::SvmConfig{});
   Rng rng(15);
+  std::vector<double> storage;
   // Untrained: always unavailable.
   EXPECT_FALSE(
-      re.classify_degraded(windows_for_class(0, rng), {}).has_value());
+      re.classify_degraded(pack(windows_for_class(0, rng), storage), {})
+          .has_value());
 
   ml::Dataset data;
   for (int i = 0; i < 20; ++i) {
     for (int cls = 0; cls < 3; ++cls) {
-      data.add(re.features_from(windows_for_class(cls, rng)), cls);
+      data.add(features_of(re, windows_for_class(cls, rng)), cls);
     }
   }
   re.train(data);
@@ -105,14 +131,15 @@ TEST(RadioEnvironmentTest, ClassifyDegradedDeclinesWhenStarved) {
   // 1 of 3 live < min_live_stream_fraction = 0.5: unavailable.
   const std::vector<double> starved{1.0, 0.0, 0.0};
   EXPECT_FALSE(
-      re.classify_degraded(windows_for_class(0, rng), starved).has_value());
+      re.classify_degraded(pack(windows_for_class(0, rng), storage), starved)
+          .has_value());
 
   // Fully valid: behaves exactly like classify().
   const std::vector<double> full{1.0, 1.0, 1.0};
   const auto windows = windows_for_class(2, rng);
-  const auto label = re.classify_degraded(windows, full);
+  const auto label = re.classify_degraded(pack(windows, storage), full);
   ASSERT_TRUE(label.has_value());
-  EXPECT_EQ(*label, re.classify(re.features_from(windows)));
+  EXPECT_EQ(*label, re.classify(features_of(re, windows)));
 }
 
 TEST(RadioEnvironmentTest, TrainRejectsEmptyDataset) {

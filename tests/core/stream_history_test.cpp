@@ -19,12 +19,12 @@ TEST(StreamHistoryTest, PushAndReadBack) {
   history.push(std::vector<double>{-50.0, -60.0});
   history.push(std::vector<double>{-51.0, -61.0});
   EXPECT_EQ(history.ticks_stored(), 2);
-  const auto w0 = history.window(0, 0, 1);
-  ASSERT_EQ(w0.size(), 2u);
-  EXPECT_DOUBLE_EQ(w0[0], -50.0);
-  EXPECT_DOUBLE_EQ(w0[1], -51.0);
-  const auto w1 = history.window(1, 1, 1);
-  EXPECT_DOUBLE_EQ(w1[0], -61.0);
+  std::vector<double> rows(4);
+  history.copy_rows(0, 1, rows);
+  EXPECT_EQ(rows, (std::vector<double>{-50.0, -60.0, -51.0, -61.0}));
+  std::vector<double> last(2);
+  history.copy_rows(1, 1, last);
+  EXPECT_DOUBLE_EQ(last[1], -61.0);
 }
 
 TEST(StreamHistoryTest, OldTicksEvictOnceFull) {
@@ -33,27 +33,35 @@ TEST(StreamHistoryTest, OldTicksEvictOnceFull) {
     history.push(std::vector<double>{static_cast<double>(t)});
   }
   EXPECT_EQ(history.oldest_tick(), 6);
-  const auto w = history.window(0, 6, 9);
-  ASSERT_EQ(w.size(), 4u);
-  EXPECT_DOUBLE_EQ(w[0], 6.0);
-  EXPECT_DOUBLE_EQ(w[3], 9.0);
-  EXPECT_THROW(history.window(0, 5, 9), ContractViolation);
+  std::vector<double> w(4);
+  history.copy_rows(6, 9, w);
+  EXPECT_EQ(w, (std::vector<double>{6.0, 7.0, 8.0, 9.0}));
+  std::vector<double> too_old(5);
+  EXPECT_THROW(history.copy_rows(5, 9, too_old), ContractViolation);
 }
 
 TEST(StreamHistoryTest, WindowRejectsFutureTicks) {
   StreamHistory history(1, 4);
   history.push(std::vector<double>{1.0});
-  EXPECT_THROW(history.window(0, 0, 1), ContractViolation);
+  std::vector<double> w(2);
+  EXPECT_THROW(history.copy_rows(0, 1, w), ContractViolation);
+  std::vector<double> sums(1);
+  EXPECT_THROW(history.sum_rows(0, 1, sums), ContractViolation);
 }
 
 TEST(StreamHistoryTest, WindowsReturnsAllStreams) {
   StreamHistory history(3, 4);
   history.push(std::vector<double>{1.0, 2.0, 3.0});
   history.push(std::vector<double>{4.0, 5.0, 6.0});
-  const auto windows = history.windows(0, 1);
-  ASSERT_EQ(windows.size(), 3u);
-  EXPECT_DOUBLE_EQ(windows[2][0], 3.0);
-  EXPECT_DOUBLE_EQ(windows[2][1], 6.0);
+  std::vector<double> rows(6);
+  history.copy_rows(0, 1, rows);
+  EXPECT_DOUBLE_EQ(rows[2], 3.0);  // stream 2, tick 0
+  EXPECT_DOUBLE_EQ(rows[5], 6.0);  // stream 2, tick 1
+  std::vector<double> sums(3);
+  history.sum_rows(0, 1, sums);
+  EXPECT_EQ(sums, (std::vector<double>{5.0, 7.0, 9.0}));
+  std::vector<double> short_out(5);
+  EXPECT_THROW(history.copy_rows(0, 1, short_out), ContractViolation);
 }
 
 TEST(StreamHistoryTest, PushRejectsWrongWidth) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -177,6 +178,69 @@ TEST(SystemAllocTest, WarmQuietOnlineStepIsAllocationFree) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(last, MdState::kNormal);
   EXPECT_EQ(system.controller().state(), ControlState::kQuiet);
+}
+
+TEST(SystemAllocTest, WarmClassificationAndFoldTicksAreAllocationFree) {
+  // The two heavy online ticks: a Rule-1 classification (window block,
+  // validity, features, SVM query) and a profile batch fold (merge and
+  // refit).  Every step is counted on its own; after one warm-up cycle
+  // of each, the ticks that classify or fold must allocate nothing.
+  // Both users keep typing, so a leave label is suppressed (no
+  // deauthentication to return) and no workstation is idle for Rule 2.
+  constexpr std::size_t kStreams = 24;
+  constexpr std::size_t kWorkstations = 2;
+  SystemConfig config;
+  config.md.calibration = 30.0;
+  config.md.profile.batch_size = 50;
+  FadewichSystem system(kStreams, kWorkstations, config);
+
+  Rng rng(29);
+  std::vector<double> row(kStreams);
+  ml::Dataset data;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<std::vector<double>> windows(kStreams,
+                                             std::vector<double>(23));
+    for (auto& w : windows) {
+      for (auto& v : w) v = std::round(rng.normal(-60.0, i % 2 ? 4.0 : 1.0));
+    }
+    data.add(extract_features(windows, config.features), i % 2 + 1);
+  }
+
+  std::uint64_t classify_ticks = 0;
+  std::uint64_t fold_ticks = 0;
+  std::uint64_t heavy_allocs = 0;
+  const auto feed = [&](double sigma, std::size_t steps, bool measure) {
+    for (std::size_t t = 0; t < steps; ++t) {
+      for (std::size_t w = 0; w < kWorkstations; ++w) {
+        system.record_input(w, system.now());
+      }
+      for (auto& v : row) v = std::round(rng.normal(-60.0, sigma));
+      const std::uint64_t folds = system.md().profile().updates_accepted();
+      std::uint64_t allocs = 0;
+      bool classified = false;
+      {
+        CountingScope scope;
+        classified = system.step(row).classification.has_value();
+        allocs = scope.count();
+      }
+      const bool folded = system.md().profile().updates_accepted() != folds;
+      if (!measure || !(classified || folded)) continue;
+      classify_ticks += classified ? 1 : 0;
+      fold_ticks += folded ? 1 : 0;
+      heavy_allocs += allocs;
+    }
+  };
+  feed(1.0, 200, false);  // calibration + window warm-up
+  system.train_with(data);
+  ASSERT_FALSE(system.training());
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    const bool measure = cycle >= 1;  // cycle 0 warms every buffer
+    feed(6.0, 40, measure);  // movement: a window reaches t_delta
+    feed(1.0, 300, measure);  // quiet: the window closes, batches fold
+  }
+  EXPECT_GE(classify_ticks, 3u);
+  EXPECT_GE(fold_ticks, 3u);
+  EXPECT_EQ(heavy_allocs, 0u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // midpoint with an exact pruned-CDF call.  The results must be equal bit
 // for bit, in both settings the library uses: the normal profile's
 // (80 steps, 1e-9) bracket at the extremes ± reach, and
-// GaussianKde::percentile's extended bracket with (200, 1e-12).
+// GaussianKde::percentile's extended bracket with (200, 1e-12).  The
+// oracle's exact-Newton locator (the library's before its approximate
+// pre-pass, the bench baseline for a profile fold) is held to the same.
 //
 // Profile families cover the shapes MD's summed-std profile takes and
 // the ones that stress the replay: smooth normals across three decades
@@ -111,9 +113,12 @@ TEST_P(KdePercentileOracle, MatchesPlainBisectionBitForBit) {
             oracle::kde_percentile_sorted(sorted, bw, p, 80, 1e-9));
       check("gaussian_kde", sorted.size(), p, kde.percentile(p),
             oracle::gaussian_kde_percentile(sorted, kde.bandwidth(), p));
+      check("exact_newton", sorted.size(), p,
+            oracle::kde_percentile_exact_newton(sorted, bw, p, 80, 1e-9),
+            oracle::kde_percentile_sorted(sorted, bw, p, 80, 1e-9));
     }
   }
-  EXPECT_EQ(cases, kProfilesPerFamily * 5 * 2);
+  EXPECT_EQ(cases, kProfilesPerFamily * 5 * 3);
   EXPECT_EQ(mismatches, 0) << "of " << cases << " cases; first: " << first_mismatch;
 }
 

@@ -23,4 +23,14 @@ double kde_percentile_sorted(std::span<const double> sorted,
 double gaussian_kde_percentile(std::span<const double> sorted,
                                double bandwidth, double p);
 
+/// The profile's percentile as the library computed it before its
+/// approximate pre-pass: exact Newton scans (libm erf + exp) from the
+/// empirical quantile locate the root, then the bisection replays with
+/// far midpoints decided by position.  Same contract and bits as
+/// kde_percentile_sorted; bench_micro_hotpaths times the old profile
+/// fold with it.
+double kde_percentile_exact_newton(std::span<const double> sorted,
+                                   double bandwidth, double p,
+                                   int max_iterations, double rel_tol);
+
 }  // namespace fadewich::oracle
