@@ -4,6 +4,7 @@
 // (8 subcarriers per link at 0.25 dB), on identical user behaviour and
 // sparse deployments — where the extra information should matter most.
 #include <iostream>
+#include <span>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -38,9 +39,11 @@ LiveDataset run_live(const rf::FloorPlan& plan,
 
   LiveDataset out;
   std::vector<double> row(streams);
-  // Raw per-day history for feature extraction; the detector is also
-  // per-day so its tick clock stays aligned with the history indices.
-  std::vector<std::vector<double>> history(streams);
+  // Raw per-day history for feature extraction, row-major [tick][stream]
+  // so a feature window is one core::WindowBlock; the detector is also
+  // per-day so its tick clock stays aligned with the history rows.
+  std::vector<double> history;
+  std::vector<double> sample(streams * core::kFeaturesPerStream);
 
   for (std::size_t day = 0; day < week.days.size(); ++day) {
     core::MovementDetector md(streams, tick_hz,
@@ -95,31 +98,24 @@ LiveDataset run_live(const rf::FloorPlan& plan,
         if (persons[p].inside()) bodies.push_back(persons[p].body());
       }
       sampler.sample(bodies, row);
-      for (std::size_t s = 0; s < streams; ++s) {
-        history[s].push_back(row[s]);
-      }
+      history.insert(history.end(), row.begin(), row.end());
       md.step(row);
       if (md.current_window() &&
           md.now() - md.current_window()->begin == window_ticks &&
           pending_window_begin != md.current_window()->begin) {
         pending_window_begin = md.current_window()->begin;
         // Feature sample over [t1, t1 + t_delta).
-        std::vector<std::vector<double>> windows(streams);
-        for (std::size_t s = 0; s < streams; ++s) {
-          const auto begin = static_cast<std::size_t>(
-              md.current_window()->begin);
-          windows[s].assign(
-              history[s].begin() + static_cast<long>(begin),
-              history[s].begin() +
-                  static_cast<long>(begin + window_ticks));
-        }
-        const Seconds t1 =
-            static_cast<double>(pending_window_begin) / tick_hz;
+        const auto rows = static_cast<std::size_t>(window_ticks);
+        const core::WindowBlock block{
+            std::span<const double>(history).subspan(
+                static_cast<std::size_t>(pending_window_begin) * streams,
+                rows * streams),
+            rows, streams};
         // Label from ground truth if a movement is in progress.
         for (std::size_t p = 0; p < persons.size(); ++p) {
           if (persons[p].in_transit()) {
-            out.data.add(core::extract_features(windows,
-                                                core::FeatureConfig{}),
+            core::extract_features(block, core::FeatureConfig{}, sample);
+            out.data.add(sample,
                          transit_leaving[p]
                              ? core::label_for_workstation(p)
                              : core::kLabelEntered);
@@ -127,11 +123,10 @@ LiveDataset run_live(const rf::FloorPlan& plan,
             break;
           }
         }
-        (void)t1;
       }
     }
     out.events += truth.size();
-    for (auto& h : history) h.clear();
+    history.clear();
   }
   return out;
 }

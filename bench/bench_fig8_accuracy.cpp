@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "bench_util.hpp"
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/ml/cross_validation.hpp"
 #include "fadewich/ml/metrics.hpp"
 #include "fadewich/ml/multiclass_svm.hpp"
@@ -101,14 +102,18 @@ int main() {
                "[t1, t2] (9 sensors)\n";
   const auto analysis = bench::analyze_md(experiment, 9, kTDelta);
   ml::Dataset full_window;
+  auto& arena = common::ScratchArena::local();
   for (const auto& tp : analysis.matches.true_positives) {
     const Seconds duration =
         experiment.recording.rate().to_seconds(tp.window.end -
                                                tp.window.begin + 1);
-    const auto windows =
+    const auto frame = arena.frame();
+    const core::WindowBlock block =
         eval::window_samples(experiment.recording, eval::sensor_subset(9),
-                             tp.window, duration);
-    full_window.add(core::extract_features(windows, core::FeatureConfig{}),
+                             tp.window, duration, arena);
+    std::vector<double> sample(block.streams * core::kFeaturesPerStream);
+    core::extract_features(block, core::FeatureConfig{}, sample);
+    full_window.add(std::move(sample),
                     eval::event_label(
                         experiment.recording.events()[tp.event_index]));
   }

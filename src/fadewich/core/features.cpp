@@ -5,19 +5,19 @@
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/common/simd_kernels.hpp"
-#include "fadewich/stats/autocorrelation.hpp"
-#include "fadewich/stats/descriptive.hpp"
 #include "fadewich/stats/histogram.hpp"
 
 namespace fadewich::core {
 
-void append_stream_features(std::span<const double> window,
-                            const FeatureConfig& config,
-                            std::vector<double>& out) {
-  FADEWICH_EXPECTS(window.size() > config.autocorr_lag);
-  out.push_back(stats::variance(window));
-  out.push_back(stats::value_entropy(window));
-  out.push_back(stats::autocorrelation(window, config.autocorr_lag));
+std::pair<Tick, Tick> feature_tick_range(const TickRate& rate,
+                                         Seconds t_delta, Tick window_begin,
+                                         Tick oldest, Tick newest) {
+  FADEWICH_EXPECTS(t_delta > 0.0);
+  const Tick first = std::max(window_begin, oldest);
+  const Tick last =
+      std::min(first + rate.to_ticks_ceil(t_delta) - 1, newest);
+  FADEWICH_EXPECTS(last >= first);
+  return {first, last};
 }
 
 void extract_features(const WindowBlock& window, const FeatureConfig& config,
@@ -62,36 +62,6 @@ void extract_features(const WindowBlock& window, const FeatureConfig& config,
     out[i * kFeaturesPerStream + 2] =
         var[i] == 0.0 ? 0.0 : ac[i] / (denom_rows * var[i]);
   }
-}
-
-std::vector<double> extract_features(
-    const std::vector<std::vector<double>>& stream_windows,
-    const FeatureConfig& config) {
-  FADEWICH_EXPECTS(!stream_windows.empty());
-  const std::size_t rows = stream_windows.front().size();
-  const std::size_t n = stream_windows.size();
-  bool uniform = rows > config.autocorr_lag;
-  for (const auto& window : stream_windows) {
-    uniform = uniform && window.size() == rows;
-  }
-  std::vector<double> out;
-  if (!uniform) {
-    out.reserve(n * kFeaturesPerStream);
-    for (const auto& window : stream_windows) {
-      append_stream_features(window, config, out);
-    }
-    return out;
-  }
-  auto& arena = common::ScratchArena::local();
-  const auto scratch_frame = arena.frame();
-  const std::span<double> data = arena.get<double>(rows * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& window = stream_windows[i];
-    for (std::size_t r = 0; r < rows; ++r) data[r * n + i] = window[r];
-  }
-  out.resize(n * kFeaturesPerStream);
-  extract_features(WindowBlock{data, rows, n}, config, out);
-  return out;
 }
 
 std::vector<std::string> feature_names(

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "fadewich/common/time.hpp"
+
 namespace fadewich::core {
 
 /// Variance, entropy and autocorrelation: one of each per stream.
@@ -31,34 +33,31 @@ struct FeatureConfig {
 };
 
 /// One t_delta window of every stream as a row-major [rows x streams]
-/// block: column s is stream s's window in tick order (the layout
-/// StreamHistory::copy_rows fills).
+/// block: column s is stream s's window in tick order.  The one window
+/// layout: StreamHistory::copy_rows fills it for the deployed system,
+/// sim::Recording::copy_rows for offline evaluation.
 struct WindowBlock {
   std::span<const double> data;  // rows * streams values
   std::size_t rows = 0;
   std::size_t streams = 0;
 };
 
-/// Features of one stream window.  Requires a window longer than the
-/// autocorrelation lag.
-void append_stream_features(std::span<const double> window,
-                            const FeatureConfig& config,
-                            std::vector<double>& out);
+/// Ticks [first, last] (inclusive) of the feature window of a variation
+/// window that opened at `window_begin`: its first
+/// rate.to_ticks_ceil(t_delta) ticks, clamped to the ticks
+/// [oldest, newest] the reader holds.  Requires t_delta > 0 and a
+/// non-empty result.
+std::pair<Tick, Tick> feature_tick_range(const TickRate& rate,
+                                         Seconds t_delta, Tick window_begin,
+                                         Tick oldest, Tick newest);
 
 /// Full sample of a window block into `out` (streams *
-/// kFeaturesPerStream values, stream order).  Bit-identical to
-/// append_stream_features on each column; scratch comes from the
-/// thread's arena, so a warm call never touches the heap.  Requires
-/// rows > autocorr_lag.
+/// kFeaturesPerStream values, stream order): each column's variance,
+/// value-frequency entropy and autocorrelation at the configured lag.
+/// Scratch comes from the thread's arena, so a warm call never touches
+/// the heap.  Requires rows > autocorr_lag.
 void extract_features(const WindowBlock& window, const FeatureConfig& config,
                       std::span<double> out);
-
-/// Full sample from one window per stream (offline extraction): windows
-/// of equal length are packed into a block; ragged ones go stream by
-/// stream through append_stream_features.
-std::vector<double> extract_features(
-    const std::vector<std::vector<double>>& stream_windows,
-    const FeatureConfig& config);
 
 /// Human-readable feature names in extraction order, e.g. "d9-d2-ent"
 /// (Table V's naming).  `pairs` holds the (tx, rx) sensor indices of each

@@ -116,7 +116,6 @@ MdState MovementDetector::step(std::span<const double> rssi_row,
 }
 
 void MovementDetector::close_window(const VariationWindow& window) {
-  completed_.push_back(window);
   ++windows_closed_;
   window_seconds_.observe(rate_.to_seconds(window.end - window.begin + 1));
 }
@@ -157,7 +156,6 @@ void MovementDetector::import_state(const MovementDetectorState& state) {
   windows_.clear();
   windows_warm_ = false;
   open_.reset();
-  completed_.clear();
   last_anomalous_ = -1;
 }
 

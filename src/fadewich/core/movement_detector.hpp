@@ -109,17 +109,13 @@ class MovementDetector {
   }
 
   /// The open variation window, if any; `end` tracks the last anomalous
-  /// tick seen.
+  /// tick seen.  A step that closes a window never extends it, so the
+  /// window reported before the step that stops reporting it (or starts
+  /// a new one) is the closed window.
   std::optional<VariationWindow> current_window() const;
 
   /// dW_t: duration (seconds) of the current variation window, 0 if none.
   Seconds current_window_duration() const;
-
-  /// Windows that have closed, in completion order.  Callers may consume
-  /// (clear) this between steps.
-  std::vector<VariationWindow>& completed_windows() {
-    return completed_;
-  }
 
   const NormalProfile& profile() const { return profile_; }
   bool calibrated() const { return profile_.initialized(); }
@@ -135,7 +131,7 @@ class MovementDetector {
   void import_state(const MovementDetectorState& state);
 
  private:
-  /// Push a finished window to completed_ and count it.
+  /// Count a finished window and observe its duration.
   void close_window(const VariationWindow& window);
 
   TickRate rate_;
@@ -157,7 +153,6 @@ class MovementDetector {
   obs::HistogramSample window_seconds_{obs::default_bucket_bounds()};
   std::optional<VariationWindow> open_;
   Tick last_anomalous_ = -1;
-  std::vector<VariationWindow> completed_;
 };
 
 }  // namespace fadewich::core

@@ -1,6 +1,5 @@
 #include "fadewich/core/system.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -31,7 +30,6 @@ FadewichSystem::FadewichSystem(std::size_t stream_count,
                                SystemConfig config)
     : config_(config),
       rate_(config.tick_hz),
-      window_ticks_(rate_.to_ticks_ceil(config.controller.t_delta)),
       kma_(workstation_count),
       md_(stream_count, config.tick_hz, config.md),
       re_(config.features, config.svm),
@@ -54,18 +52,13 @@ void FadewichSystem::record_input(std::size_t workstation, Seconds t) {
   sessions_[workstation].on_input(t);
 }
 
-std::pair<Tick, Tick> FadewichSystem::current_window_range() const {
-  const auto window = md_.current_window();
-  FADEWICH_EXPECTS(window.has_value());
-  const Tick begin = std::max(window->begin, history_.oldest_tick());
-  const Tick end =
-      std::min(begin + window_ticks_ - 1, history_.ticks_stored() - 1);
-  return {begin, end};
-}
-
 FadewichSystem::WindowScratch FadewichSystem::read_current_window(
     common::ScratchArena& arena) const {
-  const auto [begin, end] = current_window_range();
+  const auto window = md_.current_window();
+  FADEWICH_EXPECTS(window.has_value());
+  const auto [begin, end] = feature_tick_range(
+      rate_, config_.controller.t_delta, window->begin,
+      history_.oldest_tick(), history_.ticks_stored() - 1);
   const auto rows = static_cast<std::size_t>(end - begin + 1);
   const std::size_t streams = history_.stream_count();
   const std::span<double> data = arena.get<double>(rows * streams);

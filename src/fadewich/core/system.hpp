@@ -13,7 +13,6 @@
 #include <deque>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "fadewich/common/time.hpp"
@@ -149,13 +148,11 @@ class FadewichSystem {
   };
   WindowScratch read_current_window(common::ScratchArena& arena) const;
   std::optional<int> classify_current_window();
-  std::pair<Tick, Tick> current_window_range() const;
   void collect_training_sample();
   void resolve_pending_entries();
 
   SystemConfig config_;
   TickRate rate_;
-  Tick window_ticks_;  // samples per t_delta feature window
 
   KeyboardMouseActivity kma_;
   MovementDetector md_;

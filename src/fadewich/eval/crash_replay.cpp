@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <optional>
 
 #include "fadewich/common/error.hpp"
@@ -14,14 +15,6 @@ namespace fadewich::eval {
 
 namespace {
 
-std::vector<double> row_at(const sim::Recording& recording, Tick t) {
-  std::vector<double> row(recording.stream_count());
-  for (std::size_t s = 0; s < row.size(); ++s) {
-    row[s] = recording.rssi(s, t);
-  }
-  return row;
-}
-
 /// Drive the system over recording ticks [begin, end), delivering
 /// derived inputs and flipping to the online phase at
 /// `training_duration`.  `next_input` carries the input cursor across
@@ -31,6 +24,9 @@ void drive(core::FadewichSystem& system, const sim::Recording& recording,
            Tick begin, Tick end, Seconds training_duration,
            std::vector<ActionRecord>& actions,
            const std::function<void(Tick)>& after_step) {
+  std::vector<std::size_t> streams(recording.stream_count());
+  std::iota(streams.begin(), streams.end(), std::size_t{0});
+  std::vector<double> row(streams.size());
   for (Tick t = begin; t < end; ++t) {
     const Seconds now = recording.rate().to_seconds(t);
     if (system.training() && now >= training_duration) {
@@ -41,7 +37,8 @@ void drive(core::FadewichSystem& system, const sim::Recording& recording,
                           inputs[next_input].time);
       ++next_input;
     }
-    const auto result = system.step(row_at(recording, t));
+    recording.copy_rows(streams, t, t, row);
+    const auto result = system.step(row);
     for (const core::Action& action : result.actions) {
       actions.push_back({t, action.type, action.workstation, action.time});
     }

@@ -1,6 +1,7 @@
 #include "fadewich/eval/md_evaluation.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/net/playback.hpp"
@@ -13,13 +14,20 @@ MdRun run_md(const sim::Recording& recording,
   net::RecordingPlayback playback(recording, sensors);
   core::MovementDetector md(playback.stream_count(),
                             recording.rate().hz(), config);
+  MdRun out;
+  std::optional<core::VariationWindow> open;
   std::vector<double> row(playback.stream_count());
   while (playback.next(row)) {
     md.step(row);
+    const auto live = md.current_window();
+    // A closing step never extends the window, so the one seen before it
+    // is the closed window.
+    if (open && (!live || live->begin != open->begin)) {
+      out.windows.push_back(*open);
+    }
+    open = live;
   }
-  MdRun out;
-  out.windows = md.completed_windows();
-  if (md.current_window()) out.windows.push_back(*md.current_window());
+  if (open) out.windows.push_back(*open);
   out.tick_hz = recording.rate().hz();
   return out;
 }

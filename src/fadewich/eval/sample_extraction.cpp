@@ -1,36 +1,23 @@
 #include "fadewich/eval/sample_extraction.hpp"
 
-#include <algorithm>
-
-#include "fadewich/common/error.hpp"
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/core/radio_environment.hpp"
 
 namespace fadewich::eval {
 
-std::vector<std::vector<double>> window_samples(
-    const sim::Recording& recording,
-    const std::vector<std::size_t>& sensors,
-    const core::VariationWindow& window, Seconds t_delta) {
-  FADEWICH_EXPECTS(t_delta > 0.0);
+core::WindowBlock window_samples(const sim::Recording& recording,
+                                 const std::vector<std::size_t>& sensors,
+                                 const core::VariationWindow& window,
+                                 Seconds t_delta,
+                                 common::ScratchArena& arena) {
   const std::vector<std::size_t> streams =
       recording.streams_for_sensors(sensors);
-  const Tick len = recording.rate().to_ticks_ceil(t_delta);
-  const Tick begin = window.begin;
-  const Tick end =
-      std::min<Tick>(begin + len - 1, recording.tick_count() - 1);
-  FADEWICH_EXPECTS(end >= begin);
-
-  std::vector<std::vector<double>> out;
-  out.reserve(streams.size());
-  for (std::size_t s : streams) {
-    std::vector<double> samples;
-    samples.reserve(static_cast<std::size_t>(end - begin + 1));
-    for (Tick t = begin; t <= end; ++t) {
-      samples.push_back(recording.rssi(s, t));
-    }
-    out.push_back(std::move(samples));
-  }
-  return out;
+  const auto [begin, end] = core::feature_tick_range(
+      recording.rate(), t_delta, window.begin, 0, recording.tick_count() - 1);
+  const auto rows = static_cast<std::size_t>(end - begin + 1);
+  const std::span<double> data = arena.get<double>(rows * streams.size());
+  recording.copy_rows(streams, begin, end, data);
+  return {data, rows, streams.size()};
 }
 
 int event_label(const sim::GroundTruthEvent& event) {
@@ -44,10 +31,14 @@ ml::Dataset build_dataset(const sim::Recording& recording,
                           const MatchResult& matches, Seconds t_delta,
                           const core::FeatureConfig& features) {
   ml::Dataset data;
+  auto& arena = common::ScratchArena::local();
   for (const MatchedWindow& tp : matches.true_positives) {
-    const auto windows =
-        window_samples(recording, sensors, tp.window, t_delta);
-    data.add(core::extract_features(windows, features),
+    const auto frame = arena.frame();
+    const core::WindowBlock block =
+        window_samples(recording, sensors, tp.window, t_delta, arena);
+    std::vector<double> sample(block.streams * core::kFeaturesPerStream);
+    core::extract_features(block, features, sample);
+    data.add(std::move(sample),
              event_label(recording.events()[tp.event_index]));
   }
   return data;

@@ -12,14 +12,21 @@
 #include "fadewich/ml/dataset.hpp"
 #include "fadewich/sim/recording.hpp"
 
+namespace fadewich::common {
+class ScratchArena;
+}
+
 namespace fadewich::eval {
 
-/// Per-stream windows [t1, t1 + t_delta) of a variation window, read from
-/// the recording over the streams of `sensors`.
-std::vector<std::vector<double>> window_samples(
-    const sim::Recording& recording,
-    const std::vector<std::size_t>& sensors,
-    const core::VariationWindow& window, Seconds t_delta);
+/// The feature window of a variation window (core::feature_tick_range:
+/// its first t_delta, clamped to the recording's end) over the streams
+/// of `sensors`, read into `arena` as one block.  The block lives until
+/// the caller's arena frame ends.
+core::WindowBlock window_samples(const sim::Recording& recording,
+                                 const std::vector<std::size_t>& sensors,
+                                 const core::VariationWindow& window,
+                                 Seconds t_delta,
+                                 common::ScratchArena& arena);
 
 /// Dataset of all matched true positives: features from the window's
 /// first t_delta seconds, label from the matched event (w0 for entries,

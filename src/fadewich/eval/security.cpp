@@ -5,6 +5,7 @@
 #include <map>
 
 #include "fadewich/common/error.hpp"
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/core/radio_environment.hpp"
 #include "fadewich/eval/md_evaluation.hpp"
 #include "fadewich/eval/sample_extraction.hpp"
@@ -58,6 +59,8 @@ SecurityResult evaluate_security(
   }
 
   // 5. Per-window decisions.
+  std::vector<double> sample(data.feature_count());  // FP features
+  auto& arena = common::ScratchArena::local();
   std::map<Tick, std::size_t> tp_by_begin;  // window begin -> sample index
   for (std::size_t i = 0; i < result.matches.true_positives.size(); ++i) {
     tp_by_begin[result.matches.true_positives[i].window.begin] = i;
@@ -75,10 +78,11 @@ SecurityResult evaluate_security(
           result.matches.true_positives[tp_it->second].event_index;
       decision.predicted_label = fold_prediction[tp_it->second];
     } else if (full_model) {
-      const auto samples =
-          window_samples(recording, sensors, window, config.t_delta);
-      decision.predicted_label = full_model->predict(
-          core::extract_features(samples, config.features));
+      const auto frame = arena.frame();
+      const core::WindowBlock block =
+          window_samples(recording, sensors, window, config.t_delta, arena);
+      core::extract_features(block, config.features, sample);
+      decision.predicted_label = full_model->predict(sample);
     }
     result.decisions.push_back(decision);
   }

@@ -21,9 +21,7 @@ double RecordingPlayback::tick_hz() const { return recording_->rate().hz(); }
 bool RecordingPlayback::next(std::span<double> out) {
   FADEWICH_EXPECTS(out.size() == streams_.size());
   if (position_ >= recording_->tick_count()) return false;
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    out[i] = recording_->rssi(streams_[i], position_);
-  }
+  recording_->copy_rows(streams_, position_, position_, out);
   ++position_;
   return true;
 }

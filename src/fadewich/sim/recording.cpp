@@ -53,6 +53,21 @@ double Recording::rssi(std::size_t stream, Tick t) const {
   return static_cast<double>(streams_[stream][static_cast<std::size_t>(t)]);
 }
 
+void Recording::copy_rows(std::span<const std::size_t> streams, Tick begin,
+                          Tick end, std::span<double> out) const {
+  FADEWICH_EXPECTS(begin >= 0 && begin <= end && end < tick_count());
+  const std::size_t n = streams.size();
+  FADEWICH_EXPECTS(out.size() ==
+                   static_cast<std::size_t>(end - begin + 1) * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<std::int8_t>& samples = stream(streams[i]);
+    for (Tick t = begin; t <= end; ++t) {
+      out[static_cast<std::size_t>(t - begin) * n + i] =
+          static_cast<double>(samples[static_cast<std::size_t>(t)]);
+    }
+  }
+}
+
 const std::vector<std::int8_t>& Recording::stream(std::size_t s) const {
   FADEWICH_EXPECTS(s < streams_.size());
   return streams_[s];

@@ -52,6 +52,14 @@ class Recording {
   /// RSSI of a stream at a tick, in dBm.
   double rssi(std::size_t stream, Tick t) const;
 
+  /// The streams `streams` (indices into this recording) over ticks
+  /// [begin, end] inclusive, in dBm, as one row-major [rows x streams]
+  /// block: out[(t - begin) * streams.size() + i] is stream streams[i] at
+  /// tick t (the core::WindowBlock layout).  Requires the ticks to be
+  /// recorded and out.size() == rows * streams.size().
+  void copy_rows(std::span<const std::size_t> streams, Tick begin, Tick end,
+                 std::span<double> out) const;
+
   /// Raw stream storage (int8 dBm), for bulk consumers.
   const std::vector<std::int8_t>& stream(std::size_t s) const;
 

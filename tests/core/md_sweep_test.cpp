@@ -1,6 +1,7 @@
 // Parameterized property sweeps over MD's configuration space.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "fadewich/common/rng.hpp"
@@ -19,10 +20,18 @@ std::vector<VariationWindow> windows_for(MovementDetectorConfig config,
   MovementDetector md(4, kHz, config);
   Rng rng(seed);
   std::vector<double> row(4);
+  std::vector<VariationWindow> windows;
   auto feed = [&](double seconds, double sigma) {
     for (int i = 0; i < static_cast<int>(seconds * kHz); ++i) {
       for (auto& v : row) v = rng.normal(-60.0, sigma);
+      // A closing step never extends the window, so the one reported
+      // before it is the closed window.
+      const std::optional<VariationWindow> open = md.current_window();
       md.step(row);
+      const std::optional<VariationWindow> now = md.current_window();
+      if (open && (!now || now->begin != open->begin)) {
+        windows.push_back(*open);
+      }
     }
   };
   feed(40.0, 0.5);
@@ -32,7 +41,6 @@ std::vector<VariationWindow> windows_for(MovementDetectorConfig config,
   feed(20.0, 0.5);
   feed(9.0, 5.0);
   feed(20.0, 0.5);
-  auto windows = md.completed_windows();
   if (md.current_window()) windows.push_back(*md.current_window());
   return windows;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "fadewich/common/error.hpp"
@@ -23,14 +24,21 @@ MovementDetectorConfig fast_config() {
   return config;
 }
 
-/// Feed `seconds` of N(mean, sigma) samples on every stream.
+/// Feed `seconds` of N(-60, sigma) samples on every stream, appending
+/// each window a step closes to `closed` if given: a closing step never
+/// extends the window, so it is the one reported before that step.
 void feed(MovementDetector& md, Rng& rng, double seconds, double sigma,
-          double mean = -60.0) {
+          std::vector<VariationWindow>* closed = nullptr) {
   const auto ticks = static_cast<int>(seconds * kHz);
   std::vector<double> row(3);
   for (int t = 0; t < ticks; ++t) {
-    for (auto& v : row) v = rng.normal(mean, sigma);
+    for (auto& v : row) v = rng.normal(-60.0, sigma);
+    const std::optional<VariationWindow> open = md.current_window();
     md.step(row);
+    const std::optional<VariationWindow> now = md.current_window();
+    if (closed && open && (!now || now->begin != open->begin)) {
+      closed->push_back(*open);
+    }
   }
 }
 
@@ -91,15 +99,16 @@ TEST(MovementDetectorTest, VarianceJumpTriggersAnomaly) {
 TEST(MovementDetectorTest, WindowClosesWhenQuietReturns) {
   MovementDetector md(3, kHz, fast_config());
   Rng rng(11);
-  feed(md, rng, 30.0, 0.5);
-  feed(md, rng, 6.0, 5.0);   // movement
-  feed(md, rng, 10.0, 0.5);  // quiet again
+  std::vector<VariationWindow> closed;
+  feed(md, rng, 30.0, 0.5, &closed);
+  feed(md, rng, 6.0, 5.0, &closed);   // movement
+  feed(md, rng, 10.0, 0.5, &closed);  // quiet again
   EXPECT_FALSE(md.current_window().has_value());
-  ASSERT_FALSE(md.completed_windows().empty());
+  ASSERT_FALSE(closed.empty());
   // Isolated noise ticks may close tiny windows after the movement; the
   // movement itself must be the longest completed window.
   double duration = 0.0;
-  for (const VariationWindow& w : md.completed_windows()) {
+  for (const VariationWindow& w : closed) {
     duration = std::max(
         duration, static_cast<double>(w.end - w.begin + 1) / kHz);
   }
@@ -113,15 +122,16 @@ TEST(MovementDetectorTest, ShortGapsMergeIntoOneWindow) {
   config.merge_gap = 1.0;
   MovementDetector md(3, kHz, config);
   Rng rng(13);
-  feed(md, rng, 30.0, 0.5);
-  feed(md, rng, 3.0, 5.0);
-  feed(md, rng, 0.4, 0.5);  // dip shorter than the merge gap
-  feed(md, rng, 3.0, 5.0);
-  feed(md, rng, 10.0, 0.5);
+  std::vector<VariationWindow> closed;
+  feed(md, rng, 30.0, 0.5, &closed);
+  feed(md, rng, 3.0, 5.0, &closed);
+  feed(md, rng, 0.4, 0.5, &closed);  // dip shorter than the merge gap
+  feed(md, rng, 3.0, 5.0, &closed);
+  feed(md, rng, 10.0, 0.5, &closed);
   // The dip may keep st high anyway (the std window bridges it); the
   // invariant is that no *short* separate window appears.
-  ASSERT_FALSE(md.completed_windows().empty());
-  const VariationWindow w = md.completed_windows().back();
+  ASSERT_FALSE(closed.empty());
+  const VariationWindow w = closed.back();
   EXPECT_GT(static_cast<double>(w.end - w.begin + 1) / kHz, 5.0);
 }
 

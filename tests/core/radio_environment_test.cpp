@@ -7,6 +7,7 @@
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/rng.hpp"
+#include "oracle/features.hpp"
 
 namespace fadewich::core {
 namespace {
@@ -25,18 +26,7 @@ std::vector<std::vector<double>> windows_for_class(int cls, Rng& rng) {
   return windows;
 }
 
-/// The windows as one row-major block over `storage`.
-WindowBlock pack(const std::vector<std::vector<double>>& windows,
-                 std::vector<double>& storage) {
-  const std::size_t rows = windows.front().size();
-  storage.resize(rows * windows.size());
-  for (std::size_t s = 0; s < windows.size(); ++s) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      storage[r * windows.size() + s] = windows[s][r];
-    }
-  }
-  return {storage, rows, windows.size()};
-}
+using oracle::pack_windows;
 
 /// RE's features of per-stream windows (packed into a block).
 std::vector<double> features_of(const RadioEnvironment& re,
@@ -44,7 +34,7 @@ std::vector<double> features_of(const RadioEnvironment& re,
                                 std::span<const double> validity = {}) {
   std::vector<double> storage;
   std::vector<double> out(windows.size() * kFeaturesPerStream);
-  re.features_from(pack(windows, storage), validity, out);
+  re.features_from(pack_windows(windows, storage), validity, out);
   return out;
 }
 
@@ -117,7 +107,7 @@ TEST(RadioEnvironmentTest, ClassifyDegradedDeclinesWhenStarved) {
   std::vector<double> storage;
   // Untrained: always unavailable.
   EXPECT_FALSE(
-      re.classify_degraded(pack(windows_for_class(0, rng), storage), {})
+      re.classify_degraded(pack_windows(windows_for_class(0, rng), storage), {})
           .has_value());
 
   ml::Dataset data;
@@ -130,14 +120,14 @@ TEST(RadioEnvironmentTest, ClassifyDegradedDeclinesWhenStarved) {
 
   // 1 of 3 live < min_live_stream_fraction = 0.5: unavailable.
   const std::vector<double> starved{1.0, 0.0, 0.0};
-  EXPECT_FALSE(
-      re.classify_degraded(pack(windows_for_class(0, rng), storage), starved)
-          .has_value());
+  EXPECT_FALSE(re.classify_degraded(
+                     pack_windows(windows_for_class(0, rng), storage), starved)
+                   .has_value());
 
   // Fully valid: behaves exactly like classify().
   const std::vector<double> full{1.0, 1.0, 1.0};
   const auto windows = windows_for_class(2, rng);
-  const auto label = re.classify_degraded(pack(windows, storage), full);
+  const auto label = re.classify_degraded(pack_windows(windows, storage), full);
   ASSERT_TRUE(label.has_value());
   EXPECT_EQ(*label, re.classify(features_of(re, windows)));
 }

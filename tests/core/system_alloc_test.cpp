@@ -16,12 +16,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "fadewich/common/rng.hpp"
 #include "fadewich/core/features.hpp"
 #include "fadewich/core/normal_profile.hpp"
 #include "fadewich/ml/dataset.hpp"
+#include "oracle/features.hpp"
 
 namespace {
 
@@ -148,7 +150,7 @@ TEST(SystemAllocTest, WarmQuietOnlineStepIsAllocationFree) {
     for (auto& w : windows) {
       for (auto& v : w) v = rng.normal(i % 2 == 0 ? -60.0 : -55.0, 1.0);
     }
-    data.add(extract_features(windows, config.features), i % 2);
+    data.add(oracle::block_features(windows, config.features), i % 2);
   }
   system.train_with(data);
   ASSERT_FALSE(system.training());
@@ -203,7 +205,7 @@ TEST(SystemAllocTest, WarmClassificationAndFoldTicksAreAllocationFree) {
     for (auto& w : windows) {
       for (auto& v : w) v = std::round(rng.normal(-60.0, i % 2 ? 4.0 : 1.0));
     }
-    data.add(extract_features(windows, config.features), i % 2 + 1);
+    data.add(oracle::block_features(windows, config.features), i % 2 + 1);
   }
 
   std::uint64_t classify_ticks = 0;
@@ -241,6 +243,72 @@ TEST(SystemAllocTest, WarmClassificationAndFoldTicksAreAllocationFree) {
   EXPECT_GE(classify_ticks, 3u);
   EXPECT_GE(fold_ticks, 3u);
   EXPECT_EQ(heavy_allocs, 0u);
+}
+
+TEST(SystemAllocTest, WarmWindowClosingTicksAreAllocationFree) {
+  // A step that closes a variation window only counts it and observes
+  // its duration; nothing keeps a list of closed windows that grows for
+  // the life of the system.  The measured phase closes at least as many
+  // windows as the system closed before it, so any such list would cross
+  // a capacity doubling, and reallocate, on one of the counted ticks.
+  // Both users keep typing, as in the classification test above.
+  constexpr std::size_t kStreams = 24;
+  constexpr std::size_t kWorkstations = 2;
+  SystemConfig config;
+  config.md.calibration = 30.0;
+  config.md.profile.batch_size = 50;
+  FadewichSystem system(kStreams, kWorkstations, config);
+
+  Rng rng(31);
+  std::vector<double> row(kStreams);
+  ml::Dataset data;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<std::vector<double>> windows(kStreams,
+                                             std::vector<double>(23));
+    for (auto& w : windows) {
+      for (auto& v : w) v = std::round(rng.normal(-60.0, i % 2 ? 4.0 : 1.0));
+    }
+    data.add(oracle::block_features(windows, config.features), i % 2 + 1);
+  }
+
+  std::uint64_t closes = 0;
+  std::uint64_t closing_allocs = 0;
+  const auto feed = [&](double sigma, std::size_t steps) {
+    for (std::size_t t = 0; t < steps; ++t) {
+      for (std::size_t w = 0; w < kWorkstations; ++w) {
+        system.record_input(w, system.now());
+      }
+      for (auto& v : row) v = std::round(rng.normal(-60.0, sigma));
+      const std::optional<VariationWindow> before =
+          system.md().current_window();
+      std::uint64_t allocs = 0;
+      {
+        CountingScope scope;
+        system.step(row);
+        allocs = scope.count();
+      }
+      const std::optional<VariationWindow> after =
+          system.md().current_window();
+      if (!before || (after && after->begin == before->begin)) continue;
+      ++closes;
+      closing_allocs += allocs;
+    }
+  };
+  const auto movement_cycle = [&] {
+    feed(6.0, 40);   // a window opens and reaches t_delta
+    feed(1.0, 100);  // quiet: it closes
+  };
+  feed(1.0, 200);  // calibration + window warm-up
+  system.train_with(data);
+  ASSERT_FALSE(system.training());
+  movement_cycle();  // warms every buffer a closing tick touches
+  const std::uint64_t closes_before = closes;
+  closes = 0;
+  closing_allocs = 0;
+  for (int cycle = 0; cycle < 8; ++cycle) movement_cycle();
+  EXPECT_GE(closes_before, 1u);
+  EXPECT_GE(closes, closes_before);
+  EXPECT_EQ(closing_allocs, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 
+#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/eval/adversary.hpp"
 #include "fadewich/eval/md_evaluation.hpp"
 #include "fadewich/eval/paper_setup.hpp"
@@ -107,11 +108,20 @@ TEST_F(PipelineTest, WindowSamplesHaveTDeltaLength) {
   const auto filtered =
       filter_by_duration(md.windows, recording().rate(), 4.5);
   ASSERT_FALSE(filtered.empty());
-  const auto samples =
-      window_samples(recording(), sensor_subset(5), filtered[0], 4.5);
-  EXPECT_EQ(samples.size(), 20u);  // 5 * 4 directed streams
-  for (const auto& s : samples) {
-    EXPECT_EQ(s.size(), 23u);  // ceil(4.5 * 5 Hz)
+  auto& arena = common::ScratchArena::local();
+  const auto frame = arena.frame();
+  const core::WindowBlock block = window_samples(
+      recording(), sensor_subset(5), filtered[0], 4.5, arena);
+  EXPECT_EQ(block.streams, 20u);  // 5 * 4 directed streams
+  EXPECT_EQ(block.rows, 23u);     // ceil(4.5 * 5 Hz)
+  ASSERT_EQ(block.data.size(), block.rows * block.streams);
+  const auto streams = recording().streams_for_sensors(sensor_subset(5));
+  for (std::size_t r = 0; r < block.rows; ++r) {
+    for (std::size_t i = 0; i < block.streams; ++i) {
+      EXPECT_EQ(block.data[r * block.streams + i],
+                recording().rssi(streams[i],
+                                 filtered[0].begin + static_cast<Tick>(r)));
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include "fadewich/common/simd_kernels.hpp"
 #include "fadewich/stats/autocorrelation.hpp"
 #include "fadewich/stats/descriptive.hpp"
+#include "fadewich/stats/histogram.hpp"
 
 namespace fadewich::oracle {
 
@@ -66,19 +67,44 @@ std::vector<double> extract_features(
     const core::FeatureConfig& config) {
   FADEWICH_EXPECTS(!stream_windows.empty());
   const std::size_t rows = stream_windows.front().size();
-  bool uniform = rows > config.autocorr_lag;
+  FADEWICH_EXPECTS(rows > config.autocorr_lag);
   for (const auto& window : stream_windows) {
-    uniform = uniform && window.size() == rows;
+    FADEWICH_EXPECTS(window.size() == rows);
   }
-  if (uniform) return extract_features_batched(stream_windows, rows, config);
-  std::vector<double> out;
-  out.reserve(stream_windows.size() * core::kFeaturesPerStream);
-  for (const auto& window : stream_windows) {
-    FADEWICH_EXPECTS(window.size() > config.autocorr_lag);
-    out.push_back(stats::variance(window));
-    out.push_back(value_entropy(window));
-    out.push_back(stats::autocorrelation(window, config.autocorr_lag));
+  return extract_features_batched(stream_windows, rows, config);
+}
+
+void append_stream_features(std::span<const double> window,
+                            const core::FeatureConfig& config,
+                            std::vector<double>& out) {
+  FADEWICH_EXPECTS(window.size() > config.autocorr_lag);
+  out.push_back(stats::variance(window));
+  out.push_back(stats::value_entropy(window));
+  out.push_back(stats::autocorrelation(window, config.autocorr_lag));
+}
+
+core::WindowBlock pack_windows(
+    const std::vector<std::vector<double>>& stream_windows,
+    std::vector<double>& storage) {
+  const std::size_t n = stream_windows.size();
+  const std::size_t rows = n == 0 ? 0 : stream_windows.front().size();
+  storage.resize(rows * n);
+  for (std::size_t s = 0; s < n; ++s) {
+    FADEWICH_EXPECTS(stream_windows[s].size() == rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      storage[r * n + s] = stream_windows[s][r];
+    }
   }
+  return {storage, rows, n};
+}
+
+std::vector<double> block_features(
+    const std::vector<std::vector<double>>& stream_windows,
+    const core::FeatureConfig& config) {
+  std::vector<double> storage;
+  std::vector<double> out(stream_windows.size() * core::kFeaturesPerStream);
+  core::extract_features(pack_windows(stream_windows, storage), config,
+                         out);
   return out;
 }
 
