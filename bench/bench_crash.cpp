@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
       config.online = online;
       config.crash_tick = static_cast<Tick>(
           static_cast<double>(recording.tick_count()) * fraction);
-      config.checkpoint_period = period;
+      config.recovery.checkpoint_period = period;
       std::filesystem::remove_all(ring_dir);
       config.recovery.directory = ring_dir.string();
       config.recovery.backoff_ms = 0.0;

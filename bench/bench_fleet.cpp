@@ -88,8 +88,8 @@ RecoveryOutcome recovery_gate(Tick ticks) {
 
   auto supervised = [&](const char* subdir) {
     fleet::FleetConfig config = fleet_config(kOffices);
-    config.snapshot_root = (root / subdir).string();
-    config.checkpoint_period = 250;
+    config.recovery.directory = (root / subdir).string();
+    config.recovery.checkpoint_period = 250;
     return config;
   };
 

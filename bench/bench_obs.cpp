@@ -118,9 +118,9 @@ void write_scrape_samples(const std::string& prom_path,
   const auto ring_dir =
       std::filesystem::temp_directory_path() / "fadewich_bench_obs_ring";
   std::filesystem::remove_all(ring_dir);
-  persist::SupervisedConfig config;
-  config.recovery.directory = ring_dir.string();
-  config.checkpoint_period_ticks = 500;
+  persist::RecoveryConfig config;
+  config.directory = ring_dir.string();
+  config.checkpoint_period = 500;
   core::SystemConfig system;
   system.md.calibration = 30.0;
   persist::SupervisedSystem supervised(network.stream_count(),

@@ -123,9 +123,9 @@ int main(int argc, char** argv) {
     core::SystemConfig system_config;
     system_config.tick_hz = recording.rate().hz();
     system_config.md = eval::default_md_config();
-    persist::SupervisedConfig supervised;
-    supervised.recovery.directory = ring_dir.string();
-    supervised.checkpoint_period_ticks = 600;  // 2 min at 5 Hz
+    persist::RecoveryConfig supervised;
+    supervised.directory = ring_dir.string();
+    supervised.checkpoint_period = 600;  // 2 min at 5 Hz
 
     const std::size_t training_days =
         std::min<std::size_t>(2, setup.days - 1);

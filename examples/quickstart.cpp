@@ -7,10 +7,11 @@
 //
 //   $ ./quickstart
 #include <iostream>
+#include <numeric>
+#include <vector>
 
 #include "fadewich/core/system.hpp"
 #include "fadewich/eval/paper_setup.hpp"
-#include "fadewich/net/playback.hpp"
 #include "fadewich/sim/input_activity.hpp"
 
 using namespace fadewich;
@@ -58,14 +59,15 @@ int main() {
   config.md = eval::default_md_config();
   core::FadewichSystem system(recording.stream_count(), 3, config);
 
-  net::RecordingPlayback playback(recording);
-  std::vector<double> row(playback.stream_count());
+  std::vector<std::size_t> streams(recording.stream_count());
+  std::iota(streams.begin(), streams.end(), std::size_t{0});
+  std::vector<double> row(streams.size());
   std::size_t next_input = 0;
   bool online = false;
 
-  while (playback.next(row)) {
-    const Seconds now =
-        recording.rate().to_seconds(playback.position() - 1);
+  for (Tick t = 0; t < recording.tick_count(); ++t) {
+    recording.copy_rows(streams, t, t, row);
+    const Seconds now = recording.rate().to_seconds(t);
 
     if (!online && now >= 2.0 * recording.day_length()) {
       std::cout << "Training done: "

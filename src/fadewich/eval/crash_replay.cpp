@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <numeric>
-#include <optional>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/rng.hpp"
@@ -15,15 +13,25 @@ namespace fadewich::eval {
 
 namespace {
 
-/// Drive the system over recording ticks [begin, end), delivering
-/// derived inputs and flipping to the online phase at
-/// `training_duration`.  `next_input` carries the input cursor across
-/// calls so a replay can skip what the snapshot already consumed.
-void drive(core::FadewichSystem& system, const sim::Recording& recording,
+const std::vector<core::Action>& actions_of(
+    const core::FadewichSystem::StepResult& result) {
+  return result.actions;
+}
+const std::vector<core::Action>& actions_of(
+    const persist::SupervisedSystem::StepResult& result) {
+  return result.inner.actions;
+}
+
+/// Drive `system` (a plain or a supervised pipeline) over recording
+/// ticks [begin, end), delivering derived inputs and flipping to the
+/// online phase at `training_duration`.  `next_input` carries the input
+/// cursor across calls so a replay can skip what the snapshot already
+/// consumed.
+template <class System>
+void drive(System& system, const sim::Recording& recording,
            const std::vector<DerivedInput>& inputs, std::size_t& next_input,
            Tick begin, Tick end, Seconds training_duration,
-           std::vector<ActionRecord>& actions,
-           const std::function<void(Tick)>& after_step) {
+           std::vector<ActionRecord>& actions) {
   std::vector<std::size_t> streams(recording.stream_count());
   std::iota(streams.begin(), streams.end(), std::size_t{0});
   std::vector<double> row(streams.size());
@@ -39,10 +47,9 @@ void drive(core::FadewichSystem& system, const sim::Recording& recording,
     }
     recording.copy_rows(streams, t, t, row);
     const auto result = system.step(row);
-    for (const core::Action& action : result.actions) {
+    for (const core::Action& action : actions_of(result)) {
       actions.push_back({t, action.type, action.workstation, action.time});
     }
-    if (after_step) after_step(t);
   }
 }
 
@@ -83,7 +90,7 @@ std::vector<ActionRecord> run_online(const sim::Recording& recording,
   std::vector<ActionRecord> actions;
   std::size_t next_input = 0;
   drive(system, recording, inputs, next_input, 0, recording.tick_count(),
-        config.training_duration, actions, nullptr);
+        config.training_duration, actions);
   return actions;
 }
 
@@ -102,9 +109,6 @@ CrashReplayResult run_with_crash(const sim::Recording& recording,
   if (config.crash_tick < 0 || config.crash_tick >= recording.tick_count()) {
     throw Error("crash_tick outside the recording");
   }
-  if (config.checkpoint_period < 1) {
-    throw Error("checkpoint_period must be >= 1");
-  }
   core::SystemConfig system_config = config.online.system;
   system_config.tick_hz = recording.rate().hz();
   const auto inputs =
@@ -113,39 +117,32 @@ CrashReplayResult run_with_crash(const sim::Recording& recording,
   CrashReplayResult result;
   result.crash_tick = config.crash_tick;
 
-  // Phase 1: run to the crash tick, checkpointing periodically.  The
-  // system object is then dropped — everything not in the ring is lost.
+  // Phase 1: a fresh supervised pipeline runs to the crash tick,
+  // checkpointing on the ring's cadence.  It is then dropped — everything
+  // not in the ring is lost.
   {
-    core::FadewichSystem system(recording.stream_count(), workstations,
-                                system_config);
-    persist::RecoveryManager recovery(config.recovery);
-    std::vector<ActionRecord> pre_crash;
+    persist::SupervisedSystem live(recording.stream_count(), workstations,
+                                   system_config, config.recovery);
+    if (!live.degraded_start()) {
+      throw Error("crash replay: the snapshot ring must start empty");
+    }
     std::size_t next_input = 0;
-    drive(system, recording, inputs, next_input, 0, config.crash_tick + 1,
-          config.online.training_duration, pre_crash, [&](Tick t) {
-            if ((t + 1) % config.checkpoint_period == 0) {
-              persist::Snapshot snapshot;
-              snapshot.system = system.export_state();
-              recovery.checkpoint(snapshot);
-            }
-          });
-    result.actions = std::move(pre_crash);
+    drive(live, recording, inputs, next_input, 0, config.crash_tick + 1,
+          config.online.training_duration, result.actions);
   }
 
-  // Phase 2: resurrect from the ring and replay the rest.
-  core::FadewichSystem system(recording.stream_count(), workstations,
-                              system_config);
-  persist::RecoveryManager recovery(config.recovery);
+  // Phase 2: a new supervised pipeline recovers from the ring as it is
+  // built, then replays the rest.
   const auto t0 = std::chrono::steady_clock::now();
-  const std::optional<persist::Snapshot> snapshot =
-      recovery.recover(system, &result.report);
-  const Tick restored =
-      snapshot ? static_cast<Tick>(snapshot->system.tick) : 0;
-  result.cold_start = !snapshot;
+  persist::SupervisedSystem reborn(recording.stream_count(), workstations,
+                                   system_config, config.recovery);
   result.recovery_wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
+  result.report = reborn.recovery_report();
+  result.cold_start = reborn.degraded_start();
+  const Tick restored = reborn.system().tick();
   result.restored_tick = restored;
 
   // The crashed run's observable history ends at the snapshot: discard
@@ -165,9 +162,9 @@ CrashReplayResult run_with_crash(const sim::Recording& recording,
       ++next_input;
     }
   }
-  drive(system, recording, inputs, next_input, restored,
+  drive(reborn, recording, inputs, next_input, restored,
         recording.tick_count(), config.online.training_duration,
-        result.actions, nullptr);
+        result.actions);
   return result;
 }
 

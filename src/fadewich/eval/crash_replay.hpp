@@ -1,11 +1,12 @@
 // Crash-injection harness for the supervised online pipeline.
 //
-// Drives the online FadewichSystem over a recording twice: once
-// uninterrupted (the reference), once killed at a scheduled tick and
-// resurrected from the snapshot ring, then replayed over the rest of the
-// recording.  Comparing the two action streams quantifies what a crash
-// costs: during the documented re-warm window (the snapshot deliberately
-// drops MD's sliding windows, so detection recalibrates for
+// Drives the online pipeline over a recording twice: once uninterrupted
+// (the reference), once as a persist::SupervisedSystem killed at a
+// scheduled tick and rebuilt — the deployed restart path, recovering
+// from the snapshot ring as it is constructed — then replayed over the
+// rest of the recording.  Comparing the two action streams quantifies
+// what a crash costs: during the documented re-warm window (the snapshot
+// deliberately drops MD's sliding windows, so detection recalibrates for
 // `md.std_window` seconds and the profile's update queue is offset by the
 // dropped offers) actions may shift by about a tick; after it, deauth
 // decisions and per-leave case A/B/C outcomes must match the
@@ -17,7 +18,7 @@
 
 #include "fadewich/core/system.hpp"
 #include "fadewich/eval/security.hpp"
-#include "fadewich/persist/recovery.hpp"
+#include "fadewich/persist/supervised_system.hpp"
 #include "fadewich/sim/recording.hpp"
 
 namespace fadewich::eval {
@@ -56,10 +57,9 @@ std::vector<ActionRecord> run_online(const sim::Recording& recording,
 
 struct CrashReplayConfig {
   OnlineRunConfig online;
-  Tick crash_tick = 0;          // process dies after consuming this tick
-  Tick checkpoint_period = 600; // ticks between snapshots
-  persist::RecoveryConfig recovery;
-  Seconds rewarm_slack = 3.0;   // tolerance added to the re-warm bound
+  Tick crash_tick = 0;         // process dies after consuming this tick
+  persist::RecoveryConfig recovery;  // ring, checkpoint cadence, budget
+  Seconds rewarm_slack = 3.0;  // tolerance added to the re-warm bound
 };
 
 /// The documented re-warm bound: seconds after a restore during which
@@ -71,16 +71,17 @@ struct CrashReplayResult {
   std::vector<ActionRecord> actions;  // full crashed-run action stream
   Tick crash_tick = 0;
   Tick restored_tick = 0;       // snapshot tick the replay resumed from
-  double recovery_wall_ms = 0.0;
+  double recovery_wall_ms = 0.0;  // rebuild + recovery of the pipeline
   persist::RecoveryReport report;
   bool cold_start = false;
 };
 
-/// Phase 1: run to crash_tick with periodic checkpoints, then drop the
-/// process state.  Phase 2: recover the newest snapshot and replay the
-/// recording from the restored tick.  Input events already consumed by
-/// the snapshot (time <= restored time) are skipped, as KMA's timers were
-/// persisted.
+/// Phase 1: a SupervisedSystem on an empty ring (throws otherwise) runs
+/// to crash_tick, checkpointing on config.recovery's cadence, then is
+/// dropped.  Phase 2: a new SupervisedSystem recovers the newest fitting
+/// snapshot as it is built and replays the recording from the restored
+/// tick.  Input events already consumed by the snapshot (time <=
+/// restored time) are skipped, as KMA's timers were persisted.
 CrashReplayResult run_with_crash(const sim::Recording& recording,
                                  std::size_t workstations,
                                  const CrashReplayConfig& config);

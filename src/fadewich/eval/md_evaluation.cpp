@@ -4,20 +4,20 @@
 #include <optional>
 
 #include "fadewich/common/error.hpp"
-#include "fadewich/net/playback.hpp"
 
 namespace fadewich::eval {
 
 MdRun run_md(const sim::Recording& recording,
              const std::vector<std::size_t>& sensors,
              const core::MovementDetectorConfig& config) {
-  net::RecordingPlayback playback(recording, sensors);
-  core::MovementDetector md(playback.stream_count(),
-                            recording.rate().hz(), config);
+  const std::vector<std::size_t> streams =
+      recording.streams_for_sensors(sensors);
+  core::MovementDetector md(streams.size(), recording.rate().hz(), config);
   MdRun out;
   std::optional<core::VariationWindow> open;
-  std::vector<double> row(playback.stream_count());
-  while (playback.next(row)) {
+  std::vector<double> row(streams.size());
+  for (Tick t = 0; t < recording.tick_count(); ++t) {
+    recording.copy_rows(streams, t, t, row);
     md.step(row);
     const auto live = md.current_window();
     // A closing step never extends the window, so the one seen before it
@@ -35,9 +35,9 @@ MdRun run_md(const sim::Recording& recording,
 SumStdSeries collect_sum_std(const sim::Recording& recording,
                              const std::vector<std::size_t>& sensors,
                              const core::MovementDetectorConfig& config) {
-  net::RecordingPlayback playback(recording, sensors);
-  core::MovementDetector md(playback.stream_count(),
-                            recording.rate().hz(), config);
+  const std::vector<std::size_t> streams =
+      recording.streams_for_sensors(sensors);
+  core::MovementDetector md(streams.size(), recording.rate().hz(), config);
 
   // Movement intervals sorted by start; movements never overlap in the
   // generated schedules, so a single advancing cursor suffices.
@@ -52,11 +52,12 @@ SumStdSeries collect_sum_std(const sim::Recording& recording,
 
   SumStdSeries out;
   std::size_t cursor = 0;
-  std::vector<double> row(playback.stream_count());
-  while (playback.next(row)) {
+  std::vector<double> row(streams.size());
+  for (Tick tick = 0; tick < recording.tick_count(); ++tick) {
+    recording.copy_rows(streams, tick, tick, row);
     const core::MdState state = md.step(row);
     if (state == core::MdState::kCalibrating) continue;
-    const Seconds t = recording.rate().to_seconds(playback.position() - 1);
+    const Seconds t = recording.rate().to_seconds(tick);
     while (cursor < moving_intervals.size() &&
            moving_intervals[cursor].end < t) {
       ++cursor;

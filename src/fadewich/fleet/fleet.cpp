@@ -31,12 +31,6 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
     : config_(std::move(config)),
       pool_(pool != nullptr ? pool : &exec::ThreadPool::global()) {
   if (config_.offices < 1) throw Error("fleet config: offices must be >= 1");
-  if (config_.checkpoint_period < 1) {
-    throw Error("fleet config: checkpoint_period must be >= 1");
-  }
-  if (config_.max_restarts < 1) {
-    throw Error("fleet config: max_restarts must be >= 1");
-  }
 
   fleet_latency_ = metrics_.histogram(
       kLatencyName, "Leave-to-deauthentication latency across the fleet");
@@ -54,10 +48,9 @@ Fleet::Fleet(FleetConfig config, exec::ThreadPool* pool)
   if (supervised()) {
     retired_.assign(shards_.size(), false);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      persist::RecoveryConfig recovery;
-      recovery.directory = ring_directory(config_.snapshot_root, i);
-      shards_[i]->enable_persistence(std::move(recovery),
-                                     config_.checkpoint_period);
+      persist::RecoveryConfig recovery = config_.recovery;
+      recovery.directory = ring_directory(config_.recovery.directory, i);
+      shards_[i]->enable_persistence(std::move(recovery));
     }
   }
 }
@@ -67,12 +60,11 @@ std::size_t Fleet::restart_faulted(Tick boundary) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     OfficeShard& shard = *shards_[i];
     if (!shard.faulted() || retired_[i]) continue;
-    if (shard.restores() >= config_.max_restarts) {
+    if (!shard.restart()) {
       retired_[i] = true;
       continue;
     }
     ++restarts;
-    if (!shard.restore_from_ring()) shard.reset_to_cold();
     shard.run_until(boundary);
     retired_[i] = shard.faulted();
   }

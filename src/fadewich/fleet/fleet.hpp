@@ -10,7 +10,7 @@
 // per-tick driver makes exact: recovery of one shard cannot perturb any
 // neighbor, and the recovered shard's own outputs past the snapshot are
 // the same bytes it would have produced without the crash.  A shard that
-// faults with `max_restarts` restores spent, or faults again while
+// faults with its `max_restarts` attempts spent, or faults again while
 // replaying, is retired: it stays parked at its failing tick.
 //
 // Determinism.  Shard i's seed is task_seed(fleet seed, i), so its
@@ -37,12 +37,11 @@ struct FleetConfig {
   /// fleet's block quantum: shards run this far between restart passes.
   ShardConfig shard;
 
-  /// Root directory for per-office snapshot rings.  Empty disables
-  /// persistence and restarts entirely (the 10k-office bench sweeps run
-  /// unsupervised; recovery is exercised on small fleets).
-  std::string snapshot_root;
-  Tick checkpoint_period = 500;  // ticks between shard checkpoints
-  std::size_t max_restarts = 5;  // restores per office, >= 1
+  /// Snapshot-ring template for every office.  `recovery.directory` is
+  /// the root of the per-office rings; empty disables persistence and
+  /// restarts entirely (the 10k-office bench sweeps run unsupervised;
+  /// recovery is exercised on small fleets).
+  persist::RecoveryConfig recovery;
 };
 
 /// One run_week() summary, for benches and the merged scrape.
@@ -56,14 +55,14 @@ struct RunStats {
 
 class Fleet {
  public:
-  /// Builds all shards (in parallel on `pool`) and, when snapshot_root
-  /// is set, gives each one a snapshot ring.  `pool` defaults
-  /// to the process-wide pool; the fleet does not own it.
+  /// Builds all shards (in parallel on `pool`) and, when
+  /// recovery.directory is set, gives each one a snapshot ring.  `pool`
+  /// defaults to the process-wide pool; the fleet does not own it.
   explicit Fleet(FleetConfig config, exec::ThreadPool* pool = nullptr);
 
   std::size_t offices() const { return shards_.size(); }
   Tick tick() const { return cursor_; }
-  bool supervised() const { return !config_.snapshot_root.empty(); }
+  bool supervised() const { return !config_.recovery.directory.empty(); }
 
   /// Advance every office by `ticks` in lockstep blocks.  Returns the
   /// run's throughput stats (also retained for scrape()).

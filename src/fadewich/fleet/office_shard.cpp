@@ -14,6 +14,9 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
+/// The station health a shard checkpoints: shards run without a station.
+const net::StationHealth kNoStation;
+
 /// Uniform in (0, 1] from one splitmix-mixed 64-bit word.
 double unit_open(std::uint64_t z) {
   return (static_cast<double>(z >> 11) + 1.0) * 0x1.0p-53;
@@ -68,11 +71,8 @@ OfficeShard::OfficeShard(std::size_t index, std::uint64_t seed,
   block_.resize(config_.block_ticks, config_.streams);
 }
 
-void OfficeShard::enable_persistence(persist::RecoveryConfig recovery,
-                                     Tick checkpoint_period) {
-  FADEWICH_EXPECTS(checkpoint_period >= 1);
+void OfficeShard::enable_persistence(persist::RecoveryConfig recovery) {
   recovery_ = std::make_unique<persist::RecoveryManager>(std::move(recovery));
-  checkpoint_period_ = checkpoint_period;
 }
 
 OfficeShard::Phase OfficeShard::phase_at(Tick tick) const {
@@ -163,12 +163,8 @@ void OfficeShard::step_tick(Tick tick, std::size_t row) {
     system_.finish_training();
   }
 
-  if (recovery_ != nullptr &&
-      system_.tick() % checkpoint_period_ == 0) {
-    persist::Snapshot snapshot;
-    snapshot.system = system_.export_state();
-    snapshot.station.imputed_per_stream.assign(config_.streams, 0);
-    recovery_->checkpoint(snapshot);
+  if (recovery_ != nullptr) {
+    recovery_->checkpoint_if_due(system_, kNoStation);
   }
 }
 
@@ -240,20 +236,15 @@ void OfficeShard::run_until(Tick boundary) {
   }
 }
 
-bool OfficeShard::restore_from_ring() {
-  if (recovery_ == nullptr || !recovery_->recover(system_)) return false;
+bool OfficeShard::restart() {
+  if (recovery_ == nullptr || !recovery_->try_restart()) return false;
+  if (!recovery_->recover(system_)) {
+    system_ = core::FadewichSystem(config_.streams, config_.workstations,
+                                   config_.system);
+  }
   faulted_ = false;
   fault_what_.clear();
-  ++restores_;
   return true;
-}
-
-void OfficeShard::reset_to_cold() {
-  system_ = core::FadewichSystem(config_.streams, config_.workstations,
-                                 config_.system);
-  faulted_ = false;
-  fault_what_.clear();
-  ++restores_;
 }
 
 std::size_t OfficeShard::memory_bytes() const {

@@ -92,11 +92,10 @@ class OfficeShard {
     row_source_ = std::move(source);
   }
 
-  /// Attach a snapshot ring: the shard checkpoints every
-  /// `checkpoint_period` ticks and can restore_from_ring() after a
-  /// fault.  Must be called before the first run_until().
-  void enable_persistence(persist::RecoveryConfig recovery,
-                          Tick checkpoint_period);
+  /// Attach a snapshot ring: the shard checkpoints on the ring's cadence
+  /// and can restart() after a fault.  Must be called before the first
+  /// run_until().
+  void enable_persistence(persist::RecoveryConfig recovery);
 
   /// Advance the pipeline to `boundary` ticks (no-op when already
   /// there).  On an internal or injected fault the shard stops at the
@@ -111,15 +110,12 @@ class OfficeShard {
   /// trigger disarms once fired, so a recovered shard replays past it.
   void kill_at(Tick tick) { kill_tick_ = tick; }
 
-  /// Restore the newest snapshot that fits; false when none does.  Clears
-  /// the fault flag on success.  The pipeline resumes from the snapshot
-  /// tick; the stateless driver replays the lost range bit-identically.
-  bool restore_from_ring();
-
-  /// Degraded recovery of last resort: rebuild the pipeline from tick 0.
-  /// Deterministic (the driver is stateless), so even a cold-start
-  /// recovery converges back to a reproducible stream.
-  void reset_to_cold();
+  /// Restart a faulted shard while its ring's restart budget lasts:
+  /// restore the newest snapshot that fits, else rebuild the pipeline
+  /// from tick 0 (a last resort that still converges, since the driver
+  /// is stateless).  Clears the fault flag.  False, leaving the shard
+  /// faulted, when the shard has no ring or the budget is spent.
+  bool restart();
 
   // --- Accumulated outputs -------------------------------------------
   /// CRC-32 over every RSSI row, MD state, action, and classification
@@ -129,7 +125,10 @@ class OfficeShard {
   std::uint64_t deauths() const { return deauths_; }
   std::uint64_t spurious_deauths() const { return spurious_deauths_; }
   std::uint64_t alerts() const { return alerts_; }
-  std::uint64_t restores() const { return restores_; }
+  /// Restart attempts so far; 0 for a shard without a ring.
+  std::uint64_t restores() const {
+    return recovery_ != nullptr ? recovery_->restarts() : 0;
+  }
 
   /// Bytes of shard-owned flat state: the staged block, the scratch
   /// arena's reservation, and the shard object itself.  (The pipeline's
@@ -177,7 +176,6 @@ class OfficeShard {
   ShardMetrics metrics_;
 
   std::unique_ptr<persist::RecoveryManager> recovery_;
-  Tick checkpoint_period_ = 0;
 
   std::optional<Tick> kill_tick_;
   bool faulted_ = false;
@@ -187,7 +185,6 @@ class OfficeShard {
   std::uint64_t deauths_ = 0;
   std::uint64_t spurious_deauths_ = 0;
   std::uint64_t alerts_ = 0;
-  std::uint64_t restores_ = 0;
 };
 
 }  // namespace fadewich::fleet

@@ -244,8 +244,6 @@ obs::HealthBlock health_block(const WireCounters& counters) {
   block.add("bad_crc", static_cast<double>(counters.bad_crc));
   block.add("resync_bytes", static_cast<double>(counters.resync_bytes));
   block.add("truncated", static_cast<double>(counters.truncated));
-  block.add("seq_gaps", static_cast<double>(counters.seq_gaps));
-  block.add("seq_reordered", static_cast<double>(counters.seq_reordered));
   block.add("rejected_frames",
             static_cast<double>(counters.rejected_frames()));
   return block;
@@ -265,18 +263,6 @@ void FrameDecoder::compact() {
                   buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
   }
-}
-
-void FrameDecoder::track_sequence(const FrameHeader& header) {
-  const auto [it, inserted] =
-      last_seq_.try_emplace(header.station_id, header.seq);
-  if (inserted) return;
-  if (header.seq <= it->second) {
-    ++counters_.seq_reordered;
-    return;  // keep the high-water mark
-  }
-  if (header.seq != it->second + 1) ++counters_.seq_gaps;
-  it->second = header.seq;
 }
 
 const DecodedFrame* FrameDecoder::next() {
@@ -300,7 +286,6 @@ const DecodedFrame* FrameDecoder::next() {
           frame_.reports[i] = view.report(i);
         }
         pos_ += view.size;
-        track_sequence(frame_.header);
         return &frame_;
       }
       default:  // kResync / kBadVersion / kBadLength / kBadCrc

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -137,8 +136,6 @@ struct WireCounters {
   std::uint64_t bad_crc = 0;        // payload failed the CRC trailer
   std::uint64_t resync_bytes = 0;   // bytes skipped hunting for magic
   std::uint64_t truncated = 0;      // partial frames cut off by finish()
-  std::uint64_t seq_gaps = 0;       // forward jumps in a station's seq
-  std::uint64_t seq_reordered = 0;  // seq at or below the station's last
 
   /// Frames inspected and refused (resync skips are counted in bytes,
   /// not here: arbitrary garbage has no frame boundaries to count).
@@ -232,13 +229,11 @@ class FrameDecoder {
   const WireCounters& counters() const { return counters_; }
 
  private:
-  void track_sequence(const FrameHeader& header);
   void compact();
 
   std::vector<std::uint8_t> buffer_;
   std::size_t pos_ = 0;  // consumed prefix of buffer_
   DecodedFrame frame_;   // reused output storage
-  std::map<std::uint16_t, std::uint64_t> last_seq_;  // per station
   WireCounters counters_;
 };
 

@@ -79,6 +79,12 @@ RecoveryManager::RecoveryManager(RecoveryConfig config)
   if (!(config_.backoff_ms >= 0.0)) {
     throw Error("recovery config: backoff_ms must be >= 0");
   }
+  if (config_.checkpoint_period < 1) {
+    throw Error("recovery config: checkpoint_period must be >= 1");
+  }
+  if (config_.max_restarts < 1) {
+    throw Error("recovery config: max_restarts must be >= 1");
+  }
   std::error_code ec;
   fs::create_directories(config_.directory, ec);
   if (ec && !fs::is_directory(config_.directory)) {
@@ -107,6 +113,27 @@ std::string RecoveryManager::checkpoint(const Snapshot& snapshot) {
   }
   if (timed) checkpoint_seconds_.observe(seconds_since(started));
   return path;
+}
+
+std::string RecoveryManager::checkpoint(const core::FadewichSystem& system,
+                                        const net::StationHealth& station) {
+  Snapshot snapshot;
+  snapshot.system = system.export_state();
+  snapshot.station = station;
+  return checkpoint(snapshot);
+}
+
+bool RecoveryManager::checkpoint_if_due(const core::FadewichSystem& system,
+                                        const net::StationHealth& station) {
+  if (system.tick() % config_.checkpoint_period != 0) return false;
+  checkpoint(system, station);
+  return true;
+}
+
+bool RecoveryManager::try_restart() {
+  if (restarts_ >= config_.max_restarts) return false;
+  ++restarts_;
+  return true;
 }
 
 std::optional<Snapshot> RecoveryManager::recover(core::FadewichSystem& into,

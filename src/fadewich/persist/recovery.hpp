@@ -1,15 +1,18 @@
-// Snapshot ring + recovery policy.
+// Snapshot ring, checkpoint cadence, restart budget and recovery policy.
 //
 // A RecoveryManager owns a directory of numbered snapshot files
-// (`snap-00000042.fdws`).  checkpoint() writes a new snapshot atomically
-// and prunes the ring to `ring_size` files; recover() walks the ring
-// newest-first, skipping corrupt or version-mismatched files and
-// snapshots the pipeline refuses to import (another deployment's shape),
-// retrying transient I/O failures with bounded backoff.  It imports the
-// newest snapshot that both loads and fits — or reports an explicit cold
-// start and leaves the pipeline untouched.  Every restore site (the
-// supervised system, fleet shards, the crash-replay harness) goes
-// through this one walk.
+// (`snap-00000042.fdws`).  checkpoint_if_due() is the one checkpoint
+// rule: it snapshots a live pipeline whenever its tick is a multiple of
+// `checkpoint_period`, so the cadence survives a restore.  checkpoint()
+// writes a snapshot durably and prunes the ring to `ring_size` files;
+// recover() walks the ring newest-first, skipping corrupt or
+// version-mismatched files and snapshots the pipeline refuses to import
+// (another deployment's shape), retrying transient I/O failures with
+// bounded backoff.  It imports the newest snapshot that both loads and
+// fits — or reports an explicit cold start and leaves the pipeline
+// untouched.  try_restart() is the one restart budget.  Every checkpoint
+// and restore site (the supervised system, which the crash-replay
+// harness drives, and fleet shards) goes through this one manager.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +28,12 @@
 namespace fadewich::persist {
 
 struct RecoveryConfig {
-  std::string directory;       // created on demand; must be non-empty
-  std::size_t ring_size = 4;   // snapshots retained, >= 1
-  std::size_t max_retries = 3; // attempts per file on transient I/O
-  double backoff_ms = 10.0;    // sleep between retries, >= 0
+  std::string directory;         // created on demand; must be non-empty
+  std::size_t ring_size = 4;     // snapshots retained, >= 1
+  std::size_t max_retries = 3;   // attempts per file on transient I/O
+  double backoff_ms = 10.0;      // sleep between retries, >= 0
+  Tick checkpoint_period = 600;  // checkpoint on ticks divisible by it, >= 1
+  std::size_t max_restarts = 5;  // restart attempts after faults, >= 1
 };
 
 /// One rejected snapshot file during recovery.
@@ -60,6 +65,18 @@ class RecoveryManager {
   /// oldest files beyond ring_size.
   std::string checkpoint(const Snapshot& snapshot);
 
+  /// Snapshot `system` (with the station health it runs behind) into
+  /// the ring; returns its path.
+  std::string checkpoint(const core::FadewichSystem& system,
+                         const net::StationHealth& station);
+
+  /// The checkpoint cadence: checkpoint when system.tick() is a multiple
+  /// of checkpoint_period.  Returns true when it wrote.  Keyed to the
+  /// pipeline's tick, not to calls, so a restored pipeline keeps the
+  /// same checkpoint ticks.
+  bool checkpoint_if_due(const core::FadewichSystem& system,
+                         const net::StationHealth& station);
+
   /// Import the newest snapshot that loads and that `into` accepts,
   /// falling back across the ring: a file that fails to load or to
   /// import is rejected with its reason and the next older one is tried.
@@ -74,6 +91,13 @@ class RecoveryManager {
 
   std::uint64_t checkpoints_written() const { return checkpoints_written_; }
 
+  /// The restart budget: count one restart attempt and return true, or
+  /// return false (counting nothing) once max_restarts attempts were
+  /// made.  The owner then retires its unit.
+  bool try_restart();
+  /// Restart attempts counted so far.
+  std::uint64_t restarts() const { return restarts_; }
+
   /// Append this manager's checkpoint and recover() wall-time
   /// histograms to `report` (sampled while obs::enabled()).
   void scrape_into(obs::ScrapeReport& report) const;
@@ -85,13 +109,14 @@ class RecoveryManager {
   RecoveryConfig config_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t checkpoints_written_ = 0;
+  std::uint64_t restarts_ = 0;
   obs::HistogramSample checkpoint_seconds_{obs::default_bucket_bounds()};
   obs::HistogramSample recover_seconds_{obs::default_bucket_bounds()};
 };
 
 /// One restartable unit (a supervised pipeline, a fleet office) as the
-/// scrape shows it.  Its owner restores it after a fault until
-/// `restarts` reaches the owner's bound, then retires it.
+/// scrape shows it.  Its owner restores it after a fault until its
+/// manager's try_restart() refuses, then retires it.
 struct UnitHealth {
   std::string name;
   std::uint64_t restarts = 0;

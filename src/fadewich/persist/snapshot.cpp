@@ -1,5 +1,9 @@
 #include "fadewich/persist/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -336,21 +340,60 @@ Snapshot decode_snapshot(const std::string& bytes) {
   return snapshot;
 }
 
+namespace {
+
+/// write(2) all of `bytes`, resuming after short writes and EINTR.
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// fsync the directory holding `path`, so a rename into it survives a
+/// power loss.  A filesystem that cannot sync directories (EINVAL) has
+/// nothing more to make durable.
+bool sync_parent_directory(const std::string& path) {
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? "." : parent.string();
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0 || errno == EINVAL;
+  ::close(fd);
+  return synced;
+}
+
+}  // namespace
+
 void save_snapshot(const Snapshot& snapshot, const std::string& path) {
   const std::string bytes = encode_snapshot(snapshot);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw Error("cannot open for writing: " + tmp);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    if (!os) throw Error("snapshot write failed: " + tmp);
-  }
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) throw Error("cannot open for writing: " + tmp);
+  // The bytes reach the disk before the rename publishes them, so the
+  // final name never points at an unsynced file.
+  const bool written = write_all(fd, bytes) && ::fsync(fd) == 0;
+  const bool closed = ::close(fd) == 0;
   std::error_code ec;
+  if (!written || !closed) {
+    std::filesystem::remove(tmp, ec);
+    throw Error("snapshot write failed: " + tmp);
+  }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);
     throw Error("snapshot rename failed: " + path);
+  }
+  if (!sync_parent_directory(path)) {
+    throw Error("snapshot directory sync failed: " + path);
   }
 }
 

@@ -9,11 +9,12 @@
 //
 // The CRC covers the payload; the end magic makes truncation explicit
 // (a partially written file fails before any payload is trusted).  Files
-// are written atomically — serialize to memory, write `<path>.tmp`,
-// fsync-free rename — so a crash mid-write never leaves a half snapshot
-// under the final name.  Every decode error is a fadewich::Error, so
-// callers (the RecoveryManager) can fall back across the snapshot ring
-// instead of aborting.
+// are written atomically and durably — serialize to memory, write and
+// fsync `<path>.tmp`, rename it, fsync the directory — so neither a
+// crash nor a power loss mid-write leaves a half snapshot under the
+// final name.  Every decode error is a fadewich::Error, so callers (the
+// RecoveryManager) can fall back across the snapshot ring instead of
+// aborting.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,8 @@ std::string encode_snapshot(const Snapshot& snapshot);
 /// count inside the payload.
 Snapshot decode_snapshot(const std::string& bytes);
 
-/// Atomic write: the snapshot appears at `path` completely or not at all.
+/// Atomic, durable write: the snapshot appears at `path` completely or
+/// not at all, and once this returns it survives a power loss.
 void save_snapshot(const Snapshot& snapshot, const std::string& path);
 
 /// Load + validate a snapshot file.  Throws fadewich::Error as above;

@@ -3,32 +3,17 @@
 #include <exception>
 #include <utility>
 
-#include "fadewich/common/error.hpp"
 #include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/common/simd.hpp"
 
 namespace fadewich::persist {
 
-namespace {
-SupervisedConfig validated(SupervisedConfig config) {
-  if (config.checkpoint_period_ticks < 1) {
-    throw Error("supervised config: checkpoint_period_ticks must be >= 1");
-  }
-  if (config.max_restarts < 1) {
-    throw Error("supervised config: max_restarts must be >= 1");
-  }
-  return config;
-}
-}  // namespace
-
 SupervisedSystem::SupervisedSystem(std::size_t stream_count,
                                    std::size_t workstation_count,
                                    core::SystemConfig system_config,
-                                   SupervisedConfig config)
+                                   RecoveryConfig recovery)
     : system_(stream_count, workstation_count, system_config),
-      recovery_(validated(config).recovery),
-      checkpoint_period_(config.checkpoint_period_ticks),
-      max_restarts_(config.max_restarts) {
+      recovery_(std::move(recovery)) {
   station_health_.imputed_per_stream.assign(stream_count, 0);
   if (restore(&recovery_report_)) {
     obs::events().info("persist", "recovered from snapshot", 0,
@@ -47,25 +32,17 @@ bool SupervisedSystem::restore(RecoveryReport* report) {
 
 bool SupervisedSystem::restart() {
   if (retired_) return false;
-  if (restarts_ >= max_restarts_) {
-    retired_ = true;
-    return false;
-  }
-  ++restarts_;
-  if (!restore(nullptr)) retired_ = true;
+  retired_ = !recovery_.try_restart() || !restore(nullptr);
   return !retired_;
 }
 
 SupervisedSystem::StepResult SupervisedSystem::step(
     std::span<const double> rssi_row, std::span<const std::uint8_t> valid) {
   StepResult result;
-  ++steps_;
-  const Tick tick = static_cast<Tick>(steps_);
+  const Tick tick = system_.tick() + 1;
   try {
     result.inner = system_.step(rssi_row, valid);
-    if (steps_ % static_cast<std::uint64_t>(checkpoint_period_) == 0) {
-      checkpoint_now();
-    }
+    recovery_.checkpoint_if_due(system_, station_health_);
   } catch (const std::exception& e) {
     result.inner = {};
     result.recovered = restart();
@@ -101,16 +78,13 @@ obs::ScrapeReport SupervisedSystem::scrape(
   if (faults != nullptr) {
     report.health.push_back(net::health_block(*faults));
   }
-  const UnitHealth pipeline_unit{"pipeline", restarts_, retired_};
+  const UnitHealth pipeline_unit{"pipeline", restarts(), retired_};
   report.health.push_back(health_block({&pipeline_unit, 1}));
   return report;
 }
 
 std::string SupervisedSystem::checkpoint_now() {
-  Snapshot snapshot;
-  snapshot.system = system_.export_state();
-  snapshot.station = station_health_;
-  return recovery_.checkpoint(snapshot);
+  return recovery_.checkpoint(system_, station_health_);
 }
 
 }  // namespace fadewich::persist

@@ -2,7 +2,8 @@
 //
 // On construction it recovers the newest snapshot from the ring that
 // fits this deployment (or cold-starts, flagged degraded).  Every step()
-// checkpoints on a fixed period and catches module exceptions: a
+// checkpoints through the RecoveryManager's one cadence rule (ticks
+// divisible by `checkpoint_period`) and catches module exceptions: a
 // throwing step restores the newest fitting checkpoint, up to
 // `max_restarts` times.  A fault with the budget spent, or a restore
 // that finds nothing to import, retires the pipeline: it keeps stepping,
@@ -22,12 +23,6 @@
 
 namespace fadewich::persist {
 
-struct SupervisedConfig {
-  RecoveryConfig recovery;
-  Tick checkpoint_period_ticks = 600;  // >= 1
-  std::size_t max_restarts = 5;        // restores after faults, >= 1
-};
-
 class SupervisedSystem {
  public:
   /// Builds the pipeline, then recovers from the snapshot ring.  A
@@ -35,7 +30,7 @@ class SupervisedSystem {
   /// cold-starts and degraded_start() is true.
   SupervisedSystem(std::size_t stream_count, std::size_t workstation_count,
                    core::SystemConfig system_config,
-                   SupervisedConfig config);
+                   RecoveryConfig recovery);
 
   /// True when construction found no usable snapshot (training and the
   /// profile start from scratch).
@@ -80,7 +75,7 @@ class SupervisedSystem {
   }
 
   /// Restart attempts after faulted steps (a failed one counts too).
-  std::uint64_t restarts() const { return restarts_; }
+  std::uint64_t restarts() const { return recovery_.restarts(); }
   /// True once a fault found the budget spent or nothing to restore.
   bool retired() const { return retired_; }
 
@@ -99,13 +94,9 @@ class SupervisedSystem {
 
   core::FadewichSystem system_;
   RecoveryManager recovery_;
-  Tick checkpoint_period_;
-  std::size_t max_restarts_;
   net::StationHealth station_health_;
   RecoveryReport recovery_report_;
   bool degraded_start_ = false;
-  std::uint64_t steps_ = 0;
-  std::uint64_t restarts_ = 0;
   bool retired_ = false;
 };
 

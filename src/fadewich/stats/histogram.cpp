@@ -9,13 +9,8 @@
 
 namespace fadewich::stats {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins,
-                     OutlierPolicy policy)
-    : lo_(lo),
-      hi_(hi),
-      interior_(bins),
-      policy_(policy),
-      counts_(policy == OutlierPolicy::kOutlierBins ? bins + 2 : bins, 0) {
+Histogram::Histogram(double lo, double hi, std::size_t bins)
+    : lo_(lo), hi_(hi), counts_(bins, 0) {
   FADEWICH_EXPECTS(bins >= 1);
   FADEWICH_EXPECTS(lo < hi);
 }
@@ -52,19 +47,16 @@ std::size_t Histogram::count(std::size_t bin) const {
 }
 
 std::size_t Histogram::bin_of(double x) const {
-  if (policy_ == OutlierPolicy::kOutlierBins) {
-    if (x < lo_) return interior_;       // underflow bin
-    if (x > hi_) return interior_ + 1;   // overflow bin
-  }
+  const std::size_t bins = counts_.size();
   const double clamped = std::clamp(x, lo_, hi_);
-  const double width = (hi_ - lo_) / static_cast<double>(interior_);
+  const double width = (hi_ - lo_) / static_cast<double>(bins);
   auto bin = static_cast<std::size_t>((clamped - lo_) / width);
-  return std::min(bin, interior_ - 1);
+  return std::min(bin, bins - 1);
 }
 
 double Histogram::bin_center(std::size_t bin) const {
-  FADEWICH_EXPECTS(bin < interior_);
-  const double width = (hi_ - lo_) / static_cast<double>(interior_);
+  FADEWICH_EXPECTS(bin < counts_.size());
+  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
   return lo_ + (static_cast<double>(bin) + 0.5) * width;
 }
 

@@ -13,29 +13,12 @@
 
 namespace fadewich::stats {
 
-/// What happens to samples outside [lo, hi].
-enum class OutlierPolicy {
-  // Fold out-of-range samples into the boundary bins.  This silently
-  // inflates the edge-bin mass (and thus shifts the entropy), which is
-  // fine when the range comes from the data itself (from_data), but
-  // callers quantising into a fixed a-priori range should prefer
-  // kOutlierBins.  Out-of-range samples are still tallied in
-  // underflow()/overflow() so the clamping is observable.
-  kClamp,
-  // Append two dedicated bins — underflow then overflow — after the
-  // interior bins.  Out-of-range samples keep their own mass instead of
-  // corrupting the boundary bins; probabilities() and entropy() include
-  // them as ordinary outcomes.
-  kOutlierBins,
-};
-
 class Histogram {
  public:
-  /// Interior bins span [lo, hi] with `bins` equal-width cells; samples
-  /// outside the range follow `policy` (clamped into the boundary bins
-  /// by default).  Requires bins >= 1, lo < hi.
-  Histogram(double lo, double hi, std::size_t bins,
-            OutlierPolicy policy = OutlierPolicy::kClamp);
+  /// `bins` equal-width cells span [lo, hi]; samples outside the range
+  /// are clamped into the boundary bins (and tallied in underflow() /
+  /// overflow()).  Requires bins >= 1, lo < hi.
+  Histogram(double lo, double hi, std::size_t bins);
 
   /// Build a histogram whose range is the min/max of the data.  If all
   /// values are equal, a degenerate single-bin range around the value is
@@ -45,30 +28,21 @@ class Histogram {
   void add(double x);
   void add_all(std::span<const double> xs);
 
-  /// Total bins: interior plus, under kOutlierBins, the two outlier bins.
   std::size_t bin_count() const { return counts_.size(); }
-  /// Interior (in-range) bins only.
-  std::size_t interior_bin_count() const { return interior_; }
-  OutlierPolicy policy() const { return policy_; }
 
   std::size_t total() const { return total_; }
   std::size_t count(std::size_t bin) const;
   const std::vector<std::size_t>& counts() const { return counts_; }
 
-  /// Samples seen below lo / above hi, tallied under *both* policies
-  /// (under kClamp they are folded into the boundary bins but still
-  /// counted here, so silent clamping is detectable).
+  /// Samples seen below lo / above hi.  They are folded into the
+  /// boundary bins but still counted here, so clamping is detectable.
   std::uint64_t underflow() const { return underflow_; }
   std::uint64_t overflow() const { return overflow_; }
 
-  /// Index of the bin the value falls into.  Under kOutlierBins,
-  /// out-of-range values map to the dedicated bins at
-  /// interior_bin_count() (underflow) and interior_bin_count() + 1
-  /// (overflow).
+  /// Index of the bin the value falls into (clamped into range).
   std::size_t bin_of(double x) const;
 
-  /// Center of an interior bin.  The outlier bins are half-open and have
-  /// no center — passing their index is a contract violation.
+  /// Center of a bin.
   double bin_center(std::size_t bin) const;
 
   /// Empirical probability of each bin (counts / total).  Requires at
@@ -76,15 +50,12 @@ class Histogram {
   std::vector<double> probabilities() const;
 
   /// Shannon entropy (natural log) of the bin distribution; empty bins
-  /// contribute zero.  Under kOutlierBins the outlier bins take part
-  /// like any other outcome.  Requires at least one sample.
+  /// contribute zero.  Requires at least one sample.
   double entropy() const;
 
  private:
   double lo_;
   double hi_;
-  std::size_t interior_;
-  OutlierPolicy policy_;
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
   std::uint64_t underflow_ = 0;

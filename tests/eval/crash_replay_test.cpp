@@ -53,7 +53,7 @@ class CrashReplayTest : public ::testing::Test {
     CrashReplayConfig config;
     config.online = online_config();
     config.crash_tick = crash_tick;
-    config.checkpoint_period = 600;  // every 2 minutes at 5 Hz
+    config.recovery.checkpoint_period = 600;  // every 2 minutes at 5 Hz
     config.recovery.directory = dir_;
     config.recovery.backoff_ms = 0.0;
     return config;
@@ -150,7 +150,7 @@ TEST_F(CrashReplayTest, CrashMidOnlineDayReconverges) {
 // degraded start flagged.
 TEST_F(CrashReplayTest, ColdStartReplaysDeterministically) {
   CrashReplayConfig config = crash_config(400);
-  config.checkpoint_period = 100000;  // never fires before tick 400
+  config.recovery.checkpoint_period = 100000;  // never fires before tick 400
   const CrashReplayResult crashed =
       run_with_crash(recording(), kWorkstations, config);
   EXPECT_TRUE(crashed.cold_start);

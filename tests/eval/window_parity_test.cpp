@@ -22,7 +22,6 @@
 #include "fadewich/eval/sample_extraction.hpp"
 #include "fadewich/eval/window_matching.hpp"
 #include "fadewich/ml/multiclass_svm.hpp"
-#include "fadewich/net/playback.hpp"
 
 namespace fadewich::eval {
 namespace {
@@ -65,16 +64,18 @@ TEST(WindowParity, RuleOneClassifiesTheOfflineFeatureWindow) {
   config.svm = svm;
   config.controller.t_delta = kTDelta;
   config.labeler.t_delta = kTDelta;
-  net::RecordingPlayback playback(recording, sensors);
-  core::FadewichSystem system(playback.stream_count(),
+  const std::vector<std::size_t> streams =
+      recording.streams_for_sensors(sensors);
+  core::FadewichSystem system(streams.size(),
                               experiment.plan.workstation_count(), config);
   system.train_with(data);
 
   std::set<Tick> online;
-  std::vector<double> row(playback.stream_count());
+  std::vector<double> row(streams.size());
   std::vector<double> want(data.feature_count());
   auto& arena = common::ScratchArena::local();
-  while (playback.next(row)) {
+  for (Tick t = 0; t < recording.tick_count(); ++t) {
+    recording.copy_rows(streams, t, t, row);
     const auto result = system.step(row);
     if (!result.classification) continue;
     const core::VariationWindow live = *system.md().current_window();

@@ -91,7 +91,7 @@ TEST(FleetScrape, SupervisedFleetExportsTheSupervisorBlock) {
       (fs::temp_directory_path() / "fadewich_fleet_scrape_sup").string();
   fs::remove_all(root);
   FleetConfig config = small_fleet(2);
-  config.snapshot_root = root;
+  config.recovery.directory = root;
   exec::ThreadPool pool(2);
   Fleet fleet(config, &pool);
   fleet.run_week(600);

@@ -37,8 +37,8 @@ class FleetSupervisorTest : public ::testing::Test {
     FleetConfig config;
     config.offices = kOffices;
     config.shard.system = default_shard_system();
-    config.snapshot_root = root_ + "/" + subdir;
-    config.checkpoint_period = 300;
+    config.recovery.directory = root_ + "/" + subdir;
+    config.recovery.checkpoint_period = 300;
     return config;
   }
 
@@ -96,7 +96,7 @@ TEST_F(FleetSupervisorTest, RepeatedCrashesExhaustTheRestartBudget) {
   reference.run_week(kWeek);
 
   FleetConfig config = supervised("budget");
-  config.max_restarts = 1;
+  config.recovery.max_restarts = 1;
   Fleet fleet(config, &pool);
   fleet.inject_crash(kVictim, 800);
   fleet.run_week(1000);
@@ -143,7 +143,7 @@ TEST_F(FleetSupervisorTest, UnsupervisedFleetHasNoSupervisor) {
 
 TEST_F(FleetSupervisorTest, ValidatesTheRestartBound) {
   FleetConfig config = supervised("bound");
-  config.max_restarts = 0;
+  config.recovery.max_restarts = 0;
   exec::ThreadPool pool(1);
   EXPECT_THROW(Fleet(config, &pool), Error);
 }

@@ -9,11 +9,11 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "fadewich/core/system.hpp"
 #include "fadewich/eval/paper_setup.hpp"
-#include "fadewich/net/playback.hpp"
 #include "fadewich/sim/input_activity.hpp"
 
 namespace fadewich {
@@ -78,17 +78,18 @@ TEST_F(EndToEndTest, TrainThenDeauthenticateOnline) {
   config.md = eval::default_md_config();
   core::FadewichSystem system(recording().stream_count(), 3, config);
 
-  net::RecordingPlayback playback(recording());
-  std::vector<double> row(playback.stream_count());
+  std::vector<std::size_t> streams(recording().stream_count());
+  std::iota(streams.begin(), streams.end(), std::size_t{0});
+  std::vector<double> row(streams.size());
   std::size_t next_input = 0;
 
   const Seconds day_length = recording().day_length();
   bool trained = false;
   std::vector<core::Action> deauth_actions;
 
-  while (playback.next(row)) {
-    const Seconds now =
-        recording().rate().to_seconds(playback.position() - 1);
+  for (Tick t = 0; t < recording().tick_count(); ++t) {
+    recording().copy_rows(streams, t, t, row);
+    const Seconds now = recording().rate().to_seconds(t);
 
     // Switch to the online phase after two training days (the paper
     // reports ~90% RE accuracy after roughly two days of samples).

@@ -180,11 +180,16 @@ TEST_F(RecoveryTest, NumberingContinuesAcrossInstances) {
 TEST_F(RecoveryTest, ForeignFilesInTheDirectoryAreIgnored) {
   RecoveryManager manager(config());
   std::ofstream(fs::path(dir_) / "README.txt") << "hands off";
+  // A temp file torn by a crash mid-write is not a snapshot either.
+  const fs::path torn = fs::path(dir_) / "snap-00000099.fdws.tmp";
+  std::ofstream(torn, std::ios::binary) << "FDWS";
   manager.checkpoint(tagged(42));
+  EXPECT_EQ(manager.ring().size(), 1u);
   const auto snapshot = manager.recover(system_);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 42u);
   EXPECT_TRUE(fs::exists(fs::path(dir_) / "README.txt"));
+  EXPECT_TRUE(fs::exists(torn));
 }
 
 }  // namespace

@@ -37,10 +37,10 @@ class SupervisedSystemTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  SupervisedConfig config(std::size_t max_restarts = 5) const {
-    SupervisedConfig config;
-    config.recovery.directory = dir_;
-    config.recovery.backoff_ms = 0.0;
+  RecoveryConfig config(std::size_t max_restarts = 5) const {
+    RecoveryConfig config;
+    config.directory = dir_;
+    config.backoff_ms = 0.0;
     config.max_restarts = max_restarts;
     return config;
   }
@@ -53,7 +53,7 @@ class SupervisedSystemTest : public ::testing::Test {
     for (int t = 0; t < ticks; ++t) system.step(row);
     Snapshot snapshot;
     snapshot.system = system.export_state();
-    return RecoveryManager(config().recovery).checkpoint(snapshot);
+    return RecoveryManager(config()).checkpoint(snapshot);
   }
 
   /// One step whose validity mask does not match the row: the pipeline
@@ -84,8 +84,8 @@ class SupervisedSystemTest : public ::testing::Test {
 TEST_F(SupervisedSystemTest, ValidatesConfig) {
   EXPECT_THROW(SupervisedSystem(kStreams, kWorkstations, {}, config(0)),
                Error);
-  SupervisedConfig bad = config();
-  bad.checkpoint_period_ticks = 0;
+  RecoveryConfig bad = config();
+  bad.checkpoint_period = 0;
   EXPECT_THROW(SupervisedSystem(kStreams, kWorkstations, {}, bad), Error);
 }
 
@@ -129,6 +129,29 @@ TEST_F(SupervisedSystemTest, FaultedStepRestoresTheLastCheckpoint) {
   EXPECT_EQ(live.restarts(), 1u);
   EXPECT_FALSE(live.retired());
   EXPECT_FALSE(live.step(row).recovered);  // healthy steps carry on
+}
+
+// The checkpoint cadence is keyed to the pipeline's tick, not to step()
+// calls: a pipeline reborn from an off-period snapshot checkpoints on the
+// same ticks as one that never stopped.
+TEST_F(SupervisedSystemTest, RebornPipelineKeepsTheCheckpointTicks) {
+  RecoveryConfig periodic = config();
+  periodic.checkpoint_period = 600;
+  const std::vector<double> row(kStreams, -60.0);
+  {
+    SupervisedSystem live(kStreams, kWorkstations, {}, periodic);
+    for (int t = 0; t < 250; ++t) live.step(row);
+    live.checkpoint_now();
+  }
+  SupervisedSystem reborn(kStreams, kWorkstations, {}, periodic);
+  ASSERT_EQ(reborn.system().tick(), 250);
+  for (int t = 250; t < 1300; ++t) reborn.step(row);
+  EXPECT_EQ(reborn.checkpoints_written(), 2u);
+  std::vector<std::uint64_t> ticks;
+  for (const std::string& path : RecoveryManager(periodic).ring()) {
+    ticks.push_back(load_snapshot(path).system.tick);
+  }
+  EXPECT_EQ(ticks, (std::vector<std::uint64_t>{250, 600, 1200}));
 }
 
 TEST_F(SupervisedSystemTest, RestartsAreBoundedThenRetired) {
@@ -220,9 +243,9 @@ TEST_F(SupervisedSystemTest, ScrapeCarriesTheNetworksOwnCounters) {
 /// Every count in a scrape belongs to its instance: stepping one system
 /// leaves a second one built in the same process at zero.
 TEST_F(SupervisedSystemTest, TwoSystemsInOneProcessScrapeIndependently) {
-  SupervisedConfig idle_config = config();
-  idle_config.recovery.directory = dir_ + "_idle";
-  fs::remove_all(idle_config.recovery.directory);
+  RecoveryConfig idle_config = config();
+  idle_config.directory = dir_ + "_idle";
+  fs::remove_all(idle_config.directory);
   const core::SystemConfig system = core::testing::harness_config();
   SupervisedSystem busy(kStreams, kWorkstations, system, config());
   SupervisedSystem idle(kStreams, kWorkstations, system, idle_config);
@@ -264,7 +287,7 @@ TEST_F(SupervisedSystemTest, TwoSystemsInOneProcessScrapeIndependently) {
           "fadewich_ctl_deauth_latency_seconds");
   ASSERT_NE(idle_latency, nullptr);
   EXPECT_EQ(idle_latency->count, 0u);
-  fs::remove_all(idle_config.recovery.directory);
+  fs::remove_all(idle_config.directory);
 }
 
 }  // namespace

@@ -90,6 +90,64 @@ TEST(RecordingTest, StreamsForSensorsRejectsSingleton) {
   EXPECT_THROW(rec.streams_for_sensors({0}), ContractViolation);
 }
 
+/// A 3-sensor recording of `ticks` ticks: stream s at tick t holds
+/// -40 - s - (t % 2) dBm.
+Recording alternating_recording(int ticks) {
+  Recording rec = make_recording(3);
+  for (int t = 0; t < ticks; ++t) {
+    std::vector<double> row(rec.stream_count());
+    for (std::size_t s = 0; s < row.size(); ++s) {
+      row[s] = -40.0 - static_cast<double>(s) - (t % 2);
+    }
+    rec.append_samples(row);
+  }
+  return rec;
+}
+
+TEST(RecordingTest, CopyRowsReadsARowMajorBlockInTickOrder) {
+  const Recording rec = alternating_recording(10);
+  const std::vector<std::size_t> streams{0, 1, 2, 3, 4, 5};
+  std::vector<double> block(3 * streams.size());
+  rec.copy_rows(streams, 4, 6, block);
+  for (Tick t = 4; t <= 6; ++t) {
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      EXPECT_DOUBLE_EQ(block[static_cast<std::size_t>(t - 4) * 6 + i],
+                       rec.rssi(streams[i], t));
+    }
+  }
+}
+
+TEST(RecordingTest, CopyRowsOfASensorSubset) {
+  const Recording rec = alternating_recording(10);
+  const std::vector<std::size_t> streams = rec.streams_for_sensors({0, 2});
+  std::vector<double> row(2);
+  rec.copy_rows(streams, 1, 1, row);
+  EXPECT_DOUBLE_EQ(row[0], rec.rssi(rec.stream_index(0, 2), 1));
+  EXPECT_DOUBLE_EQ(row[1], rec.rssi(rec.stream_index(2, 0), 1));
+  EXPECT_DOUBLE_EQ(row[1], -45.0);
+}
+
+TEST(RecordingTest, CopyRowsRejectsUnrecordedTicks) {
+  const Recording rec = alternating_recording(10);
+  const std::vector<std::size_t> streams{0, 1};
+  std::vector<double> row(2);
+  EXPECT_NO_THROW(rec.copy_rows(streams, 9, 9, row));  // the last tick
+  EXPECT_THROW(rec.copy_rows(streams, 10, 10, row), ContractViolation);
+  EXPECT_THROW(rec.copy_rows(streams, -1, -1, row), ContractViolation);
+  EXPECT_THROW(rec.copy_rows(streams, 5, 4, row), ContractViolation);
+}
+
+TEST(RecordingTest, CopyRowsRejectsWrongBufferSize) {
+  const Recording rec = alternating_recording(10);
+  const std::vector<std::size_t> streams{0, 1};
+  std::vector<double> row(2);
+  EXPECT_NO_THROW(rec.copy_rows(streams, 0, 0, row));
+  std::vector<double> short_buf(1);
+  EXPECT_THROW(rec.copy_rows(streams, 0, 0, short_buf), ContractViolation);
+  std::vector<double> wrong(3);
+  EXPECT_THROW(rec.copy_rows(streams, 0, 0, wrong), ContractViolation);
+}
+
 TEST(RecordingTest, SeatedAtQueriesIntervals) {
   Recording rec = make_recording();
   rec.seated_intervals().assign(2, {});

@@ -32,8 +32,8 @@ TEST(HistogramTest, OutOfRangeValuesClampIntoBoundaryBins) {
 }
 
 TEST(HistogramTest, ClampedOutliersAreStillTallied) {
-  // kClamp folds outliers into the boundary bins, but the fold is not
-  // silent: underflow()/overflow() record it.
+  // Outliers fold into the boundary bins, but the fold is not silent:
+  // underflow()/overflow() record it.
   Histogram h(0.0, 4.0, 4);
   h.add(-100.0);
   h.add(2.0);
@@ -46,45 +46,15 @@ TEST(HistogramTest, ClampedOutliersAreStillTallied) {
   EXPECT_EQ(h.total(), 4u);
 }
 
-TEST(HistogramTest, OutlierBinsKeepOutOfRangeMassSeparate) {
-  Histogram h(0.0, 4.0, 4, OutlierPolicy::kOutlierBins);
-  EXPECT_EQ(h.bin_count(), 6u);  // 4 interior + underflow + overflow
-  EXPECT_EQ(h.interior_bin_count(), 4u);
-  EXPECT_EQ(h.bin_of(-0.1), 4u);
-  EXPECT_EQ(h.bin_of(4.1), 5u);
-  EXPECT_EQ(h.bin_of(0.5), 0u);  // interior mapping unchanged
-  EXPECT_EQ(h.bin_of(3.9), 3u);
-  h.add(-100.0);
-  h.add(0.5);
-  h.add(100.0);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  // Outlier bins have no center.
-  EXPECT_NO_THROW(h.bin_center(3));
-  EXPECT_THROW(h.bin_center(4), ContractViolation);
-}
-
 TEST(HistogramTest, EntropyPinnedForOutOfRangeInput) {
-  // Same input — half in-range at 0.5, half far below the range — under
-  // both policies.  kClamp merges everything into bin 0 (entropy 0,
-  // pretending the data is uniform); kOutlierBins keeps the outlier mass
-  // separate and reports the true 50/50 split (entropy ln 2).
+  // Half in-range at 0.5, half far below the range: the clamp merges
+  // everything into bin 0, so the entropy is 0.
   const std::vector<double> xs{0.5, 0.5, -50.0, -50.0};
 
-  Histogram clamped(0.0, 4.0, 4, OutlierPolicy::kClamp);
+  Histogram clamped(0.0, 4.0, 4);
   clamped.add_all(xs);
   EXPECT_DOUBLE_EQ(clamped.entropy(), 0.0);
   EXPECT_EQ(clamped.underflow(), 2u);  // ...but the clamp is visible
-
-  Histogram outliers(0.0, 4.0, 4, OutlierPolicy::kOutlierBins);
-  outliers.add_all(xs);
-  EXPECT_DOUBLE_EQ(outliers.entropy(), std::log(2.0));
-  const auto p = outliers.probabilities();
-  EXPECT_DOUBLE_EQ(p[0], 0.5);
-  EXPECT_DOUBLE_EQ(p[4], 0.5);
 }
 
 TEST(HistogramTest, CountsAccumulate) {
