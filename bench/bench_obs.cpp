@@ -24,6 +24,7 @@
 #include "fadewich/persist/supervised_system.hpp"
 #include "fadewich/rf/channel.hpp"
 #include "fadewich/rf/floorplan.hpp"
+#include "fadewich/sim/person.hpp"
 
 namespace fadewich::bench {
 namespace {
@@ -102,7 +103,12 @@ std::vector<Primitive> bench_primitives() {
 }
 
 /// Drive a small supervised pipeline over a faulty network and render
-/// its unified scrape in both formats — the CI artifact samples.
+/// its unified scrape in both formats — the CI artifact samples.  Three
+/// users sit and type; every 45 s the first leaves for 20 s, then sits
+/// 10 s before typing again.  The pipeline auto-labels for the first
+/// 125 s (long_idle is cut to 15 s so a 20 s absence labels the return
+/// "entered") and runs online after, so even the 1,000-tick fast sample
+/// shows classifications, deauths and their latency.
 void write_scrape_samples(const std::string& prom_path,
                           const std::string& json_path) {
   obs::set_enabled(true);
@@ -112,8 +118,9 @@ void write_scrape_samples(const std::string& prom_path,
   faults.duplicate_probability = 0.02;
   net::StationConfig station;
   station.deadline_ticks = 3;
-  net::LiveSensorNetwork network(plan.sensors, rf::ChannelConfig{}, 5.0,
-                                 42, faults, station);
+  const double hz = 5.0;
+  net::LiveSensorNetwork network(plan.sensors, rf::ChannelConfig{}, hz, 42,
+                                 faults, station);
 
   const auto ring_dir =
       std::filesystem::temp_directory_path() / "fadewich_bench_obs_ring";
@@ -123,13 +130,44 @@ void write_scrape_samples(const std::string& prom_path,
   config.checkpoint_period = 500;
   core::SystemConfig system;
   system.md.calibration = 30.0;
+  system.labeler.long_idle = 15.0;
   persist::SupervisedSystem supervised(network.stream_count(),
                                        plan.workstation_count(), system,
                                        config);
 
+  Rng rng(5);
+  sim::PersonConfig walk;
+  walk.walk_speed_mean = 1.1;  // an unhurried leave outlasts t_delta
+  std::vector<sim::Person> people;
+  for (std::size_t w = 0; w < plan.workstation_count(); ++w) {
+    people.emplace_back(plan, w, walk, rng.split(w));
+    people.back().sit_down_immediately();
+  }
+  const Seconds training_span = 125.0;
   const std::int64_t ticks = fast_mode() ? 1'000 : 3'000;
+  std::vector<rf::BodyState> bodies;
   for (std::int64_t t = 0; t < ticks; ++t) {
-    for (const net::StationRow& row : network.round({})) {
+    const Seconds now = static_cast<double>(t) / hz;
+    if (supervised.training() && now >= training_span) {
+      supervised.finish_training();
+    }
+    const auto phase = static_cast<std::int64_t>(now) % 45;
+    sim::Person& mover = people.front();
+    if (phase == 35 && mover.seated()) mover.start_leaving();
+    if (phase == 10 && !mover.inside()) mover.start_entering();
+    bodies.clear();
+    for (sim::Person& person : people) {
+      person.advance(1.0 / hz);
+      if (person.inside()) bodies.push_back(person.body());
+      // Seated users type once a second; the mover settles for 10 s
+      // before typing again.
+      const bool settling = &person == &mover && phase >= 10 && phase < 20;
+      if (person.seated() && !settling &&
+          t % static_cast<std::int64_t>(hz) == 0) {
+        supervised.record_input(person.workstation(), now);
+      }
+    }
+    for (const net::StationRow& row : network.round(bodies)) {
       supervised.step(row.values, row.valid);
     }
   }

@@ -4,11 +4,7 @@ namespace fadewich {
 
 namespace {
 
-inline std::uint64_t rotl(std::uint64_t x, int b) {
-  return (x << b) | (x >> (64 - b));
-}
-
-inline std::uint64_t load_le64(const std::uint8_t* p) {
+std::uint64_t load_le64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
     v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
@@ -16,60 +12,21 @@ inline std::uint64_t load_le64(const std::uint8_t* p) {
   return v;
 }
 
-inline void sipround(std::uint64_t& v0, std::uint64_t& v1,
-                     std::uint64_t& v2, std::uint64_t& v3) {
-  v0 += v1;
-  v1 = rotl(v1, 13);
-  v1 ^= v0;
-  v0 = rotl(v0, 32);
-  v2 += v3;
-  v3 = rotl(v3, 16);
-  v3 ^= v2;
-  v0 += v3;
-  v3 = rotl(v3, 21);
-  v3 ^= v0;
-  v2 += v1;
-  v1 = rotl(v1, 17);
-  v1 ^= v2;
-  v2 = rotl(v2, 32);
-}
-
 }  // namespace
 
 std::uint64_t siphash24(std::uint64_t k0, std::uint64_t k1,
                         const void* data, std::size_t len) {
   const auto* in = static_cast<const std::uint8_t*>(data);
-  std::uint64_t v0 = 0x736f6d6570736575ULL ^ k0;
-  std::uint64_t v1 = 0x646f72616e646f6dULL ^ k1;
-  std::uint64_t v2 = 0x6c7967656e657261ULL ^ k0;
-  std::uint64_t v3 = 0x7465646279746573ULL ^ k1;
-
+  SipHash24 mac(k0, k1);
   const std::size_t blocks = len / 8;
-  for (std::size_t i = 0; i < blocks; ++i) {
-    const std::uint64_t m = load_le64(in + 8 * i);
-    v3 ^= m;
-    sipround(v0, v1, v2, v3);
-    sipround(v0, v1, v2, v3);
-    v0 ^= m;
-  }
-
-  // Last block: remaining bytes little-endian, length in the top byte.
-  std::uint64_t b = static_cast<std::uint64_t>(len & 0xff) << 56;
-  const std::uint8_t* tail = in + 8 * blocks;
+  for (std::size_t i = 0; i < blocks; ++i) mac.word(load_le64(in + 8 * i));
+  // Last block: the remaining bytes little-endian; finish() adds the
+  // length in the top byte.
+  std::uint64_t tail = 0;
   for (std::size_t i = 0; i < (len & 7); ++i) {
-    b |= static_cast<std::uint64_t>(tail[i]) << (8 * i);
+    tail |= static_cast<std::uint64_t>(in[8 * blocks + i]) << (8 * i);
   }
-  v3 ^= b;
-  sipround(v0, v1, v2, v3);
-  sipround(v0, v1, v2, v3);
-  v0 ^= b;
-
-  v2 ^= 0xff;
-  sipround(v0, v1, v2, v3);
-  sipround(v0, v1, v2, v3);
-  sipround(v0, v1, v2, v3);
-  sipround(v0, v1, v2, v3);
-  return v0 ^ v1 ^ v2 ^ v3;
+  return mac.finish(tail, len);
 }
 
 }  // namespace fadewich

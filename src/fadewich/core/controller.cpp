@@ -13,12 +13,11 @@ Controller::Controller(ControllerConfig config,
   FADEWICH_EXPECTS(workstation_count >= 1);
 }
 
-std::vector<Action> Controller::step(
-    Seconds now, Seconds window_duration,
-    const KeyboardMouseActivity& kma,
-    const std::function<std::optional<int>()>& classify) {
+void Controller::step(Seconds now, Seconds window_duration,
+                      const KeyboardMouseActivity& kma,
+                      const std::function<std::optional<int>()>& classify,
+                      std::vector<Action>& actions) {
   FADEWICH_EXPECTS(window_duration >= 0.0);
-  std::vector<Action> actions;
 
   switch (state_) {
     case ControlState::kQuiet:
@@ -43,10 +42,7 @@ std::vector<Action> Controller::step(
             // No trustworthy classification: movement definitely happened
             // (MD crossed t_delta), so protect every idle workstation via
             // Rule 2 instead of doing nothing.
-            for (std::size_t w : kma.idle_set(now, config_.rule2_idle)) {
-              actions.push_back({ActionType::kAlert, w, now});
-              ++rule2_alerts_;
-            }
+            alert_idle(now, kma, actions);
           }
         }
         state_ = ControlState::kNoisy;
@@ -59,15 +55,20 @@ std::vector<Action> Controller::step(
       } else {
         // Rule 2: the window is continuing past t_delta; other users may
         // be moving too, so protect every idle workstation.
-        for (std::size_t w :
-             kma.idle_set(now, config_.rule2_idle)) {
-          actions.push_back({ActionType::kAlert, w, now});
-          ++rule2_alerts_;
-        }
+        alert_idle(now, kma, actions);
       }
       break;
   }
-  return actions;
+}
+
+void Controller::alert_idle(Seconds now, const KeyboardMouseActivity& kma,
+                            std::vector<Action>& actions) {
+  for (std::size_t w = 0; w < kma.workstation_count(); ++w) {
+    if (kma.idle_for(w, now, config_.rule2_idle)) {
+      actions.push_back({ActionType::kAlert, w, now});
+      ++rule2_alerts_;
+    }
+  }
 }
 
 obs::HealthBlock Controller::health_block() const {

@@ -53,15 +53,18 @@ class Controller {
  public:
   Controller(ControllerConfig config, std::size_t workstation_count);
 
-  /// Advance one step.  `now` is the current time, `window_duration` is
-  /// MD's dW_t.  `classify` is invoked exactly once per variation window,
-  /// at the step where dW_t reaches t_delta, and must return the RE label
-  /// for the window's first t_delta seconds (or std::nullopt if RE is not
-  /// available, e.g. still training — Rule 1 is then skipped).
-  std::vector<Action> step(
-      Seconds now, Seconds window_duration,
-      const KeyboardMouseActivity& kma,
-      const std::function<std::optional<int>()>& classify);
+  /// Advance one step, appending its actions to `actions`.  `now` is the
+  /// current time, `window_duration` is MD's dW_t.  `classify` is
+  /// invoked exactly once per variation window, at the step where dW_t
+  /// reaches t_delta, and must return the RE label for the window's
+  /// first t_delta seconds (or std::nullopt if RE is not available, e.g.
+  /// still training — Rule 1 is then skipped).  A step appends at most
+  /// one action per workstation, so a caller that reserves that much
+  /// never allocates here.
+  void step(Seconds now, Seconds window_duration,
+            const KeyboardMouseActivity& kma,
+            const std::function<std::optional<int>()>& classify,
+            std::vector<Action>& actions);
 
   ControlState state() const { return state_; }
   const ControllerConfig& config() const { return config_; }
@@ -83,6 +86,10 @@ class Controller {
   }
 
  private:
+  /// Rule 2: alert every workstation idle for at least rule2_idle.
+  void alert_idle(Seconds now, const KeyboardMouseActivity& kma,
+                  std::vector<Action>& actions);
+
   ControllerConfig config_;
   std::size_t workstation_count_;
   ControlState state_ = ControlState::kQuiet;

@@ -25,15 +25,6 @@ Seconds KeyboardMouseActivity::idle_time(std::size_t workstation,
   return t - last_input_[workstation];
 }
 
-std::vector<std::size_t> KeyboardMouseActivity::idle_set(Seconds t,
-                                                         Seconds s) const {
-  std::vector<std::size_t> out;
-  for (std::size_t w = 0; w < last_input_.size(); ++w) {
-    if (idle_time(w, t) >= s) out.push_back(w);
-  }
-  return out;
-}
-
 bool KeyboardMouseActivity::idle_for(std::size_t workstation, Seconds t,
                                      Seconds s) const {
   return idle_time(workstation, t) >= s;

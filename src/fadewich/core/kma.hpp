@@ -29,10 +29,8 @@ class KeyboardMouseActivity {
   /// out-of-order arrivals are answered against what is known).
   Seconds idle_time(std::size_t workstation, Seconds t) const;
 
-  /// S_t^(s): workstations idle for at least s seconds at time t.
-  std::vector<std::size_t> idle_set(Seconds t, Seconds s) const;
-
-  /// True if the workstation is in S_t^(s).
+  /// True if the workstation is in S_t^(s), the set of workstations
+  /// idle for at least s seconds at time t.
   bool idle_for(std::size_t workstation, Seconds t, Seconds s) const;
 
   /// Last-input instants for persistence (-infinity = never seen).

@@ -44,6 +44,7 @@ FadewichSystem::FadewichSystem(std::size_t stream_count,
   for (std::size_t w = 0; w < workstation_count; ++w) {
     sessions_.emplace_back(config.t_id, config.t_ss);
   }
+  actions_.reserve(workstation_count);  // a step's most
 }
 
 void FadewichSystem::record_input(std::size_t workstation, Seconds t) {
@@ -154,27 +155,33 @@ FadewichSystem::StepResult FadewichSystem::step(
   ++tick_;
   const Seconds t = now();
 
+  actions_.clear();
   if (training_) {
     resolve_pending_entries();
     // Mirror the controller's Rule 1 moment: sample when the live window
     // reaches t_delta.  Use the controller FSM itself so training and
     // online phases trigger at identical instants.
-    result.actions = controller_.step(
-        t, md_.current_window_duration(), kma_, [&]() -> std::optional<int> {
+    controller_.step(
+        t, md_.current_window_duration(), kma_,
+        [&]() -> std::optional<int> {
           collect_training_sample();
           return std::nullopt;  // no RE yet: Rule 1 cannot fire
-        });
+        },
+        actions_);
     // Training phase never acts on workstations.
-    result.actions.clear();
+    actions_.clear();
     return result;
   }
 
-  result.actions = controller_.step(
-      t, md_.current_window_duration(), kma_, [&]() {
+  controller_.step(
+      t, md_.current_window_duration(), kma_,
+      [&]() {
         const std::optional<int> label = classify_current_window();
         result.classification = label;
         return label;
-      });
+      },
+      actions_);
+  result.actions = actions_;
 
   for (const Action& action : result.actions) {
     switch (action.type) {

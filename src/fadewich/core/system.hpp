@@ -77,7 +77,9 @@ class FadewichSystem {
 
   struct StepResult {
     MdState md_state = MdState::kCalibrating;
-    std::vector<Action> actions;
+    /// This step's controller actions, in a buffer the system owns:
+    /// valid until the next step.
+    std::span<const Action> actions;
     /// RE label when Rule 1 fired on this step.
     std::optional<int> classification;
   };
@@ -165,6 +167,7 @@ class FadewichSystem {
 
   Tick tick_ = 0;
   std::vector<double> validity_row_;  // scratch, reused every step
+  std::vector<Action> actions_;       // the last step's, reused
   obs::HistogramSample step_seconds_{obs::default_bucket_bounds()};
   bool training_ = true;
   ml::Dataset samples_;

@@ -1,6 +1,8 @@
 #include "fadewich/defend/defender.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 namespace fadewich::defend {
 
@@ -37,6 +39,7 @@ void Defender::init_state() {
     stations_[d].key = net::derive_station_key(
         config_.key_seed, static_cast<std::uint16_t>(d));
   }
+  recent_.resize(device_count_);
   streams_.assign(device_count_ * (device_count_ - 1), StreamState{});
 }
 
@@ -73,23 +76,33 @@ bool Defender::take_token(StationState& st, Tick now) {
   return true;
 }
 
-void Defender::remember(StationState& st, std::uint64_t seq,
+void Defender::remember(std::uint16_t station, std::uint64_t seq,
                         std::uint64_t digest) {
-  st.recent_seq[st.recent_head] = seq;
-  st.recent_digest[st.recent_head] = digest;
+  StationState& st = stations_[station];
+  recent_[station][st.recent_head] = {seq, digest};
   st.recent_head = (st.recent_head + 1) % kRecentRing;
   if (st.recent_count < kRecentRing) ++st.recent_count;
 }
 
-std::optional<std::uint64_t> Defender::recall(const StationState& st,
-                                              std::uint64_t seq) {
-  for (std::size_t i = 0; i < st.recent_count; ++i) {
-    if (st.recent_seq[i] == seq) return st.recent_digest[i];
+std::optional<std::uint64_t> Defender::recall(std::uint16_t station,
+                                              std::uint64_t seq) const {
+  const RecentRing& ring = recent_[station];
+  for (std::size_t i = 0; i < stations_[station].recent_count; ++i) {
+    if (ring[i].seq == seq) return ring[i].digest;
   }
   return std::nullopt;
 }
 
 double Defender::smooth(StreamState& s, double value, Tick now) {
+  // A stream reporting without a gap and with no ramp in progress (or
+  // reporting for the first time) passes its value through.
+  if (s.ramp_start == -1 && now - s.last_seen <= config_.rejoin_gap_ticks)
+      [[likely]] {
+    s.last_seen = now;
+    s.last_out = value;
+    s.has_out = true;
+    return value;
+  }
   double forward = value;
   if (config_.ramp_ticks > 0 && s.has_out) {
     if (now - s.last_seen > config_.rejoin_gap_ticks) {
@@ -121,11 +134,12 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
   // Station identity: in this deployment every sensor is its own
   // reporting station, so a station id outside the device table is a
   // fabricated identity, not a routing error.
-  if (frame.header.station_id >= device_count_) {
+  const std::uint16_t station = frame.header.station_id;
+  if (station >= device_count_) {
     ++counters_.unknown_station;
     return FrameVerdict::kUnknownStation;
   }
-  StationState& st = stations_[frame.header.station_id];
+  StationState& st = stations_[station];
 
   if (st.quarantine_until > now) {
     ++counters_.station_quarantine_drops;
@@ -158,7 +172,7 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
   switch (st.window.accept(frame.header.seq)) {
     case net::SeqWindow::Result::kDuplicate: {
       const std::optional<std::uint64_t> prior =
-          recall(st, frame.header.seq);
+          recall(station, frame.header.seq);
       if (prior.has_value() && *prior != digest) {
         ++counters_.spoof_conflicts;
         st.quarantine_until = now + config_.consistency.quarantine_ticks;
@@ -174,44 +188,46 @@ FrameVerdict Defender::filter_frame(const net::DecodedFrame& frame, Tick now,
     case net::SeqWindow::Result::kReordered:
       break;
   }
-  remember(st, frame.header.seq, digest);
+  remember(station, frame.header.seq, digest);
 
-  // Physical consistency per report.  Reports with device ids outside
-  // the deployment are forwarded untouched — CentralStation counts them
-  // malformed; duplicating that bookkeeping here would skew its health
-  // block.
-  for (const net::WireReport& r : frame.reports) {
-    ++counters_.reports_checked;
-    const net::DeviceId tx = frame.header.tx;
-    const double value = static_cast<double>(r.rssi_dbm);
-    if (tx >= device_count_ || r.rx >= device_count_ || r.rx == tx) {
-      ++counters_.reports_accepted;
-      out.push_back(net::Measurement{tx, r.rx, frame.header.tick, value});
-      continue;
+  // Physical consistency, one call per frame.  Reports with device ids
+  // outside the deployment come back kUnchecked and are forwarded
+  // untouched — CentralStation counts them malformed; duplicating that
+  // bookkeeping here would skew its health block.
+  const std::span<const net::WireReport> reports = frame.reports;
+  if (verdicts_.size() < reports.size()) verdicts_.resize(reports.size());
+  const net::DeviceId tx = frame.header.tx;
+  consistency_.check_frame(tx, reports, now, verdicts_);
+
+  const std::size_t base = out.size();
+  out.resize(base + reports.size());
+  net::Measurement* const first = out.data() + base;
+  net::Measurement* next = first;
+  const Tick tick = frame.header.tick;
+  std::array<std::uint64_t, 5> dropped{};  // by verdict; kOk stays 0
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const SampleVerdict verdict = verdicts_[i];
+    const net::DeviceId rx = reports[i].rx;
+    double value = reports[i].rssi_dbm;
+    if (verdict == SampleVerdict::kOk) {
+      value = smooth(streams_[consistency_.stream_of(tx, rx)], value, now);
+    } else if (verdict != SampleVerdict::kUnchecked) [[unlikely]] {
+      ++dropped[static_cast<std::size_t>(verdict)];
     }
-    const std::size_t stream =
-        static_cast<std::size_t>(tx) * (device_count_ - 1) +
-        (r.rx < tx ? r.rx : r.rx - 1);
-    switch (consistency_.check(stream, r.rssi_dbm, now)) {
-      case SampleVerdict::kOk:
-        ++counters_.reports_accepted;
-        out.push_back(net::Measurement{tx, r.rx, frame.header.tick,
-                                       smooth(streams_[stream], value, now)});
-        break;
-      case SampleVerdict::kExcessVariance:
-        ++counters_.variance_flags;
-        break;
-      case SampleVerdict::kImpossible:
-        ++counters_.impossible_rssi;
-        break;
-      case SampleVerdict::kStuck:
-        ++counters_.stuck_drops;
-        break;
-      case SampleVerdict::kQuarantined:
-        ++counters_.link_quarantine_drops;
-        break;
-    }
+    *next = {tx, rx, tick, value};
+    next += verdict == SampleVerdict::kOk ||
+            verdict == SampleVerdict::kUnchecked;
   }
+  out.resize(base + static_cast<std::size_t>(next - first));
+  counters_.reports_checked += reports.size();
+  counters_.reports_accepted += static_cast<std::size_t>(next - first);
+  const auto drops = [&dropped](SampleVerdict verdict) {
+    return dropped[static_cast<std::size_t>(verdict)];
+  };
+  counters_.impossible_rssi += drops(SampleVerdict::kImpossible);
+  counters_.variance_flags += drops(SampleVerdict::kExcessVariance);
+  counters_.stuck_drops += drops(SampleVerdict::kStuck);
+  counters_.link_quarantine_drops += drops(SampleVerdict::kQuarantined);
   counters_.link_quarantines = consistency_.quarantines();
 
   ++counters_.frames_accepted;

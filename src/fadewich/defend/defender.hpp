@@ -121,35 +121,37 @@ class Defender {
   FrameVerdict filter_frame(const net::DecodedFrame& frame, Tick now,
                             std::vector<net::Measurement>& out);
 
-  bool link_quarantined(std::size_t stream, Tick now) const {
-    return consistency_.quarantined(stream, now);
-  }
-  std::size_t quarantined_links(Tick now) const {
-    return consistency_.quarantined_count(now);
-  }
   bool station_quarantined(std::uint16_t station, Tick now) const;
 
   const DefendCounters& counters() const { return counters_; }
   const DefendConfig& config() const { return config_; }
-  const ConsistencyChecker& consistency() const { return consistency_; }
 
  private:
   static constexpr std::size_t kRecentRing = 64;  // matches SeqWindow span
 
+  // Everything a frame's station checks touch, in one record: the key,
+  // the replay window, the token bucket, the identity quarantine and the
+  // position in the station's recent ring.
   struct StationState {
     net::WireKey key;
     net::SeqWindow window;
     double tokens = 0.0;
     Tick last_refill = 0;
-    bool bucket_started = false;
     Tick quarantine_until = -1;
-    // Content digests of recently accepted seqs, for replay-vs-spoof
-    // discrimination on duplicate sequence numbers.
-    std::uint32_t recent_head = 0;
-    std::uint32_t recent_count = 0;
-    std::array<std::uint64_t, kRecentRing> recent_seq{};
-    std::array<std::uint64_t, kRecentRing> recent_digest{};
+    std::uint32_t recent_head = 0;   // ring slot the next accept writes
+    std::uint32_t recent_count = 0;  // filled slots (<= kRecentRing)
+    bool bucket_started = false;
   };
+
+  // Content digests of recently accepted seqs, for replay-vs-spoof
+  // discrimination on duplicate sequence numbers.  An accept writes one
+  // entry and only a duplicate seq reads the ring, so the 1 KB rings
+  // live apart from the per-frame records.
+  struct Recent {
+    std::uint64_t seq = 0;
+    std::uint64_t digest = 0;
+  };
+  using RecentRing = std::array<Recent, kRecentRing>;
 
   // Per-stream rejoin-smoothing state (see DefendConfig::ramp_ticks).
   struct StreamState {
@@ -164,17 +166,19 @@ class Defender {
   bool take_token(StationState& st, Tick now);
   /// Rejoin smoothing for an accepted sample (see DefendConfig).
   double smooth(StreamState& stream, double value, Tick now);
-  static void remember(StationState& st, std::uint64_t seq,
-                       std::uint64_t digest);
-  /// Digest recorded for `seq`, if still in the ring.
-  static std::optional<std::uint64_t> recall(const StationState& st,
-                                             std::uint64_t seq);
+  void remember(std::uint16_t station, std::uint64_t seq,
+                std::uint64_t digest);
+  /// Digest recorded for the station's `seq`, if still in its ring.
+  std::optional<std::uint64_t> recall(std::uint16_t station,
+                                      std::uint64_t seq) const;
 
   std::size_t device_count_;
   DefendConfig config_;
   ConsistencyChecker consistency_;
   std::vector<StationState> stations_;
+  std::vector<RecentRing> recent_;  // by station id
   std::vector<StreamState> streams_;
+  std::vector<SampleVerdict> verdicts_;  // one frame's, reused
   DefendCounters counters_;
 };
 

@@ -13,11 +13,11 @@ namespace fadewich::eval {
 
 namespace {
 
-const std::vector<core::Action>& actions_of(
+std::span<const core::Action> actions_of(
     const core::FadewichSystem::StepResult& result) {
   return result.actions;
 }
-const std::vector<core::Action>& actions_of(
+std::span<const core::Action> actions_of(
     const persist::SupervisedSystem::StepResult& result) {
   return result.inner.actions;
 }

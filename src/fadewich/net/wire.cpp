@@ -111,28 +111,32 @@ void encode_frame(const FrameHeader& header,
 
 std::uint64_t frame_tag(const WireKey& key, const FrameHeader& header,
                         std::span<const WireReport> reports) {
-  // Re-serialise the tag-covered bytes [4, 28+3n) exactly as the encoder
-  // lays them out.  Thread-local scratch keeps verification
-  // allocation-free in steady state.
-  static thread_local std::vector<std::uint8_t> scratch;
-  const std::size_t covered = kWireHeaderSize - sizeof(kMagic) +
-                              kWireReportSize * reports.size();
-  scratch.resize(covered);
-  std::uint8_t* p = scratch.data();
-  p[0] = kWireVersion;
-  p[1] = kWireFlagAuth;
-  store_u16(p + 2, header.station_id);
-  store_u64(p + 4, header.seq);
-  store_u64(p + 12, static_cast<std::uint64_t>(header.tick));
-  store_u16(p + 20, header.tx);
-  store_u16(p + 22, static_cast<std::uint16_t>(reports.size()));
-  std::uint8_t* q = p + kWireHeaderSize - sizeof(kMagic);
+  // The tag-covered bytes [4, 28+3n), fed to SipHash as the words the
+  // encoder's layout makes of them: the 24 header bytes after the magic
+  // are three whole words, and the 3-byte reports follow, eight of them
+  // to every three words.
+  const std::uint64_t count = static_cast<std::uint16_t>(reports.size());
+  const auto tick = static_cast<std::uint64_t>(header.tick);
+  SipHash24 mac(key.k0, key.k1);
+  mac.word(kWireVersion | std::uint64_t{kWireFlagAuth} << 8 |
+           std::uint64_t{header.station_id} << 16 | header.seq << 32);
+  mac.word(header.seq >> 32 | tick << 32);
+  mac.word(tick >> 32 | std::uint64_t{header.tx} << 32 | count << 48);
+  std::uint64_t pending = 0;  // message bits not yet absorbed
+  unsigned bits = 0;          // how many (< 64)
   for (const WireReport& r : reports) {
-    store_u16(q, r.rx);
-    q[2] = static_cast<std::uint8_t>(r.rssi_dbm);
-    q += kWireReportSize;
+    const std::uint64_t packed =
+        r.rx | std::uint64_t{static_cast<std::uint8_t>(r.rssi_dbm)} << 16;
+    pending |= packed << bits;
+    bits += 8 * kWireReportSize;
+    if (bits >= 64) {
+      mac.word(pending);
+      bits -= 64;
+      pending = packed >> (8 * kWireReportSize - bits);
+    }
   }
-  return siphash24(key.k0, key.k1, p, covered);
+  return mac.finish(pending, kWireHeaderSize - sizeof(kMagic) +
+                                 kWireReportSize * reports.size());
 }
 
 bool verify_frame_tag(const WireKey& key, const DecodedFrame& frame) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <vector>
+
 #include "fadewich/common/error.hpp"
 #include "fadewich/core/radio_environment.hpp"
 
@@ -15,8 +19,17 @@ class ControllerTest : public ::testing::Test {
   /// Step with a fixed classification result.
   std::vector<Action> step(Seconds now, Seconds window_duration,
                            std::optional<int> label) {
-    return controller_.step(now, window_duration, kma_,
-                            [&]() { return label; });
+    std::vector<Action> actions;
+    controller_.step(now, window_duration, kma_, [&]() { return label; },
+                     actions);
+    return actions;
+  }
+
+  /// Step with a counting classifier; the actions are not inspected.
+  void step(Seconds now, Seconds window_duration,
+            const std::function<std::optional<int>()>& classify) {
+    std::vector<Action> actions;
+    controller_.step(now, window_duration, kma_, classify, actions);
   }
 
   KeyboardMouseActivity kma_;
@@ -78,8 +91,10 @@ TEST_F(ControllerTest, Rule1SkipsWhenClassifierUnavailableAndFallbackOff) {
   ControllerConfig config;
   config.rule2_on_unavailable = false;  // legacy behaviour
   Controller controller(config, 3);
-  const auto actions = controller.step(
-      4.5, 4.5, kma_, []() -> std::optional<int> { return std::nullopt; });
+  std::vector<Action> actions;
+  controller.step(
+      4.5, 4.5, kma_, []() -> std::optional<int> { return std::nullopt; },
+      actions);
   EXPECT_TRUE(actions.empty());
   EXPECT_EQ(controller.state(), ControlState::kNoisy);
 }
@@ -111,14 +126,31 @@ TEST_F(ControllerTest, ClassifyCalledExactlyOncePerWindow) {
     ++calls;
     return kLabelEntered;
   };
-  controller_.step(4.5, 4.5, kma_, counting);
-  controller_.step(4.7, 4.7, kma_, counting);
-  controller_.step(5.0, 5.0, kma_, counting);
-  controller_.step(6.0, 0.0, kma_, counting);  // window over
+  step(4.5, 4.5, counting);
+  step(4.7, 4.7, counting);
+  step(5.0, 5.0, counting);
+  step(6.0, 0.0, counting);  // window over
   EXPECT_EQ(calls, 1);
   // A new window triggers a new classification.
-  controller_.step(20.0, 4.5, kma_, counting);
+  step(20.0, 4.5, counting);
   EXPECT_EQ(calls, 2);
+}
+
+TEST_F(ControllerTest, StepAppendsToTheCallersBuffer) {
+  // The system reuses one buffer across steps: a step appends after what
+  // the caller left there and leaves it alone when it has no action.
+  kma_.record_input(1, 0.0);
+  std::vector<Action> actions = {{ActionType::kAlert, 2, 1.0}};
+  controller_.step(4.5, 4.5, kma_,
+                   [] { return std::optional<int>(label_for_workstation(1)); },
+                   actions);
+  ASSERT_EQ(actions.size(), 2u);
+  EXPECT_EQ(actions[0].workstation, 2u);
+  EXPECT_EQ(actions[1].type, ActionType::kDeauthenticate);
+  EXPECT_EQ(actions[1].workstation, 1u);
+  controller_.step(10.0, 0.0, kma_, [] { return std::optional<int>(); },
+                   actions);
+  EXPECT_EQ(actions.size(), 2u);
 }
 
 TEST_F(ControllerTest, Rule1HonoursExactTDeltaIdleBoundary) {

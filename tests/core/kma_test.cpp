@@ -40,13 +40,12 @@ TEST(KmaTest, IdleSetSelectsByThreshold) {
   kma.record_input(0, 10.0);  // idle 5 at t=15
   kma.record_input(1, 14.0);  // idle 1
   kma.record_input(2, 14.9);  // idle 0.1
-  const auto s1 = kma.idle_set(15.0, 1.0);
-  ASSERT_EQ(s1.size(), 2u);
-  EXPECT_EQ(s1[0], 0u);
-  EXPECT_EQ(s1[1], 1u);
-  const auto s45 = kma.idle_set(15.0, 4.5);
-  ASSERT_EQ(s45.size(), 1u);
-  EXPECT_EQ(s45[0], 0u);
+  EXPECT_TRUE(kma.idle_for(0, 15.0, 1.0));
+  EXPECT_TRUE(kma.idle_for(1, 15.0, 1.0));
+  EXPECT_FALSE(kma.idle_for(2, 15.0, 1.0));
+  EXPECT_TRUE(kma.idle_for(0, 15.0, 4.5));
+  EXPECT_FALSE(kma.idle_for(1, 15.0, 4.5));
+  EXPECT_FALSE(kma.idle_for(2, 15.0, 4.5));
 }
 
 TEST(KmaTest, IdleSetThresholdIsInclusive) {
@@ -55,8 +54,7 @@ TEST(KmaTest, IdleSetThresholdIsInclusive) {
   // Exactly s seconds idle belongs to S(s), matching "idle between t-s
   // and t".
   EXPECT_TRUE(kma.idle_for(0, 14.5, 4.5));
-  const auto set = kma.idle_set(14.5, 4.5);
-  EXPECT_EQ(set.size(), 1u);
+  EXPECT_FALSE(kma.idle_for(0, 14.4, 4.5));
 }
 
 TEST(KmaTest, IndependentWorkstations) {

@@ -47,12 +47,20 @@ class Harness {
                             : std::set<std::size_t>{2, 3};
   }
 
+  /// One step's result, with its actions copied out of the system's
+  /// buffer (which the next step reuses).
+  struct Step {
+    MdState md_state = MdState::kCalibrating;
+    std::vector<Action> actions;
+    std::optional<int> classification;
+  };
+
   /// Advance `seconds`, with users of `typing` workstations generating
   /// input every second, and `moving_streams` carrying burst variance.
-  std::vector<FadewichSystem::StepResult> advance(
-      Seconds seconds, const std::set<std::size_t>& typing,
-      const std::set<std::size_t>& moving_streams) {
-    std::vector<FadewichSystem::StepResult> results;
+  std::vector<Step> advance(Seconds seconds,
+                            const std::set<std::size_t>& typing,
+                            const std::set<std::size_t>& moving_streams) {
+    std::vector<Step> results;
     const auto ticks = static_cast<int>(seconds * kHz);
     for (int i = 0; i < ticks; ++i) {
       const Seconds t = system_.now();
@@ -64,7 +72,9 @@ class Harness {
         const double sigma = moving_streams.count(s) ? 4.0 : 0.4;
         row[s] = std::round(rng_.normal(-60.0, sigma));
       }
-      results.push_back(system_.step(row));
+      const FadewichSystem::StepResult r = system_.step(row);
+      results.push_back({r.md_state, {r.actions.begin(), r.actions.end()},
+                         r.classification});
     }
     return results;
   }

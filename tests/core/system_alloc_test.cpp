@@ -22,6 +22,7 @@
 #include "fadewich/common/rng.hpp"
 #include "fadewich/core/features.hpp"
 #include "fadewich/core/normal_profile.hpp"
+#include "fadewich/core/radio_environment.hpp"
 #include "fadewich/ml/dataset.hpp"
 #include "oracle/features.hpp"
 
@@ -243,6 +244,70 @@ TEST(SystemAllocTest, WarmClassificationAndFoldTicksAreAllocationFree) {
   EXPECT_GE(classify_ticks, 3u);
   EXPECT_GE(fold_ticks, 3u);
   EXPECT_EQ(heavy_allocs, 0u);
+}
+
+TEST(SystemAllocTest, WarmDeauthAndRule2TicksAreAllocationFree) {
+  // Ticks that emit actions: a Rule-1 deauthentication and the Rule-2
+  // alerts that follow it while the window stays open.  Their actions go
+  // into a buffer the system owns and reuses, so once warm they allocate
+  // nothing.  Nobody types, so every leave label deauthenticates and no
+  // alert arms a session; once the warm-up cycle has locked the sessions
+  // RE names, no measured action changes a session's state (a state
+  // change appends to the session's transition log, which may allocate).
+  constexpr std::size_t kStreams = 24;
+  constexpr std::size_t kWorkstations = 2;
+  SystemConfig config;
+  config.md.calibration = 30.0;
+  config.md.profile.batch_size = 50;
+  FadewichSystem system(kStreams, kWorkstations, config);
+
+  Rng rng(37);
+  std::vector<double> row(kStreams);
+  ml::Dataset data;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<std::vector<double>> windows(kStreams,
+                                             std::vector<double>(23));
+    for (auto& w : windows) {
+      for (auto& v : w) v = std::round(rng.normal(-60.0, i % 2 ? 4.0 : 1.0));
+    }
+    data.add(oracle::block_features(windows, config.features),
+             label_for_workstation(static_cast<std::size_t>(i % 2)));
+  }
+
+  std::uint64_t deauth_ticks = 0;
+  std::uint64_t rule2_ticks = 0;
+  std::uint64_t action_allocs = 0;
+  const auto feed = [&](double sigma, std::size_t steps, bool measure) {
+    for (std::size_t t = 0; t < steps; ++t) {
+      for (auto& v : row) v = std::round(rng.normal(-60.0, sigma));
+      std::uint64_t allocs = 0;
+      bool deauth = false;
+      bool alert = false;
+      {
+        CountingScope scope;
+        for (const Action& a : system.step(row).actions) {
+          deauth |= a.type == ActionType::kDeauthenticate;
+          alert |= a.type == ActionType::kAlert;
+        }
+        allocs = scope.count();
+      }
+      if (!measure || !(deauth || alert)) continue;
+      deauth_ticks += deauth ? 1 : 0;
+      rule2_ticks += alert ? 1 : 0;
+      action_allocs += allocs;
+    }
+  };
+  feed(1.0, 200, false);  // calibration + window warm-up
+  system.train_with(data);
+  ASSERT_FALSE(system.training());
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    const bool measure = cycle >= 1;  // cycle 0 warms every buffer
+    feed(6.0, 40, measure);   // movement: Rule 1, then Rule 2 while open
+    feed(1.0, 300, measure);  // quiet: the window closes
+  }
+  EXPECT_GE(deauth_ticks, 1u);
+  EXPECT_GE(rule2_ticks, 1u);
+  EXPECT_EQ(action_allocs, 0u);
 }
 
 TEST(SystemAllocTest, WarmWindowClosingTicksAreAllocationFree) {

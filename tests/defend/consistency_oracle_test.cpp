@@ -1,7 +1,8 @@
-// Differential test: ConsistencyChecker's exact integer window against a
-// reference checker built on the floating Welford window
-// (oracle/rolling_window.hpp).  Both judge the same seeded int8 sample
-// streams; verdicts and quarantine entries must agree sample by sample.
+// Differential tests: ConsistencyChecker::check_frame (exact integer
+// window, integer thresholds, branch-free update) against the per-sample
+// reference in oracle/consistency.hpp (Welford window, plain ifs).  Both
+// judge the same seeded frames; verdicts and quarantine entries must
+// agree sample by sample.
 //
 // The two windows can only disagree when a window's exact standard
 // deviation equals a cap: the integer test says "not over", while Welford
@@ -14,105 +15,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "fadewich/common/rng.hpp"
 #include "fadewich/rf/pathloss.hpp"
-#include "oracle/rolling_window.hpp"
+#include "oracle/consistency.hpp"
 
 namespace fadewich::defend {
 namespace {
 
-// The consistency rules over a stats::RollingWindow of doubles.
-class ReferenceChecker {
- public:
-  explicit ReferenceChecker(const ConsistencyChecker& twin)
-      : config_(twin.config()) {
-    for (std::size_t s = 0; s < twin.stream_count(); ++s) {
-      bounds_.push_back(twin.static_bound_dbm(s));
-      links_.emplace_back(twin.window_ticks());
-    }
-  }
-
-  SampleVerdict check(std::size_t stream, double x, Tick now) {
-    Link& link = links_[stream];
-    const bool quarantined = link.quarantine_until > now;
-    const auto violate = [&](std::uint32_t weight, SampleVerdict verdict) {
-      if (quarantined) {
-        link.quarantine_until = now + config_.quarantine_ticks;
-        return SampleVerdict::kQuarantined;
-      }
-      link.suspicion += weight;
-      if (link.suspicion >= config_.suspicion_threshold) {
-        link.quarantine_until = now + config_.quarantine_ticks;
-        link.suspicion = 0;
-        ++quarantines_;
-      }
-      return verdict;
-    };
-    if (x > bounds_[stream] || x < config_.floor_dbm) {
-      return violate(config_.bound_weight, SampleVerdict::kImpossible);
-    }
-    const bool repeat = link.has_last && x == link.last;
-    link.run = repeat ? link.run + 1 : 1;
-    link.last = x;
-    link.has_last = true;
-    const bool stuck = link.run >= config_.stuck_run_ticks;
-    if (stuck) link.run = 1;
-    link.window.push(x);
-    if (stuck) return violate(config_.stuck_weight, SampleVerdict::kStuck);
-    if (link.window.full()) {
-      const double std = link.window.stddev();
-      if (over(link.window, std, config_.hard_window_std_db)) {
-        return violate(config_.bound_weight, SampleVerdict::kExcessVariance);
-      }
-      if (over(link.window, std, config_.max_window_std_db)) {
-        return violate(config_.variance_weight,
-                       SampleVerdict::kExcessVariance);
-      }
-    }
-    if (quarantined) return SampleVerdict::kQuarantined;
-    if (link.suspicion > 0) --link.suspicion;
-    return SampleVerdict::kOk;
-  }
-
-  std::uint64_t quarantines() const { return quarantines_; }
-
- private:
-  struct Link {
-    stats::RollingWindow window;
-    double last = 0.0;
-    bool has_last = false;
-    std::uint32_t run = 1;
-    std::uint32_t suspicion = 0;
-    Tick quarantine_until = -1;
-    explicit Link(std::size_t n) : window(n) {}
-  };
-
-  // Welford's std > cap, except at an exact tie (integer samples), which
-  // is "not over".
-  static bool over(const stats::RollingWindow& window, double std,
-                   double cap) {
-    std::int64_t sum = 0, sum_sq = 0;
-    for (const double v : window.values()) {
-      const auto x = static_cast<std::int64_t>(v);
-      sum += x;
-      sum_sq += x * x;
-    }
-    const auto n = static_cast<std::int64_t>(window.size());
-    const double limit = (cap * static_cast<double>(n)) *
-                         (cap * static_cast<double>(n));
-    if (static_cast<double>(n * sum_sq - sum * sum) == limit) return false;
-    return std > cap;
-  }
-
-  ConsistencyConfig config_;
-  std::vector<double> bounds_;
-  std::vector<Link> links_;
-  std::uint64_t quarantines_ = 0;
-};
+using oracle::ReferenceChecker;
 
 enum class Mode { kHonest, kJamMimic, kFrozen, kImpossible };
 
@@ -186,23 +101,115 @@ TEST_P(ConsistencyOracle, VerdictsAndQuarantinesMatchSampleBySample) {
         seeded_stream(rng, checker.static_bound_dbm(s), length));
   }
 
+  // One frame per transmitter and tick, its receivers in order: the
+  // samples reach both checkers in stream order.
   std::size_t flagged = 0;
+  std::vector<net::WireReport> frame;
+  std::array<SampleVerdict, 2> got{};
+  std::array<SampleVerdict, 2> want{};
   for (std::size_t t = 0; t < length; ++t) {
     const auto now = static_cast<Tick>(t);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::int8_t x = streams[s][t];
-      const SampleVerdict got = checker.check(s, x, now);
-      ASSERT_EQ(got, reference.check(s, x, now))
-          << "stream " << s << " tick " << t << " sample " << int{x};
+    for (net::DeviceId tx = 0; tx < 3; ++tx) {
+      frame.clear();
+      for (net::DeviceId rx = 0; rx < 3; ++rx) {
+        if (rx != tx) {
+          frame.push_back({rx, streams[checker.stream_of(tx, rx)][t]});
+        }
+      }
+      checker.check_frame(tx, frame, now, got);
+      reference.check_frame(tx, frame, now, want);
+      for (std::size_t i = 0; i < frame.size(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "tx " << tx << " rx " << frame[i].rx << " tick " << t
+            << " sample " << int{frame[i].rssi_dbm};
+        if (got[i] != SampleVerdict::kOk) ++flagged;
+      }
       ASSERT_EQ(checker.quarantines(), reference.quarantines())
-          << "stream " << s << " tick " << t;
-      if (got != SampleVerdict::kOk) ++flagged;
+          << "tx " << tx << " tick " << t;
     }
   }
   // The streams exercised every path, not just the accept path.
   EXPECT_GT(reference.quarantines(), 3u);
   EXPECT_GT(flagged, streams.size() * length / 10);
   EXPECT_LT(flagged, streams.size() * length * 9 / 10);
+}
+
+TEST_P(ConsistencyOracle, HostileFramesMatchTheReference) {
+  // Frames as an attacker or a broken station sends them: transmitters
+  // out of order and out of range, receivers shuffled, repeated within
+  // a frame, out of range and equal to the transmitter.  Repeats must
+  // be judged in order, as successive samples of one link.
+  constexpr std::size_t kDevices = 4;
+  const std::vector<rf::Point> positions = {
+      {0.0, 0.0}, {1.0, 0.0}, {4.0, 0.0}, {2.0, 3.0}};
+  ConsistencyChecker checker(kDevices, ConsistencyConfig{}, positions,
+                             rf::PathLossConfig{}, 0.0);
+  ReferenceChecker reference(checker);
+
+  Rng rng(GetParam() + 100);
+  const std::size_t length = 3000;
+  std::vector<std::vector<std::int8_t>> streams;
+  for (std::size_t s = 0; s < checker.stream_count(); ++s) {
+    streams.push_back(
+        seeded_stream(rng, checker.static_bound_dbm(s), length));
+  }
+
+  std::array<std::size_t, static_cast<std::size_t>(SampleVerdict::kUnchecked) + 1>
+      seen{};
+  std::vector<net::DeviceId> order(kDevices + 1);
+  std::vector<net::WireReport> frame;
+  std::vector<SampleVerdict> got;
+  std::vector<SampleVerdict> want;
+  for (std::size_t t = 0; t < length; ++t) {
+    const auto now = static_cast<Tick>(t);
+    for (std::size_t d = 0; d < order.size(); ++d) {
+      order[d] = static_cast<net::DeviceId>(d);  // kDevices: out of range
+    }
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    for (const net::DeviceId tx : order) {
+      frame.clear();
+      for (net::DeviceId rx = 0; rx < kDevices; ++rx) {
+        if (rx == tx) continue;
+        const std::int8_t x =
+            tx < kDevices ? streams[checker.stream_of(tx, rx)][t]
+                          : std::int8_t{-60};
+        frame.push_back({rx, x});
+        if (rng.bernoulli(0.15)) frame.push_back({rx, x});  // repeat
+        if (rng.bernoulli(0.001)) {
+          // A second, different sample for the same link.
+          frame.push_back({rx, static_cast<std::int8_t>(x - 3)});
+        }
+      }
+      if (rng.bernoulli(0.1)) frame.push_back({tx, -50});  // rx == tx
+      if (rng.bernoulli(0.1)) {
+        frame.push_back({static_cast<net::DeviceId>(
+                             kDevices + rng.uniform_int(0, 60000)),
+                         -50});
+      }
+      std::shuffle(frame.begin(), frame.end(), rng.engine());
+      got.assign(frame.size(), SampleVerdict::kOk);
+      want.assign(frame.size(), SampleVerdict::kOk);
+      checker.check_frame(tx, frame, now, got);
+      reference.check_frame(tx, frame, now, want);
+      for (std::size_t i = 0; i < frame.size(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "tx " << tx << " rx " << frame[i].rx << " report " << i
+            << " tick " << t << " sample " << int{frame[i].rssi_dbm};
+        ++seen[static_cast<std::size_t>(got[i])];
+      }
+      ASSERT_EQ(checker.quarantines(), reference.quarantines())
+          << "tx " << tx << " tick " << t;
+    }
+    for (std::size_t s = 0; s < checker.stream_count(); ++s) {
+      ASSERT_EQ(checker.quarantined(s, now + 1),
+                reference.quarantined(s, now + 1))
+          << "stream " << s << " tick " << t;
+    }
+  }
+  for (std::size_t v = 0; v < seen.size(); ++v) {
+    EXPECT_GT(seen[v], 0u) << "verdict " << v << " never seen";
+  }
+  EXPECT_GT(reference.quarantines(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConsistencyOracle,
@@ -226,9 +233,10 @@ TEST(ConsistencyOracleTie, StdExactlyAtTheSoftCapIsNotOver) {
 
   ConsistencyChecker checker(2, config);
   for (std::size_t t = 0; t < window.size(); ++t) {
-    EXPECT_EQ(checker.check(0, window[t], static_cast<Tick>(t)),
-              SampleVerdict::kOk)
-        << t;
+    const net::WireReport report{1, window[t]};
+    SampleVerdict verdict{};
+    checker.check_frame(0, {&report, 1}, static_cast<Tick>(t), {&verdict, 1});
+    EXPECT_EQ(verdict, SampleVerdict::kOk) << t;
   }
 }
 

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "fadewich/eval/paper_setup.hpp"
 
@@ -150,6 +155,96 @@ TEST_F(AttackSweepTest, DefendedCampaignsConserveFramesAndReports) {
               def.frames_accepted + def.frames_rejected())
         << scenario.name;
     EXPECT_EQ(def.reports_accepted, replay.health.reports) << scenario.name;
+  }
+}
+
+/// One defended campaign's decisions: the reconstruction digest and
+/// every DefendCounters field, in declaration order.
+struct PinnedCampaign {
+  const char* name;
+  std::uint64_t row_digest;
+  std::array<std::uint64_t, 18> defend;
+};
+
+std::array<std::uint64_t, 18> defend_fields(const defend::DefendCounters& c) {
+  return {c.frames_checked,     c.frames_accepted,
+          c.rate_limited,       c.unknown_station,
+          c.unauthenticated,    c.bad_tag,
+          c.replayed,           c.stale,
+          c.spoof_conflicts,    c.station_quarantine_drops,
+          c.reports_checked,    c.reports_accepted,
+          c.impossible_rssi,    c.variance_flags,
+          c.stuck_drops,        c.link_quarantine_drops,
+          c.link_quarantines,   c.ramped_samples};
+}
+
+std::string pinned_literal(const std::string& name, std::uint64_t digest,
+                           const std::array<std::uint64_t, 18>& fields) {
+  std::ostringstream out;
+  out << "{\"" << name << "\", " << digest << "u, {";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << fields[i] << "u";
+  }
+  out << "}}";
+  return out.str();
+}
+
+/// The defender's decisions on every defended standard campaign, pinned
+/// to the values the per-report consistency checker gave before the
+/// per-frame checker replaced it.  Any change to what the defender
+/// accepts, drops or smooths moves a digest or a counter here.
+TEST_F(AttackSweepTest, DefendedCampaignDecisionsArePinned) {
+  const std::vector<PinnedCampaign> pinned = {
+      {"clean",
+       747497121808135356u,
+       {121500u, 121500u, 0u, 0u, 0u, 0u, 0u, 0u, 0u,
+        0u, 972000u, 972000u, 0u, 0u, 0u, 0u, 0u, 0u}},
+      {"forge",
+       747497121808135356u,
+       {123000u, 121500u, 0u, 0u, 1500u, 0u, 0u, 0u, 0u,
+        0u, 972000u, 972000u, 0u, 0u, 0u, 0u, 0u, 0u}},
+      {"forge_insider",
+       6280090842224932028u,
+       {123000u, 119703u, 0u, 0u, 0u, 0u, 0u, 0u, 3u,
+        3294u, 957624u, 957620u, 4u, 0u, 0u, 0u, 0u, 829u}},
+      {"replay_takeover",
+       6289486426782315708u,
+       {126702u, 120000u, 0u, 0u, 0u, 6702u, 0u, 0u, 0u,
+        0u, 960000u, 960000u, 0u, 0u, 0u, 0u, 0u, 800u}},
+      {"flood",
+       747497121808135356u,
+       {169500u, 121500u, 43440u, 0u, 4560u, 0u, 0u, 0u, 0u,
+        0u, 972000u, 972000u, 0u, 0u, 0u, 0u, 0u, 0u}},
+      {"outage_dos",
+       2154854344455894204u,
+       {118498u, 118498u, 0u, 0u, 0u, 0u, 0u, 0u, 0u,
+        0u, 947984u, 947984u, 0u, 0u, 0u, 0u, 0u, 1600u}},
+      {"jam_mimic",
+       14679995289113212092u,
+       {121500u, 121500u, 0u, 0u, 0u, 0u, 0u, 0u, 0u,
+        0u, 972000u, 821035u, 35u, 514u, 0u, 150416u, 72u, 7200u}},
+      {"jam_mask",
+       5877270493802804412u,
+       {121500u, 121500u, 0u, 0u, 0u, 0u, 0u, 0u, 0u,
+        0u, 972000u, 842688u, 0u, 0u, 72u, 129240u, 72u, 7200u}},
+  };
+  const std::vector<AttackScenario> scenarios = standard_attack_scenarios(
+      recording().tick_count(), recording().sensor_count(),
+      /*defend=*/true, defend::DefendConfig{}, /*seed=*/11);
+  ASSERT_EQ(scenarios.size(), pinned.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const AttackReplayResult replay =
+        replay_under_attack(recording(), positions(), scenarios[i]);
+    const std::array<std::uint64_t, 18> fields = defend_fields(replay.defend);
+    EXPECT_EQ(scenarios[i].name, pinned[i].name);
+    EXPECT_EQ(replay.row_digest, pinned[i].row_digest) << scenarios[i].name;
+    EXPECT_EQ(fields, pinned[i].defend) << scenarios[i].name;
+    if (replay.row_digest != pinned[i].row_digest ||
+        fields != pinned[i].defend) {
+      ADD_FAILURE() << "now: "
+                    << pinned_literal(scenarios[i].name, replay.row_digest,
+                                      fields);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "fadewich/common/crc32.hpp"
 #include "fadewich/common/error.hpp"
+#include "fadewich/common/siphash.hpp"
 
 namespace fadewich::net {
 namespace {
@@ -250,6 +251,98 @@ TEST(WireTest, AuthenticatedRoundTripSurfacesTheTag) {
   ASSERT_EQ(frame->reports.size(), 3u);
   EXPECT_EQ(frame->reports[0].rssi_dbm, -40);
   EXPECT_EQ(decoder.counters().rejected_frames(), 0u);
+}
+
+/// Report counts whose batches end at every byte offset mod 8 (3n mod 8
+/// takes all eight values over n = 1..8), twice, plus the largest frame.
+std::vector<std::size_t> tag_test_counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 1; n <= 16; ++n) counts.push_back(n);
+  counts.push_back(kMaxFrameReports);
+  return counts;
+}
+
+/// Seeded reports whose receiver ids and RSSI bytes span their ranges.
+std::vector<WireReport> seeded_reports(std::size_t n, std::uint64_t seed) {
+  std::vector<WireReport> reports(n);
+  std::uint64_t z = seed;
+  for (WireReport& r : reports) {
+    z = z * 6364136223846793005ULL + 1442695040888963407ULL;
+    r.rx = static_cast<DeviceId>(z >> 48);
+    r.rssi_dbm = static_cast<std::int8_t>(z >> 24);
+  }
+  return reports;
+}
+
+FrameHeader tag_test_header(std::size_t n) {
+  return {static_cast<std::uint16_t>(0xBEEF - n), 0x0123456789ABCDEFULL + n,
+          -static_cast<Tick>(n) * 1000003, static_cast<DeviceId>(0xCAFE + n)};
+}
+
+std::uint64_t load_le(const std::uint8_t* p, std::size_t bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+TEST(WireTest, FrameTagEqualsTheEncodersTag) {
+  const WireKey key = derive_station_key(42, 3);
+  for (const std::size_t n : tag_test_counts()) {
+    const FrameHeader header = tag_test_header(n);
+    const std::vector<WireReport> reports = seeded_reports(n, n);
+    std::vector<std::uint8_t> bytes;
+    encode_frame(header, reports, bytes, &key);
+    const std::uint64_t encoded =
+        load_le(bytes.data() + kWireHeaderSize + kWireReportSize * n, 8);
+    EXPECT_EQ(frame_tag(key, header, reports), encoded) << n << " reports";
+  }
+}
+
+TEST(WireTest, FlippingAnyCoveredByteChangesTheTag) {
+  // Flip each tag-covered byte [4, 28+3n) of an encoded frame.  The tag
+  // over the flipped bytes must differ, and where the byte is a
+  // frame_tag input (every byte but version, flags and the count, which
+  // frame_tag derives), frame_tag of the fields read back from the
+  // flipped bytes must equal it: frame_tag covers every byte, each in
+  // its place.
+  const WireKey key = derive_station_key(42, 3);
+  for (const std::size_t n : tag_test_counts()) {
+    const FrameHeader header = tag_test_header(n);
+    const std::vector<WireReport> reports = seeded_reports(n, n + 100);
+    std::vector<std::uint8_t> bytes;
+    encode_frame(header, reports, bytes, &key);
+    const std::uint64_t tag = frame_tag(key, header, reports);
+    std::vector<std::uint8_t> covered(
+        bytes.begin() + 4,
+        bytes.begin() +
+            static_cast<std::ptrdiff_t>(kWireHeaderSize +
+                                        kWireReportSize * n));
+    FrameHeader h;
+    std::vector<WireReport> r(n);
+    for (std::size_t i = 0; i < covered.size(); ++i) {
+      covered[i] ^= 0x5A;
+      const std::uint64_t flipped =
+          siphash24(key.k0, key.k1, covered.data(), covered.size());
+      ASSERT_NE(flipped, tag) << n << " reports, byte " << i;
+      if (i >= 2 && i != 22 && i != 23) {
+        const std::uint8_t* c = covered.data();
+        h.station_id = static_cast<std::uint16_t>(load_le(c + 2, 2));
+        h.seq = load_le(c + 4, 8);
+        h.tick = static_cast<Tick>(load_le(c + 12, 8));
+        h.tx = static_cast<DeviceId>(load_le(c + 20, 2));
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::uint8_t* q = c + 24 + kWireReportSize * k;
+          r[k] = {static_cast<DeviceId>(load_le(q, 2)),
+                  static_cast<std::int8_t>(q[2])};
+        }
+        ASSERT_EQ(frame_tag(key, h, r), flipped)
+            << n << " reports, byte " << i;
+      }
+      covered[i] ^= 0x5A;
+    }
+  }
 }
 
 TEST(WireTest, WrongKeyOrUnauthenticatedFrameFailsVerification) {
