@@ -572,8 +572,9 @@ HotpathPair bench_channel_shadow_pass() {
 // push the batch into the ring, sort all 600 values, Silverman, then the
 // exact-Newton percentile (oracle/kde_percentile.hpp).  New:
 // NormalProfile::offer, which merges the sorted batch into its sorted
-// samples and reaches the root with an approximate pass first.  Both see
-// the same batches; the thresholds must agree bit for bit.
+// samples, dropping the evicted ones by age, and locates and certifies
+// the root with approximate scans alone.  Both see the same batches; the
+// thresholds must agree bit for bit.
 HotpathPair bench_profile_fold() {
   const bool fast = bench::fast_mode();
   core::NormalProfileConfig config;  // capacity 600, batch 150
@@ -795,8 +796,11 @@ SingleRate bench_system_step() {
 }
 
 // One MD threshold refit as the live path pays it: a 150-value quiet
-// batch folded into a full 600-sample profile, which re-sorts the ring
-// and re-inverts the KDE's 99th percentile.  Trajectory number only.
+// batch folded into a full 600-sample profile — sort the batch, one
+// merge walk that evicts by age, Silverman, and the KDE's 99th
+// percentile from ~4 approximate scans (an exact CDF only for a
+// bisection midpoint within the certified delta, <1% of refits).
+// Trajectory number only.
 SingleRate bench_profile_refit() {
   const bool fast = bench::fast_mode();
   core::NormalProfileConfig config;  // capacity 600, batch 150

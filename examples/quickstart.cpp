@@ -114,7 +114,7 @@ int main() {
     std::cout << "  w" << w + 1 << ": "
               << (state == core::SessionState::kLocked ? "locked"
                                                        : "active-ish")
-              << " (" << system.session(w).transitions().size()
+              << " (" << system.session(w).transition_count()
               << " transitions)\n";
   }
   return 0;

@@ -301,7 +301,7 @@ void k_kde_erfsum_block(const double* samples, std::size_t count,
 // s in [-1, 1] over z in [0, 5.7] (|u| <= 8.06, the pruning window), and
 // h is the degree-14 Chebyshev interpolant of erfc(z) exp(z^2) at the
 // Chebyshev nodes, expanded in powers of s so Estrin's scheme can
-// evaluate it in four dependent steps.  |Phi~ - Phi| < 5e-15.
+// evaluate it in four dependent steps.  |Phi~ - Phi| < kPhiApproxMaxError.
 inline constexpr double kErfcT = 0.3;
 inline constexpr double kErfcScale = 3.1695906432748537;  // 2 / (1 - t0)
 inline constexpr double kErfcShift = 2.1695906432748537;  // (1 + t0) / (1 - t0)

@@ -9,6 +9,14 @@
 
 namespace fadewich::core {
 
+namespace {
+// A sorted value and its push sequence number, as merge() moves them.
+struct Entry {
+  double value;
+  std::uint64_t seq;
+};
+}  // namespace
+
 // The pruned-CDF/PDF kernels live in ml/kde.hpp (kde_*_sorted) and are
 // shared with ml::GaussianKde, so the profile and the KDE evaluate the
 // identical tail-pruned sums over one sorted flat array.
@@ -35,13 +43,14 @@ void NormalProfile::ring_reset(std::span<const double> samples) {
   for (std::size_t i = skip; i < samples.size(); ++i) {
     ring_[ring_size_++] = samples[i];
   }
+  // A fresh sorted state: the samples merge in as one batch, renumbered
+  // from 0 in insertion order.
   sorted_.reserve(config_.capacity);
-  sort_ring();
-}
-
-void NormalProfile::sort_ring() {
-  copy_in_order(sorted_);
-  std::sort(sorted_.begin(), sorted_.end());
+  sorted_seq_.reserve(config_.capacity);
+  sorted_.clear();
+  sorted_seq_.clear();
+  pushed_ = 0;
+  merge(samples);
 }
 
 void NormalProfile::ring_push(double value) {
@@ -116,11 +125,9 @@ bool NormalProfile::offer(double value) {
     return false;
   }
 
-  // Fold the batch in, dropping the oldest values past capacity.  The
-  // merge reads the values the pushes overwrite, so it runs first.
-  const bool merged = queue_.size() < config_.capacity && merge_batch();
+  // Fold the batch in, dropping the oldest values past capacity.
   for (double v : queue_) ring_push(v);
-  if (!merged) sort_ring();
+  merge(queue_);
   queue_.clear();
   refit();
 
@@ -143,47 +150,42 @@ bool NormalProfile::offer(double value) {
   return true;
 }
 
-bool NormalProfile::merge_batch() {
-  // The values the batch's pushes will overwrite: the oldest `evict`.
-  const std::size_t b = queue_.size();
-  const std::size_t evict = ring_size_ + b > config_.capacity
-                                ? ring_size_ + b - config_.capacity
-                                : 0;
+void NormalProfile::merge(std::span<const double> values) {
+  // Pushing `values` evicts every entry older than the newest `capacity`
+  // pushes: those numbered below `cutoff`, including a batch's own
+  // oldest values when it is longer than the ring.
+  const std::size_t b = values.size();
+  const std::uint64_t cutoff =
+      pushed_ + b > config_.capacity ? pushed_ + b - config_.capacity : 0;
   auto& arena = common::ScratchArena::local();
   const auto frame = arena.frame();
-  const std::span<double> gone = arena.get<double>(evict);
-  for (std::size_t k = 0; k < evict; ++k) {
-    std::size_t slot = ring_head_ + k;
-    if (slot >= config_.capacity) slot -= config_.capacity;
-    gone[k] = ring_[slot];
+  const std::span<Entry> batch = arena.get<Entry>(b);
+  std::size_t m = 0;
+  for (std::size_t j = 0; j < b; ++j) {
+    if (pushed_ + j >= cutoff) batch[m++] = {values[j], pushed_ + j};
   }
-  std::sort(gone.begin(), gone.end());
-  const std::span<double> batch = arena.get<double>(b);
-  std::copy(queue_.begin(), queue_.end(), batch.begin());
-  std::sort(batch.begin(), batch.end());
+  std::sort(batch.begin(), batch.begin() + static_cast<std::ptrdiff_t>(m),
+            [](const Entry& x, const Entry& y) { return x.value < y.value; });
 
-  // One pass over sorted_: skip each evicted value once, merge the batch
-  // in front of the first kept value it does not exceed.  Sized for the
-  // worst case, so a walk that misses an evicted value cannot overrun.
-  const std::span<double> merged = arena.get<double>(sorted_.size() + b);
-  std::size_t e = 0;
+  // One pass over sorted_: drop the evicted entries, merge the batch in
+  // front of the first kept value it does not exceed.
+  const std::span<Entry> merged = arena.get<Entry>(sorted_.size() + m);
   std::size_t j = 0;
   std::size_t o = 0;
-  for (const double v : sorted_) {
-    if (e < evict && v == gone[e]) {
-      ++e;
-      continue;
-    }
-    while (j < b && batch[j] < v) merged[o++] = batch[j++];
-    merged[o++] = v;
+  for (std::size_t i = 0; i < sorted_.size(); ++i) {
+    if (sorted_seq_[i] < cutoff) continue;
+    const Entry kept{sorted_[i], sorted_seq_[i]};
+    while (j < m && batch[j].value < kept.value) merged[o++] = batch[j++];
+    merged[o++] = kept;
   }
-  while (j < b) merged[o++] = batch[j++];
-  // Only a value unequal to itself (NaN) can escape the walk; the caller
-  // then sorts the ring instead.
-  if (e != evict) return false;
-  const std::span<const double> kept = merged.first(o);
-  sorted_.assign(kept.begin(), kept.end());
-  return true;
+  while (j < m) merged[o++] = batch[j++];
+  sorted_.resize(o);
+  sorted_seq_.resize(o);
+  for (std::size_t k = 0; k < o; ++k) {
+    sorted_[k] = merged[k].value;
+    sorted_seq_[k] = merged[k].seq;
+  }
+  pushed_ += b;
 }
 
 void NormalProfile::refit() {
@@ -204,18 +206,6 @@ double NormalProfile::pdf(double x) const {
 double NormalProfile::cdf(double x) const {
   FADEWICH_EXPECTS(initialized());
   return ml::kde_cdf_sorted(sorted_, bandwidth_, x);
-}
-
-void NormalProfile::pdf_block(std::span<const double> xs,
-                              std::span<double> out) const {
-  FADEWICH_EXPECTS(initialized());
-  ml::kde_pdf_block_sorted(sorted_, bandwidth_, xs, out);
-}
-
-void NormalProfile::cdf_block(std::span<const double> xs,
-                              std::span<double> out) const {
-  FADEWICH_EXPECTS(initialized());
-  ml::kde_cdf_block_sorted(sorted_, bandwidth_, xs, out);
 }
 
 }  // namespace fadewich::core

@@ -6,11 +6,11 @@
 //
 // MD consults the threshold on every tick and the profile updates every
 // few hundred ticks, so the refit must be cheap.  The profile keeps its
-// samples sorted — a fold merges the sorted batch in and the evicted
-// values out in one pass — and evaluates the KDE's CDF with tail
-// pruning: a Gaussian kernel centred more than 8 bandwidths below x
-// contributes exactly 1 to the CDF (0 above), so only the few samples
-// near x need an erf.
+// samples sorted — a fold merges the sorted batch in and drops the
+// oldest values past capacity in one pass — and evaluates the KDE's CDF
+// with tail pruning: a Gaussian kernel centred more than 8 bandwidths
+// below x contributes exactly 1 to the CDF (0 above), so only the few
+// samples near x need an erf.
 #pragma once
 
 #include <cstddef>
@@ -64,14 +64,6 @@ class NormalProfile {
   double pdf(double x) const;
   double cdf(double x) const;
 
-  /// Batched KDE evaluation over the current profile: out[i] = pdf/cdf
-  /// at xs[i], within 1e-12 of the scalar calls (shared tail-pruned
-  /// kernels, one sample-window scan per query block).  Sweeps (Fig. 2
-  /// profile curves, threshold diagnostics) should prefer these.
-  /// Requires initialized() and out.size() == xs.size().
-  void pdf_block(std::span<const double> xs, std::span<double> out) const;
-  void cdf_block(std::span<const double> xs, std::span<double> out) const;
-
   std::size_t size() const { return ring_size_; }
   double bandwidth() const { return bandwidth_; }
   /// Retained samples in insertion order (oldest first), as persisted.
@@ -101,8 +93,7 @@ class NormalProfile {
   double last_good_threshold() const { return last_good_threshold_; }
 
  private:
-  void sort_ring();
-  bool merge_batch();
+  void merge(std::span<const double> values);
   void refit();
   void commit_last_good();
   void ring_reset(std::span<const double> samples);
@@ -117,10 +108,14 @@ class NormalProfile {
   std::vector<double> ring_;
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;
-  // Same contents, sorted.  A fold merges the sorted batch in and the
-  // evicted values out in one linear pass (merge_batch); only
-  // initialize, restore and a drift rollback sort the whole ring.
+  // Same contents, sorted, with each value's push sequence number in a
+  // parallel array (never persisted).  A fold merges the sorted batch in
+  // and drops the entries older than the newest `capacity` pushes in one
+  // pass (merge); initialize, restore and a drift rollback merge their
+  // samples into an emptied state, numbered from 0 in ring order.
   std::vector<double> sorted_;
+  std::vector<std::uint64_t> sorted_seq_;
+  std::uint64_t pushed_ = 0;  // sequence number of the next push
   std::vector<double> queue_;    // pending update batch Q
   double bandwidth_ = 1.0;
   double threshold_ = 0.0;

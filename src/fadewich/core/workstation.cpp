@@ -18,7 +18,8 @@ WorkstationSession::WorkstationSession(Seconds t_id, Seconds t_ss)
 
 void WorkstationSession::transition(SessionState to, Seconds now) {
   state_ = to;
-  log_.push_back({to, now});
+  ++transition_count_;
+  last_transition_ = {to, now};
 }
 
 void WorkstationSession::on_alert(Seconds now, Seconds idle_time) {
@@ -55,7 +56,8 @@ void WorkstationSession::on_input(Seconds now) {
 void WorkstationSession::restore(const SessionSnapshot& snapshot) {
   state_ = snapshot.state;
   last_alert_ = snapshot.last_alert;
-  log_.clear();
+  transition_count_ = 0;
+  last_transition_ = {};
 }
 
 void WorkstationSession::tick(Seconds now, Seconds idle_time) {

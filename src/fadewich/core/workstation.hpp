@@ -8,9 +8,10 @@
 //
 // An Alert that is no longer refreshed by the controller (the variation
 // window ended) and has not yet reached the screensaver decays back to
-// Active.  Transitions are timestamped so evaluations can account
-// deauthentication delays (cases A/B of Fig. 5) and usability costs
-// (screensaver cancellations, forced re-logins).
+// Active.  The session counts its transitions and keeps the last one,
+// timestamped, so evaluations can account deauthentication delays
+// (cases A/B of Fig. 5) and usability costs (screensaver cancellations,
+// forced re-logins); both are fixed-size, so a session never grows.
 //
 // Arming policy: this machine errs fail-secure.  An alert arms whenever
 // the lock edge (idle = tID + tss) is still ahead, so a user whose idle
@@ -22,7 +23,7 @@
 // cancel.
 #pragma once
 
-#include <vector>
+#include <cstdint>
 
 #include "fadewich/common/time.hpp"
 
@@ -35,8 +36,9 @@ struct SessionTransition {
   Seconds time = 0.0;
 };
 
-/// Durable session state for persistence.  The transition log is audit
-/// output, not state the machine depends on, so it is not persisted.
+/// Durable session state for persistence.  The transition count and the
+/// last transition are audit output, not state the machine depends on,
+/// so they are not persisted.
 struct SessionSnapshot {
   SessionState state = SessionState::kActive;
   Seconds last_alert = -1.0e18;
@@ -47,8 +49,11 @@ class WorkstationSession {
   WorkstationSession(Seconds t_id, Seconds t_ss);
 
   SessionState state() const { return state_; }
-  const std::vector<SessionTransition>& transitions() const {
-    return log_;
+  /// State changes since construction or the last restore().
+  std::uint64_t transition_count() const { return transition_count_; }
+  /// The latest state change; meaningful once transition_count() > 0.
+  const SessionTransition& last_transition() const {
+    return last_transition_;
   }
 
   /// Controller issued an Alert-State action at `now` (refreshing counts
@@ -73,7 +78,7 @@ class WorkstationSession {
   /// Durable state for persistence.
   SessionSnapshot snapshot() const { return {state_, last_alert_}; }
 
-  /// Restore persisted state; the transition log restarts empty.
+  /// Restore persisted state; the transition count restarts at 0.
   void restore(const SessionSnapshot& snapshot);
 
  private:
@@ -83,7 +88,8 @@ class WorkstationSession {
   Seconds t_ss_;
   SessionState state_ = SessionState::kActive;
   Seconds last_alert_ = -1.0e18;
-  std::vector<SessionTransition> log_;
+  std::uint64_t transition_count_ = 0;
+  SessionTransition last_transition_;
 };
 
 }  // namespace fadewich::core

@@ -18,123 +18,86 @@ constexpr double kInvSqrt2 = 0.7071067811865476;
 // search and let the inner loop vectorise.
 constexpr std::size_t kQueryBlock = 8;
 
-// Exact Newton scans allowed before locate_root gives up (typical: 1-2
-// after the approximate pass, ~5 without it).
-constexpr int kNewtonMaxScans = 20;
-// Approximate Newton scans in locate_root's pre-pass (typical: ~4).
+// Approximate Newton scans locate_root may spend (typical: ~4).
 constexpr int kApproxMaxScans = 12;
 
-// The pruned CDF at x, computed exactly as kde_cdf_sorted computes it,
-// and the pruned density, in one pass over the ±reach window.
-struct CdfAndPdf {
-  double cdf;
-  double pdf;
-};
-
-CdfAndPdf kde_cdf_pdf_sorted(std::span<const double> sorted,
-                             double bandwidth, double x) {
-  const double reach = kKdeKernelReach * bandwidth;
-  const auto lo_it =
-      std::lower_bound(sorted.begin(), sorted.end(), x - reach);
-  const auto hi_it =
-      std::upper_bound(sorted.begin(), sorted.end(), x + reach);
-  double acc = static_cast<double>(lo_it - sorted.begin());
-  double dens = 0.0;
-  for (auto it = lo_it; it != hi_it; ++it) {
-    const double u = (x - *it) / bandwidth;
-    acc += 0.5 * (1.0 + std::erf(u * kInvSqrt2));
-    dens += std::exp(-0.5 * u * u);
-  }
-  const double n = static_cast<double>(sorted.size());
-  return {acc / n, dens * kInvSqrt2Pi / (bandwidth * n)};
-}
-
-// The half-width around a Newton iterate x (density f there) inside
-// which a bisection midpoint must be decided by the exact CDF.  Rounding
-// budget of the computed CDF: each erf term and running-sum add is off
-// by at most ~1e-16, so 1e-12 covers up to ~1000 samples with a 10x
+// The half-width around a root estimate x (density f there) beyond
+// which a bisection midpoint is decided by its side of x.  Rounding
+// budget of the exact CDF: each erf term and running-sum add is off by
+// at most ~1e-16, so 1e-12 covers up to ~1000 samples with a 10x
 // margin; larger sample sets scale it.
 double certified_delta(std::size_t n, double x, double f) {
   const double budget = std::max(1e-12, 1e-15 * static_cast<double>(n));
   return std::max(1e-12 * (1.0 + std::abs(x)), budget / f);
 }
 
-// Newton on the approximate pruned CDF (simd kde_cdfpdf_approx, a
-// Chebyshev erfc and fast_exp, all lanes at once), from x toward the
-// root, staying strictly inside (lo, hi).  Its signs are never trusted:
-// it only moves the start of the exact scans, which alone narrow the
-// sign bracket and certify the root, so the answer cannot depend on it.
-double approach_root(std::span<const double> sorted, double bandwidth,
-                     double p, double lo, double hi, double x) {
-  const simd::KernelTable& kernels = simd::active_kernels();
-  const double reach = kKdeKernelReach * bandwidth;
-  const double inv_bw = 1.0 / bandwidth;
-  const double n = static_cast<double>(sorted.size());
-  for (int scan = 0; scan < kApproxMaxScans; ++scan) {
-    const auto lo_it =
-        std::lower_bound(sorted.begin(), sorted.end(), x - reach);
-    const auto hi_it =
-        std::upper_bound(sorted.begin(), sorted.end(), x + reach);
-    double sums[2] = {static_cast<double>(lo_it - sorted.begin()), 0.0};
-    kernels.kde_cdfpdf_approx(sorted.data() + (lo_it - sorted.begin()),
-                              static_cast<std::size_t>(hi_it - lo_it), x,
-                              inv_bw, sums);
-    const double f = sums[1] * kInvSqrt2Pi / (bandwidth * n);
-    if (!(std::isfinite(f) && f > 0.0)) break;
-    const double step = (sums[0] / n - p) / f;
-    const double next = x - step;
-    if (!(next > lo && next < hi)) break;
-    x = next;
-    // Stop once this step leaves the iterate within delta / 64 of the
-    // root, twice as tight as the exact certification, so the first
-    // exact scan usually certifies.  Newton's error after a step is at
-    // most |f' / 2f| step^2, and |f' / f| <= reach / bandwidth^2 over the
-    // pruned window: 4 step^2 / bandwidth <= delta / 64.
-    const double delta = certified_delta(sorted.size(), x, f);
-    if (256.0 * step * step <= bandwidth * delta) break;
-  }
-  return x;
+// Bound on |F~(x) - F(x)|, the approximate scan's error in the pruned
+// CDF over a window of `count` of n samples: each term is within
+// simd::kPhiApproxMaxError of Phi, and passes through at most count / 4
+// + 3 rounded additions (its partial sum, two combining adds, the add
+// onto the samples below) of terms summing to at most n, each scaling
+// it by at most 1 + 2^-53; the division by n adds 2^-53.
+double approx_cdf_error(std::size_t count, std::size_t n) {
+  constexpr double kUnitRoundoff = 0x1p-53;
+  return simd::kPhiApproxMaxError * static_cast<double>(count) /
+             static_cast<double>(n) +
+         static_cast<double>(count / 4 + 4) * kUnitRoundoff;
 }
 
 // The root c of the computed pruned CDF minus p, and the half-width
-// delta around it inside which a bisection midpoint must still be
-// decided by the exact CDF (see kde_percentile_sorted).  delta is +inf
-// when no root could be certified.
+// delta around it beyond which a bisection midpoint is decided by its
+// side of c (see kde_percentile_sorted).  delta is +inf when no root
+// could be certified.
 struct Root {
   double c;
   double delta;
 };
 
+// Safeguarded Newton on the approximate pruned CDF F~ and density from
+// the samples' empirical p-quantile (never a previous answer, so a
+// call's cost depends only on its inputs).  A step s at x leaves x - s
+// within |f' / 2f| s^2 + E / f of the root r of F - p, E the bound
+// above, and |f' / f| <= reach / bandwidth^2 over the window: once
+// 4 s^2 / bandwidth <= delta_0 / 64 (delta_0 = certified_delta), every
+// midpoint beyond delta_0 + E / f of x - s is beyond 31 delta_0 / 32 of
+// r.  F~'s sign only narrows the safeguard bracket, where |F~ - p| > E.
 Root locate_root(std::span<const double> sorted, double bandwidth, double p,
                  double lo, double hi) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Start from the empirical quantile, never from a previous answer, so
-  // the cost of a call depends only on its inputs.
+  const simd::KernelTable& kernels = simd::active_kernels();
   const std::size_t n = sorted.size();
-  double x = sorted[std::min(n - 1, static_cast<std::size_t>(
-                                        p * static_cast<double>(n)))];
-  double a = lo;  // CDF(a) < p is assumed, as the bisection assumes
-  double b = hi;  // CDF(b) >= p likewise
+  const double nd = static_cast<double>(n);
+  const double reach = kKdeKernelReach * bandwidth;
+  const double inv_bw = 1.0 / bandwidth;
+  double x = sorted[std::min(n - 1, static_cast<std::size_t>(p * nd))];
+  double a = lo;
+  double b = hi;
   if (!(x > a && x < b)) x = 0.5 * (a + b);
-  x = approach_root(sorted, bandwidth, p, a, b, x);
-  for (int scan = 0; scan < kNewtonMaxScans; ++scan) {
-    const CdfAndPdf e = kde_cdf_pdf_sorted(sorted, bandwidth, x);
-    if (e.cdf < p) {
-      a = x;
-    } else {
-      b = x;
-    }
-    if (std::isfinite(e.pdf) && e.pdf > 0.0) {
-      const double step = (e.cdf - p) / e.pdf;
-      const double delta = certified_delta(n, x, e.pdf);
-      if (std::abs(step) <= delta / 32.0) {
+  for (int scan = 0; scan < kApproxMaxScans; ++scan) {
+    const auto lo_it =
+        std::lower_bound(sorted.begin(), sorted.end(), x - reach);
+    const auto hi_it =
+        std::upper_bound(sorted.begin(), sorted.end(), x + reach);
+    const auto count = static_cast<std::size_t>(hi_it - lo_it);
+    double sums[2] = {static_cast<double>(lo_it - sorted.begin()), 0.0};
+    kernels.kde_cdfpdf_approx(sorted.data() + (lo_it - sorted.begin()),
+                              count, x, inv_bw, sums);
+    const double gap = sums[0] / nd - p;
+    const double f = sums[1] * kInvSqrt2Pi / (bandwidth * nd);
+    const double error = approx_cdf_error(count, n);
+    if (gap > error) b = x;
+    if (gap < -error) a = x;
+    if (std::isfinite(f) && f > 0.0) {
+      const double step = gap / f;
+      x -= step;
+      const double delta = certified_delta(n, x, f);
+      if (256.0 * step * step <= bandwidth * delta) {
+        const double widened = delta + error / f;
         // The margin argument needs the density near-constant across
         // ±delta; a root in a numerically flat region gets none.
-        return {x, delta <= 0.01 * bandwidth ? delta : kInf};
+        return {x, widened <= 0.01 * bandwidth ? widened : kInf};
       }
-      x -= step;
     }
-    // Keep the iterate strictly inside the sign bracket.
     if (!(x > a && x < b)) x = 0.5 * (a + b);
   }
   return {x, kInf};
@@ -142,26 +105,26 @@ Root locate_root(std::span<const double> sorted, double bandwidth, double p,
 
 // Shared bisection core: invert the pruned CDF inside [lo, hi].  The
 // bracket, midpoints and stopping rule are the plain bisection's; only
-// midpoints within delta of the located root pay for an exact CDF.
-double bisect_percentile(std::span<const double> sorted, double bandwidth,
-                         double p, double lo, double hi, int max_iterations,
-                         double rel_tol) {
+// midpoints within delta of the certified root pay for an exact CDF.
+detail::PercentileTrace bisect_percentile(std::span<const double> sorted,
+                                          double bandwidth, double p,
+                                          double lo, double hi,
+                                          int max_iterations,
+                                          double rel_tol) {
   const Root root = locate_root(sorted, bandwidth, p, lo, hi);
+  int exact = 0;
   for (int i = 0;
        i < max_iterations && hi - lo > rel_tol * (1.0 + std::abs(hi));
        ++i) {
     const double mid = 0.5 * (lo + hi);
     // Written so a NaN root or an infinite delta falls to the exact CDF.
-    const bool mid_below = std::abs(mid - root.c) > root.delta
-                               ? mid < root.c
-                               : kde_cdf_sorted(sorted, bandwidth, mid) < p;
-    if (mid_below) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    const bool far = std::abs(mid - root.c) > root.delta;
+    exact += far ? 0 : 1;
+    const bool mid_below =
+        far ? mid < root.c : kde_cdf_sorted(sorted, bandwidth, mid) < p;
+    (mid_below ? lo : hi) = mid;
   }
-  return 0.5 * (lo + hi);
+  return {0.5 * (lo + hi), exact, !std::isinf(root.delta)};
 }
 
 }  // namespace
@@ -275,6 +238,14 @@ void kde_cdf_block_sorted(std::span<const double> sorted, double bandwidth,
 double kde_percentile_sorted(std::span<const double> sorted,
                              double bandwidth, double p, int max_iterations,
                              double rel_tol) {
+  return detail::kde_percentile_traced(sorted, bandwidth, p, max_iterations,
+                                       rel_tol)
+      .value;
+}
+
+detail::PercentileTrace detail::kde_percentile_traced(
+    std::span<const double> sorted, double bandwidth, double p,
+    int max_iterations, double rel_tol) {
   FADEWICH_EXPECTS(!sorted.empty());
   FADEWICH_EXPECTS(p > 0.0 && p < 1.0);
   const double lo = sorted.front() - kKdeKernelReach * bandwidth;
@@ -346,7 +317,8 @@ double GaussianKde::percentile(double p) const {
   while (kde_cdf_sorted(samples_, bandwidth_, hi) < p) {
     hi += kKdeKernelReach * bandwidth_;
   }
-  return bisect_percentile(samples_, bandwidth_, p, lo, hi, 200, 1e-12);
+  return bisect_percentile(samples_, bandwidth_, p, lo, hi, 200, 1e-12)
+      .value;
 }
 
 }  // namespace fadewich::ml

@@ -75,25 +75,39 @@ void kde_cdf_block_sorted(std::span<const double> sorted, double bandwidth,
 ///
 /// The result is bit-identical to deciding every midpoint m by an exact
 /// `kde_cdf_sorted(m) < p`, but most midpoints skip the CDF:
-///  1. Newton's method, started from the samples' empirical p-quantile
-///     and kept inside the bracket, locates the root c of the computed
-///     CDF minus p.  It first steps on an approximate CDF and density
-///     (simd kde_cdfpdf_approx, at most 12 scans), which never narrows
-///     the bracket, then on exact fused CDF + density scans (libm erf
-///     and exp, at most 20), which alone certify c.
+///  1. Safeguarded Newton on an approximate CDF and density (simd
+///     kde_cdfpdf_approx, at most 12 scans, typically ~4), started from
+///     the samples' empirical p-quantile, locates and certifies the root
+///     c of the computed CDF minus p, without a libm call.
 ///  2. The bisection then runs unchanged.  A midpoint with
 ///     |m - c| > delta is decided by its side of c; any other midpoint
 ///     by the exact CDF (libm erf).
-/// delta = max(1e-12 * (1 + |c|), 1e-12 / f(c)), f the pruned density:
-/// beyond it the CDF differs from p by at least ~1e-12, far above the
-/// CDF's rounding error (about 1e-13 at 1000 samples; larger sample
-/// sets scale the 1e-12).  delta = +inf, i.e. plain bisection, when
-/// Newton does not converge, when f(c) is not finite and positive, or
-/// when delta exceeds 0.01 bandwidths (the density must be near-constant
-/// across ±delta for the margin to hold).
+/// delta = max(1e-12 * (1 + |c|), 1e-12 / f(c)) + E / f(c), f the pruned
+/// density and E (~1e-14 at 600 samples) the approximate scan's error
+/// bound: beyond delta the exact CDF differs from p by at least ~1e-12,
+/// far above its rounding error (about 1e-13 at 1000 samples; larger
+/// sample sets scale the 1e-12).  delta = +inf, i.e. plain bisection,
+/// when Newton does not converge, or when delta exceeds 0.01 bandwidths
+/// (the density must be near-constant across ±delta).  At the profile's
+/// settings delta (~2e-10) is far below the stopping width (~6e-8), so
+/// under 1% of refits pay an exact CDF at all.
 double kde_percentile_sorted(std::span<const double> sorted,
                              double bandwidth, double p, int max_iterations,
                              double rel_tol);
+
+namespace detail {
+/// kde_percentile_sorted's value and cost: the midpoints that took the
+/// exact CDF, and whether the root was certified (else plain bisection).
+struct PercentileTrace {
+  double value;
+  int exact_cdf_calls;
+  bool certified;
+};
+
+PercentileTrace kde_percentile_traced(std::span<const double> sorted,
+                                      double bandwidth, double p,
+                                      int max_iterations, double rel_tol);
+}  // namespace detail
 
 class GaussianKde {
  public:

@@ -358,6 +358,35 @@ TEST(SimdKernels, KdeCdfPdfApproxMatchesScalarAndLibm) {
   }
 }
 
+TEST(SimdKernels, PhiApproxStaysWithinTheCertifiedBound) {
+  // The KDE percentile certifies its root from kde_cdfpdf_approx alone,
+  // trusting each term to within kPhiApproxMaxError of the normal CDF.
+  // Check that constant on a dense grid over the pruning window against
+  // a long double erfc, in every table: four equal samples put the same
+  // term in all four partial sums, so sums[0] / 4 is one term exactly.
+  const double step = 0x1p-17;  // ~7.6e-6
+  const long double inv_sqrt2 = 1.0L / std::sqrt(2.0L);
+  const double zeros[4] = {0.0, 0.0, 0.0, 0.0};
+  for (const KernelTable* table : available_tables()) {
+    long double worst = 0.0L;
+    double worst_u = 0.0;
+    for (double u = -8.06; u <= 8.06; u += step) {
+      double sums[2] = {0.0, 0.0};
+      table->kde_cdfpdf_approx(zeros, 4, u, 1.0, sums);
+      const long double phi = 0.5L * std::erfc(-u * inv_sqrt2);
+      const long double err = std::fabs(sums[0] / 4.0 - phi);
+      if (err > worst) {
+        worst = err;
+        worst_u = u;
+      }
+    }
+    EXPECT_LT(worst, kPhiApproxMaxError)
+        << "table " << static_cast<int>(table->isa) << " at u = " << worst_u;
+    // A grid that never came near the bound would not test it.
+    EXPECT_GT(worst, 0.5 * kPhiApproxMaxError);
+  }
+}
+
 TEST(SimdKernels, ColsortSortsEveryColumnLikeScalar) {
   const auto tables = available_tables();
   Rng rng(808);

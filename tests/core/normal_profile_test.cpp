@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iostream>
 #include <memory>
 #include <span>
 #include <string>
@@ -362,7 +364,14 @@ struct RefitScenario {
   std::size_t seed_samples;  // < capacity: the ring starts part-full
   double max_drift_fraction;
   bool integer;  // rounded values: many exact duplicates
+  // Pinned cost of the refits' percentiles (ExactCdfCallsArePinned):
+  // midpoints decided by the exact CDF, and roots left uncertified.
+  // Narrow so they sit in the padding after `integer`: gtest prints the
+  // parameter's size into each test's name, which must stay stable.
+  std::int16_t exact_cdf_calls;
+  std::int16_t uncertified;
 };
+static_assert(sizeof(RefitScenario) == 48);
 
 class IncrementalRefitOracle
     : public ::testing::TestWithParam<RefitScenario> {};
@@ -372,8 +381,17 @@ bool same_bits(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST_P(IncrementalRefitOracle, EveryBatchMatchesAFullSortAndTheOracle) {
-  const RefitScenario& sc = GetParam();
+struct ScenarioRun {
+  int discarded = 0;
+  int restores = 0;
+  std::unique_ptr<NormalProfile> profile;
+};
+
+// Feeds the scenario's 160 batches, restarting mid-sequence from the
+// persisted form; `after_batch(profile, batch, refitted)` runs after
+// each batch, `refitted` false when the batch was discarded.
+template <typename AfterBatch>
+ScenarioRun run_scenario(const RefitScenario& sc, AfterBatch after_batch) {
   NormalProfileConfig config;
   config.capacity = sc.capacity;
   config.batch_size = sc.batch;
@@ -385,55 +403,92 @@ TEST_P(IncrementalRefitOracle, EveryBatchMatchesAFullSortAndTheOracle) {
   };
   std::vector<double> seed(sc.seed_samples);
   for (auto& v : seed) v = draw(50.0);
-  auto profile = std::make_unique<NormalProfile>(config);
-  profile->initialize(seed);
+  ScenarioRun run;
+  run.profile = std::make_unique<NormalProfile>(config);
+  run.profile->initialize(seed);
 
   constexpr int kBatches = 160;
-  int checked = 0;
-  int discarded = 0;
-  int restores = 0;
   for (int batch = 0; batch < kBatches; ++batch) {
     if (batch == kBatches / 2) {
       // Restart mid-sequence from the persisted form.
       auto reborn = std::make_unique<NormalProfile>(config);
-      reborn->restore(profile->samples_snapshot(), profile->queue_snapshot());
-      profile = std::move(reborn);
-      ++restores;
+      reborn->restore(run.profile->samples_snapshot(),
+                      run.profile->queue_snapshot());
+      run.profile = std::move(reborn);
+      ++run.restores;
     }
     // Every 7th batch is a burst (discarded as anomalous); every 4th sits
     // low, which the drift guard, when on, rolls back.
     const double mean = batch % 7 == 6 ? 90.0 : batch % 4 == 3 ? 35.0 : 50.0;
-    const std::uint64_t accepted = profile->updates_accepted();
-    const std::uint64_t rollbacks = profile->drift_rollbacks();
-    for (std::size_t i = 0; i < sc.batch; ++i) profile->offer(draw(mean));
-    if (profile->updates_accepted() == accepted &&
-        profile->drift_rollbacks() == rollbacks) {
-      ++discarded;
-    }
+    NormalProfile& profile = *run.profile;
+    const std::uint64_t accepted = profile.updates_accepted();
+    const std::uint64_t rollbacks = profile.drift_rollbacks();
+    for (std::size_t i = 0; i < sc.batch; ++i) profile.offer(draw(mean));
+    const bool refitted = profile.updates_accepted() != accepted ||
+                          profile.drift_rollbacks() != rollbacks;
+    if (!refitted) ++run.discarded;
+    after_batch(profile, batch, refitted);
+  }
+  return run;
+}
 
-    std::vector<double> want = profile->samples_snapshot();
-    std::sort(want.begin(), want.end());
-    const double bw = ml::GaussianKde::silverman_bandwidth(want);
-    const double threshold = oracle::kde_percentile_sorted(
-        want, bw, 1.0 - config.alpha / 100.0, 80, 1e-9);
-    const double got_bw = profile->bandwidth();
-    const double got_threshold = profile->threshold();
-    ASSERT_TRUE(same_bits(profile->sorted_samples(), want))
-        << sc.name << " batch " << batch;
-    ASSERT_TRUE(same_bits({&got_bw, 1}, {&bw, 1}))
-        << sc.name << " batch " << batch;
-    ASSERT_TRUE(same_bits({&got_threshold, 1}, {&threshold, 1}))
-        << sc.name << " batch " << batch << ": " << got_threshold << " vs "
-        << threshold;
-    ++checked;
-  }
-  EXPECT_EQ(checked, kBatches);
-  EXPECT_EQ(restores, 1);
-  EXPECT_GT(discarded, 0);
-  EXPECT_GT(profile->updates_accepted(), 0u);
+TEST_P(IncrementalRefitOracle, EveryBatchMatchesAFullSortAndTheOracle) {
+  const RefitScenario& sc = GetParam();
+  const double p = 1.0 - NormalProfileConfig{}.alpha / 100.0;
+  int checked = 0;
+  const ScenarioRun run = run_scenario(
+      sc, [&](const NormalProfile& profile, int batch, bool /*refitted*/) {
+        std::vector<double> want = profile.samples_snapshot();
+        std::sort(want.begin(), want.end());
+        const double bw = ml::GaussianKde::silverman_bandwidth(want);
+        const double threshold =
+            oracle::kde_percentile_sorted(want, bw, p, 80, 1e-9);
+        const double got_bw = profile.bandwidth();
+        const double got_threshold = profile.threshold();
+        ASSERT_TRUE(same_bits(profile.sorted_samples(), want))
+            << sc.name << " batch " << batch;
+        ASSERT_TRUE(same_bits({&got_bw, 1}, {&bw, 1}))
+            << sc.name << " batch " << batch;
+        ASSERT_TRUE(same_bits({&got_threshold, 1}, {&threshold, 1}))
+            << sc.name << " batch " << batch << ": " << got_threshold
+            << " vs " << threshold;
+        ++checked;
+      });
+  EXPECT_EQ(checked, 160);
+  EXPECT_EQ(run.restores, 1);
+  EXPECT_GT(run.discarded, 0);
+  EXPECT_GT(run.profile->updates_accepted(), 0u);
   if (sc.max_drift_fraction > 0.0) {
-    EXPECT_GT(profile->drift_rollbacks(), 0u);
+    EXPECT_GT(run.profile->drift_rollbacks(), 0u);
   }
+}
+
+// The refit's cost contract: the approximate scan certifies the root,
+// so a refit pays an exact CDF only for a bisection midpoint within
+// delta of it.  Each folded or rolled-back batch's percentile is
+// re-run traced on the profile it left; the totals are pinned.
+TEST_P(IncrementalRefitOracle, ExactCdfCallsArePinned) {
+  const RefitScenario& sc = GetParam();
+  const double p = 1.0 - NormalProfileConfig{}.alpha / 100.0;
+  int refits = 0;
+  int exact = 0;
+  int uncertified = 0;
+  run_scenario(sc, [&](const NormalProfile& profile, int, bool refitted) {
+    if (!refitted) return;
+    const ml::detail::PercentileTrace trace = ml::detail::kde_percentile_traced(
+        profile.sorted_samples(), profile.bandwidth(), p, 80, 1e-9);
+    ASSERT_EQ(trace.value, profile.threshold());
+    ++refits;
+    exact += trace.exact_cdf_calls;
+    uncertified += trace.certified ? 0 : 1;
+  });
+  ASSERT_GT(refits, 0);
+  std::cout << sc.name << ": " << refits << " refits, "
+            << static_cast<double>(exact) / refits
+            << " exact CDF calls per refit, " << uncertified
+            << " uncertified\n";
+  EXPECT_EQ(exact, sc.exact_cdf_calls) << sc.name;
+  EXPECT_EQ(uncertified, sc.uncertified) << sc.name;
 }
 
 std::string scenario_name(
@@ -444,13 +499,15 @@ std::string scenario_name(
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, IncrementalRefitOracle,
     ::testing::Values(
-        RefitScenario{"Default", 600, 150, 600, 0.0, false},
-        RefitScenario{"PartFullRing", 600, 150, 40, 0.0, false},
-        RefitScenario{"IntegerDuplicates", 600, 150, 600, 0.0, true},
-        RefitScenario{"DriftRollbacks", 600, 150, 600, 0.02, false},
-        RefitScenario{"IntegerDriftRollbacks", 200, 50, 120, 0.02, true},
-        RefitScenario{"BatchNotDividingCapacity", 100, 30, 10, 0.0, false},
-        RefitScenario{"BatchFillsTheRing", 20, 25, 10, 0.0, false}),
+        RefitScenario{"Default", 600, 150, 600, 0.0, false, 3, 0},
+        RefitScenario{"PartFullRing", 600, 150, 40, 0.0, false, 3, 0},
+        RefitScenario{"IntegerDuplicates", 600, 150, 600, 0.0, true, 4, 0},
+        RefitScenario{"DriftRollbacks", 600, 150, 600, 0.02, false, 3, 0},
+        RefitScenario{"IntegerDriftRollbacks", 200, 50, 120, 0.02, true, 1,
+                      0},
+        RefitScenario{"BatchNotDividingCapacity", 100, 30, 10, 0.0, false, 3,
+                      0},
+        RefitScenario{"BatchFillsTheRing", 20, 25, 10, 0.0, false, 0, 0}),
     scenario_name);
 
 }  // namespace

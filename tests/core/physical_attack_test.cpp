@@ -70,11 +70,12 @@ TEST_F(PhysicalAttackTest, LockHappensWithinSecondsOfLeaving) {
   h.advance(10.0, {0, 1}, all_streams());
   const Seconds leave_time = h.now();
   h.advance(20.0, {1}, all_streams());
-  const auto& log = h.system().session(0).transitions();
-  ASSERT_FALSE(log.empty());
-  ASSERT_EQ(log.back().to, SessionState::kLocked);
+  const WorkstationSession& session = h.system().session(0);
+  ASSERT_GT(session.transition_count(), 0u);
+  const SessionTransition& last = session.last_transition();
+  ASSERT_EQ(last.to, SessionState::kLocked);
   // tID + tss = 8 s after the last input, plus at most one input period.
-  EXPECT_LT(log.back().time - leave_time, 10.0);
+  EXPECT_LT(last.time - leave_time, 10.0);
 }
 
 }  // namespace

@@ -252,8 +252,8 @@ TEST(SystemAllocTest, WarmDeauthAndRule2TicksAreAllocationFree) {
   // into a buffer the system owns and reuses, so once warm they allocate
   // nothing.  Nobody types, so every leave label deauthenticates and no
   // alert arms a session; once the warm-up cycle has locked the sessions
-  // RE names, no measured action changes a session's state (a state
-  // change appends to the session's transition log, which may allocate).
+  // RE names, no measured action changes a session's state (the next
+  // test covers ticks that do).
   constexpr std::size_t kStreams = 24;
   constexpr std::size_t kWorkstations = 2;
   SystemConfig config;
@@ -308,6 +308,85 @@ TEST(SystemAllocTest, WarmDeauthAndRule2TicksAreAllocationFree) {
   EXPECT_GE(deauth_ticks, 1u);
   EXPECT_GE(rule2_ticks, 1u);
   EXPECT_EQ(action_allocs, 0u);
+}
+
+TEST(SystemAllocTest, WarmDeauthAndReloginCycleIsAllocationFree) {
+  // A session's state changes only bump a count and overwrite the last
+  // transition, so a user who is deauthenticated and logs back in, over
+  // and over, never grows the system.  Every step and re-login of the
+  // measured cycles is counted, and they change session state more often
+  // than the warm-up did, so any per-transition list would cross a
+  // capacity doubling, and reallocate, inside the counted region.
+  constexpr std::size_t kStreams = 24;
+  constexpr std::size_t kWorkstations = 2;
+  SystemConfig config;
+  config.md.calibration = 30.0;
+  config.md.profile.batch_size = 50;
+  FadewichSystem system(kStreams, kWorkstations, config);
+
+  Rng rng(41);
+  std::vector<double> row(kStreams);
+  ml::Dataset data;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<std::vector<double>> windows(kStreams,
+                                             std::vector<double>(23));
+    for (auto& w : windows) {
+      for (auto& v : w) v = std::round(rng.normal(-60.0, i % 2 ? 4.0 : 1.0));
+    }
+    data.add(oracle::block_features(windows, config.features),
+             label_for_workstation(static_cast<std::size_t>(i % 2)));
+  }
+  const auto transitions = [&] {
+    std::uint64_t total = 0;
+    for (std::size_t w = 0; w < kWorkstations; ++w) {
+      total += system.session(w).transition_count();
+    }
+    return total;
+  };
+
+  std::uint64_t deauths = 0;
+  std::uint64_t relogins = 0;
+  std::uint64_t allocs = 0;
+  const auto cycle = [&] {
+    // Movement: nobody types, so a leave label deauthenticates.
+    for (int t = 0; t < 40; ++t) {
+      for (auto& v : row) v = std::round(rng.normal(-60.0, 6.0));
+      CountingScope scope;
+      for (const Action& a : system.step(row).actions) {
+        deauths += a.type == ActionType::kDeauthenticate ? 1 : 0;
+      }
+      allocs += scope.count();
+    }
+    // Quiet: every locked user logs back in, then stays idle.
+    for (int t = 0; t < 300; ++t) {
+      for (auto& v : row) v = std::round(rng.normal(-60.0, 1.0));
+      CountingScope scope;
+      for (std::size_t w = 0; t == 0 && w < kWorkstations; ++w) {
+        if (system.session(w).state() != SessionState::kLocked) continue;
+        system.record_input(w, system.now());
+        ++relogins;
+      }
+      system.step(row);
+      allocs += scope.count();
+    }
+  };
+  for (int t = 0; t < 200; ++t) {  // calibration + window warm-up
+    for (auto& v : row) v = std::round(rng.normal(-60.0, 1.0));
+    system.step(row);
+  }
+  system.train_with(data);
+  ASSERT_FALSE(system.training());
+  cycle();  // warms every buffer the cycle touches
+  const std::uint64_t warm_transitions = transitions();
+  deauths = 0;
+  relogins = 0;
+  allocs = 0;
+  for (int c = 0; c < 6; ++c) cycle();
+  EXPECT_GE(warm_transitions, 1u);
+  EXPECT_GE(deauths, 3u);
+  EXPECT_GE(relogins, 3u);
+  EXPECT_GT(transitions() - warm_transitions, warm_transitions);
+  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(SystemAllocTest, WarmWindowClosingTicksAreAllocationFree) {

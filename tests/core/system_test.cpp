@@ -84,11 +84,12 @@ TEST_F(SystemTest, DeauthenticationIsFast) {
 
   const Seconds leave_time = h.now();
   h.advance(8.0, {1}, Harness::streams_of(0));
-  const auto& log = h.system().session(0).transitions();
-  ASSERT_FALSE(log.empty());
-  ASSERT_EQ(log.back().to, SessionState::kLocked);
+  const WorkstationSession& session = h.system().session(0);
+  ASSERT_GT(session.transition_count(), 0u);
+  const SessionTransition& last = session.last_transition();
+  ASSERT_EQ(last.to, SessionState::kLocked);
   // Rule 1 fires at t1 + t_delta; within ~6 s of the movement onset.
-  EXPECT_LT(log.back().time - leave_time, 6.5);
+  EXPECT_LT(last.time - leave_time, 6.5);
 }
 
 TEST_F(SystemTest, ClassificationReportedOncePerWindow) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fadewich/common/error.hpp"
 
 namespace fadewich::core {
@@ -12,10 +14,22 @@ constexpr Seconds kTss = 3.0;
 
 WorkstationSession make_session() { return {kTid, kTss}; }
 
+// Test-side transition log: poll() after each session call appends the
+// transition that call made.  The calls recorded here make at most one.
+struct TransitionRecorder {
+  std::vector<SessionTransition> log;
+
+  void poll(const WorkstationSession& session) {
+    if (session.transition_count() == log.size()) return;
+    ASSERT_EQ(session.transition_count(), log.size() + 1);
+    log.push_back(session.last_transition());
+  }
+};
+
 TEST(WorkstationSessionTest, StartsActive) {
   const auto session = make_session();
   EXPECT_EQ(session.state(), SessionState::kActive);
-  EXPECT_TRUE(session.transitions().empty());
+  EXPECT_EQ(session.transition_count(), 0u);
 }
 
 TEST(WorkstationSessionTest, RejectsInvalidTimings) {
@@ -87,9 +101,10 @@ TEST(WorkstationSessionTest, DeauthenticateLocksImmediately) {
   session.on_deauthenticate(5.0);
   EXPECT_EQ(session.state(), SessionState::kLocked);
   // Idempotent: a second deauth does not add transitions.
-  const auto count = session.transitions().size();
+  const auto count = session.transition_count();
   session.on_deauthenticate(6.0);
-  EXPECT_EQ(session.transitions().size(), count);
+  EXPECT_EQ(session.transition_count(), count);
+  EXPECT_DOUBLE_EQ(session.last_transition().time, 5.0);
 }
 
 TEST(WorkstationSessionTest, ReloginRestoresActive) {
@@ -101,10 +116,14 @@ TEST(WorkstationSessionTest, ReloginRestoresActive) {
 
 TEST(WorkstationSessionTest, TransitionsAreTimestampedInOrder) {
   auto session = make_session();
+  TransitionRecorder recorder;
   session.on_alert(10.0, 2.0);
+  recorder.poll(session);
   session.tick(13.0, 5.0);
+  recorder.poll(session);
   session.tick(16.0, 8.0);
-  const auto& log = session.transitions();
+  recorder.poll(session);
+  const auto& log = recorder.log;
   ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0].to, SessionState::kAlert);
   EXPECT_DOUBLE_EQ(log[0].time, 10.0);
@@ -126,9 +145,19 @@ TEST(WorkstationSessionTest, CaseBTimingMatchesPaper) {
     if (session.state() == SessionState::kLocked) break;
   }
   ASSERT_EQ(session.state(), SessionState::kLocked);
-  const auto& log = session.transitions();
   // Lock time = 8.0 +- one tick.
-  EXPECT_NEAR(log.back().time, kTid + kTss, 0.21);
+  EXPECT_NEAR(session.last_transition().time, kTid + kTss, 0.21);
+}
+
+TEST(WorkstationSessionTest, RestoreRestartsTheTransitionCount) {
+  auto session = make_session();
+  session.on_deauthenticate(5.0);
+  session.on_input(30.0);
+  ASSERT_EQ(session.transition_count(), 2u);
+  EXPECT_EQ(session.last_transition().to, SessionState::kActive);
+  session.restore(session.snapshot());
+  EXPECT_EQ(session.transition_count(), 0u);
+  EXPECT_EQ(session.state(), SessionState::kActive);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Differential test: the KDE percentile core (a Newton-located root, then
-// the bisection replayed with far midpoints decided by position) against
+// Differential test: the KDE percentile core (a root located and
+// certified by approximate Newton scans, then the bisection replayed
+// with far midpoints decided by position) against
 // the plain bisection in oracle/kde_percentile.hpp, which decides every
 // midpoint with an exact pruned-CDF call.  The results must be equal bit
 // for bit, in both settings the library uses: the normal profile's
@@ -7,6 +8,7 @@
 // GaussianKde::percentile's extended bracket with (200, 1e-12).  The
 // oracle's exact-Newton locator (the library's before its approximate
 // pre-pass, the bench baseline for a profile fold) is held to the same.
+// A second test pins how many midpoints still take the exact CDF.
 //
 // Profile families cover the shapes MD's summed-std profile takes and
 // the ones that stress the replay: smooth normals across three decades
@@ -23,6 +25,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,6 +123,56 @@ TEST_P(KdePercentileOracle, MatchesPlainBisectionBitForBit) {
   }
   EXPECT_EQ(cases, kProfilesPerFamily * 5 * 3);
   EXPECT_EQ(mismatches, 0) << "of " << cases << " cases; first: " << first_mismatch;
+}
+
+// Pinned cost of the profile-setting percentile per family (3,000 calls
+// each): bisection midpoints decided by the exact CDF, and roots the
+// approximate scan could not certify (each such call bisects plainly,
+// one exact CDF per midpoint).
+struct PinnedCost {
+  int exact_cdf_calls;
+  int uncertified;
+};
+
+PinnedCost pinned_cost(Family family) {
+  switch (family) {
+    case Family::kNormal: return {28, 0};
+    case Family::kExponential: return {107, 0};
+    case Family::kInteger: return {73, 0};
+    case Family::kTwoMode: return {138, 0};
+    // All-equal samples: the root can sit exactly on a midpoint, and
+    // every call pays one exact CDF for it.
+    case Family::kConstant: return {600, 0};
+  }
+  return {-1, -1};
+}
+
+TEST_P(KdePercentileOracle, ExactCdfCallsArePinned) {
+  Rng rng(0x6b646500u + static_cast<std::uint64_t>(GetParam()));
+  int calls = 0;
+  int exact = 0;
+  int uncertified = 0;
+  for (int i = 0; i < kProfilesPerFamily; ++i) {
+    std::vector<double> sorted = make_profile(GetParam(), rng);
+    std::sort(sorted.begin(), sorted.end());
+    const double bw = GaussianKde::silverman_bandwidth(sorted);
+    for (double p : kProbabilities) {
+      const detail::PercentileTrace trace =
+          detail::kde_percentile_traced(sorted, bw, p, 80, 1e-9);
+      ASSERT_TRUE(same_bits(trace.value,
+                            kde_percentile_sorted(sorted, bw, p, 80, 1e-9)));
+      ++calls;
+      exact += trace.exact_cdf_calls;
+      uncertified += trace.certified ? 0 : 1;
+    }
+  }
+  std::cout << calls << " calls: "
+            << static_cast<double>(exact) / calls
+            << " exact CDF calls per call, " << uncertified
+            << " uncertified\n";
+  const PinnedCost want = pinned_cost(GetParam());
+  EXPECT_EQ(exact, want.exact_cdf_calls);
+  EXPECT_EQ(uncertified, want.uncertified);
 }
 
 std::string family_name(const ::testing::TestParamInfo<Family>& info) {
