@@ -8,10 +8,6 @@ namespace {
 constexpr std::size_t kMinBlockBytes = 4096;
 }  // namespace
 
-ScratchArena::~ScratchArena() {
-  process_bytes().fetch_sub(bytes_reserved_, std::memory_order_relaxed);
-}
-
 void* ScratchArena::allocate(std::size_t bytes, std::size_t align) {
   FADEWICH_EXPECTS(align != 0 && (align & (align - 1)) == 0);
   // Block bases come from operator new[], so offsets aligned to `align`
@@ -37,7 +33,6 @@ void* ScratchArena::allocate(std::size_t bytes, std::size_t align) {
   blocks_.push_back(
       Block{std::make_unique<std::byte[]>(size), size, 0});
   bytes_reserved_ += size;
-  process_bytes().fetch_add(size, std::memory_order_relaxed);
   current_block_ = blocks_.size() - 1;
   Block& block = blocks_.back();
   block.used = bytes;

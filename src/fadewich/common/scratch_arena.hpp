@@ -20,7 +20,6 @@
 //     uninitialised (value-initialise if you read before writing).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -36,7 +35,6 @@ namespace fadewich::common {
 class ScratchArena {
  public:
   ScratchArena() = default;
-  ~ScratchArena();
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;
 
@@ -73,13 +71,9 @@ class ScratchArena {
   }
 
   /// Bytes this arena has reserved from the heap so far (grow-only).
+  /// Arenas belong to threads, not to pipelines, so no scrape reports
+  /// it; a fleet shard counts its own arena in memory_bytes().
   std::size_t bytes_reserved() const { return bytes_reserved_; }
-
-  /// Bytes reserved across every live ScratchArena in the process (the
-  /// scrape's `pipeline` block reports it as scratch_arena_bytes).
-  static std::size_t process_bytes_reserved() {
-    return process_bytes().load(std::memory_order_relaxed);
-  }
 
   /// The calling thread's arena.  Each thread owns exactly one; spans
   /// from it must stay on this thread.
@@ -91,11 +85,6 @@ class ScratchArena {
     std::size_t size = 0;
     std::size_t used = 0;
   };
-
-  static std::atomic<std::size_t>& process_bytes() {
-    static std::atomic<std::size_t> bytes{0};
-    return bytes;
-  }
 
   void* allocate(std::size_t bytes, std::size_t align);
   void release(std::size_t block, std::size_t used);

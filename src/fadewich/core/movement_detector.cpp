@@ -124,7 +124,6 @@ MovementDetectorState MovementDetector::export_state() const {
   MovementDetectorState state;
   state.now = now_;
   state.last_st = last_st_;
-  state.degraded_ticks = degraded_ticks_;
   if (profile_.initialized()) {
     state.profile_samples = profile_.samples_snapshot();
     state.profile_queue = profile_.queue_snapshot();
@@ -150,7 +149,6 @@ void MovementDetector::import_state(const MovementDetectorState& state) {
   }
   now_ = state.now;
   last_st_ = state.last_st;
-  degraded_ticks_ = state.degraded_ticks;
   last_live_fraction_ = 1.0;
   // The sliding windows restart empty: detection resumes once they fill.
   windows_.clear();

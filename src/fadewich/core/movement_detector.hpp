@@ -49,15 +49,16 @@ enum class MdState {
 };
 
 /// MD's durable state for persistence: the learned profile (plus its
-/// pending update queue), the tick clock, and degradation counters.  The
-/// per-stream sliding windows are deliberately *not* persisted — after a
-/// restart their contents would describe a radio environment from before
-/// the downtime — so a restored detector re-warms for `std_window`
-/// seconds (reporting kCalibrating) before resuming detection.
+/// pending update queue) and the tick clock — only what decisions read.
+/// The health block's counts (windows, degraded ticks) live as long as
+/// the detector instance and are not persisted.  The per-stream sliding
+/// windows are deliberately *not* persisted either — after a restart
+/// their contents would describe a radio environment from before the
+/// downtime — so a restored detector re-warms for `std_window` seconds
+/// (reporting kCalibrating) before resuming detection.
 struct MovementDetectorState {
   Tick now = 0;
   double last_st = 0.0;
-  std::uint64_t degraded_ticks = 0;
   std::vector<double> profile_samples;  // empty = still calibrating
   std::vector<double> profile_queue;
   std::vector<double> calibration_buffer;
@@ -96,11 +97,12 @@ class MovementDetector {
   /// a masked step reports staleness).
   double last_live_fraction() const { return last_live_fraction_; }
 
-  /// Ticks degraded below min_live_fraction so far.
+  /// Ticks this detector instance degraded below min_live_fraction
+  /// (an import_state() neither restores nor resets it).
   std::uint64_t degraded_ticks() const { return degraded_ticks_; }
 
   /// The "md" block: variation windows opened and closed by this
-  /// detector, and its degraded ticks.
+  /// detector instance, and its degraded ticks.
   obs::HealthBlock health_block() const;
 
   /// Durations of this detector's completed variation windows.
@@ -124,7 +126,8 @@ class MovementDetector {
   MovementDetectorState export_state() const;
 
   /// Restore from persisted state: the profile and clock come back
-  /// exactly; the sliding windows restart empty, so the detector reports
+  /// exactly, the health counts keep counting; the sliding windows
+  /// restart empty, so the detector reports
   /// kCalibrating for the next `std_window` seconds (the re-warm window)
   /// and any variation window open at save time is dropped.  Throws
   /// fadewich::Error on inconsistent state.

@@ -60,10 +60,12 @@ std::size_t Fleet::restart_faulted(Tick boundary) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     OfficeShard& shard = *shards_[i];
     if (!shard.faulted() || retired_[i]) continue;
-    if (!shard.restart()) {
+    persist::RecoveryReport report;
+    if (!shard.restart(report)) {
       retired_[i] = true;
       continue;
     }
+    persist::log_rejections(events_, report, {{"office", std::to_string(i)}});
     ++restarts;
     shard.run_until(boundary);
     retired_[i] = shard.faulted();
@@ -160,7 +162,9 @@ double Fleet::memory_bytes_per_office() const {
 }
 
 obs::ScrapeReport Fleet::scrape() const {
-  obs::ScrapeReport report = obs::scrape(metrics_);
+  obs::ScrapeReport report;
+  report.metrics = metrics_.snapshot();
+  report.events = events_.recent();
 
   obs::HealthBlock fleet;
   fleet.name = "fleet";

@@ -92,12 +92,18 @@ class Fleet {
   /// objects); the bench trends this across the 10 -> 10k sweep.
   double memory_bytes_per_office() const;
 
+  /// This fleet's event log: each snapshot an office restart rejected,
+  /// with the office's index, path and reason.  events().set_sink()
+  /// streams records to a JSONL file.
+  obs::EventLog& events() { return events_; }
+
   /// One merged scrape: this fleet's deauth-latency histogram, a "fleet"
   /// HealthBlock (offices, cursor, deauth totals, last-run throughput,
   /// p99 deauth latency, bytes per office, and per-office
   /// office_<i>_{deauths,spurious_deauths} for fleets of at most
-  /// obs::kPerUnitHealthCap offices), and, when supervised, the
-  /// "supervisor" block of per-office restarts and retirements.
+  /// obs::kPerUnitHealthCap offices), when supervised the "supervisor"
+  /// block of per-office restarts and retirements, and this fleet's own
+  /// recent events.
   obs::ScrapeReport scrape() const;
 
  private:
@@ -113,6 +119,7 @@ class Fleet {
 
   obs::MetricsRegistry metrics_;  // this fleet's multi-writer histograms
   obs::Histogram fleet_latency_;  // shared by all shards: fleet-wide p99
+  obs::EventLog events_;          // office restarts' rejected snapshots
 };
 
 }  // namespace fadewich::fleet

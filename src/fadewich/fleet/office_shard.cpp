@@ -236,9 +236,9 @@ void OfficeShard::run_until(Tick boundary) {
   }
 }
 
-bool OfficeShard::restart() {
+bool OfficeShard::restart(persist::RecoveryReport& report) {
   if (recovery_ == nullptr || !recovery_->try_restart()) return false;
-  if (!recovery_->recover(system_)) {
+  if (!recovery_->recover(system_, report)) {
     system_ = core::FadewichSystem(config_.streams, config_.workstations,
                                    config_.system);
   }

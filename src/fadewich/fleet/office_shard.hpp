@@ -114,8 +114,9 @@ class OfficeShard {
   /// restore the newest snapshot that fits, else rebuild the pipeline
   /// from tick 0 (a last resort that still converges, since the driver
   /// is stateless).  Clears the fault flag.  False, leaving the shard
-  /// faulted, when the shard has no ring or the budget is spent.
-  bool restart();
+  /// faulted and `report` untouched, when the shard has no ring or the
+  /// budget is spent; otherwise `report` holds what recovery saw.
+  bool restart(persist::RecoveryReport& report);
 
   // --- Accumulated outputs -------------------------------------------
   /// CRC-32 over every RSSI row, MD state, action, and classification

@@ -1,8 +1,6 @@
 #include "fadewich/obs/event_log.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <ostream>
 
 #include "fadewich/common/error.hpp"
@@ -11,7 +9,6 @@ namespace fadewich::obs {
 
 const char* severity_name(Severity severity) {
   switch (severity) {
-    case Severity::kDebug: return "debug";
     case Severity::kInfo: return "info";
     case Severity::kWarn: return "warn";
     case Severity::kError: return "error";
@@ -78,7 +75,6 @@ void EventLog::log(Severity severity, std::string component,
                    std::string message, Tick tick, EventFields fields) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (severity < config_.min_severity) return;
   Event event;
   event.seq = next_seq_++;
   event.severity = severity;
@@ -114,35 +110,6 @@ std::uint64_t EventLog::evicted() const {
 void EventLog::set_sink(std::ostream* sink) {
   std::lock_guard<std::mutex> lock(mutex_);
   sink_ = sink;
-}
-
-void EventLog::set_min_severity(Severity severity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  config_.min_severity = severity;
-}
-
-void EventLog::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  next_seq_ = 0;
-  evicted_ = 0;
-}
-
-EventLog& EventLog::global() {
-  // The sink is declared before the log so it is destroyed after it —
-  // the log can never write to a dead stream, even from static
-  // destructors.
-  static std::ofstream sink;
-  static EventLog log;
-  static const bool wired = [] {
-    if (const char* path = std::getenv("FADEWICH_OBS_SINK")) {
-      sink.open(path, std::ios::app);
-      if (sink) log.set_sink(&sink);
-    }
-    return true;
-  }();
-  (void)wired;
-  return log;
 }
 
 }  // namespace fadewich::obs

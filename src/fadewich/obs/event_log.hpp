@@ -5,9 +5,10 @@
 // evicted, eviction counted) so a chatty deployment can always show its
 // recent history without unbounded memory.  An optional sink stream
 // receives every accepted event immediately as one JSON line, which is
-// the durable export path (FADEWICH_OBS_SINK wires a file to the global
-// log).  Events below the minimum severity are filtered before they cost
-// anything; the runtime obs toggle gates the whole call.
+// the durable export path.  There is no process-wide log: each scraping
+// owner (persist::SupervisedSystem, fleet::Fleet) holds one EventLog,
+// reports its recent() in its scrape, and lends it out by reference so
+// a caller can attach a sink.  The runtime obs toggle gates every call.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,7 @@
 
 namespace fadewich::obs {
 
-enum class Severity { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+enum class Severity { kInfo, kWarn, kError };
 
 namespace detail {
 /// Append `s` to `out` with JSON string escaping (shared by the event
@@ -51,23 +52,17 @@ class EventLog {
  public:
   struct Config {
     std::size_t capacity = 1024;  // ring size, >= 1
-    Severity min_severity = Severity::kInfo;
   };
 
   EventLog();
   explicit EventLog(Config config);
 
-  /// Record an event.  Filtered by min_severity and the runtime toggle;
+  /// Record an event.  Dropped while the runtime toggle is off;
   /// accepted events enter the ring (evicting the oldest past capacity)
   /// and are written to the sink, if any, as one JSON line.
   void log(Severity severity, std::string component, std::string message,
            Tick tick = 0, EventFields fields = {});
 
-  void debug(std::string component, std::string message, Tick tick = 0,
-             EventFields fields = {}) {
-    log(Severity::kDebug, std::move(component), std::move(message), tick,
-        std::move(fields));
-  }
   void info(std::string component, std::string message, Tick tick = 0,
             EventFields fields = {}) {
     log(Severity::kInfo, std::move(component), std::move(message), tick,
@@ -93,14 +88,6 @@ class EventLog {
   /// Stream receiving accepted events as JSON lines; nullptr disables.
   /// The stream must outlive the log (or a subsequent set_sink(nullptr)).
   void set_sink(std::ostream* sink);
-
-  void set_min_severity(Severity severity);
-
-  void clear();
-
-  /// Process-wide log the built-in instrumentation writes to.  On first
-  /// use, FADEWICH_OBS_SINK=<path> attaches an append-mode file sink.
-  static EventLog& global();
 
  private:
   Config config_;

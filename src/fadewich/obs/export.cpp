@@ -119,11 +119,4 @@ std::string ScrapeReport::to_json() const {
   return out;
 }
 
-ScrapeReport scrape(const MetricsRegistry& registry, const EventLog* events) {
-  ScrapeReport report;
-  report.metrics = registry.snapshot();
-  if (events != nullptr) report.events = events->recent();
-  return report;
-}
-
 }  // namespace fadewich::obs

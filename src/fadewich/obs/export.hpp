@@ -6,7 +6,10 @@
 // registry's snapshot), any number of named HealthBlocks (an instance's
 // own counts — the detector's windows, the station's reports, restart
 // counts — flattened to key/number pairs by their owning modules), and
-// recent structured events.  Both exporters render the same report:
+// the owner's own recent structured events.  The owner fills each
+// section itself (see persist::SupervisedSystem::scrape and
+// fleet::Fleet::scrape for assembled documents).  Both exporters render
+// the same report:
 //
 //   to_prometheus(): `# HELP` / `# TYPE` / sample lines; histograms as
 //     cumulative `_bucket{le=...}` + `_sum` + `_count`; health blocks as
@@ -55,12 +58,5 @@ struct ScrapeReport {
   std::string to_prometheus() const;
   std::string to_json() const;
 };
-
-/// Capture an instance's registry plus, when given, the event ring.
-/// Modules' own counts are folded in afterwards via ScrapeReport::health
-/// (see net::health_block, persist::health_block, or
-/// persist::SupervisedSystem::scrape for the fully-assembled document).
-ScrapeReport scrape(const MetricsRegistry& registry,
-                    const EventLog* events = nullptr);
 
 }  // namespace fadewich::obs

@@ -1,5 +1,6 @@
 // Umbrella header for the observability subsystem: histograms, structured
-// events, exporters, and the process-wide event log.
+// event logs and exporters.  Every histogram and event log under src/
+// belongs to the instance that scrapes it.
 //
 // Quick tour (see DESIGN.md §12 for the full model):
 //
@@ -12,15 +13,18 @@
 //   obs::Histogram depth = metrics.histogram("fadewich_x_depth", "help");
 //   depth.observe(12.0);                      // lock-free, sharded
 //
-//   obs::events().warn("station", "row evicted", tick);
+//   // The owner's bounded event log; a caller may attach a JSONL sink.
+//   obs::EventLog events;
+//   events.warn("station", "row evicted", tick);
 //
-//   obs::ScrapeReport report = obs::scrape(metrics, &obs::events());
+//   obs::ScrapeReport report;
+//   report.metrics = metrics.snapshot();
 //   report.metrics.add_histogram(latency, "fadewich_x_seconds", "help");
+//   report.events = events.recent();
 //   std::cout << report.to_prometheus();      // or report.to_json()
 //
-// Environment: FADEWICH_OBS=0 disables at runtime, FADEWICH_OBS_SINK
-// appends events to a JSONL file.  Compiling with -DFADEWICH_OBS_DISABLE
-// removes instrumentation bodies entirely.
+// Environment: FADEWICH_OBS=0 disables at runtime.  Compiling with
+// -DFADEWICH_OBS_DISABLE removes instrumentation bodies entirely.
 #pragma once
 
 #include "fadewich/obs/event_log.hpp"
@@ -37,8 +41,5 @@ inline MetricsRegistry& registry() {
   static MetricsRegistry process_registry;
   return process_registry;
 }
-
-/// The process-wide event log.  Tests may clear() it between cases.
-inline EventLog& events() { return EventLog::global(); }
 
 }  // namespace fadewich::obs

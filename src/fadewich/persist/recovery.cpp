@@ -137,14 +137,12 @@ bool RecoveryManager::try_restart() {
 }
 
 std::optional<Snapshot> RecoveryManager::recover(core::FadewichSystem& into,
-                                                 RecoveryReport* report) {
+                                                 RecoveryReport& report) {
   const bool timed = obs::enabled();
   const auto started = timed ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
-  RecoveryReport local;
-  RecoveryReport& out = report ? *report : local;
-  out = RecoveryReport{};
-  std::optional<Snapshot> snapshot = walk_ring(into, out);
+  report = RecoveryReport{};
+  std::optional<Snapshot> snapshot = walk_ring(into, report);
   if (timed) recover_seconds_.observe(seconds_since(started));
   return snapshot;
 }
@@ -178,8 +176,6 @@ std::optional<Snapshot> RecoveryManager::walk_ring(core::FadewichSystem& into,
       }
     }
     out.rejected.push_back({path, last_reason});
-    obs::events().warn("persist", "snapshot rejected during recovery", 0,
-                       {{"path", path}, {"reason", last_reason}});
   }
   out.cold_start = true;
   return std::nullopt;
@@ -200,6 +196,17 @@ std::vector<std::string> RecoveryManager::ring() const {
     paths.push_back(path);
   }
   return paths;
+}
+
+void log_rejections(obs::EventLog& log, const RecoveryReport& report,
+                    const obs::EventFields& context) {
+  for (const RecoveryAttempt& rejected : report.rejected) {
+    obs::EventFields fields = context;
+    fields.emplace_back("path", rejected.path);
+    fields.emplace_back("reason", rejected.reason);
+    log.warn("persist", "snapshot rejected during recovery", 0,
+             std::move(fields));
+  }
 }
 
 obs::HealthBlock health_block(std::span<const UnitHealth> units) {

@@ -51,6 +51,12 @@ struct RecoveryReport {
   bool cold_start = false;
 };
 
+/// Record each file `report` rejected in `log` as a "snapshot rejected
+/// during recovery" warning whose fields are `context` (the fleet passes
+/// the office), then the file's path and reason.
+void log_rejections(obs::EventLog& log, const RecoveryReport& report,
+                    const obs::EventFields& context);
+
 class RecoveryManager {
  public:
   /// Validates the config (throws fadewich::Error) and creates the
@@ -82,9 +88,10 @@ class RecoveryManager {
   /// import is rejected with its reason and the next older one is tried.
   /// Returns the imported snapshot, or nullopt (cold start, `into`
   /// unchanged) when no file fits; never throws for bad snapshot data.
-  /// Details land in *report when non-null.
+  /// `report` is overwritten with what happened.  The manager logs
+  /// nothing: its owner turns the report into records (log_rejections).
   std::optional<Snapshot> recover(core::FadewichSystem& into,
-                                  RecoveryReport* report = nullptr);
+                                  RecoveryReport& report);
 
   /// Paths of the retained snapshots, oldest first.
   std::vector<std::string> ring() const;

@@ -162,7 +162,6 @@ void write_system(Writer& w, const core::SystemState& s) {
 
   w.pod(static_cast<std::int64_t>(s.md.now));
   w.pod(s.md.last_st);
-  w.u64(s.md.degraded_ticks);
   w.doubles(s.md.profile_samples);
   w.doubles(s.md.profile_queue);
   w.doubles(s.md.calibration_buffer);
@@ -202,7 +201,6 @@ core::SystemState read_system(Reader& r) {
 
   s.md.now = static_cast<Tick>(r.pod<std::int64_t>());
   s.md.last_st = r.pod<double>();
-  s.md.degraded_ticks = r.u64();
   s.md.profile_samples = r.doubles();
   s.md.profile_queue = r.doubles();
   s.md.calibration_buffer = r.doubles();

@@ -26,8 +26,9 @@
 
 namespace fadewich::persist {
 
-// v2: StationHealth gained duplicates_rejected + malformed (PR 8).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// v2: StationHealth gained duplicates_rejected + malformed.
+// v3: MD state dropped degraded_ticks (health counts are not persisted).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 struct Snapshot {
   core::SystemState system;

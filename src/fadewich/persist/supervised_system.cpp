@@ -3,7 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "fadewich/common/scratch_arena.hpp"
 #include "fadewich/common/simd.hpp"
 
 namespace fadewich::persist {
@@ -15,24 +14,26 @@ SupervisedSystem::SupervisedSystem(std::size_t stream_count,
     : system_(stream_count, workstation_count, system_config),
       recovery_(std::move(recovery)) {
   station_health_.imputed_per_stream.assign(stream_count, 0);
-  if (restore(&recovery_report_)) {
-    obs::events().info("persist", "recovered from snapshot", 0,
-                       {{"path", recovery_report_.recovered_path}});
+  if (restore(recovery_report_)) {
+    events_.info("persist", "recovered from snapshot", 0,
+                 {{"path", recovery_report_.recovered_path}});
   } else {
     degraded_start_ = true;
-    obs::events().warn("persist", "cold start: no usable snapshot", 0);
+    events_.warn("persist", "cold start: no usable snapshot", 0);
   }
 }
 
-bool SupervisedSystem::restore(RecoveryReport* report) {
+bool SupervisedSystem::restore(RecoveryReport& report) {
   const std::optional<Snapshot> snapshot = recovery_.recover(system_, report);
+  log_rejections(events_, report, {});
   if (snapshot) station_health_ = snapshot->station;
   return snapshot.has_value();
 }
 
 bool SupervisedSystem::restart() {
   if (retired_) return false;
-  retired_ = !recovery_.try_restart() || !restore(nullptr);
+  RecoveryReport report;
+  retired_ = !recovery_.try_restart() || !restore(report);
   return !retired_;
 }
 
@@ -46,10 +47,10 @@ SupervisedSystem::StepResult SupervisedSystem::step(
   } catch (const std::exception& e) {
     result.inner = {};
     result.recovered = restart();
-    obs::events().error("persist",
-                        result.recovered ? "pipeline step failed; restored"
-                                         : "pipeline step failed; retired",
-                        tick, {{"what", e.what()}});
+    events_.error("persist",
+                  result.recovered ? "pipeline step failed; restored"
+                                   : "pipeline step failed; retired",
+                  tick, {{"what", e.what()}});
   }
   return result;
 }
@@ -57,7 +58,7 @@ SupervisedSystem::StepResult SupervisedSystem::step(
 obs::ScrapeReport SupervisedSystem::scrape(
     const net::FaultInjector::Counters* faults) const {
   obs::ScrapeReport report;
-  report.events = obs::events().recent();
+  report.events = events_.recent();
 
   obs::HealthBlock pipeline;
   pipeline.name = "pipeline";
@@ -67,9 +68,6 @@ obs::ScrapeReport SupervisedSystem::scrape(
   pipeline.add("checkpoints_written",
                static_cast<double>(checkpoints_written()));
   pipeline.add("simd_isa", static_cast<double>(simd::active_isa()));
-  pipeline.add("scratch_arena_bytes",
-               static_cast<double>(
-                   common::ScratchArena::process_bytes_reserved()));
   report.health.push_back(std::move(pipeline));
   system_.scrape_into(report);
   recovery_.scrape_into(report);

@@ -79,23 +79,31 @@ class SupervisedSystem {
   /// True once a fault found the budget spent or nothing to restore.
   bool retired() const { return retired_; }
 
+  /// This instance's event log: its recovery outcome and rejected
+  /// snapshots (construction and restarts) and its failed steps, and
+  /// nothing from any other instance.  events().set_sink() streams later
+  /// records to a JSONL file; construction's records are already in
+  /// recent() by then.
+  obs::EventLog& events() { return events_; }
+
   /// One unified observability document about this instance: the
   /// pipeline block (tick, training, degraded start, checkpoints, SIMD
-  /// ISA, the process's scratch-arena bytes), the md, controller and re
-  /// blocks with this pipeline's histograms, station, fault (when given)
-  /// and restart health, and recent events.  Render with to_prometheus()
-  /// or to_json().
+  /// ISA), the md, controller and re blocks with this pipeline's
+  /// histograms, station, fault (when given) and restart health, and
+  /// this instance's own recent events.  Render with to_prometheus() or
+  /// to_json().
   obs::ScrapeReport scrape(
       const net::FaultInjector::Counters* faults = nullptr) const;
 
  private:
-  bool restore(RecoveryReport* report);
+  bool restore(RecoveryReport& report);
   bool restart();
 
   core::FadewichSystem system_;
   RecoveryManager recovery_;
   net::StationHealth station_health_;
   RecoveryReport recovery_report_;
+  obs::EventLog events_;
   bool degraded_start_ = false;
   bool retired_ = false;
 };

@@ -72,18 +72,6 @@ TEST(ScratchArenaTest, GrowsAcrossBlocksWithinOneFrame) {
   EXPECT_GE(arena.bytes_reserved(), 16u * 1024u * sizeof(double));
 }
 
-TEST(ScratchArenaTest, ProcessBytesTracksArenaLifetimes) {
-  const std::size_t before = ScratchArena::process_bytes_reserved();
-  {
-    ScratchArena arena;
-    const auto frame = arena.frame();
-    arena.get<double>(4096);
-    EXPECT_GE(ScratchArena::process_bytes_reserved(),
-              before + 4096 * sizeof(double));
-  }
-  EXPECT_EQ(ScratchArena::process_bytes_reserved(), before);
-}
-
 TEST(ScratchArenaTest, LocalIsPerThread) {
   ScratchArena* main_arena = &ScratchArena::local();
   ScratchArena* other_arena = nullptr;

@@ -4,21 +4,18 @@
 // the per-thread ScratchArena exist exactly so this test can pass.
 //
 // Counting works by replacing the global allocation functions in this
-// test binary: every operator new/new[] bumps an atomic while counting
-// is switched on.  Assertions run only outside the counted region (a
-// failing EXPECT allocates its message).
+// test binary (common/counting_allocator.hpp).  Assertions run only
+// outside the counted region (a failing EXPECT allocates its message).
 #include "fadewich/core/system.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <vector>
 
+#include "common/counting_allocator.hpp"
 #include "fadewich/common/rng.hpp"
 #include "fadewich/core/features.hpp"
 #include "fadewich/core/normal_profile.hpp"
@@ -26,43 +23,10 @@
 #include "fadewich/ml/dataset.hpp"
 #include "oracle/features.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-void* counted_alloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (size == 0) size = 1;
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-struct CountingScope {
-  CountingScope() {
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~CountingScope() { g_counting.store(false, std::memory_order_relaxed); }
-  std::uint64_t count() const {
-    return g_allocations.load(std::memory_order_relaxed);
-  }
-};
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace fadewich::core {
 namespace {
+
+using test::CountingScope;
 
 TEST(SystemAllocTest, CountingAllocatorSeesVectorGrowth) {
   // Sanity check on the instrumentation itself.

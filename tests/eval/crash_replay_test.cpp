@@ -210,7 +210,7 @@ TEST_F(CrashReplayTest, CorruptedRingFallsBackWithoutAborting) {
                               system_config);
   persist::RecoveryManager recovery(config.recovery);
   persist::RecoveryReport report;
-  const auto snapshot = recovery.recover(system, &report);
+  const auto snapshot = recovery.recover(system, report);
   ASSERT_TRUE(snapshot.has_value());  // third-newest survives
   EXPECT_EQ(report.rejected.size(), 2u);
   EXPECT_EQ(snapshot->system.tick, 600u);  // the oldest of the three

@@ -1,6 +1,6 @@
 // Merged fleet observability: one scrape carries the fleet block, with
-// per-office deauth counts for fleets under the unit cap, and the
-// supervisor block.
+// per-office deauth counts for fleets under the unit cap, the
+// supervisor block, and the fleet's own events.
 #include "fadewich/fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "fadewich/exec/thread_pool.hpp"
 #include "fadewich/obs/export.hpp"
+#include "fadewich/persist/supervised_system.hpp"
 #include "obs/exposition_grammar.hpp"
 
 namespace fadewich::fleet {
@@ -119,6 +120,59 @@ TEST(FleetScrape, SupervisedFleetExportsTheSupervisorBlock) {
   // snapshots still recover.
   EXPECT_TRUE(fs::is_directory(root + "/office-0"));
   EXPECT_TRUE(fs::is_directory(root + "/office-1"));
+  fs::remove_all(root);
+}
+
+/// An office restart's rejected snapshot is a record in its fleet's
+/// log, carrying the office; a supervised system in the same process
+/// never sees it, and the fleet never sees the system's cold start.
+TEST(FleetScrape, RestartRejectionsAreTheFleetsOwnEvents) {
+  const std::string root =
+      (fs::temp_directory_path() / "fadewich_fleet_scrape_events").string();
+  fs::remove_all(root);
+  FleetConfig config = small_fleet(2);
+  config.recovery.directory = root + "/fleet";
+  config.recovery.checkpoint_period = 300;
+  config.recovery.backoff_ms = 0.0;
+  exec::ThreadPool pool(2);
+  Fleet fleet(config, &pool);
+  fleet.run_week(700);
+  ASSERT_TRUE(fleet.scrape().events.empty());
+
+  // Corrupt office 1's newest snapshot, then crash the office.
+  persist::RecoveryConfig ring = config.recovery;
+  ring.directory = root + "/fleet/office-1";
+  const std::vector<std::string> snapshots =
+      persist::RecoveryManager(ring).ring();
+  ASSERT_GE(snapshots.size(), 2u);
+  const std::string corrupt = snapshots.back();
+  fs::resize_file(corrupt, fs::file_size(corrupt) / 2);
+
+  persist::RecoveryConfig own = config.recovery;
+  own.directory = root + "/system";
+  persist::SupervisedSystem system(4, 2, {}, own);
+  ASSERT_TRUE(system.degraded_start());
+
+  fleet.inject_crash(1, 750);
+  fleet.run_week(200);
+  ASSERT_EQ(fleet.shard(1).restores(), 1u);
+  ASSERT_FALSE(fleet.retired(1));
+
+  const obs::ScrapeReport report = fleet.scrape();
+  ASSERT_EQ(report.events.size(), 1u);
+  const obs::Event& rejected = report.events[0];
+  EXPECT_EQ(rejected.message, "snapshot rejected during recovery");
+  using Field = obs::EventFields::value_type;
+  ASSERT_EQ(rejected.fields.size(), 3u);
+  EXPECT_EQ(rejected.fields[0], (Field{"office", "1"}));
+  EXPECT_EQ(rejected.fields[1], (Field{"path", corrupt}));
+  EXPECT_EQ(rejected.fields[2].first, "reason");
+  EXPECT_NE(report.to_json().find("\"office\":\"1\""), std::string::npos);
+  expect_valid_exposition(report);
+
+  const std::vector<obs::Event> system_events = system.scrape().events;
+  ASSERT_EQ(system_events.size(), 1u);
+  EXPECT_EQ(system_events[0].message, "cold start: no usable snapshot");
   fs::remove_all(root);
 }
 

@@ -4,41 +4,16 @@
 // are reused; only growth past the warm-up high-water mark may allocate.
 //
 // Counting works by replacing the global allocation functions in this
-// test binary: every operator new/new[] bumps an atomic while counting
-// is switched on.  Assertions run only outside the counted region.
+// test binary (common/counting_allocator.hpp).  Assertions run only
+// outside the counted region.
 #include "fadewich/net/central_station.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-void* counted_alloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (size == 0) size = 1;
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "common/counting_allocator.hpp"
 
 namespace fadewich::net {
 namespace {
@@ -72,14 +47,16 @@ TEST(StationAllocTest, RowSinkTicksAreAllocationFreeAfterWarmUp) {
     station.ingest(batch, sink);
   }
   const std::uint64_t warm_rows = rows;
-  g_allocations.store(0);
-  g_counting.store(true);
-  for (; tick < 1100; ++tick) {
-    fill_tick(batch, tick);
-    station.ingest(batch, sink);
+  std::uint64_t allocs = 0;
+  {
+    test::CountingScope scope;
+    for (; tick < 1100; ++tick) {
+      fill_tick(batch, tick);
+      station.ingest(batch, sink);
+    }
+    allocs = scope.count();
   }
-  g_counting.store(false);
-  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(rows - warm_rows, 1000u);
   EXPECT_GT(station.health().incomplete_releases, 0u);
   EXPECT_GT(station.health().late_reports, 0u);

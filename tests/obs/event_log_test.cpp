@@ -1,5 +1,5 @@
-// EventLog: bounded-ring eviction accounting, severity filtering, the
-// JSON-lines rendering (escaping included), and the immediate sink path.
+// EventLog: bounded-ring eviction accounting, the JSON-lines rendering
+// (escaping included), the immediate sink path and the runtime toggle.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,7 +17,7 @@ class ObsEventLogTest : public ::testing::Test {
 };
 
 TEST_F(ObsEventLogTest, RingEvictsOldestAndCountsEvictions) {
-  EventLog log(EventLog::Config{4, Severity::kInfo});
+  EventLog log(EventLog::Config{4});
   for (int i = 0; i < 6; ++i) {
     log.info("test", "message " + std::to_string(i));
   }
@@ -31,25 +31,6 @@ TEST_F(ObsEventLogTest, RingEvictsOldestAndCountsEvictions) {
   EXPECT_EQ(recent.front().message, "message 2");
   EXPECT_EQ(recent.back().seq, 5u);
   EXPECT_EQ(recent.back().message, "message 5");
-}
-
-TEST_F(ObsEventLogTest, MinSeverityFiltersBeforeAccepting) {
-  EventLog log(EventLog::Config{16, Severity::kWarn});
-  log.debug("test", "dropped");
-  log.info("test", "dropped");
-  log.warn("test", "kept");
-  log.error("test", "kept");
-  EXPECT_EQ(log.accepted(), 2u);
-  const std::vector<Event> recent = log.recent();
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0].severity, Severity::kWarn);
-  EXPECT_EQ(recent[1].severity, Severity::kError);
-  // Filtered events never consume sequence numbers.
-  EXPECT_EQ(recent[0].seq, 0u);
-
-  log.set_min_severity(Severity::kDebug);
-  log.debug("test", "now kept");
-  EXPECT_EQ(log.accepted(), 3u);
 }
 
 TEST_F(ObsEventLogTest, JsonLineFormatAndEscaping) {
@@ -68,11 +49,10 @@ TEST_F(ObsEventLogTest, JsonLineFormatAndEscaping) {
 }
 
 TEST_F(ObsEventLogTest, SinkReceivesEveryAcceptedEventAsOneLine) {
-  EventLog log(EventLog::Config{2, Severity::kInfo});
+  EventLog log(EventLog::Config{2});
   std::ostringstream sink;
   log.set_sink(&sink);
   log.info("net", "first", 1);
-  log.debug("net", "filtered");         // below min severity: no line
   log.warn("net", "second", 2, {{"k", "v"}});
   log.info("net", "third", 3);          // evicts "first" from the ring...
   log.set_sink(nullptr);
@@ -99,21 +79,8 @@ TEST_F(ObsEventLogTest, RuntimeToggleDropsEventsEntirely) {
   EXPECT_TRUE(log.recent().empty());
 }
 
-TEST_F(ObsEventLogTest, ClearResetsSequenceAndEvictions) {
-  EventLog log(EventLog::Config{1, Severity::kInfo});
-  log.info("test", "a");
-  log.info("test", "b");
-  EXPECT_EQ(log.evicted(), 1u);
-  log.clear();
-  EXPECT_EQ(log.accepted(), 0u);
-  EXPECT_EQ(log.evicted(), 0u);
-  EXPECT_TRUE(log.recent().empty());
-  log.info("test", "fresh");
-  EXPECT_EQ(log.recent().front().seq, 0u);
-}
-
 TEST_F(ObsEventLogTest, ZeroCapacityThrows) {
-  EXPECT_THROW(EventLog(EventLog::Config{0, Severity::kInfo}), Error);
+  EXPECT_THROW(EventLog(EventLog::Config{0}), Error);
 }
 
 }  // namespace

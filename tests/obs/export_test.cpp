@@ -63,7 +63,9 @@ TEST_F(ObsExportTest, ScrapeReportFoldsHealthAndEvents) {
   EventLog events;
   events.warn("net", "sensor offline", 40, {{"sensor", "1"}});
 
-  ScrapeReport report = scrape(registry_, &events);
+  ScrapeReport report;
+  report.metrics = registry_.snapshot();
+  report.events = events.recent();
   HealthBlock station;
   station.name = "station";
   station.add("reports", 120.0);
@@ -101,7 +103,8 @@ TEST_F(ObsExportTest, ScrapeReportFoldsHealthAndEvents) {
 
 TEST_F(ObsExportTest, ScrapeWithoutEventsIsMetricsOnly) {
   registry_.histogram("t_only_seconds", "", {1.0}).observe(2.0);
-  const ScrapeReport report = scrape(registry_);
+  ScrapeReport report;
+  report.metrics = registry_.snapshot();
   EXPECT_TRUE(report.events.empty());
   EXPECT_TRUE(report.health.empty());
   EXPECT_TRUE(

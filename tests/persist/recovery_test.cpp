@@ -67,7 +67,7 @@ TEST_F(RecoveryTest, ValidatesConfig) {
 TEST_F(RecoveryTest, ColdStartOnEmptyDirectory) {
   RecoveryManager manager(config());
   RecoveryReport report;
-  EXPECT_FALSE(manager.recover(system_, &report).has_value());
+  EXPECT_FALSE(manager.recover(system_, report).has_value());
   EXPECT_TRUE(report.cold_start);
   EXPECT_TRUE(report.rejected.empty());
 }
@@ -78,7 +78,7 @@ TEST_F(RecoveryTest, RecoversTheNewestSnapshot) {
   manager.checkpoint(tagged(200));
   manager.checkpoint(tagged(300));
   RecoveryReport report;
-  const auto snapshot = manager.recover(system_, &report);
+  const auto snapshot = manager.recover(system_, report);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 300u);
   EXPECT_EQ(system_.tick(), 300);  // imported, not just loaded
@@ -94,7 +94,7 @@ TEST_F(RecoveryTest, FallsBackPastASnapshotThatDoesNotImport) {
   misfit.system.kma_last_input.resize(2);
   const std::string newest = manager.checkpoint(misfit);
   RecoveryReport report;
-  const auto snapshot = manager.recover(system_, &report);
+  const auto snapshot = manager.recover(system_, report);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 100u);
   EXPECT_EQ(system_.tick(), 100);
@@ -132,7 +132,7 @@ TEST_F(RecoveryTest, FallsBackPastACorruptNewestSnapshot) {
         .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   RecoveryReport report;
-  const auto snapshot = manager.recover(system_, &report);
+  const auto snapshot = manager.recover(system_, report);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 100u);
   ASSERT_EQ(report.rejected.size(), 1u);
@@ -144,7 +144,8 @@ TEST_F(RecoveryTest, FallsBackPastATruncatedSnapshot) {
   manager.checkpoint(tagged(100));
   const std::string newest = manager.checkpoint(tagged(200));
   fs::resize_file(newest, fs::file_size(newest) / 2);
-  const auto snapshot = manager.recover(system_);
+  RecoveryReport report;
+  const auto snapshot = manager.recover(system_, report);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 100u);
 }
@@ -157,7 +158,7 @@ TEST_F(RecoveryTest, AllCorruptMeansColdStartNotAbort) {
         << "not a snapshot";
   }
   RecoveryReport report;
-  EXPECT_FALSE(manager.recover(system_, &report).has_value());
+  EXPECT_FALSE(manager.recover(system_, report).has_value());
   EXPECT_TRUE(report.cold_start);
   EXPECT_EQ(report.rejected.size(), 3u);
 }
@@ -172,7 +173,8 @@ TEST_F(RecoveryTest, NumberingContinuesAcrossInstances) {
   RecoveryManager reborn(config());
   const std::string next = reborn.checkpoint(tagged(3));
   EXPECT_NE(next, first);
-  const auto snapshot = reborn.recover(system_);
+  RecoveryReport report;
+  const auto snapshot = reborn.recover(system_, report);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 3u);  // new file sorts newest
 }
@@ -185,7 +187,8 @@ TEST_F(RecoveryTest, ForeignFilesInTheDirectoryAreIgnored) {
   std::ofstream(torn, std::ios::binary) << "FDWS";
   manager.checkpoint(tagged(42));
   EXPECT_EQ(manager.ring().size(), 1u);
-  const auto snapshot = manager.recover(system_);
+  RecoveryReport report;
+  const auto snapshot = manager.recover(system_, report);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->system.tick, 42u);
   EXPECT_TRUE(fs::exists(fs::path(dir_) / "README.txt"));

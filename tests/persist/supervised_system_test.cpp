@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -288,6 +289,63 @@ TEST_F(SupervisedSystemTest, TwoSystemsInOneProcessScrapeIndependently) {
   ASSERT_NE(idle_latency, nullptr);
   EXPECT_EQ(idle_latency->count, 0u);
   fs::remove_all(idle_config.directory);
+}
+
+std::string field_of(const obs::Event& event, const std::string& key) {
+  for (const auto& [name, value] : event.fields) {
+    if (name == key) return value;
+  }
+  return "";
+}
+
+/// Every record in a scrape belongs to its instance: a cold start and a
+/// recovery past a corrupt file, made by two systems in one process,
+/// each show up only in their own system's events.
+TEST_F(SupervisedSystemTest, TwoSystemsInOneProcessKeepTheirOwnEvents) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "events compiled out";
+  RecoveryConfig cold_config = config();
+  cold_config.directory = dir_ + "_cold";
+  fs::remove_all(cold_config.directory);
+  const std::string good = checkpoint(kWorkstations, 5);
+  const std::string corrupt = checkpoint(kWorkstations, 9);
+  fs::resize_file(corrupt, fs::file_size(corrupt) / 2);
+
+  SupervisedSystem cold(kStreams, kWorkstations, {}, cold_config);
+  SupervisedSystem warm(kStreams, kWorkstations, {}, config());
+  ASSERT_TRUE(cold.degraded_start());
+  ASSERT_FALSE(warm.degraded_start());
+
+  const std::vector<obs::Event> cold_events = cold.scrape().events;
+  ASSERT_EQ(cold_events.size(), 1u);
+  EXPECT_EQ(cold_events[0].message, "cold start: no usable snapshot");
+  EXPECT_EQ(cold_events[0].severity, obs::Severity::kWarn);
+
+  // Rejections first, then the outcome.
+  const std::vector<obs::Event> warm_events = warm.scrape().events;
+  ASSERT_EQ(warm_events.size(), 2u);
+  EXPECT_EQ(warm_events[0].message, "snapshot rejected during recovery");
+  EXPECT_EQ(field_of(warm_events[0], "path"), corrupt);
+  EXPECT_FALSE(field_of(warm_events[0], "reason").empty());
+  EXPECT_EQ(warm_events[1].message, "recovered from snapshot");
+  EXPECT_EQ(field_of(warm_events[1], "path"), good);
+
+  // A failed step is recorded by the system that failed, with the
+  // restart's own rejection ahead of it, and reaches a sink attached to
+  // that system's log.
+  std::ostringstream sink;
+  warm.events().set_sink(&sink);
+  faulty_step(warm);
+  warm.events().set_sink(nullptr);
+  const std::vector<obs::Event> after = warm.scrape().events;
+  ASSERT_EQ(after.size(), 4u);
+  EXPECT_EQ(after[2].message, "snapshot rejected during recovery");
+  EXPECT_EQ(after[3].message, "pipeline step failed; restored");
+  EXPECT_EQ(after[3].severity, obs::Severity::kError);
+  EXPECT_EQ(sink.str(),
+            obs::to_json_line(after[2]) + "\n" + obs::to_json_line(after[3]) +
+                "\n");
+  EXPECT_EQ(cold.scrape().events.size(), 1u);
+  fs::remove_all(cold_config.directory);
 }
 
 }  // namespace
