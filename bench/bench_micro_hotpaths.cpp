@@ -44,6 +44,7 @@
 #include "fadewich/sim/simulator.hpp"
 #include "oracle/features.hpp"
 #include "oracle/kde_percentile.hpp"
+#include "oracle/multiclass_svm.hpp"
 
 namespace fadewich {
 namespace {
@@ -345,6 +346,66 @@ HotpathPair bench_svm_decision() {
     for (int f = 0; f < factor; ++f) svm.decision_block(qs, out);
     benchmark::DoNotOptimize(out.data());
   });
+  return result;
+}
+
+// RE's Rule-1 decision on an office-scale model: 4 classes, 216
+// features, 40 training samples, one query per call as the live path
+// classifies.  Old: the machine-major tally (oracle/multiclass_svm.hpp),
+// every pairwise machine streaming its own support rows.  New:
+// MulticlassSvm's one kernel row over the shared support-vector pool.
+// Both must yield the same labels.
+HotpathPair bench_re_decision() {
+  const bool fast = bench::fast_mode();
+  constexpr std::size_t kDim = 216;
+  constexpr int kClasses = 4;
+  constexpr int kPerClass = 10;
+  Rng rng(37);
+  ml::Dataset data;
+  for (int label = 0; label < kClasses; ++label) {
+    for (int i = 0; i < kPerClass; ++i) {
+      std::vector<double> x(kDim);
+      for (std::size_t d = 0; d < kDim; ++d) {
+        x[d] = rng.normal(d % kClasses == static_cast<std::size_t>(label)
+                              ? 0.4
+                              : 0.0,
+                          1.0);
+      }
+      data.add(std::move(x), label);
+    }
+  }
+  ml::MulticlassSvm svm;
+  svm.train(data);
+  const oracle::MachineMajorSvm old_svm(svm.export_state(), ml::SvmConfig{});
+
+  const std::size_t queries = fast ? 256 : 1024;
+  std::vector<double> qs(queries * kDim);
+  for (double& v : qs) v = rng.normal(0.1, 1.0);
+  std::vector<int> old_labels(queries);
+  std::vector<int> new_labels(queries);
+  const auto query = [&](std::size_t r) {
+    return std::span<const double>(qs.data() + r * kDim, kDim);
+  };
+  const int reps = fast ? 5 : 10;
+  const int factor = handicap("re_decision");
+  HotpathPair result{"re_decision", static_cast<std::int64_t>(queries), 0.0,
+                     0.0};
+  result.scalar_ns = time_best_ns_per_op(reps, result.ops, [&] {
+    for (std::size_t r = 0; r < queries; ++r) {
+      old_svm.predict(query(r), 1, std::span<int>(&old_labels[r], 1));
+    }
+  });
+  result.batched_ns = time_best_ns_per_op(reps, result.ops, [&] {
+    for (int f = 0; f < factor; ++f) {
+      for (std::size_t r = 0; r < queries; ++r) {
+        svm.predict_block(query(r), 1, std::span<int>(&new_labels[r], 1));
+      }
+    }
+  });
+  if (old_labels != new_labels) {
+    std::cerr << "re_decision: old and new labels differ\n";
+    std::exit(1);
+  }
   return result;
 }
 
@@ -832,7 +893,7 @@ int run_hotpath_report(const std::string& path) {
       bench_channel_sample_block(), bench_kde_pdf_block(),
       bench_svm_sqdist_block(),   bench_welford_push_row(),
       bench_channel_shadow_pass(), bench_profile_fold(),
-      bench_classify_window_features()};
+      bench_classify_window_features(), bench_re_decision()};
   const std::vector<SingleRate> singles{bench_system_step(),
                                         bench_profile_refit()};
 

@@ -1,10 +1,10 @@
 // The function-pointer table behind every SIMD-dispatched hot kernel.
 //
-// Call sites (ml/kde.cpp, ml/svm.cpp, stats/window_bank.cpp,
-// core/features.cpp, rf/channel.cpp) fetch `active_kernels()` and call
-// through the pointers; benches and equivalence tests fetch specific
-// tables with `kernel_table(Isa)` to pin a path.  All entries share two
-// invariants:
+// Call sites (ml/kde.cpp, ml/svm.cpp, ml/multiclass_svm.cpp,
+// stats/window_bank.cpp, core/features.cpp, rf/channel.cpp) fetch
+// `active_kernels()` and call through the pointers; benches and
+// equivalence tests fetch specific tables with `kernel_table(Isa)` to pin
+// a path.  All entries share two invariants:
 //
 //  * Per-lane determinism: lane j of any entry performs the identical
 //    IEEE-754 double sequence at every vector width (the kernels are one
@@ -141,6 +141,15 @@ struct KernelTable {
   /// other's bits (-0 and +0); requires NaN-free columns.
   void (*colsort)(double* data, std::size_t rows, std::size_t stride,
                   std::size_t n);
+
+  /// Value-frequency entropy of columns 0..n-1 of a row-major [rows x
+  /// stride] block whose columns are each sorted ascending, one column
+  /// per lane: out[c] = stats::sorted_value_entropy of column c, each
+  /// column subtracting plogp[count * boundary] row by row in the same
+  /// order.  plogp = stats::plogp_table(rows); requires rows >= 1.
+  void (*colentropy)(const double* sorted, std::size_t rows,
+                     std::size_t stride, const double* plogp, double* out,
+                     std::size_t n);
 
   /// One body's pass over n links: rssi[j] -= attenuation (the same
   /// sequential subtraction order the per-link loop used) and

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "fadewich/common/simd_kernels.hpp"
 
@@ -388,11 +389,33 @@ void k_kde_cdfpdf_approx(const double* samples, std::size_t count,
   sums[1] += (d[0] + d[1]) + (d[2] + d[3]);
 }
 
+// The two SVM kernels walk four vectors of lanes per pass where nq
+// allows (independent adds hide the add latency), then one, then the
+// scalar tail; every lane still sums its own dimensions in order.
 template <typename V>
 void k_dot_block(const double* s, std::size_t dim, const double* qt,
                  std::size_t qstride, std::size_t nq, double* t) {
+  constexpr std::size_t L = V::kLanes;
   std::size_t j = 0;
-  for (; j + V::kLanes <= nq; j += V::kLanes) {
+  for (; j + 4 * L <= nq; j += 4 * L) {
+    V a0 = V::load(t + j);
+    V a1 = V::load(t + j + L);
+    V a2 = V::load(t + j + 2 * L);
+    V a3 = V::load(t + j + 3 * L);
+    for (std::size_t d = 0; d < dim; ++d) {
+      const V sd = V::splat(s[d]);
+      const double* q = qt + d * qstride + j;
+      a0 = V::add(a0, V::mul(sd, V::load(q)));
+      a1 = V::add(a1, V::mul(sd, V::load(q + L)));
+      a2 = V::add(a2, V::mul(sd, V::load(q + 2 * L)));
+      a3 = V::add(a3, V::mul(sd, V::load(q + 3 * L)));
+    }
+    V::store(t + j, a0);
+    V::store(t + j + L, a1);
+    V::store(t + j + 2 * L, a2);
+    V::store(t + j + 3 * L, a3);
+  }
+  for (; j + L <= nq; j += L) {
     V acc = V::load(t + j);
     for (std::size_t d = 0; d < dim; ++d) {
       acc = V::add(acc,
@@ -400,7 +423,7 @@ void k_dot_block(const double* s, std::size_t dim, const double* qt,
     }
     V::store(t + j, acc);
   }
-  if constexpr (V::kLanes > 1) {
+  if constexpr (L > 1) {
     k_dot_block<VScalar>(s, dim, qt + j, qstride, nq - j, t + j);
   }
 }
@@ -408,16 +431,38 @@ void k_dot_block(const double* s, std::size_t dim, const double* qt,
 template <typename V>
 void k_sqdist_block(const double* s, std::size_t dim, const double* qt,
                     std::size_t qstride, std::size_t nq, double* t) {
+  constexpr std::size_t L = V::kLanes;
+  const auto step = [](V acc, V sd, const double* q) {
+    const V diff = V::sub(sd, V::load(q));
+    return V::add(acc, V::mul(diff, diff));
+  };
   std::size_t j = 0;
-  for (; j + V::kLanes <= nq; j += V::kLanes) {
+  for (; j + 4 * L <= nq; j += 4 * L) {
+    V a0 = V::load(t + j);
+    V a1 = V::load(t + j + L);
+    V a2 = V::load(t + j + 2 * L);
+    V a3 = V::load(t + j + 3 * L);
+    for (std::size_t d = 0; d < dim; ++d) {
+      const V sd = V::splat(s[d]);
+      const double* q = qt + d * qstride + j;
+      a0 = step(a0, sd, q);
+      a1 = step(a1, sd, q + L);
+      a2 = step(a2, sd, q + 2 * L);
+      a3 = step(a3, sd, q + 3 * L);
+    }
+    V::store(t + j, a0);
+    V::store(t + j + L, a1);
+    V::store(t + j + 2 * L, a2);
+    V::store(t + j + 3 * L, a3);
+  }
+  for (; j + L <= nq; j += L) {
     V acc = V::load(t + j);
     for (std::size_t d = 0; d < dim; ++d) {
-      const V diff = V::sub(V::splat(s[d]), V::load(qt + d * qstride + j));
-      acc = V::add(acc, V::mul(diff, diff));
+      acc = step(acc, V::splat(s[d]), qt + d * qstride + j);
     }
     V::store(t + j, acc);
   }
-  if constexpr (V::kLanes > 1) {
+  if constexpr (L > 1) {
     k_sqdist_block<VScalar>(s, dim, qt + j, qstride, nq - j, t + j);
   }
 }
@@ -571,6 +616,73 @@ void k_colsort(double* data, std::size_t rows, std::size_t stride,
   }
 }
 
+// Columns [0, w) of a sorted block, w <= 8, one scalar lane per column:
+// row-outer so each row's w values are one contiguous read.
+inline void colentropy_lanes(const double* sorted, std::size_t rows,
+                             std::size_t stride, const double* plogp,
+                             double* out, std::size_t w) {
+  double h[8];
+  std::size_t count[8];
+  for (std::size_t c = 0; c < w; ++c) {
+    h[c] = 0.0;
+    count[c] = 1;
+  }
+  for (std::size_t i = 1; i < rows; ++i) {
+    const double* cur = sorted + i * stride;
+    const double* prev = cur - stride;
+    for (std::size_t c = 0; c < w; ++c) {
+      const std::size_t boundary = cur[c] != prev[c] ? 1 : 0;
+      h[c] -= plogp[count[c] * boundary];
+      count[c] = 1 + count[c] * (1 - boundary);
+    }
+  }
+  for (std::size_t c = 0; c < w; ++c) out[c] = h[c] - plogp[count[c]];
+}
+
+template <typename V>
+void k_colentropy(const double* sorted, std::size_t rows,
+                  std::size_t stride, const double* plogp, double* out,
+                  std::size_t n) {
+  std::size_t j = 0;
+#if defined(__AVX2__)
+  if constexpr (std::is_same_v<V, VAvx2>) {
+    // Two vectors of four columns per pass.  Lane counts are int64: the
+    // table index is count where a run ends (the compare mask), else 0,
+    // and the next count is (count where no run ended) + 1.
+    const __m256i one = _mm256_set1_epi64x(1);
+    for (; j + 8 <= n; j += 8) {
+      __m256d h0 = _mm256_setzero_pd();
+      __m256d h1 = _mm256_setzero_pd();
+      __m256i n0 = one;
+      __m256i n1 = one;
+      for (std::size_t i = 1; i < rows; ++i) {
+        const double* cur = sorted + i * stride + j;
+        const double* prev = cur - stride;
+        const __m256i b0 = _mm256_castpd_si256(_mm256_cmp_pd(
+            _mm256_loadu_pd(cur), _mm256_loadu_pd(prev), _CMP_NEQ_UQ));
+        const __m256i b1 = _mm256_castpd_si256(_mm256_cmp_pd(
+            _mm256_loadu_pd(cur + 4), _mm256_loadu_pd(prev + 4),
+            _CMP_NEQ_UQ));
+        h0 = _mm256_sub_pd(
+            h0, _mm256_i64gather_pd(plogp, _mm256_and_si256(b0, n0), 8));
+        h1 = _mm256_sub_pd(
+            h1, _mm256_i64gather_pd(plogp, _mm256_and_si256(b1, n1), 8));
+        n0 = _mm256_add_epi64(_mm256_andnot_si256(b0, n0), one);
+        n1 = _mm256_add_epi64(_mm256_andnot_si256(b1, n1), one);
+      }
+      _mm256_storeu_pd(out + j,
+                       _mm256_sub_pd(h0, _mm256_i64gather_pd(plogp, n0, 8)));
+      _mm256_storeu_pd(out + j + 4,
+                       _mm256_sub_pd(h1, _mm256_i64gather_pd(plogp, n1, 8)));
+    }
+  }
+#endif
+  for (; j < n; j += 8) {
+    colentropy_lanes(sorted + j, rows, stride, plogp, out + j,
+                     n - j < 8 ? n - j : 8);
+  }
+}
+
 template <typename V>
 void k_shadow_body_pass(const ShadowGeomView& g, std::size_t n,
                         const ShadowParams& p, double* rssi,
@@ -653,6 +765,7 @@ KernelTable make_table(Isa isa) {
   t.coldev2 = &k_coldev2<V>;
   t.collagprod = &k_collagprod<V>;
   t.colsort = &k_colsort<V>;
+  t.colentropy = &k_colentropy<V>;
   t.shadow_body_pass = &k_shadow_body_pass<V>;
   return t;
 }

@@ -1,6 +1,7 @@
 #include "fadewich/core/features.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/scratch_arena.hpp"
@@ -20,14 +21,33 @@ std::pair<Tick, Tick> feature_tick_range(const TickRate& rate,
   return {first, last};
 }
 
+namespace {
+
+// stats::plogp_table(rows) for the last window length this thread saw:
+// RE reads windows of one length, so the table's logs are paid once per
+// length, not per classification.  The buffer only grows, so warm calls
+// never touch the heap.
+std::span<const double> plogp_for(std::size_t rows) {
+  thread_local std::vector<double> table;
+  thread_local std::size_t table_rows = 0;
+  if (table_rows != rows) {
+    table.resize(rows + 1);
+    stats::plogp_table(rows, table);
+    table_rows = rows;
+  }
+  return {table.data(), rows + 1};
+}
+
+}  // namespace
+
 void extract_features(const WindowBlock& window, const FeatureConfig& config,
                       std::span<double> out) {
   // The column kernels compute every variance and lag product SIMD-wide,
   // accumulating each column in the same index order as stats::variance
-  // / stats::autocorrelation, and sort every column of a copy at once
-  // (branch-free min/max exchanges).  Entropy then counts each sorted
-  // column's runs (stats::sorted_value_entropy), with the -p log p terms
-  // tabulated once for the window length.
+  // / stats::autocorrelation, sort every column of a copy at once
+  // (branch-free min/max exchanges), then count every sorted column's
+  // runs one column per lane (stats::sorted_value_entropy's order), with
+  // the -p log p terms tabulated once per window length.
   const std::size_t rows = window.rows;
   const std::size_t n = window.streams;
   const std::size_t lag = config.autocorr_lag;
@@ -48,17 +68,15 @@ void extract_features(const WindowBlock& window, const FeatureConfig& config,
   const std::span<double> ac = arena.get<double>(n);
   kt.collagprod(data, rows, lag, n, mean.data(), ac.data(), n);
   const double denom_rows = static_cast<double>(rows - lag);
-  const std::span<double> plogp = arena.get<double>(rows + 1);
-  stats::plogp_table(rows, plogp);
   const std::span<double> sorted = arena.get<double>(rows * n);
   std::copy(window.data.begin(), window.data.end(), sorted.begin());
   kt.colsort(sorted.data(), rows, n, n);
-  const std::span<double> column = arena.get<double>(rows);
+  const std::span<double> entropy = arena.get<double>(n);
+  kt.colentropy(sorted.data(), rows, n, plogp_for(rows).data(),
+                entropy.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < rows; ++r) column[r] = sorted[r * n + i];
     out[i * kFeaturesPerStream] = var[i];
-    out[i * kFeaturesPerStream + 1] =
-        stats::sorted_value_entropy(column, plogp);
+    out[i * kFeaturesPerStream + 1] = entropy[i];
     out[i * kFeaturesPerStream + 2] =
         var[i] == 0.0 ? 0.0 : ac[i] / (denom_rows * var[i]);
   }

@@ -54,8 +54,13 @@ std::pair<Tick, Tick> feature_tick_range(const TickRate& rate,
 /// Full sample of a window block into `out` (streams *
 /// kFeaturesPerStream values, stream order): each column's variance,
 /// value-frequency entropy and autocorrelation at the configured lag.
-/// Scratch comes from the thread's arena, so a warm call never touches
-/// the heap.  Requires rows > autocorr_lag.
+/// Every feature is computed one column per SIMD lane (sums, a
+/// branch-free column sort, then the sorted columns' run entropy), each
+/// column in the order the scalar statistics use, so the features are
+/// bit-identical to them.  The -p log p table is built once per window
+/// length per thread; scratch comes from the thread's arena, so a warm
+/// call at a seen length never touches the heap.  Requires rows >
+/// autocorr_lag.
 void extract_features(const WindowBlock& window, const FeatureConfig& config,
                       std::span<double> out);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "fadewich/common/scratch_arena.hpp"
@@ -9,13 +10,82 @@
 
 namespace fadewich::core {
 
+namespace detail {
+
 namespace {
-// A sorted value and its push sequence number, as merge() moves them.
-struct Entry {
-  double value;
-  std::uint64_t seq;
-};
+
+// Past this many values in one bucket the insertion pass could go
+// quadratic (a clustered batch with one far outlier lands almost
+// entirely in one bucket), so the batch takes the comparison sort.
+constexpr std::size_t kMaxBucket = 32;
+
+// Counting pass over one bucket per value, then insertion: true when
+// `numbers` (NaN-free, lo / hi their extremes) ended up sorted, false
+// when the range or a bucket's fill calls for the comparison sort.
+bool bucket_sort(std::span<RefitEntry> numbers, double lo, double hi) {
+  const std::size_t m = numbers.size();
+  if (m < 2 || lo == hi) return true;  // already in order
+  const double range = hi - lo;
+  const double scale = static_cast<double>(m) / range;
+  if (!std::isfinite(range) || !std::isfinite(scale)) return false;
+  auto& arena = common::ScratchArena::local();
+  const auto frame = arena.frame();
+  const std::span<std::uint32_t> bucket = arena.get<std::uint32_t>(m);
+  const std::span<std::uint32_t> start = arena.get<std::uint32_t>(m + 1);
+  std::fill(start.begin(), start.end(), 0u);
+  // (v - lo) * scale is monotone in v and lies in [0, m] up to rounding,
+  // so the clamp below keeps the conversion in range.
+  const double top = static_cast<double>(m - 1);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double t = (numbers[i].value - lo) * scale;
+    const auto b = static_cast<std::uint32_t>(t < top ? t : top);
+    bucket[i] = b;
+    if (++start[b + 1] > kMaxBucket) return false;
+  }
+  for (std::size_t b = 0; b < m; ++b) start[b + 1] += start[b];
+  const std::span<RefitEntry> out = arena.get<RefitEntry>(m);
+  for (std::size_t i = 0; i < m; ++i) out[start[bucket[i]]++] = numbers[i];
+  // Only values sharing a bucket can be out of order now.
+  for (std::size_t i = 1; i < m; ++i) {
+    const RefitEntry e = out[i];
+    std::size_t j = i;
+    for (; j > 0 && e.value < out[j - 1].value; --j) out[j] = out[j - 1];
+    out[j] = e;
+  }
+  std::copy(out.begin(), out.end(), numbers.begin());
+  return true;
+}
+
 }  // namespace
+
+bool sort_refit_batch(std::span<RefitEntry> batch) {
+  auto& arena = common::ScratchArena::local();
+  const auto frame = arena.frame();
+  const std::span<RefitEntry> nans = arena.get<RefitEntry>(batch.size());
+  std::size_t numbers = 0;
+  std::size_t nan_count = 0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const RefitEntry e : batch) {
+    if (std::isnan(e.value)) {
+      nans[nan_count++] = e;
+    } else {
+      batch[numbers++] = e;
+      lo = std::min(lo, e.value);
+      hi = std::max(hi, e.value);
+    }
+  }
+  std::copy_n(nans.begin(), nan_count, batch.begin() + numbers);
+  const std::span<RefitEntry> finite = batch.first(numbers);
+  if (bucket_sort(finite, lo, hi)) return true;
+  std::sort(finite.begin(), finite.end(),
+            [](const RefitEntry& x, const RefitEntry& y) {
+              return x.value < y.value;
+            });
+  return false;
+}
+
+}  // namespace detail
 
 // The pruned-CDF/PDF kernels live in ml/kde.hpp (kde_*_sorted) and are
 // shared with ml::GaussianKde, so the profile and the KDE evaluate the
@@ -159,22 +229,23 @@ void NormalProfile::merge(std::span<const double> values) {
       pushed_ + b > config_.capacity ? pushed_ + b - config_.capacity : 0;
   auto& arena = common::ScratchArena::local();
   const auto frame = arena.frame();
-  const std::span<Entry> batch = arena.get<Entry>(b);
+  const std::span<detail::RefitEntry> batch =
+      arena.get<detail::RefitEntry>(b);
   std::size_t m = 0;
   for (std::size_t j = 0; j < b; ++j) {
     if (pushed_ + j >= cutoff) batch[m++] = {values[j], pushed_ + j};
   }
-  std::sort(batch.begin(), batch.begin() + static_cast<std::ptrdiff_t>(m),
-            [](const Entry& x, const Entry& y) { return x.value < y.value; });
+  detail::sort_refit_batch(batch.first(m));
 
   // One pass over sorted_: drop the evicted entries, merge the batch in
   // front of the first kept value it does not exceed.
-  const std::span<Entry> merged = arena.get<Entry>(sorted_.size() + m);
+  const std::span<detail::RefitEntry> merged =
+      arena.get<detail::RefitEntry>(sorted_.size() + m);
   std::size_t j = 0;
   std::size_t o = 0;
   for (std::size_t i = 0; i < sorted_.size(); ++i) {
     if (sorted_seq_[i] < cutoff) continue;
-    const Entry kept{sorted_[i], sorted_seq_[i]};
+    const detail::RefitEntry kept{sorted_[i], sorted_seq_[i]};
     while (j < m && batch[j].value < kept.value) merged[o++] = batch[j++];
     merged[o++] = kept;
   }

@@ -6,11 +6,11 @@
 //
 // MD consults the threshold on every tick and the profile updates every
 // few hundred ticks, so the refit must be cheap.  The profile keeps its
-// samples sorted — a fold merges the sorted batch in and drops the
-// oldest values past capacity in one pass — and evaluates the KDE's CDF
-// with tail pruning: a Gaussian kernel centred more than 8 bandwidths
-// below x contributes exactly 1 to the CDF (0 above), so only the few
-// samples near x need an erf.
+// samples sorted — a fold sorts the batch with a bucket pass, merges it
+// in and drops the oldest values past capacity in one pass — and
+// evaluates the KDE's CDF with tail pruning: a Gaussian kernel centred
+// more than 8 bandwidths below x contributes exactly 1 to the CDF (0
+// above), so only the few samples near x need an erf.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +21,28 @@
 #include "fadewich/common/error.hpp"
 
 namespace fadewich::core {
+
+namespace detail {
+
+/// A value of a refit batch and its push sequence number.
+struct RefitEntry {
+  double value;
+  std::uint64_t seq;
+};
+
+/// Sorts a refit batch ascending by value, as merge() needs it: numbers
+/// first, by one monotone interpolation-bucket pass (one bucket per
+/// value between the batch's extremes) plus insertion within buckets,
+/// falling back to a comparison sort when a bucket overfills (a cluster
+/// with one far outlier) or the range is not finite (an infinity, or
+/// extremes more than DBL_MAX apart).  NaN values go last, in batch
+/// order.  Equal values keep batch order, so their sequence numbers may
+/// come out in another order than std::sort's, but the values do not.
+/// Returns false when it took the comparison sort.  Scratch comes from
+/// the thread's arena.
+bool sort_refit_batch(std::span<RefitEntry> batch);
+
+}  // namespace detail
 
 struct NormalProfileConfig {
   std::size_t capacity = 600;  // samples retained in the profile

@@ -60,12 +60,14 @@ std::size_t Fleet::restart_faulted(Tick boundary) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     OfficeShard& shard = *shards_[i];
     if (!shard.faulted() || retired_[i]) continue;
+    const Tick faulted_at = shard.tick();
     persist::RecoveryReport report;
     if (!shard.restart(report)) {
       retired_[i] = true;
       continue;
     }
-    persist::log_rejections(events_, report, {{"office", std::to_string(i)}});
+    persist::log_recovery(events_, report, {{"office", std::to_string(i)}},
+                          faulted_at);
     ++restarts;
     shard.run_until(boundary);
     retired_[i] = shard.faulted();

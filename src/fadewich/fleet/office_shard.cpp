@@ -14,9 +14,6 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-/// The station health a shard checkpoints: shards run without a station.
-const net::StationHealth kNoStation;
-
 /// Uniform in (0, 1] from one splitmix-mixed 64-bit word.
 double unit_open(std::uint64_t z) {
   return (static_cast<double>(z >> 11) + 1.0) * 0x1.0p-53;
@@ -164,7 +161,7 @@ void OfficeShard::step_tick(Tick tick, std::size_t row) {
   }
 
   if (recovery_ != nullptr) {
-    recovery_->checkpoint_if_due(system_, kNoStation);
+    recovery_->checkpoint_if_due(system_);
   }
 }
 

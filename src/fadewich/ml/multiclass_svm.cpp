@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "fadewich/common/error.hpp"
 #include "fadewich/common/scratch_arena.hpp"
+#include "fadewich/common/simd_kernels.hpp"
 #include "fadewich/exec/thread_pool.hpp"
 
 namespace fadewich::ml {
@@ -47,52 +49,127 @@ void MulticlassSvm::train(const Dataset& data, exec::ThreadPool* pool) {
         }
         BinarySvm svm(config_);
         svm.train(x, y);
-        return svm;
+        return svm.export_state();
       });
 
-  machines_.clear();
+  std::vector<MulticlassSvmState::PairwiseMachine> machines;
+  machines.reserve(pairs.size());
   for (std::size_t p = 0; p < pairs.size(); ++p) {
-    machines_.emplace(pairs[p], std::move(trained[p]));
+    machines.push_back(
+        {pairs[p].first, pairs[p].second, std::move(trained[p])});
   }
+  assemble(std::move(machines), scaler_.means().size());
   trained_ = true;
 }
 
-// Batched one-vs-one voting over `count` packed unscaled rows.  Work
-// proceeds machine-major: each pairwise machine's support-vector matrix
-// is streamed once per batch (BinarySvm::decision_block), and every
-// row's votes/margins accumulate in machine order — the identical order
-// and arithmetic the per-query path used, so results are bit-for-bit
-// the same.  All temporaries come from the calling thread's arena.
-void MulticlassSvm::predict_rows(const double* xs, std::size_t stride,
-                                 std::size_t count, int* out) const {
+// Builds the shared pool from per-machine expansions whose rows the
+// caller has checked are `dim` wide: machines sorted by class pair, each
+// support row mapped to the pool row with the same bytes (appended when
+// new), then the pool transposed component-major.
+void MulticlassSvm::assemble(
+    std::vector<MulticlassSvmState::PairwiseMachine> machines,
+    std::size_t dim) {
+  std::sort(machines.begin(), machines.end(),
+            [](const auto& a, const auto& b) {
+              return std::pair(a.first_class, a.second_class) <
+                     std::pair(b.first_class, b.second_class);
+            });
+  const auto index_of = [&](int label) {
+    return static_cast<std::size_t>(
+        std::lower_bound(classes_.begin(), classes_.end(), label) -
+        classes_.begin());
+  };
+  std::vector<double> rows;  // distinct rows, row-major
+  std::size_t pool = 0;
+  machines_.clear();
+  term_rows_.clear();
+  term_weights_.clear();
+  for (const auto& machine : machines) {
+    Machine m;
+    m.first = index_of(machine.first_class);
+    m.second = index_of(machine.second_class);
+    m.bias = machine.svm.bias;
+    m.begin = term_rows_.size();
+    for (std::size_t i = 0; i < machine.svm.support_x.size(); ++i) {
+      const double* row = machine.svm.support_x[i].data();
+      std::size_t u = 0;
+      while (u < pool &&
+             std::memcmp(rows.data() + u * dim, row, dim * sizeof(double)) !=
+                 0) {
+        ++u;
+      }
+      if (u == pool) {
+        rows.insert(rows.end(), row, row + dim);
+        ++pool;
+      }
+      term_rows_.push_back(static_cast<std::uint32_t>(u));
+      term_weights_.push_back(machine.svm.support_alpha_y[i]);
+    }
+    m.end = term_rows_.size();
+    machines_.push_back(m);
+  }
+  pool_t_.resize(dim, pool);
+  for (std::size_t u = 0; u < pool; ++u) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      pool_t_.at(d, u) = rows[u * dim + d];
+    }
+  }
+}
+
+// One-vs-one tally over `count` packed unscaled rows.  Per row, the
+// kernel against every pool row comes from one lane-wide pass (lane u
+// sums its own components in dimension order — for a linear kernel the
+// products s[d] * q[d] a BinarySvm expansion adds, for RBF the same
+// squared differences, then libm exp once per pool row), and each
+// machine accumulates bias + w * K[row] in its support-vector order, as
+// BinarySvm::decision_block and rbf_accum_block do.  All temporaries
+// come from the calling thread's arena.
+void MulticlassSvm::tally_rows(const double* xs, std::size_t stride,
+                               std::size_t count, int* votes,
+                               double* margins) const {
   const std::size_t dim = scaler_.means().size();
   const std::size_t k = classes_.size();
+  const std::size_t pool = pool_t_.cols();
+  const simd::KernelTable& kt = simd::active_kernels();
   auto& arena = common::ScratchArena::local();
   const auto frame = arena.frame();
   const std::span<double> scaled = arena.get<double>(count * dim);
   scaler_.transform_rows(xs, stride, count, scaled.data());
-  const std::span<double> decisions = arena.get<double>(count);
-  const std::span<int> votes = arena.get<int>(count * k);
-  const std::span<double> margins = arena.get<double>(count * k);
-  std::fill(votes.begin(), votes.end(), 0);
-  std::fill(margins.begin(), margins.end(), 0.0);
+  const std::span<double> kernel = arena.get<double>(pool);
+  std::fill(votes, votes + count * k, 0);
+  std::fill(margins, margins + count * k, 0.0);
 
-  for (const auto& [pair, svm] : machines_) {
-    svm.decision_block(std::span<const double>(scaled.data(), count * dim),
-                       count, decisions);
-    const auto first = static_cast<std::size_t>(
-        std::lower_bound(classes_.begin(), classes_.end(), pair.first) -
-        classes_.begin());
-    const auto second = static_cast<std::size_t>(
-        std::lower_bound(classes_.begin(), classes_.end(), pair.second) -
-        classes_.begin());
-    for (std::size_t r = 0; r < count; ++r) {
-      const double d = decisions[r];
-      const std::size_t winner = d >= 0.0 ? first : second;
-      ++votes[r * k + winner];
-      margins[r * k + winner] += std::abs(d);
+  for (std::size_t r = 0; r < count; ++r) {
+    const double* q = scaled.data() + r * dim;
+    std::fill(kernel.begin(), kernel.end(), 0.0);
+    if (config_.kernel == KernelType::kLinear) {
+      kt.dot_block(q, dim, pool_t_.data(), pool, pool, kernel.data());
+    } else {
+      kt.sqdist_block(q, dim, pool_t_.data(), pool, pool, kernel.data());
+      for (double& t : kernel) t = std::exp(-config_.rbf_gamma * t);
+    }
+    int* row_votes = votes + r * k;
+    double* row_margins = margins + r * k;
+    for (const Machine& machine : machines_) {
+      double d = machine.bias;
+      for (std::size_t t = machine.begin; t < machine.end; ++t) {
+        d += term_weights_[t] * kernel[term_rows_[t]];
+      }
+      const std::size_t winner = d >= 0.0 ? machine.first : machine.second;
+      ++row_votes[winner];
+      row_margins[winner] += std::abs(d);
     }
   }
+}
+
+void MulticlassSvm::predict_rows(const double* xs, std::size_t stride,
+                                 std::size_t count, int* out) const {
+  const std::size_t k = classes_.size();
+  auto& arena = common::ScratchArena::local();
+  const auto frame = arena.frame();
+  const std::span<int> votes = arena.get<int>(count * k);
+  const std::span<double> margins = arena.get<double>(count * k);
+  tally_rows(xs, stride, count, votes.data(), margins.data());
 
   for (std::size_t r = 0; r < count; ++r) {
     int best = classes_[0];
@@ -109,6 +186,18 @@ void MulticlassSvm::predict_rows(const double* xs, std::size_t stride,
     }
     out[r] = best;
   }
+}
+
+void MulticlassSvm::tally_block(std::span<const double> xs,
+                                std::size_t count, std::span<int> votes,
+                                std::span<double> margins) const {
+  FADEWICH_EXPECTS(trained_);
+  const std::size_t k = classes_.size();
+  FADEWICH_EXPECTS(xs.size() == count * scaler_.means().size());
+  FADEWICH_EXPECTS(votes.size() == count * k && margins.size() == count * k);
+  if (count == 0) return;
+  tally_rows(xs.data(), scaler_.means().size(), count, votes.data(),
+             margins.data());
 }
 
 int MulticlassSvm::predict(const std::vector<double>& x) const {
@@ -162,8 +251,20 @@ MulticlassSvmState MulticlassSvm::export_state() const {
   state.scaler_means = scaler_.means();
   state.scaler_scales = scaler_.scales();
   state.machines.reserve(machines_.size());
-  for (const auto& [pair, svm] : machines_) {
-    state.machines.push_back({pair.first, pair.second, svm.export_state()});
+  const std::size_t dim = pool_t_.rows();
+  for (const Machine& m : machines_) {
+    BinarySvmState svm;
+    svm.bias = m.bias;
+    for (std::size_t t = m.begin; t < m.end; ++t) {
+      std::vector<double> row(dim);
+      for (std::size_t d = 0; d < dim; ++d) {
+        row[d] = pool_t_.at(d, term_rows_[t]);
+      }
+      svm.support_x.push_back(std::move(row));
+      svm.support_alpha_y.push_back(term_weights_[t]);
+    }
+    state.machines.push_back(
+        {classes_[m.first], classes_[m.second], std::move(svm)});
   }
   return state;
 }
@@ -184,9 +285,10 @@ void MulticlassSvm::import_state(MulticlassSvmState state) {
   StandardScaler scaler;
   scaler.restore(std::move(state.scaler_means),
                  std::move(state.scaler_scales));
+  const std::size_t dim = scaler.means().size();
 
-  std::map<std::pair<int, int>, BinarySvm> machines;
-  for (auto& machine : state.machines) {
+  std::set<std::pair<int, int>> seen;
+  for (const auto& machine : state.machines) {
     const std::pair<int, int> pair{machine.first_class,
                                    machine.second_class};
     if (pair.first >= pair.second ||
@@ -196,16 +298,27 @@ void MulticlassSvm::import_state(MulticlassSvmState state) {
                             pair.second)) {
       throw Error("svm state pairwise machine references unknown classes");
     }
-    BinarySvm svm(config_);
-    svm.import_state(std::move(machine.svm));
-    if (!machines.emplace(pair, std::move(svm)).second) {
+    if (!seen.insert(pair).second) {
       throw Error("svm state has a duplicate pairwise machine");
+    }
+    const BinarySvmState& svm = machine.svm;
+    if (svm.support_x.empty() ||
+        svm.support_x.size() != svm.support_alpha_y.size()) {
+      throw Error("svm state inconsistent: " +
+                  std::to_string(svm.support_x.size()) +
+                  " support vectors vs " +
+                  std::to_string(svm.support_alpha_y.size()) + " weights");
+    }
+    for (const auto& row : svm.support_x) {
+      if (row.size() != dim) {
+        throw Error("svm state support rows do not match the scaler width");
+      }
     }
   }
 
   classes_ = std::move(state.classes);
   scaler_ = std::move(scaler);
-  machines_ = std::move(machines);
+  assemble(std::move(state.machines), dim);
   trained_ = true;
 }
 

@@ -9,10 +9,13 @@
 // Layout: support vectors live in one row-major common::FlatMatrix so the
 // kernel expansion streams them linearly.  decision_block() evaluates a
 // whole batch of queries per pass over the support-vector matrix (queries
-// blocked in groups of eight, support-vector-major inner loops), which is
-// what MulticlassSvm, RadioEnvironment, and cross-validation call; the
+// blocked in groups of eight, support-vector-major inner loops); the
 // scalar decision() is the one-row special case of the same code path, so
-// batched and scalar results are bit-identical.
+// batched and scalar results are bit-identical.  MulticlassSvm trains its
+// pairwise machines with this class but predicts from its own shared
+// pool of their support rows (multiclass_svm.hpp), adding each machine's
+// terms in the order decision_block does, so a standalone BinarySvm over
+// the same state gives the same decision bits.
 #pragma once
 
 #include <cstddef>

@@ -115,18 +115,13 @@ std::string RecoveryManager::checkpoint(const Snapshot& snapshot) {
   return path;
 }
 
-std::string RecoveryManager::checkpoint(const core::FadewichSystem& system,
-                                        const net::StationHealth& station) {
-  Snapshot snapshot;
-  snapshot.system = system.export_state();
-  snapshot.station = station;
-  return checkpoint(snapshot);
+std::string RecoveryManager::checkpoint(const core::FadewichSystem& system) {
+  return checkpoint(Snapshot{system.export_state()});
 }
 
-bool RecoveryManager::checkpoint_if_due(const core::FadewichSystem& system,
-                                        const net::StationHealth& station) {
+bool RecoveryManager::checkpoint_if_due(const core::FadewichSystem& system) {
   if (system.tick() % config_.checkpoint_period != 0) return false;
-  checkpoint(system, station);
+  checkpoint(system);
   return true;
 }
 
@@ -198,14 +193,22 @@ std::vector<std::string> RecoveryManager::ring() const {
   return paths;
 }
 
-void log_rejections(obs::EventLog& log, const RecoveryReport& report,
-                    const obs::EventFields& context) {
+void log_recovery(obs::EventLog& log, const RecoveryReport& report,
+                  const obs::EventFields& context, Tick tick) {
   for (const RecoveryAttempt& rejected : report.rejected) {
     obs::EventFields fields = context;
     fields.emplace_back("path", rejected.path);
     fields.emplace_back("reason", rejected.reason);
-    log.warn("persist", "snapshot rejected during recovery", 0,
+    log.warn("persist", "snapshot rejected during recovery", tick,
              std::move(fields));
+  }
+  obs::EventFields fields = context;
+  if (report.cold_start) {
+    log.warn("persist", "cold start: no usable snapshot", tick,
+             std::move(fields));
+  } else {
+    fields.emplace_back("path", report.recovered_path);
+    log.info("persist", "recovered from snapshot", tick, std::move(fields));
   }
 }
 

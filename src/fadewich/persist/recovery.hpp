@@ -51,11 +51,14 @@ struct RecoveryReport {
   bool cold_start = false;
 };
 
-/// Record each file `report` rejected in `log` as a "snapshot rejected
-/// during recovery" warning whose fields are `context` (the fleet passes
-/// the office), then the file's path and reason.
-void log_rejections(obs::EventLog& log, const RecoveryReport& report,
-                    const obs::EventFields& context);
+/// Record what one recover() saw in `log`, at `tick`: each rejected file
+/// as a "snapshot rejected during recovery" warning (fields `context` —
+/// the fleet passes the office — then the file's path and reason), then
+/// the outcome: "recovered from snapshot" with its path, or the warning
+/// "cold start: no usable snapshot".  Every recover() site logs through
+/// this one helper.
+void log_recovery(obs::EventLog& log, const RecoveryReport& report,
+                  const obs::EventFields& context, Tick tick);
 
 class RecoveryManager {
  public:
@@ -71,17 +74,14 @@ class RecoveryManager {
   /// oldest files beyond ring_size.
   std::string checkpoint(const Snapshot& snapshot);
 
-  /// Snapshot `system` (with the station health it runs behind) into
-  /// the ring; returns its path.
-  std::string checkpoint(const core::FadewichSystem& system,
-                         const net::StationHealth& station);
+  /// Snapshot `system` into the ring; returns its path.
+  std::string checkpoint(const core::FadewichSystem& system);
 
   /// The checkpoint cadence: checkpoint when system.tick() is a multiple
   /// of checkpoint_period.  Returns true when it wrote.  Keyed to the
   /// pipeline's tick, not to calls, so a restored pipeline keeps the
   /// same checkpoint ticks.
-  bool checkpoint_if_due(const core::FadewichSystem& system,
-                         const net::StationHealth& station);
+  bool checkpoint_if_due(const core::FadewichSystem& system);
 
   /// Import the newest snapshot that loads and that `into` accepts,
   /// falling back across the ring: a file that fails to load or to
@@ -89,7 +89,7 @@ class RecoveryManager {
   /// Returns the imported snapshot, or nullopt (cold start, `into`
   /// unchanged) when no file fits; never throws for bad snapshot data.
   /// `report` is overwritten with what happened.  The manager logs
-  /// nothing: its owner turns the report into records (log_rejections).
+  /// nothing: its owner turns the report into records (log_recovery).
   std::optional<Snapshot> recover(core::FadewichSystem& into,
                                   RecoveryReport& report);
 

@@ -248,38 +248,11 @@ core::SystemState read_system(Reader& r) {
   return s;
 }
 
-void write_station(Writer& w, const net::StationHealth& h) {
-  w.u64(h.reports);
-  w.u64(h.duplicates);
-  w.u64(h.late_reports);
-  w.u64(h.evictions);
-  w.u64(h.incomplete_releases);
-  w.u64(h.imputed_cells);
-  w.u64(h.duplicates_rejected);
-  w.u64(h.malformed);
-  w.u64s(h.imputed_per_stream);
-}
-
-net::StationHealth read_station(Reader& r) {
-  net::StationHealth h;
-  h.reports = r.u64();
-  h.duplicates = r.u64();
-  h.late_reports = r.u64();
-  h.evictions = r.u64();
-  h.incomplete_releases = r.u64();
-  h.imputed_cells = r.u64();
-  h.duplicates_rejected = r.u64();
-  h.malformed = r.u64();
-  h.imputed_per_stream = r.u64s();
-  return h;
-}
-
 }  // namespace
 
 std::string encode_snapshot(const Snapshot& snapshot) {
   Writer payload;
   write_system(payload, snapshot.system);
-  write_station(payload, snapshot.station);
 
   std::string out;
   out.reserve(payload.out.size() + 24);
@@ -318,7 +291,6 @@ Snapshot decode_snapshot(const std::string& bytes) {
                  static_cast<std::size_t>(payload_len)};
   Snapshot snapshot;
   snapshot.system = read_system(payload);
-  snapshot.station = read_station(payload);
   if (payload.pos != payload.size) {
     throw Error("snapshot payload has trailing garbage");
   }

@@ -2,8 +2,8 @@
 //
 // A snapshot is everything the pipeline has learned (core::SystemState:
 // KDE profile, trained SVM + scaler, controller FSM, KMA idle timers,
-// session states, training set) plus the central station's health block,
-// serialized as one versioned binary blob:
+// session states, training set), serialized as one versioned binary
+// blob:
 //
 //   "FDWS" | u32 version | u64 payload_len | payload | u32 crc32 | "FDWE"
 //
@@ -22,17 +22,16 @@
 #include <string>
 
 #include "fadewich/core/system.hpp"
-#include "fadewich/net/central_station.hpp"
 
 namespace fadewich::persist {
 
 // v2: StationHealth gained duplicates_rejected + malformed.
 // v3: MD state dropped degraded_ticks (health counts are not persisted).
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+// v4: the central station's health block dropped (no decision reads it).
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 struct Snapshot {
   core::SystemState system;
-  net::StationHealth station;  // zeroed when no central station is used
 };
 
 /// Serialize to the framed binary format (header + payload + CRC).

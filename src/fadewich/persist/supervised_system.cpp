@@ -14,26 +14,19 @@ SupervisedSystem::SupervisedSystem(std::size_t stream_count,
     : system_(stream_count, workstation_count, system_config),
       recovery_(std::move(recovery)) {
   station_health_.imputed_per_stream.assign(stream_count, 0);
-  if (restore(recovery_report_)) {
-    events_.info("persist", "recovered from snapshot", 0,
-                 {{"path", recovery_report_.recovered_path}});
-  } else {
-    degraded_start_ = true;
-    events_.warn("persist", "cold start: no usable snapshot", 0);
-  }
+  degraded_start_ = !restore(recovery_report_, 0);
 }
 
-bool SupervisedSystem::restore(RecoveryReport& report) {
-  const std::optional<Snapshot> snapshot = recovery_.recover(system_, report);
-  log_rejections(events_, report, {});
-  if (snapshot) station_health_ = snapshot->station;
-  return snapshot.has_value();
+bool SupervisedSystem::restore(RecoveryReport& report, Tick tick) {
+  const bool restored = recovery_.recover(system_, report).has_value();
+  log_recovery(events_, report, {}, tick);
+  return restored;
 }
 
-bool SupervisedSystem::restart() {
+bool SupervisedSystem::restart(Tick tick) {
   if (retired_) return false;
   RecoveryReport report;
-  retired_ = !recovery_.try_restart() || !restore(report);
+  retired_ = !recovery_.try_restart() || !restore(report, tick);
   return !retired_;
 }
 
@@ -43,10 +36,10 @@ SupervisedSystem::StepResult SupervisedSystem::step(
   const Tick tick = system_.tick() + 1;
   try {
     result.inner = system_.step(rssi_row, valid);
-    recovery_.checkpoint_if_due(system_, station_health_);
+    recovery_.checkpoint_if_due(system_);
   } catch (const std::exception& e) {
     result.inner = {};
-    result.recovered = restart();
+    result.recovered = restart(tick);
     events_.error("persist",
                   result.recovered ? "pipeline step failed; restored"
                                    : "pipeline step failed; retired",
@@ -82,7 +75,7 @@ obs::ScrapeReport SupervisedSystem::scrape(
 }
 
 std::string SupervisedSystem::checkpoint_now() {
-  return recovery_.checkpoint(system_, station_health_);
+  return recovery_.checkpoint(system_);
 }
 
 }  // namespace fadewich::persist

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "fadewich/core/system.hpp"
 #include "fadewich/net/central_station.hpp"
@@ -61,8 +60,9 @@ class SupervisedSystem {
   StepResult step(std::span<const double> rssi_row,
                   std::span<const std::uint8_t> valid = {});
 
-  /// Latest central-station health to embed in checkpoints (optional;
-  /// zeroed when never set).
+  /// Latest health of the central station this pipeline runs behind,
+  /// for the scrape's station block (zeroed when never set).  Not
+  /// persisted: a restore leaves it as this instance last set it.
   void set_station_health(net::StationHealth health) {
     station_health_ = std::move(health);
   }
@@ -96,8 +96,8 @@ class SupervisedSystem {
       const net::FaultInjector::Counters* faults = nullptr) const;
 
  private:
-  bool restore(RecoveryReport& report);
-  bool restart();
+  bool restore(RecoveryReport& report, Tick tick);
+  bool restart(Tick tick);
 
   core::FadewichSystem system_;
   RecoveryManager recovery_;

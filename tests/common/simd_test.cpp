@@ -24,6 +24,7 @@
 
 #include "fadewich/common/rng.hpp"
 #include "fadewich/common/simd.hpp"
+#include "fadewich/stats/histogram.hpp"
 
 #if defined(__x86_64__)
 #include <cpuid.h>
@@ -418,6 +419,41 @@ TEST(SimdKernels, ColsortSortsEveryColumnLikeScalar) {
   }
 }
 
+TEST(SimdKernels, ColentropyMatchesSortedValueEntropy) {
+  const auto tables = available_tables();
+  Rng rng(818);
+  for (std::size_t rows : {1u, 2u, 3u, 8u, 23u}) {
+    std::vector<double> plogp(rows + 1);
+    stats::plogp_table(rows, plogp);
+    for (std::size_t n : kLengths) {
+      const std::size_t stride = n + 2;
+      std::vector<double> data(rows * stride);
+      // Few distinct values, so runs of every length occur.
+      for (double& v : data) v = std::round(rng.normal(-60.0, 1.5));
+      tables[0]->colsort(data.data(), rows, stride, stride);
+      std::vector<double> ref(n, 9.0);
+      tables[0]->colentropy(data.data(), rows, stride, plogp.data(),
+                            ref.data(), n);
+      std::vector<double> column(rows);
+      for (std::size_t c = 0; c < n; ++c) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          column[r] = data[r * stride + c];
+        }
+        expect_bits_eq(ref[c], stats::sorted_value_entropy(column, plogp),
+                       "colentropy vs sorted_value_entropy", c);
+      }
+      for (std::size_t ti = 1; ti < tables.size(); ++ti) {
+        std::vector<double> out(n, 9.0);
+        tables[ti]->colentropy(data.data(), rows, stride, plogp.data(),
+                               out.data(), n);
+        for (std::size_t c = 0; c < n; ++c) {
+          expect_bits_eq(out[c], ref[c], isa_name(tables[ti]->isa), c);
+        }
+      }
+    }
+  }
+}
+
 #if defined(__x86_64__)
 // A wide kernel that returns with the upper halves of the ymm registers
 // in use makes every later SSE instruction pay a transition penalty; on
@@ -489,6 +525,11 @@ TEST(SimdKernels, Avx2KernelsReturnWithTheUpperStateClear) {
   check("collagprod");
   t.colsort(v.data(), 3, kN, kN);
   check("colsort");
+  // Nine columns: one four-wide pair of vectors and a scalar column.
+  const double plogp[4] = {0.0, -0.4, -0.3, 0.0};
+  t.colsort(v.data(), 3, 9, 9);
+  t.colentropy(v.data(), 3, 9, plogp, out.data(), 9);
+  check("colentropy");
   t.shadow_body_pass(geom, kN, params, out.data(), w.data());
   check("shadow_body_pass");
   for (const Call& call : calls) {

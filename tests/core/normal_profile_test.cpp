@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -363,6 +364,17 @@ struct RefitScenario {
   std::size_t seed_samples;  // < capacity: the ring starts part-full
   double max_drift_fraction;
   bool integer;  // rounded values: many exact duplicates
+  // How a batch's values are drawn; a byte, so it too sits in padding.
+  enum class Shape : std::uint8_t {
+    kNormal,    // normal(mean, 5)
+    kEqual,     // every value of a batch is its mean
+    kNegative,  // normal(mean - 100, 5): all values below zero
+    // normal(mean, 5), and every 8th batch holds one value at +-1e6: a
+    // cluster far narrower than the batch's range, so the bucket pass
+    // overfills and falls back (RefitBatchSort covers +-1e300, which
+    // would overflow the KDE's variance here).
+    kOutlier,
+  } shape;
   // Pinned cost of the refits' percentiles (ExactCdfCallsArePinned):
   // midpoints decided by the exact CDF, and roots left uncertified.
   // Narrow so they sit in the padding after `integer`: gtest prints the
@@ -400,7 +412,10 @@ ScenarioRun run_scenario(const RefitScenario& sc, AfterBatch after_batch) {
   config.batch_size = sc.batch;
   config.max_drift_fraction = sc.max_drift_fraction;
   Rng rng(0x72656669u + sc.capacity + sc.batch);
+  using Shape = RefitScenario::Shape;
   const auto draw = [&](double mean) {
+    if (sc.shape == Shape::kEqual) return mean;
+    if (sc.shape == Shape::kNegative) mean -= 100.0;
     const double v = rng.normal(mean, 5.0);
     return sc.integer ? std::round(v) : v;
   };
@@ -426,7 +441,11 @@ ScenarioRun run_scenario(const RefitScenario& sc, AfterBatch after_batch) {
     NormalProfile& profile = *run.profile;
     const std::uint64_t accepted = profile.updates_accepted();
     const std::uint64_t rollbacks = profile.drift_rollbacks();
-    for (std::size_t i = 0; i < sc.batch; ++i) profile.offer(draw(mean));
+    for (std::size_t i = 0; i < sc.batch; ++i) {
+      const bool outlier = sc.shape == Shape::kOutlier && batch % 8 == 7 &&
+                           i == sc.batch / 2;
+      profile.offer(outlier ? (batch % 16 == 7 ? 1e6 : -1e6) : draw(mean));
+    }
     const bool refitted = profile.updates_accepted() != accepted ||
                           profile.drift_rollbacks() != rollbacks;
     if (!refitted) ++run.discarded;
@@ -499,18 +518,147 @@ std::string scenario_name(
   return info.param.name;
 }
 
+constexpr auto kNormal = RefitScenario::Shape::kNormal;
+constexpr auto kEqual = RefitScenario::Shape::kEqual;
+constexpr auto kNegative = RefitScenario::Shape::kNegative;
+constexpr auto kOutlier = RefitScenario::Shape::kOutlier;
+
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, IncrementalRefitOracle,
     ::testing::Values(
-        RefitScenario{600, 150, 600, 0.0, false, 3, 0, "Default"},
-        RefitScenario{600, 150, 40, 0.0, false, 3, 0, "PartFullRing"},
-        RefitScenario{600, 150, 600, 0.0, true, 4, 0, "IntegerDuplicates"},
-        RefitScenario{600, 150, 600, 0.02, false, 3, 0, "DriftRollbacks"},
-        RefitScenario{200, 50, 120, 0.02, true, 1, 0, "IntegerDriftRollbacks"},
-        RefitScenario{100, 30, 10, 0.0, false, 3, 0,
+        RefitScenario{600, 150, 600, 0.0, false, kNormal, 3, 0, "Default"},
+        RefitScenario{600, 150, 40, 0.0, false, kNormal, 3, 0,
+                      "PartFullRing"},
+        RefitScenario{600, 150, 600, 0.0, true, kNormal, 4, 0,
+                      "IntegerDuplicates"},
+        RefitScenario{600, 150, 600, 0.02, false, kNormal, 3, 0,
+                      "DriftRollbacks"},
+        RefitScenario{200, 50, 120, 0.02, true, kNormal, 1, 0,
+                      "IntegerDriftRollbacks"},
+        RefitScenario{100, 30, 10, 0.0, false, kNormal, 3, 0,
                       "BatchNotDividingCapacity"},
-        RefitScenario{20, 25, 10, 0.0, false, 0, 0, "BatchFillsTheRing"}),
+        RefitScenario{20, 25, 10, 0.0, false, kNormal, 0, 0,
+                      "BatchFillsTheRing"},
+        RefitScenario{600, 150, 600, 0.0, false, kEqual, 0, 0,
+                      "EqualBatches"},
+        RefitScenario{600, 150, 600, 0.0, false, kNegative, 4, 0,
+                      "NegativeValues"},
+        RefitScenario{600, 150, 600, 0.0, false, kOutlier, 5, 0,
+                      "OutlierBatches"}),
     scenario_name);
+
+// The refit's batch sort on its own: the values (bits included) equal
+// std::sort's, every (value, seq) pair survives, equal values keep batch
+// order, and the bucket pass hands a cluster with one far outlier or a
+// non-finite range to the comparison sort.
+std::vector<detail::RefitEntry> numbered(const std::vector<double>& values) {
+  std::vector<detail::RefitEntry> batch;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    batch.push_back({values[i], 1000 + i});
+  }
+  return batch;
+}
+
+void expect_sorted_like_std_sort(const std::vector<double>& values,
+                                 const char* what) {
+  std::vector<detail::RefitEntry> batch = numbered(values);
+  detail::sort_refit_batch(batch);
+  std::vector<double> want = values;
+  std::sort(want.begin(), want.end());
+  std::vector<double> got;
+  for (const auto& e : batch) got.push_back(e.value);
+  EXPECT_TRUE(same_bits(got, want)) << what;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto& e = batch[i];
+    ASSERT_GE(e.seq, 1000u) << what;
+    EXPECT_EQ(std::memcmp(&values[e.seq - 1000], &e.value, sizeof(double)),
+              0)
+        << what << " entry " << i << " lost its value";
+    if (i > 0 && batch[i - 1].value == e.value) {
+      EXPECT_LT(batch[i - 1].seq, e.seq) << what << " tie order at " << i;
+    }
+  }
+}
+
+TEST(RefitBatchSort, MatchesStdSortOnEveryShape) {
+  Rng rng(0x626b74u);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t m = 1 + static_cast<std::size_t>(trial) % 160;
+    std::vector<double> normal(m), integer(m), negative(m), equal(m, 42.5),
+        clustered(m), narrow(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      normal[i] = rng.normal(50.0, 5.0);
+      integer[i] = std::round(rng.normal(50.0, 5.0));
+      negative[i] = rng.normal(-250.0, 80.0);
+      clustered[i] = rng.normal(3.0, 0.01);
+      narrow[i] = 1.0 + 1e-300 * rng.uniform(0.0, 1.0);
+    }
+    clustered[m / 2] = trial % 2 == 0 ? 1e300 : -1e300;
+    expect_sorted_like_std_sort(normal, "normal");
+    expect_sorted_like_std_sort(integer, "integer");
+    expect_sorted_like_std_sort(negative, "negative");
+    expect_sorted_like_std_sort(equal, "equal");
+    expect_sorted_like_std_sort(clustered, "clustered +-1e300");
+    expect_sorted_like_std_sort(narrow, "narrow");
+  }
+}
+
+TEST(RefitBatchSort, OverfullBucketFallsBackToTheComparisonSort) {
+  Rng rng(0x6f66u);
+  std::vector<double> values(150);
+  for (double& v : values) v = rng.normal(50.0, 5.0);
+  std::vector<detail::RefitEntry> spread = numbered(values);
+  EXPECT_TRUE(detail::sort_refit_batch(spread));
+  for (const double outlier : {1e300, -1e300}) {
+    std::vector<double> clustered = values;
+    clustered[75] = outlier;
+    std::vector<detail::RefitEntry> batch = numbered(clustered);
+    EXPECT_FALSE(detail::sort_refit_batch(batch)) << outlier;
+    expect_sorted_like_std_sort(clustered, "one far outlier");
+  }
+  // Extremes more than DBL_MAX apart: the range overflows.
+  std::vector<double> wide = values;
+  wide[3] = -1.5e308;
+  wide[9] = 1.5e308;
+  std::vector<detail::RefitEntry> batch = numbered(wide);
+  EXPECT_FALSE(detail::sort_refit_batch(batch));
+  expect_sorted_like_std_sort(wide, "wide");
+}
+
+// The non-finite policy: infinities sort by value (the range is then not
+// finite, so the comparison sort places them), NaN values go after every
+// number in batch order, and no value is lost.
+TEST(RefitBatchSort, NonFiniteValuesHaveADefinedPlace) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<detail::RefitEntry> batch =
+      numbered({3.0, nan, inf, -1.0, -inf, nan, 2.0, 0.5});
+  EXPECT_FALSE(detail::sort_refit_batch(batch));
+  const std::vector<double> want_numbers{-inf, -1.0, 0.5, 2.0, 3.0, inf};
+  ASSERT_EQ(batch.size(), 8u);
+  for (std::size_t i = 0; i < want_numbers.size(); ++i) {
+    EXPECT_EQ(batch[i].value, want_numbers[i]) << i;
+  }
+  EXPECT_TRUE(std::isnan(batch[6].value));
+  EXPECT_TRUE(std::isnan(batch[7].value));
+  EXPECT_EQ(batch[6].seq, 1001u);
+  EXPECT_EQ(batch[7].seq, 1005u);
+  EXPECT_EQ(batch[0].seq, 1004u);
+  EXPECT_EQ(batch[5].seq, 1002u);
+
+  // Finite numbers around NaN still take the bucket pass.
+  std::vector<detail::RefitEntry> finite = numbered({5.0, nan, 1.0, 3.0});
+  EXPECT_TRUE(detail::sort_refit_batch(finite));
+  EXPECT_EQ(finite[0].value, 1.0);
+  EXPECT_EQ(finite[1].value, 3.0);
+  EXPECT_EQ(finite[2].value, 5.0);
+  EXPECT_TRUE(std::isnan(finite[3].value));
+
+  std::vector<detail::RefitEntry> only_nan = numbered({nan, nan});
+  EXPECT_TRUE(detail::sort_refit_batch(only_nan));
+  EXPECT_EQ(only_nan[0].seq, 1000u);
+  EXPECT_EQ(only_nan[1].seq, 1001u);
+}
 
 }  // namespace
 }  // namespace fadewich::core

@@ -158,8 +158,10 @@ TEST(FleetScrape, RestartRejectionsAreTheFleetsOwnEvents) {
   ASSERT_EQ(fleet.shard(1).restores(), 1u);
   ASSERT_FALSE(fleet.retired(1));
 
+  // The rejection, then the outcome: a warm restore from the next older
+  // file of the ring, both at the tick the office failed.
   const obs::ScrapeReport report = fleet.scrape();
-  ASSERT_EQ(report.events.size(), 1u);
+  ASSERT_EQ(report.events.size(), 2u);
   const obs::Event& rejected = report.events[0];
   EXPECT_EQ(rejected.message, "snapshot rejected during recovery");
   using Field = obs::EventFields::value_type;
@@ -167,6 +169,15 @@ TEST(FleetScrape, RestartRejectionsAreTheFleetsOwnEvents) {
   EXPECT_EQ(rejected.fields[0], (Field{"office", "1"}));
   EXPECT_EQ(rejected.fields[1], (Field{"path", corrupt}));
   EXPECT_EQ(rejected.fields[2].first, "reason");
+  const obs::Event& outcome = report.events[1];
+  EXPECT_EQ(outcome.message, "recovered from snapshot");
+  EXPECT_EQ(outcome.severity, obs::Severity::kInfo);
+  EXPECT_EQ(outcome.tick, rejected.tick);
+  EXPECT_EQ(outcome.tick, 750);
+  ASSERT_EQ(outcome.fields.size(), 2u);
+  EXPECT_EQ(outcome.fields[0], (Field{"office", "1"}));
+  EXPECT_EQ(outcome.fields[1],
+            (Field{"path", snapshots[snapshots.size() - 2]}));
   EXPECT_NE(report.to_json().find("\"office\":\"1\""), std::string::npos);
   expect_valid_exposition(report);
 

@@ -55,9 +55,6 @@ core::FadewichSystem warmed_system() {
 Snapshot warmed_snapshot() {
   Snapshot snapshot;
   snapshot.system = warmed_system().export_state();
-  snapshot.station.reports = 1234;
-  snapshot.station.imputed_per_stream.assign(kStreams, 3);
-  snapshot.station.imputed_cells = 3 * kStreams;
   return snapshot;
 }
 
@@ -88,14 +85,11 @@ TEST(SnapshotTest, EncodeDecodeRoundTripsEverything) {
     EXPECT_EQ(decoded.system.re.machines[i].svm.bias,
               original.system.re.machines[i].svm.bias);
   }
-  EXPECT_EQ(decoded.station.reports, original.station.reports);
-  EXPECT_EQ(decoded.station.imputed_per_stream,
-            original.station.imputed_per_stream);
 }
 
 TEST(SnapshotTest, RestoredSystemClassifiesIdentically) {
   core::FadewichSystem source = warmed_system();
-  const std::string bytes = encode_snapshot({source.export_state(), {}});
+  const std::string bytes = encode_snapshot({source.export_state()});
 
   core::FadewichSystem restored(kStreams, kWorkstations, small_config());
   restored.import_state(decode_snapshot(bytes).system);

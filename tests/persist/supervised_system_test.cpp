@@ -132,6 +132,60 @@ TEST_F(SupervisedSystemTest, FaultedStepRestoresTheLastCheckpoint) {
   EXPECT_FALSE(live.step(row).recovered);  // healthy steps carry on
 }
 
+/// Station health is not persisted: a pipeline reborn from a snapshot
+/// starts its station block at zero, and a restore after a fault leaves
+/// the counts this instance last set.  Each recovery logs its outcome.
+TEST_F(SupervisedSystemTest, StationBlockShowsOnlyThisInstancesCounts) {
+  const auto station_fields = [](const SupervisedSystem& live) {
+    const obs::ScrapeReport report = live.scrape();
+    const obs::HealthBlock* block = report.find_block("station");
+    EXPECT_NE(block, nullptr);
+    return block != nullptr ? block->fields : obs::HealthBlock{}.fields;
+  };
+  net::StationHealth first_counts;
+  first_counts.reports = 1234;
+  first_counts.imputed_cells = 3 * kStreams;
+  first_counts.imputed_per_stream.assign(kStreams, 3);
+  const std::vector<double> row(kStreams, -60.0);
+  {
+    SupervisedSystem first(kStreams, kWorkstations, {}, config());
+    for (int t = 0; t < 20; ++t) first.step(row);
+    first.set_station_health(first_counts);
+    first.checkpoint_now();
+  }
+
+  SupervisedSystem reborn(kStreams, kWorkstations, {}, config());
+  ASSERT_FALSE(reborn.degraded_start());
+  ASSERT_EQ(reborn.system().tick(), 20);
+  net::StationHealth zero;
+  zero.imputed_per_stream.assign(kStreams, 0);
+  EXPECT_EQ(station_fields(reborn), net::health_block(zero).fields);
+
+  net::StationHealth own;
+  own.reports = 77;
+  own.imputed_per_stream.assign(kStreams, 1);
+  reborn.set_station_health(own);
+  for (int t = 0; t < 5; ++t) reborn.step(row);
+  ASSERT_TRUE(faulty_step(reborn).recovered);
+  EXPECT_EQ(reborn.system().tick(), 20);
+  EXPECT_EQ(station_fields(reborn), net::health_block(own).fields);
+
+  // Construction and the restart each logged "recovered from snapshot"
+  // with the file, the restart at the failing tick.
+  if (!obs::kCompiledIn) return;  // events compiled out
+  std::vector<obs::Event> recovered;
+  for (const obs::Event& e : reborn.scrape().events) {
+    if (e.message == "recovered from snapshot") recovered.push_back(e);
+  }
+  ASSERT_EQ(recovered.size(), 2u);
+  EXPECT_EQ(recovered[0].tick, 0);
+  EXPECT_EQ(recovered[1].tick, 26);
+  ASSERT_EQ(recovered[1].fields.size(), 1u);
+  EXPECT_EQ(recovered[1].fields[0].first, "path");
+  EXPECT_EQ(recovered[1].fields[0].second,
+            reborn.recovery_report().recovered_path);
+}
+
 // The checkpoint cadence is keyed to the pipeline's tick, not to step()
 // calls: a pipeline reborn from an off-period snapshot checkpoints on the
 // same ticks as one that never stopped.
@@ -330,20 +384,22 @@ TEST_F(SupervisedSystemTest, TwoSystemsInOneProcessKeepTheirOwnEvents) {
   EXPECT_EQ(field_of(warm_events[1], "path"), good);
 
   // A failed step is recorded by the system that failed, with the
-  // restart's own rejection ahead of it, and reaches a sink attached to
-  // that system's log.
+  // restart's own rejection and outcome ahead of it, and reaches a sink
+  // attached to that system's log.
   std::ostringstream sink;
   warm.events().set_sink(&sink);
   faulty_step(warm);
   warm.events().set_sink(nullptr);
   const std::vector<obs::Event> after = warm.scrape().events;
-  ASSERT_EQ(after.size(), 4u);
+  ASSERT_EQ(after.size(), 5u);
   EXPECT_EQ(after[2].message, "snapshot rejected during recovery");
-  EXPECT_EQ(after[3].message, "pipeline step failed; restored");
-  EXPECT_EQ(after[3].severity, obs::Severity::kError);
-  EXPECT_EQ(sink.str(),
-            obs::to_json_line(after[2]) + "\n" + obs::to_json_line(after[3]) +
-                "\n");
+  EXPECT_EQ(after[3].message, "recovered from snapshot");
+  EXPECT_EQ(field_of(after[3], "path"), good);
+  EXPECT_EQ(after[4].message, "pipeline step failed; restored");
+  EXPECT_EQ(after[4].severity, obs::Severity::kError);
+  EXPECT_EQ(sink.str(), obs::to_json_line(after[2]) + "\n" +
+                            obs::to_json_line(after[3]) + "\n" +
+                            obs::to_json_line(after[4]) + "\n");
   EXPECT_EQ(cold.scrape().events.size(), 1u);
   fs::remove_all(cold_config.directory);
 }
